@@ -9,259 +9,25 @@ cohomology, and Bayesian joint-distribution structures.
 The batch front end lives in sheafcalc.cli and is not re-exported.
 """
 
-from .rationals import (
-    Rational,
-    RationalMatrix,
-    MatrixDecomposition,
-    rational,
-    matmul,
-    decompose,
-    solve,
-    block_assemble,
+from . import (
+    rationals, poset, galois, morphology, modal, complexes, finsheaf,
+    cellsheaf, cohomology,
 )
-from .poset import (
-    OrderViolation,
-    FinitePoset,
-    FiniteTopology,
-    validate_poset,
-    is_monotone,
-    set_label,
-    downset_family,
-    all_downsets,
-    yoneda_check,
-    validate_topology,
-    alexandrov,
-)
-from .galois import (
-    GaloisConnection,
-    ConnectionReport,
-    AdjointSynthesisError,
-    LatticeOperator,
-    check_connection,
-    right_adjoint_of,
-    left_adjoint_of,
-    induced_operators,
-    compose_connections,
-    cantor_diagonal,
-)
-from .morphology import (
-    StructuringElement,
-    BinaryImage,
-    FilterLattice,
-    CHAIN,
-    dilate,
-    erode,
-    opening,
-    closing,
-    flat_dilate,
-    flat_erode,
-    flat_filter,
-    composite_filter_lattice,
-)
-from .modal import (
-    DirectedMultigraph,
-    Subgraph,
-    ModalTrace,
-    AspectPredicate,
-    subgraph,
-    validate_subgraph,
-    full_subgraph,
-    empty_subgraph,
-    meet_join,
-    subgraph_leq,
-    heyting_neg,
-    coheyting_neg,
-    boundary,
-    modal_iterate,
-    reach_oracle,
-    all_subgraphs,
-    validate_aspect_predicate,
-    aspect_neg,
-    aspect_modal,
-)
-from .complexes import (
-    SimplicialComplex,
-    Chain,
-    validate_complex,
-    face_name,
-    face_poset,
-    open_star,
-    incidence,
-    boundary_matrix,
-    homology_dims,
-)
-from .finsheaf import (
-    FinitePresheaf,
-    PresheafReport,
-    SheafCondition,
-    MatchingFamily,
-    Copresheaf,
-    NColorSheaf,
-    restrict,
-    validate_presheaf,
-    matching_families,
-    sheaf_check,
-    irredundant_covers,
-    is_sheaf,
-    stalk_at,
-    validate_copresheaf,
-    poset_transfer,
-    copresheaf_from_presheaf,
-    ncolor,
-    predict,
-)
-from .cellsheaf import (
-    CellularSheaf,
-    Assignment,
-    SheafReport,
-    SectionReport,
-    ExtendResult,
-    SectionSpace,
-    SheafMorphism,
-    MorphismReport,
-    covering_pairs,
-    validate_sheaf,
-    composite_map,
-    is_global_section,
-    extend,
-    global_section_space,
-    direct_sum,
-    pullback,
-    check_morphism,
-)
-from .cohomology import (
-    CochainComplex,
-    BayesModel,
-    BayesAssembly,
-    BayesReport,
-    coboundary,
-    cochain_complex,
-    cohomology_dims,
-    bayes_build,
-    bayes_check,
-)
+from .rationals import *  # noqa: F401,F403
+from .poset import *  # noqa: F401,F403
+from .galois import *  # noqa: F401,F403
+from .morphology import *  # noqa: F401,F403
+from .modal import *  # noqa: F401,F403
+from .complexes import *  # noqa: F401,F403
+from .finsheaf import *  # noqa: F401,F403
+from .cellsheaf import *  # noqa: F401,F403
+from .cohomology import *  # noqa: F401,F403
 
+# Each module's __all__ is its public surface; the package re-exports
+# exactly their union.
 __all__ = [
-    # rationals
-    "Rational",
-    "RationalMatrix",
-    "MatrixDecomposition",
-    "rational",
-    "matmul",
-    "decompose",
-    "solve",
-    "block_assemble",
-    # posets and topologies
-    "OrderViolation",
-    "FinitePoset",
-    "FiniteTopology",
-    "validate_poset",
-    "is_monotone",
-    "set_label",
-    "downset_family",
-    "all_downsets",
-    "yoneda_check",
-    "validate_topology",
-    "alexandrov",
-    # galois connections
-    "GaloisConnection",
-    "ConnectionReport",
-    "AdjointSynthesisError",
-    "LatticeOperator",
-    "check_connection",
-    "right_adjoint_of",
-    "left_adjoint_of",
-    "induced_operators",
-    "compose_connections",
-    "cantor_diagonal",
-    # morphology
-    "StructuringElement",
-    "BinaryImage",
-    "FilterLattice",
-    "CHAIN",
-    "dilate",
-    "erode",
-    "opening",
-    "closing",
-    "flat_dilate",
-    "flat_erode",
-    "flat_filter",
-    "composite_filter_lattice",
-    # subgraph lattices and modal operators
-    "DirectedMultigraph",
-    "Subgraph",
-    "ModalTrace",
-    "AspectPredicate",
-    "subgraph",
-    "validate_subgraph",
-    "full_subgraph",
-    "empty_subgraph",
-    "meet_join",
-    "subgraph_leq",
-    "heyting_neg",
-    "coheyting_neg",
-    "boundary",
-    "modal_iterate",
-    "reach_oracle",
-    "all_subgraphs",
-    "validate_aspect_predicate",
-    "aspect_neg",
-    "aspect_modal",
-    # simplicial complexes
-    "SimplicialComplex",
-    "Chain",
-    "validate_complex",
-    "face_name",
-    "face_poset",
-    "open_star",
-    "incidence",
-    "boundary_matrix",
-    "homology_dims",
-    # finite presheaves and sheaves
-    "FinitePresheaf",
-    "PresheafReport",
-    "SheafCondition",
-    "MatchingFamily",
-    "Copresheaf",
-    "NColorSheaf",
-    "restrict",
-    "validate_presheaf",
-    "matching_families",
-    "sheaf_check",
-    "irredundant_covers",
-    "is_sheaf",
-    "stalk_at",
-    "validate_copresheaf",
-    "poset_transfer",
-    "copresheaf_from_presheaf",
-    "ncolor",
-    "predict",
-    # cellular sheaves
-    "CellularSheaf",
-    "Assignment",
-    "SheafReport",
-    "SectionReport",
-    "ExtendResult",
-    "SectionSpace",
-    "SheafMorphism",
-    "MorphismReport",
-    "covering_pairs",
-    "validate_sheaf",
-    "composite_map",
-    "is_global_section",
-    "extend",
-    "global_section_space",
-    "direct_sum",
-    "pullback",
-    "check_morphism",
-    # cochain complexes and bayes assemblies
-    "CochainComplex",
-    "BayesModel",
-    "BayesAssembly",
-    "BayesReport",
-    "coboundary",
-    "cochain_complex",
-    "cohomology_dims",
-    "bayes_build",
-    "bayes_check",
+    name
+    for module in (rationals, poset, galois, morphology, modal, complexes,
+                   finsheaf, cellsheaf, cohomology)
+    for name in module.__all__
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import SimplicialComplex, face_name
+from .complexes import SimplicialComplex, _signed_facets, face_name
 from .rationals import RationalMatrix, block_assemble, decompose, rational, solve
 
 __all__ = [
@@ -42,8 +42,8 @@ def covering_pairs(base: SimplicialComplex):
     for tau in base.all_faces():
         if len(tau) == 1:
             continue
-        for i in range(len(tau)):
-            out.append((tau[:i] + tau[i + 1:], tau))
+        for sigma, _ in _signed_facets(tau):
+            out.append((sigma, tau))
     return out
 
 
@@ -250,17 +250,46 @@ def _vertex_layout(s: CellularSheaf):
     return offsets, total
 
 
-def _vertex_rows(s: CellularSheaf, face, offsets, total):
-    """The value at `face` as a matrix over concatenated vertex stalks."""
-    v0 = (face[0],)
-    comp = composite_map(s, v0, face)
-    rows = []
-    for r in range(comp.rows):
-        row = [Fraction(0)] * total
-        for c in range(comp.cols):
-            row[offsets[v0] + c] = comp.entry(r, c)
-        rows.append(row)
-    return rows
+def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total):
+    """The extension problem as linear rows over concatenated vertex
+    stalks, grouped by face in face order: (face, rows, rhs).
+
+    An edge contributes its degree-zero coboundary rows, which vanish on
+    a global section; a seeded face contributes its value written
+    through its first vertex.
+    """
+    from .cohomology import coboundary
+
+    delta0 = coboundary(s, 0).row_lists()  # edge blocks in face order
+    groups = []
+    at = 0
+    for face in s.base.all_faces():
+        rows = []
+        rhs = []
+        if len(face) == 2:
+            rows.extend(delta0[at:at + s.stalk_dim[face]])
+            rhs.extend([Fraction(0)] * s.stalk_dim[face])
+            at += s.stalk_dim[face]
+        if face in seed.vectors:
+            v0 = (face[0],)
+            for r in composite_map(s, v0, face).row_lists():
+                row = [Fraction(0)] * total
+                row[offsets[v0]:offsets[v0] + len(r)] = r
+                rows.append(row)
+            rhs.extend(seed[face])
+        if rows:
+            groups.append((face, rows, rhs))
+    return groups
+
+
+def _spread(s: CellularSheaf, offsets, vertex_data) -> Assignment:
+    """Vertex data carried to every face through its first vertex."""
+    vectors = {}
+    for face in s.base.all_faces():
+        v0 = (face[0],)
+        block = vertex_data[offsets[v0]:offsets[v0] + s.stalk_dim[v0]]
+        vectors[face] = composite_map(s, v0, face).apply(block)
+    return Assignment(vectors)
 
 
 def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
@@ -279,27 +308,16 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     assert report.ok, report
     _check_lengths(s, seed)
 
-    from .cohomology import coboundary
-
     offsets, total = _vertex_layout(s)
-    delta0 = coboundary(s, 0)
-    rows = [list(r) for r in delta0.row_lists()]
-    rhs = [Fraction(0)] * delta0.rows
-    for face in s.base.all_faces():
-        if face not in seed.vectors:
-            continue
-        rows.extend(_vertex_rows(s, face, offsets, total))
-        rhs.extend(seed[face])
-    system = RationalMatrix.from_rows(rows, cols=total)
-    solution = solve(system, tuple(rhs))
+    rows = []
+    rhs = []
+    for _, g_rows, g_rhs in _vertex_system(s, seed, offsets, total):
+        rows.extend(g_rows)
+        rhs.extend(g_rhs)
+    solution = solve(RationalMatrix.from_rows(rows, cols=total), rhs)
 
     if solution is not None:
-        vectors = {}
-        for face in s.base.all_faces():
-            v0 = (face[0],)
-            block = solution[offsets[v0]:offsets[v0] + s.stalk_dim[v0]]
-            vectors[face] = composite_map(s, v0, face).apply(block)
-        result = Assignment(vectors)
+        result = _spread(s, offsets, solution)
         for face in seed.vectors:
             assert result[face] == seed[face]
         return ExtendResult(result=result)
@@ -307,13 +325,9 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     return _localize_obstruction(s, seed)
 
 
-def _stack(blocks):
-    rows = []
-    rhs = []
-    for mat, b in blocks:
-        rows.extend(list(r) for r in mat.row_lists())
-        rhs.extend(b)
-    return rows, tuple(rhs)
+def _augmented(mat: RationalMatrix, b):
+    """Rows of [mat | b]."""
+    return [list(mat.row(i)) + [b[i]] for i in range(mat.rows)]
 
 
 def _localize_obstruction(s: CellularSheaf, seed: Assignment) -> ExtendResult:
@@ -326,13 +340,18 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     for g in faces:
         neighbors[g].sort(key=face_order.get)
 
+    # Each face collects the augmented rows [A | b] of its constraints
+    # A x = b.  One elimination per step answers both questions: the
+    # system is inconsistent iff the augmented column is a pivot, and
+    # the value is determined iff the rank reaches the stalk dimension,
+    # in which case it is the augmented column of the rref.
     systems = {g: [] for g in faces}
     value = {}
     queue = deque()
     for g in faces:
         if g in seed.vectors:
-            systems[g].append(
-                (RationalMatrix.identity(s.stalk_dim[g]), seed[g]))
+            systems[g].extend(
+                _augmented(RationalMatrix.identity(s.stalk_dim[g]), seed[g]))
             value[g] = seed[g]
             queue.append(g)
 
@@ -340,70 +359,44 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment) -> ExtendResult:
         g = queue.popleft()
         xg = value[g]
         for n in neighbors[g]:
+            dim = s.stalk_dim[n]
             if len(n) > len(g):
                 # value above is forced outright
-                block = (RationalMatrix.identity(s.stalk_dim[n]),
-                         s.restriction[(g, n)].apply(xg))
+                block = _augmented(RationalMatrix.identity(dim),
+                                   s.restriction[(g, n)].apply(xg))
             else:
                 # value below must map onto the determined value
-                block = (s.restriction[(n, g)], xg)
-            systems[n].append(block)
-            rows, rhs = _stack(systems[n])
-            stacked = RationalMatrix.from_rows(rows, cols=s.stalk_dim[n])
-            sol = solve(stacked, rhs)
-            if sol is None:
-                alone_rows, alone_rhs = _stack([block])
-                alone = solve(
-                    RationalMatrix.from_rows(alone_rows, cols=s.stalk_dim[n]),
-                    alone_rhs)
-                kind = ("no-consistent-value" if alone is None
-                        else "conflicting-values")
-                detail = (
-                    f"constraints at {face_name(s.base, n)} from "
-                    f"{face_name(s.base, g)} admit no solution"
-                    if alone is None else
-                    f"{face_name(s.base, n)} is forced two different ways")
+                block = _augmented(s.restriction[(n, g)], xg)
+            systems[n].extend(block)
+            dec = decompose(RationalMatrix.from_rows(systems[n], cols=dim + 1))
+            if dim in dec.pivots:
+                alone = decompose(RationalMatrix.from_rows(block, cols=dim + 1))
+                if dim in alone.pivots:
+                    kind = "no-consistent-value"
+                    detail = (f"constraints at {face_name(s.base, n)} from "
+                              f"{face_name(s.base, g)} admit no solution")
+                else:
+                    kind = "conflicting-values"
+                    detail = f"{face_name(s.base, n)} is forced two different ways"
                 return ExtendResult(
                     obstruction=n, kind=kind, detail=detail,
                     propagated=Assignment(dict(value)))
-            if n not in value and decompose(stacked).rank == s.stalk_dim[n]:
-                value[n] = sol
+            if n not in value and dec.rank == dim:
+                value[n] = dec.rref.column(dim)[:dim]
                 queue.append(n)
 
     # The global system is infeasible, yet no single face collected an
     # inconsistent system from determined neighbors.  Sweep faces in
-    # order, adding each face's coherence and seed rows to one growing
+    # order, adding each face's rows of the global system to one growing
     # vertex-coordinate system; the face whose rows break it is blamed.
-    from .cohomology import coboundary
-
     offsets, total = _vertex_layout(s)
     rows: list = []
     rhs: list = []
-    for g in faces:
-        added = []
-        if len(g) == 2:
-            u, v = (g[0],), (g[1],)
-            left = composite_map(s, u, g)
-            right = composite_map(s, v, g)
-            for r in range(left.rows):
-                row = [Fraction(0)] * total
-                for c in range(left.cols):
-                    row[offsets[u] + c] = left.entry(r, c)
-                for c in range(right.cols):
-                    row[offsets[v] + c] -= right.entry(r, c)
-                added.append((row, Fraction(0)))
-        if g in seed.vectors:
-            for row, b in zip(_vertex_rows(s, g, offsets, total), seed[g]):
-                added.append((row, b))
-        if not added:
-            continue
-        alone = solve(
-            RationalMatrix.from_rows([r for r, _ in added], cols=total),
-            tuple(b for _, b in added))
-        rows.extend(r for r, _ in added)
-        rhs.extend(b for _, b in added)
-        joint = solve(RationalMatrix.from_rows(rows, cols=total), tuple(rhs))
-        if joint is None:
+    for g, g_rows, g_rhs in _vertex_system(s, seed, offsets, total):
+        rows.extend(g_rows)
+        rhs.extend(g_rhs)
+        if solve(RationalMatrix.from_rows(rows, cols=total), rhs) is None:
+            alone = solve(RationalMatrix.from_rows(g_rows, cols=total), g_rhs)
             kind = "no-consistent-value" if alone is None else "conflicting-values"
             return ExtendResult(
                 obstruction=g, kind=kind,
@@ -422,17 +415,10 @@ def global_section_space(s: CellularSheaf) -> SectionSpace:
     assert s.variance == "sheaf"
     from .cohomology import coboundary
 
-    offsets, total = _vertex_layout(s)
+    offsets, _ = _vertex_layout(s)
     dec = decompose(coboundary(s, 0))
-    basis = []
-    for vec in dec.kernel_basis:
-        vectors = {}
-        for face in s.base.all_faces():
-            v0 = (face[0],)
-            block = vec[offsets[v0]:offsets[v0] + s.stalk_dim[v0]]
-            vectors[face] = composite_map(s, v0, face).apply(block)
-        basis.append(Assignment(vectors))
-    return SectionSpace(len(basis), tuple(basis))
+    basis = tuple(_spread(s, offsets, vec) for vec in dec.kernel_basis)
+    return SectionSpace(len(basis), basis)
 
 
 def _same_base(a: SimplicialComplex, b: SimplicialComplex) -> bool:

@@ -376,8 +376,9 @@ def _parse_subgraph(doc, g, where):
     vertices = _string_list(obj.get("vertices", []), f"{where}:vertices",
                             allow_empty=True)
     edges = _string_list(obj.get("edges", []), f"{where}:edges", allow_empty=True)
+    known = set(g.vertices)
     for v in vertices:
-        if v not in set(g.vertices):
+        if v not in known:
             raise InputError(f"unknown vertex {v!r}", f"{where}:vertices")
     for e in edges:
         if e not in g.edges:
@@ -491,7 +492,8 @@ def _parse_model(doc, where):
         if not isinstance(vobj["name"], str):
             raise InputError("variable names are strings", f"{where}:variables[{i}]")
         names.append(vobj["name"])
-    if len(set(names)) != len(names):
+    known = set(names)
+    if len(known) != len(names):
         raise InputError("duplicate variable names", f"{where}:variables")
     outcomes, parents, cpt = {}, {}, {}
     for i, vdoc in enumerate(vdocs):
@@ -504,7 +506,7 @@ def _parse_model(doc, where):
         declared = _string_list(vdoc.get("parents", []), f"{vwhere}:parents",
                                 allow_empty=True)
         for j, p in enumerate(declared):
-            if p not in set(names):
+            if p not in known:
                 raise InputError(f"unknown parent {p!r}", f"{vwhere}:parents[{j}]")
         if len(set(declared)) != len(declared):
             raise InputError("duplicate parents", f"{vwhere}:parents")

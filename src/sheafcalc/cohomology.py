@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cellsheaf import CellularSheaf, composite_map, validate_sheaf
-from .complexes import incidence, validate_complex
+from .complexes import _signed_facets, validate_complex
 from .rationals import RationalMatrix, block_assemble, decompose, rational
 
 __all__ = [
@@ -37,20 +37,21 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
     """delta^k, blocked by the global face order in each degree.
 
     The (tau, sigma) block is the incidence sign times the attachment
-    map; absent blocks are zero.
+    map; it is nonzero only for the facets sigma of tau.
     """
     assert s.variance == "sheaf"
     assert 0 <= k
     row_faces = s.base.k_faces(k + 1) if k + 1 <= s.base.dimension() else []
     col_faces = s.base.k_faces(k)
+    col_of = {sigma: j for j, sigma in enumerate(col_faces)}
     blocks = {}
     for i, tau in enumerate(row_faces):
-        for j, sigma in enumerate(col_faces):
-            sign = incidence(s.base, tau, sigma)
-            if sign == 0:
+        for sigma, sign in _signed_facets(tau):
+            if sigma not in col_of:
                 continue
             mat = s.restriction[(sigma, tau)]
-            blocks[(i, j)] = mat if sign == 1 else mat.scale(Fraction(-1))
+            blocks[(i, col_of[sigma])] = (
+                mat if sign == 1 else mat.scale(Fraction(-1)))
     return block_assemble(
         blocks,
         tuple(s.stalk_dim[tau] for tau in row_faces),

@@ -14,6 +14,18 @@ from itertools import combinations
 from .poset import FinitePoset
 from .rationals import RationalMatrix, decompose, rational
 
+__all__ = [
+    "SimplicialComplex",
+    "Chain",
+    "validate_complex",
+    "face_name",
+    "face_poset",
+    "open_star",
+    "incidence",
+    "boundary_matrix",
+    "homology_dims",
+]
+
 
 class SimplicialComplex:
     __slots__ = ("vertex_order", "faces", "_index")
@@ -169,14 +181,24 @@ def incidence(complex_: SimplicialComplex, b, a) -> int:
     return -1 if n % 2 else 1
 
 
+def _signed_facets(face):
+    """(facet, [face:facet]) for every facet of `face`: deleting the
+    vertex at position i gives sign (-1)^i.  The nonzero incidence
+    numbers, without the quadratic search over all pairs."""
+    for i in range(len(face)):
+        yield face[:i] + face[i + 1:], -1 if i % 2 else 1
+
+
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> RationalMatrix:
     assert 1 <= k <= complex_.dimension()
     rows = complex_.k_faces(k - 1)
     cols = complex_.k_faces(k)
-    entries = []
-    for a in rows:
-        for b in cols:
-            entries.append(incidence(complex_, b, a))
+    row_of = {a: i for i, a in enumerate(rows)}
+    entries = [0] * (len(rows) * len(cols))
+    for j, b in enumerate(cols):
+        for a, sign in _signed_facets(b):
+            if a in row_of:
+                entries[row_of[a] * len(cols) + j] = sign
     return RationalMatrix(len(rows), len(cols), entries)
 
 

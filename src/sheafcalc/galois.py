@@ -12,6 +12,19 @@ from dataclasses import dataclass
 
 from .poset import FinitePoset, is_monotone
 
+__all__ = [
+    "GaloisConnection",
+    "ConnectionReport",
+    "AdjointSynthesisError",
+    "LatticeOperator",
+    "check_connection",
+    "right_adjoint_of",
+    "left_adjoint_of",
+    "induced_operators",
+    "compose_connections",
+    "cantor_diagonal",
+]
+
 
 @dataclass(frozen=True)
 class GaloisConnection:

@@ -17,6 +17,28 @@ from dataclasses import dataclass
 
 from .poset import FinitePoset
 
+__all__ = [
+    "DirectedMultigraph",
+    "Subgraph",
+    "ModalTrace",
+    "AspectPredicate",
+    "subgraph",
+    "validate_subgraph",
+    "full_subgraph",
+    "empty_subgraph",
+    "meet_join",
+    "subgraph_leq",
+    "heyting_neg",
+    "coheyting_neg",
+    "boundary",
+    "modal_iterate",
+    "reach_oracle",
+    "all_subgraphs",
+    "validate_aspect_predicate",
+    "aspect_neg",
+    "aspect_modal",
+]
+
 ENUMERATION_LIMIT = 16
 
 
@@ -62,8 +84,9 @@ def subgraph(g: DirectedMultigraph, vertices, edges=()) -> Subgraph:
 
 
 def validate_subgraph(g: DirectedMultigraph, s: Subgraph) -> Subgraph:
+    known = set(g.vertices)
     for v in s.vertices:
-        if v not in set(g.vertices):
+        if v not in known:
             raise ValueError(f"unknown vertex {v!r}")
     for e in s.edges:
         if e not in g.edges:

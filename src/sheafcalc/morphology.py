@@ -17,6 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = [
+    "StructuringElement",
+    "BinaryImage",
+    "FilterLattice",
+    "CHAIN",
+    "dilate",
+    "erode",
+    "opening",
+    "closing",
+    "flat_dilate",
+    "flat_erode",
+    "flat_filter",
+    "composite_filter_lattice",
+]
+
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 

@@ -11,6 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+__all__ = [
+    "OrderViolation",
+    "FinitePoset",
+    "FiniteTopology",
+    "validate_poset",
+    "is_monotone",
+    "set_label",
+    "downset_family",
+    "all_downsets",
+    "yoneda_check",
+    "validate_topology",
+    "alexandrov",
+]
+
 POWERSET_LIMIT = 16
 
 

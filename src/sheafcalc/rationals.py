@@ -11,6 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+__all__ = [
+    "Rational",
+    "RationalMatrix",
+    "MatrixDecomposition",
+    "rational",
+    "matmul",
+    "decompose",
+    "solve",
+    "block_assemble",
+]
+
 Rational = Fraction
 
 
@@ -148,11 +159,13 @@ class MatrixDecomposition:
     kernel_basis: tuple       # tuples of length cols
     image_basis: tuple        # original pivot columns, tuples of length rows
     rref: RationalMatrix
+    pivots: tuple             # pivot column of each nonzero rref row
 
 
 def decompose(m: RationalMatrix) -> MatrixDecomposition:
     """Gauss-Jordan over Q: rank, kernel basis, image basis (pivot columns
-    of the original matrix) and the reduced row echelon form.
+    of the original matrix), the reduced row echelon form and its pivot
+    columns.  This is the one elimination routine of the package.
 
     rank + len(kernel_basis) == cols always.
     """
@@ -197,7 +210,8 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
         rank=len(pivots),
         kernel_basis=tuple(kernel),
         image_basis=image,
-        rref=rref)
+        rref=rref,
+        pivots=tuple(pivots))
 
 
 def solve(a: RationalMatrix, b) -> tuple | None:
@@ -208,17 +222,10 @@ def solve(a: RationalMatrix, b) -> tuple | None:
         [list(a.row(i)) + [b[i]] for i in range(a.rows)], cols=a.cols + 1)
     dec = decompose(aug)
     # inconsistent iff the augmented column is a pivot column
-    pivots = []
-    for i in range(dec.rank):
-        row = dec.rref.row(i)
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    if a.cols in pivots:
+    if a.cols in dec.pivots:
         return None
     x = [Fraction(0)] * a.cols
-    for i, pc in enumerate(pivots):
+    for i, pc in enumerate(dec.pivots):
         x[pc] = dec.rref.entry(i, a.cols)
     return tuple(x)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -364,6 +365,79 @@ def test_extend_agrees_with_section_space_membership():
             assert result.kind in ("no-consistent-value",
                                    "conflicting-values")
     assert tried_ok and tried_fail
+
+
+def _path_or_cycle_case(seed):
+    """A 5-vertex path, or a cycle when a coin says so, with stalks of
+    dimension 1 or 2, rank <= 1 integer maps and two seeded vertices.
+    Rank-deficient maps leave vertices undetermined, which is what sends
+    some inconsistent seeds past the breadth-first search."""
+    rng = random.Random(seed)
+    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+    if rng.random() < 0.5:
+        edges.append(("a", "e"))
+    base = validate_complex(edges)
+    dims = {face: rng.randint(1, 2) for face in base.all_faces()}
+    maps = {}
+    for sigma, tau in covering_pairs(base):
+        u = [rng.randint(-2, 2) for _ in range(dims[tau])]
+        v = [rng.randint(-2, 2) for _ in range(dims[sigma])]
+        maps[(sigma, tau)] = RationalMatrix.from_rows(
+            [[a * b for b in v] for a in u], cols=dims[sigma])
+    seeded = rng.sample(base.k_faces(0), 2)
+    seed_values = Assignment({
+        face: [rng.randint(-2, 2) for _ in range(dims[face])]
+        for face in seeded})
+    return CellularSheaf(base, dims, maps), seed_values
+
+
+# (case seed, ok, obstruction, kind, detail, digest), recorded before
+# extend and its obstruction search shared one elimination routine.  The
+# digest is the first 16 hex digits of the sha256 of repr(result), so it
+# pins the whole result, propagated values included.
+EXTEND_CORPUS = [
+    # extendable
+    (5, True, None, None, None, '3cc53d3495865f59'),
+    (6, True, None, None, None, 'd33711821200f196'),
+    (20, True, None, None, None, 'a967a9212b7adb2f'),
+    # breadth-first search: the newest constraint alone fails
+    (0, False, ('b',), 'no-consistent-value',
+     'constraints at b from ab admit no solution', '364b700ada396fb2'),
+    (1, False, ('e',), 'no-consistent-value',
+     'constraints at e from ae admit no solution', 'bd6372344e3d70de'),
+    (4, False, ('b',), 'no-consistent-value',
+     'constraints at b from bc admit no solution', 'e54656b523ef0d4c'),
+    # breadth-first search: only the combination fails
+    (2, False, ('a', 'b'), 'conflicting-values',
+     'ab is forced two different ways', '507233bb53714fd0'),
+    (3, False, ('b', 'c'), 'conflicting-values',
+     'bc is forced two different ways', '6453582ecf2b7871'),
+    (7, False, ('a', 'e'), 'conflicting-values',
+     'ae is forced two different ways', '530a41d7ed5f6fa6'),
+    # no face collects an inconsistent system from determined
+    # neighbors, so the face sweep after the search blames one
+    (1228, False, ('c', 'd'), 'conflicting-values',
+     'constraints through cd close off the remaining solutions', '1f75bf8d91ce2f0b'),
+    (1345, False, ('a', 'e'), 'conflicting-values',
+     'constraints through ae close off the remaining solutions', '2a69de2773ae3d07'),
+    (1627, False, ('c', 'd'), 'conflicting-values',
+     'constraints through cd close off the remaining solutions', '980cecc3a872e3be'),
+    (1846, False, ('d', 'e'), 'conflicting-values',
+     'constraints through de close off the remaining solutions', 'c7cb7167a48d3f21'),
+    (2963, False, ('d', 'e'), 'conflicting-values',
+     'constraints through de close off the remaining solutions', '4fd6da60b7effb3b'),
+    (3341, False, ('c', 'd'), 'conflicting-values',
+     'constraints through cd close off the remaining solutions', 'ebdce4f2c68fca1a'),
+]
+
+
+@pytest.mark.parametrize("case", EXTEND_CORPUS, ids=lambda c: str(c[0]))
+def test_extend_reproduces_recorded_corpus(case):
+    seed, *expected = case
+    result = extend(*_path_or_cycle_case(seed))
+    digest = hashlib.sha256(repr(result).encode()).hexdigest()[:16]
+    got = (result.ok, result.obstruction, result.kind, result.detail, digest)
+    assert got == tuple(expected)
 
 
 # ------------------------------------------------------------ direct sum

@@ -8,7 +8,7 @@ from sheafcalc.cellsheaf import (
 from sheafcalc.cohomology import (
     BayesModel, bayes_build, bayes_check, coboundary, cochain_complex,
     cohomology_dims)
-from sheafcalc.complexes import homology_dims, validate_complex
+from sheafcalc.complexes import homology_dims, incidence, validate_complex
 from sheafcalc.rationals import RationalMatrix, block_assemble, decompose
 
 from util import (
@@ -74,6 +74,31 @@ def test_delta_squared_vanishes_on_random_sheaves():
         cc = cochain_complex(s)
         for k in range(len(cc.deltas) - 1):
             assert (cc.deltas[k + 1] @ cc.deltas[k]).is_zero()
+
+
+def _coboundary_from_incidence(s, k):
+    """Reference delta^k: every (tau, sigma) pair, signed by incidence."""
+    rows = s.base.k_faces(k + 1) if k + 1 <= s.base.dimension() else []
+    cols = s.base.k_faces(k)
+    blocks = {}
+    for i, tau in enumerate(rows):
+        for j, sigma in enumerate(cols):
+            sign = incidence(s.base, tau, sigma)
+            if sign:
+                blocks[(i, j)] = s.restriction[(sigma, tau)].scale(sign)
+    return block_assemble(blocks, [s.stalk_dim[f] for f in rows],
+                          [s.stalk_dim[f] for f in cols])
+
+
+def test_coboundary_matches_incidence_on_random_sheaves():
+    rng = random.Random(29)
+    sheaves = [random_valid_sheaf(rng, random_complex(rng)) for _ in range(40)]
+    sheaves.append(running_sheaf())
+    sheaves.append(constant_sheaf(
+        validate_complex([("a", "b", "c", "d"), ("d", "e")]), 2))
+    for s in sheaves:
+        for k in range(s.base.dimension() + 1):
+            assert coboundary(s, k) == _coboundary_from_incidence(s, k)
 
 
 # ------------------------------------------------------- cohomology dims

@@ -130,6 +130,22 @@ def test_boundary_squares_to_zero_randomized(seed):
                       boundary_matrix(c, k)).is_zero()
 
 
+def _boundary_from_incidence(c, k):
+    """Reference d_k: the incidence number of every (row, column) pair."""
+    rows, cols = c.k_faces(k - 1), c.k_faces(k)
+    return RationalMatrix(len(rows), len(cols),
+                          [incidence(c, b, a) for a in rows for b in cols])
+
+
+def test_boundary_matches_incidence_on_random_complexes():
+    rng = random.Random(31)
+    complexes = [random_complex(rng) for _ in range(60)]
+    complexes.append(validate_complex([("a", "b", "c", "d"), ("d", "e")]))
+    for c in complexes:
+        for k in range(1, c.dimension() + 1):
+            assert boundary_matrix(c, k) == _boundary_from_incidence(c, k)
+
+
 # -------------------------------------------------------------- homology
 
 def test_homology_of_edge():

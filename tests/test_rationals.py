@@ -131,6 +131,20 @@ def test_decompose_structural_properties(m):
     assert decompose(dec.rref).rref == dec.rref
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_decompose_reports_the_rref_pivots(m):
+    dec = decompose(m)
+    assert len(dec.pivots) == dec.rank
+    assert list(dec.pivots) == sorted(set(dec.pivots))
+    for i, pc in enumerate(dec.pivots):
+        row = dec.rref.row(i)
+        assert row[pc] == 1 and all(x == 0 for x in row[:pc])
+        assert dec.image_basis[i] == m.column(pc)
+    for i in range(dec.rank, m.rows):
+        assert all(x == 0 for x in dec.rref.row(i))
+
+
 # ------------------------------------------------------------------ solve
 
 def test_solve_consistent_and_not():
@@ -146,6 +160,19 @@ def test_solve_single_variable_overdetermined():
     a = RationalMatrix.from_rows([[3], [1]])
     assert solve(a, [1, 1]) is None
     assert solve(a, [3, 1]) == (Fraction(1),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices(), st.data())
+def test_solve_agrees_with_rank_test(a, data):
+    b = data.draw(st.lists(small_entries, min_size=a.rows, max_size=a.rows))
+    aug = RationalMatrix.from_rows(
+        [list(a.row(i)) + [b[i]] for i in range(a.rows)], cols=a.cols + 1)
+    x = solve(a, b)
+    consistent = decompose(aug).rank == decompose(a).rank
+    assert (x is not None) == consistent
+    if x is not None:
+        assert a.apply(x) == tuple(b)
 
 
 # --------------------------------------------------------------- assembly
