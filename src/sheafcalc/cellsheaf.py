@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .complexes import SimplicialComplex, _signed_facets, face_name
-from .rationals import RationalMatrix, block_assemble, decompose, rational, solve
+from .rationals import (
+    RationalMatrix, _augmented, block_assemble, decompose, rational, solve)
 
 __all__ = [
     "CellularSheaf",
@@ -183,6 +184,12 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
     return SheafReport(True)
 
 
+def _require_valid(s: CellularSheaf):
+    report = validate_sheaf(s)
+    if not report.ok:
+        raise ValueError(f"invalid sheaf: {report.kind} at {report.witness}")
+
+
 def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
     """The derived map between nested faces, one covering step at a time.
 
@@ -325,11 +332,6 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     return _localize_obstruction(s, seed)
 
 
-def _augmented(mat: RationalMatrix, b):
-    """Rows of [mat | b]."""
-    return [list(mat.row(i)) + [b[i]] for i in range(mat.rows)]
-
-
 def _localize_obstruction(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     faces = s.base.all_faces()
     neighbors = {g: [] for g in faces}
@@ -413,6 +415,7 @@ def global_section_space(s: CellularSheaf) -> SectionSpace:
     uniquely through the restriction maps.
     """
     assert s.variance == "sheaf"
+    _require_valid(s)
     from .cohomology import coboundary
 
     offsets, _ = _vertex_layout(s)

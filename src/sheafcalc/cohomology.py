@@ -9,7 +9,8 @@ still verifies outright.  All arithmetic is exact.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cellsheaf import CellularSheaf, composite_map, validate_sheaf
+from .cellsheaf import (
+    CellularSheaf, _require_valid, covering_pairs, validate_sheaf)
 from .complexes import _signed_facets, validate_complex
 from .rationals import RationalMatrix, block_assemble, decompose, rational
 
@@ -59,9 +60,7 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
 
 
 def cochain_complex(s: CellularSheaf) -> CochainComplex:
-    report = validate_sheaf(s)
-    if not report.ok:
-        raise ValueError(f"invalid sheaf: {report.kind} at {report.witness}")
+    _require_valid(s)
     top = s.base.dimension()
     layout = tuple(tuple(s.base.k_faces(k)) for k in range(top + 1))
     dims = tuple(sum(s.stalk_dim[f] for f in layer) for layer in layout)
@@ -237,8 +236,6 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
         for name in face:
             d *= len(m.outcomes[name])
         dim_of[face] = d
-
-    from .cellsheaf import covering_pairs
 
     marg = {}
     for sigma, tau in covering_pairs(base):

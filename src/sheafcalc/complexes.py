@@ -28,21 +28,21 @@ __all__ = [
 
 
 class SimplicialComplex:
+    """Vertex order plus a downward-closed set of sorted faces.
+
+    Trusts its caller to hand over distinct vertex labels and nonempty
+    faces sorted by that order; build complexes of raw input with
+    ``validate_complex``.
+    """
+
     __slots__ = ("vertex_order", "faces", "_index")
 
     def __init__(self, vertex_order, faces):
         vertex_order = tuple(vertex_order)
-        assert len(set(vertex_order)) == len(vertex_order)
-        index = {v: i for i, v in enumerate(vertex_order)}
-        faces = frozenset(tuple(f) for f in faces)
-        for f in faces:
-            assert f, "empty face"
-            assert all(v in index for v in f)
-            ranks = [index[v] for v in f]
-            assert ranks == sorted(set(ranks)), f"face {f} not sorted"
         object.__setattr__(self, "vertex_order", vertex_order)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "faces", frozenset(tuple(f) for f in faces))
+        object.__setattr__(self, "_index",
+                           {v: i for i, v in enumerate(vertex_order)})
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -120,6 +120,8 @@ def validate_complex(faces, vertices=None,
     else:
         vertices = list(vertices)
         known = set(vertices)
+        if len(known) != len(vertices):
+            raise ValueError("duplicate vertex labels")
         for f in faces:
             for v in f:
                 if v not in known:

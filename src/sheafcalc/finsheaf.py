@@ -54,17 +54,8 @@ class FinitePresheaf:
     restriction: dict
 
     def __post_init__(self):
-        for u in self.topology.opens:
-            assert u in self.stalk, f"no stalk over {sorted(u)}"
-        for u in self.topology.opens:
-            for v in self.topology.opens:
-                if v <= u:
-                    assert (u, v) in self.restriction, \
-                        f"no restriction from {sorted(u)} to {sorted(v)}"
-                    table = self.restriction[(u, v)]
-                    assert set(table) == set(self.stalk[u])
-                    for s in self.stalk[u]:
-                        assert table[s] in self.stalk[v]
+        _check_tables(self.topology.opens, _contains, self.stalk,
+                      self.restriction)
 
 
 @dataclass(frozen=True)
@@ -105,6 +96,50 @@ class MatchingFamily:
         raise KeyError(sorted(u))
 
 
+def _contains(u, v) -> bool:
+    # restriction runs from an open to the opens inside it
+    return v <= u
+
+
+def _check_tables(objects, arrow, stalk, maps):
+    """A stalk at every object and, for every arrow x -> y, a table
+    sending each section over x to a section over y."""
+    for x in objects:
+        assert x in stalk, f"no stalk over {x!r}"
+    for x in objects:
+        for y in objects:
+            if arrow(x, y):
+                assert (x, y) in maps, f"no map from {x!r} to {y!r}"
+                table = maps[(x, y)]
+                assert set(table) == set(stalk[x])
+                for s in stalk[x]:
+                    assert table[s] in stalk[y]
+
+
+def _functor_laws(objects, arrow, stalk, maps):
+    """Identity and composition laws of the tables, scanning objects
+    in the given order; returns the first violation found."""
+    for x in objects:
+        table = maps[(x, x)]
+        for s in _ordered(stalk[x]):
+            if table[s] != s:
+                return PresheafReport(False, "identity", (x, s, table[s]))
+    for x in objects:
+        for y in objects:
+            if not arrow(x, y):
+                continue
+            for z in objects:
+                if not arrow(y, z):
+                    continue
+                for s in _ordered(stalk[x]):
+                    direct = maps[(x, z)][s]
+                    stepped = maps[(y, z)][maps[(x, y)][s]]
+                    if direct != stepped:
+                        return PresheafReport(
+                            False, "composition", (x, y, z, s, direct, stepped))
+    return PresheafReport(True)
+
+
 def restrict(p: FinitePresheaf, u, v, section):
     """Restrict a section of u to the smaller open v."""
     assert v <= u
@@ -116,26 +151,8 @@ def validate_presheaf(p: FinitePresheaf) -> PresheafReport:
 
     Returns the first violation found, scanning opens small-to-large.
     """
-    opens = p.topology.opens_sorted()
-    for u in opens:
-        table = p.restriction[(u, u)]
-        for s in _ordered(p.stalk[u]):
-            if table[s] != s:
-                return PresheafReport(False, "identity", (u, s, table[s]))
-    for u in opens:
-        for v in opens:
-            if not v <= u:
-                continue
-            for w in opens:
-                if not w <= v:
-                    continue
-                for s in _ordered(p.stalk[u]):
-                    direct = restrict(p, u, w, s)
-                    stepped = restrict(p, v, w, restrict(p, u, v, s))
-                    if direct != stepped:
-                        return PresheafReport(
-                            False, "composition", (u, v, w, s, direct, stepped))
-    return PresheafReport(True)
+    return _functor_laws(p.topology.opens_sorted(), _contains, p.stalk,
+                         p.restriction)
 
 
 def matching_families(p: FinitePresheaf, cover):
@@ -278,38 +295,12 @@ class Copresheaf:
     action: dict  # (p, q) with p <= q  ->  dict stalk(p) -> stalk(q)
 
     def __post_init__(self):
-        for x in self.poset.elements:
-            assert x in self.stalk
-        for x in self.poset.elements:
-            for y in self.poset.elements:
-                if self.poset.leq(x, y):
-                    assert (x, y) in self.action
-                    table = self.action[(x, y)]
-                    assert set(table) == set(self.stalk[x])
-                    for s in self.stalk[x]:
-                        assert table[s] in self.stalk[y]
+        _check_tables(self.poset.elements, self.poset.leq, self.stalk,
+                      self.action)
 
 
 def validate_copresheaf(f: Copresheaf) -> PresheafReport:
-    for x in f.poset.elements:
-        table = f.action[(x, x)]
-        for s in _ordered(f.stalk[x]):
-            if table[s] != s:
-                return PresheafReport(False, "identity", (x, s, table[s]))
-    for x in f.poset.elements:
-        for y in f.poset.elements:
-            if not f.poset.leq(x, y):
-                continue
-            for z in f.poset.elements:
-                if not f.poset.leq(y, z):
-                    continue
-                for s in _ordered(f.stalk[x]):
-                    direct = f.action[(x, z)][s]
-                    stepped = f.action[(y, z)][f.action[(x, y)][s]]
-                    if direct != stepped:
-                        return PresheafReport(
-                            False, "composition", (x, y, z, s, direct, stepped))
-    return PresheafReport(True)
+    return _functor_laws(f.poset.elements, f.poset.leq, f.stalk, f.action)
 
 
 def _compatible_tuples(f: Copresheaf, points):

@@ -57,8 +57,6 @@ class AdjointSynthesisError(ValueError):
 
 def check_connection(c: GaloisConnection) -> ConnectionReport:
     p, q = c.source, c.target
-    assert set(c.left) == set(p.elements), "left map must be total on source"
-    assert set(c.right) == set(q.elements), "right map must be total on target"
     if not is_monotone(p, q, c.left):
         bad = next((x, y) for x, y in p.pairs()
                    if not q.leq(c.left[x], c.left[y]))
@@ -88,7 +86,7 @@ def right_adjoint_of(left: dict, source: FinitePoset,
     AdjointSynthesisError carrying the subset whose join F breaks.
     Joins are taken in the source, which must provide them.
     """
-    assert is_monotone(source, target, left), "left map must be monotone"
+    assert is_monotone(source, target, left), "map must be monotone"
     right = {}
     for q in target.elements:
         subset = [x for x in source.elements if target.leq(left[x], q)]
@@ -109,22 +107,18 @@ def right_adjoint_of(left: dict, source: FinitePoset,
 
 def left_adjoint_of(right: dict, source: FinitePoset,
                     target: FinitePoset) -> dict:
-    """Dual synthesis: F(p) is the meet of everything G maps above p."""
-    assert is_monotone(target, source, right), "right map must be monotone"
-    left = {}
-    for p in source.elements:
-        subset = [y for y in target.elements if source.leq(p, right[y])]
-        m = target.meet(subset)
-        if m is None:
-            raise AdjointSynthesisError("no-meet", p, subset, None, None)
-        if not source.leq(p, right[m]):
-            raise AdjointSynthesisError(
-                "meet-not-preserved", p, subset, m, right[m])
-        left[p] = m
-    report = check_connection(
-        GaloisConnection(source, target, left, dict(right)))
-    assert report.ok, report
-    return left
+    """Dual synthesis: F(p) is the meet of everything G maps above p.
+
+    A left adjoint is the right adjoint between the dual posets, so this
+    is right_adjoint_of with both orders reversed; a failure names the
+    violated meet.
+    """
+    try:
+        return right_adjoint_of(right, target.dualize(), source.dualize())
+    except AdjointSynthesisError as err:
+        raise AdjointSynthesisError(
+            err.kind.replace("join", "meet"), err.at, err.subset,
+            err.bound, err.image) from None
 
 
 @dataclass(frozen=True)

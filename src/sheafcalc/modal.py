@@ -73,6 +73,13 @@ class DirectedMultigraph:
 
 @dataclass(frozen=True)
 class Subgraph:
+    """Vertex and edge ids of a subgraph.
+
+    Trusts its caller, and so does every lattice operation below: build
+    subgraphs of raw input with ``subgraph``, which checks them once
+    with ``validate_subgraph``.
+    """
+
     vertices: frozenset
     edges: frozenset
 
@@ -109,8 +116,6 @@ def empty_subgraph(g: DirectedMultigraph) -> Subgraph:
 def meet_join(g: DirectedMultigraph, a: Subgraph, b: Subgraph,
               which: str) -> Subgraph:
     assert which in ("meet", "join")
-    validate_subgraph(g, a)
-    validate_subgraph(g, b)
     if which == "meet":
         return Subgraph(a.vertices & b.vertices, a.edges & b.edges)
     return Subgraph(a.vertices | b.vertices, a.edges | b.edges)
@@ -123,7 +128,6 @@ def subgraph_leq(a: Subgraph, b: Subgraph) -> bool:
 def heyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
     """Largest subgraph disjoint from y: the induced subgraph on the
     complementary vertices (edges needing a y-vertex are discarded)."""
-    validate_subgraph(g, y)
     keep = frozenset(g.vertices) - y.vertices
     edges = frozenset(e for e, (s, d) in g.edges.items()
                       if s in keep and d in keep)
@@ -133,7 +137,6 @@ def heyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
 def coheyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
     """Smallest subgraph whose join with y restores g: complement edges
     pull in their endpoints, complement vertices come along."""
-    validate_subgraph(g, y)
     edges = frozenset(e for e in g.edges if e not in y.edges)
     verts = set(g.vertices) - set(y.vertices)
     for e in edges:
@@ -161,7 +164,6 @@ def modal_iterate(g: DirectedMultigraph, x: Subgraph,
     lattice forces stabilization; equality of consecutive stages is the
     exact stopping rule."""
     assert which in ("diamond", "box")
-    validate_subgraph(g, x)
     stages = [x]
     current = x
     while True:
@@ -181,7 +183,6 @@ def reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgraph:
     plain BFS forward along arrows, or whole weakly-connected components.
     """
     assert which in ("forward-reach", "weak-components")
-    validate_subgraph(g, x)
     if which == "forward-reach":
         reached = set(x.vertices)
         frontier = list(x.vertices)
@@ -276,8 +277,6 @@ def aspect_neg(pred: AspectPredicate, which: str) -> AspectPredicate:
     """Heyting: fails at every sub-aspect; co-Heyting: fails at some
     super-aspect.  Either way the output is functorial again."""
     assert which in ("heyting", "coheyting")
-    ok, witness = validate_aspect_predicate(pred)
-    assert ok, witness
     table = dict(pred.truth)
     p = pred.aspects
     out = {}

@@ -40,14 +40,10 @@ class FinitePoset:
     __slots__ = ("elements", "_leq")
 
     def __init__(self, elements, leq_pairs):
-        # trusts the caller to hand over a closed relation; use
-        # validate_poset for raw input
-        elements = tuple(sorted(elements))
-        assert len(set(elements)) == len(elements), "duplicate labels"
-        object.__setattr__(self, "elements", elements)
+        # trusts the caller to hand over distinct labels and a closed
+        # relation on them; use validate_poset for raw input
+        object.__setattr__(self, "elements", tuple(sorted(elements)))
         object.__setattr__(self, "_leq", frozenset(leq_pairs))
-        for x, y in self._leq:
-            assert x in elements and y in elements
 
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
@@ -70,7 +66,6 @@ class FinitePoset:
         return f"FinitePoset({len(self.elements)} elements)"
 
     def leq(self, x, y) -> bool:
-        assert x in self.elements and y in self.elements
         return (x, y) in self._leq
 
     def pairs(self):

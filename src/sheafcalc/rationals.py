@@ -214,13 +214,16 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
         pivots=tuple(pivots))
 
 
+def _augmented(a: RationalMatrix, b) -> list:
+    """Rows of [A | b]."""
+    return [list(a.row(i)) + [b[i]] for i in range(a.rows)]
+
+
 def solve(a: RationalMatrix, b) -> tuple | None:
     """A particular exact solution of A x = b, or None if inconsistent."""
     b = tuple(rational(x) for x in b)
     assert len(b) == a.rows
-    aug = RationalMatrix.from_rows(
-        [list(a.row(i)) + [b[i]] for i in range(a.rows)], cols=a.cols + 1)
-    dec = decompose(aug)
+    dec = decompose(RationalMatrix.from_rows(_augmented(a, b), cols=a.cols + 1))
     # inconsistent iff the augmented column is a pivot column
     if a.cols in dec.pivots:
         return None

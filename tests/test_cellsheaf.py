@@ -314,6 +314,19 @@ def test_constant_sheaf_sections_count_components():
     assert global_section_space(zero_sheaf(base_complex())).dimension == 0
 
 
+def test_section_space_refuses_invalid_sheaves():
+    # unchecked, the broken square gave a basis vector that is not a
+    # section and the missing map a bare KeyError
+    s = constant_sheaf(validate_complex([("a", "b", "c")]), 1)
+    maps = dict(s.restriction)
+    maps[(("a", "b"), ("a", "b", "c"))] = RationalMatrix.from_rows([[2]])
+    with pytest.raises(ValueError, match="invalid sheaf: path-independence"):
+        global_section_space(CellularSheaf(s.base, s.stalk_dim, maps))
+    del maps[(("a", "b"), ("a", "b", "c"))]
+    with pytest.raises(ValueError, match="invalid sheaf: missing-map"):
+        global_section_space(CellularSheaf(s.base, s.stalk_dim, maps))
+
+
 def test_section_space_members_restrict_consistently():
     rng = random.Random(7)
     for _ in range(10):

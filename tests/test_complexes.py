@@ -42,6 +42,11 @@ def test_bad_faces_rejected():
         validate_complex([("a,b",)])
 
 
+def test_duplicate_vertex_labels_rejected():
+    with pytest.raises(ValueError, match="duplicate vertex labels"):
+        validate_complex([("a", "b")], vertices=["a", "a", "b"])
+
+
 def test_explicit_vertex_order_controls_sorting():
     # the vertex list fixes the order; unused names only order, they
     # do not become 0-faces

@@ -220,6 +220,29 @@ def fence_functor():
     return Copresheaf(poset, stalk, action)
 
 
+class TestCopresheafLaws:
+    def test_identity_violation_reported(self):
+        f = fence_functor()
+        action = dict(f.action)
+        action[("a", "a")] = {0: 1, 1: 0}
+        report = validate_copresheaf(Copresheaf(f.poset, f.stalk, action))
+        assert not report.ok
+        assert report.kind == "identity"
+        assert report.witness == ("a", 0, 1)
+
+    def test_composition_violation_reported(self):
+        poset = validate_poset("abc", [("a", "b"), ("b", "c")])
+        two = frozenset((0, 1))
+        ident = {0: 0, 1: 1}
+        action = {(x, y): ident for x, y in poset.pairs()}
+        action[("a", "c")] = {0: 1, 1: 0}
+        report = validate_copresheaf(
+            Copresheaf(poset, {x: two for x in "abc"}, action))
+        assert not report.ok
+        assert report.kind == "composition"
+        assert report.witness == ("a", "b", "c", 0, 1, 0)
+
+
 class TestPosetTransfer:
     def test_hand_functor_transfers_to_a_sheaf(self):
         f = fence_functor()

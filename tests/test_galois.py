@@ -84,6 +84,35 @@ def test_join_breaker_is_refused_with_the_join():
     assert err.value.bound == top and err.value.image == "c1"
 
 
+def test_meet_breaker_is_refused_with_the_meet():
+    # dual of the join breaker: both atoms of the boolean 4 map high but
+    # their meet maps low, so no left adjoint exists
+    square = all_downsets(validate_poset("ab", []))
+    two = chain(["c0", "c1"])
+    g = {"{}": "c0", "{a}": "c1", "{b}": "c1", "{a,b}": "c1"}
+    with pytest.raises(AdjointSynthesisError) as err:
+        left_adjoint_of(g, two, square)
+    assert err.value.kind == "meet-not-preserved"
+    assert err.value.at == "c1"
+    assert err.value.subset == ("{a,b}", "{a}", "{b}")
+    assert err.value.bound == "{}" and err.value.image == "c0"
+    assert str(err.value) == (
+        "meet-not-preserved at 'c1': bound of ('{a,b}', '{a}', '{b}') "
+        "is '{}', mapped to 'c0'")
+
+
+def test_missing_meet_is_refused():
+    # x and y are incomparable, so the pair above p has no meet
+    point = chain(["p"])
+    antichain = validate_poset("xy", [])
+    with pytest.raises(AdjointSynthesisError) as err:
+        left_adjoint_of({"x": "p", "y": "p"}, point, antichain)
+    assert err.value.kind == "no-meet"
+    assert err.value.at == "p"
+    assert err.value.subset == ("x", "y")
+    assert err.value.bound is None and err.value.image is None
+
+
 def monotone_join_map(rng, p, lattice):
     """Random join-semilattice map D(p) -> lattice via a pointwise seed."""
     seed = {x: rng.choice(lattice.elements) for x in p.elements}
