@@ -164,11 +164,10 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
             continue
         for i in range(m):
             for j in range(i + 1, m):
+                # tau is sorted, so deleting vertices keeps each face sorted
                 rho = tuple(v for k, v in enumerate(tau) if k not in (i, j))
-                mid_a = tuple(sorted(rho + (tau[i],),
-                                     key=s.base.vertex_order.index))
-                mid_b = tuple(sorted(rho + (tau[j],),
-                                     key=s.base.vertex_order.index))
+                mid_a = tau[:j] + tau[j + 1:]
+                mid_b = tau[:i] + tau[i + 1:]
                 needed = [(rho, mid_a), (mid_a, tau), (rho, mid_b), (mid_b, tau)]
                 if any(p not in usable for p in needed):
                     continue
@@ -197,7 +196,7 @@ def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
     the missing vertices in complex order.
     """
     assert set(rho) <= set(tau), f"{rho} is not a face of {tau}"
-    order = s.base.vertex_order.index
+    order = s.base._index.__getitem__
     out = RationalMatrix.identity(s.stalk_dim[rho])
     current = rho
     for v in sorted(set(tau) - set(rho), key=order):

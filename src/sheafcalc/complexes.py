@@ -35,7 +35,7 @@ class SimplicialComplex:
     ``validate_complex``.
     """
 
-    __slots__ = ("vertex_order", "faces", "_index")
+    __slots__ = ("vertex_order", "faces", "_index", "_sorted")
 
     def __init__(self, vertex_order, faces):
         vertex_order = tuple(vertex_order)
@@ -43,6 +43,7 @@ class SimplicialComplex:
         object.__setattr__(self, "faces", frozenset(tuple(f) for f in faces))
         object.__setattr__(self, "_index",
                            {v: i for i, v in enumerate(vertex_order)})
+        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -67,13 +68,27 @@ class SimplicialComplex:
     def face_key(self, face):
         return tuple(self._index[v] for v in face)
 
-    def k_faces(self, k: int):
-        """The k-dimensional faces in the fixed order."""
-        return sorted((f for f in self.faces if len(f) == k + 1),
-                      key=self.face_key)
+    def _layers(self) -> tuple:
+        """Faces sorted once: the tuple of all faces, then one tuple of
+        k-faces per dimension k."""
+        if self._sorted is None:
+            ordered = tuple(sorted(
+                self.faces, key=lambda f: (len(f), self.face_key(f))))
+            by_dim = [[] for _ in range(len(ordered[-1]) if ordered else 0)]
+            for f in ordered:
+                by_dim[len(f) - 1].append(f)
+            object.__setattr__(
+                self, "_sorted", (ordered, tuple(map(tuple, by_dim))))
+        return self._sorted
 
-    def all_faces(self):
-        return sorted(self.faces, key=lambda f: (len(f), self.face_key(f)))
+    def k_faces(self, k: int) -> tuple:
+        """The k-dimensional faces in the fixed order."""
+        by_dim = self._layers()[1]
+        return by_dim[k] if 0 <= k < len(by_dim) else ()
+
+    def all_faces(self) -> tuple:
+        """Every face, by dimension and then in the fixed order."""
+        return self._layers()[0]
 
     def has_face(self, face) -> bool:
         return tuple(face) in self.faces

@@ -1,9 +1,13 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense storage, with
+products and elimination over nonzeros.
 
 Scalars are ``fractions.Fraction`` (always canonical: gcd 1, positive
 denominator).  Matrices are immutable, row-major, and empty shapes
 (0 x n, n x 0) are first-class citizens so that block assembly and
-chain-complex code never has to special-case them.
+chain-complex code never has to special-case them.  Products and
+elimination read each row's nonzeros once and do arithmetic on those
+only, so a coboundary with k+2 nonzero blocks per row costs work in
+proportion to its nonzeros, not to its area.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rational(value) -> Fraction:
@@ -128,10 +135,8 @@ class RationalMatrix:
         vec = tuple(rational(x) for x in vector)
         assert len(vec) == self.cols, (
             f"vector of length {len(vec)} against {self.rows}x{self.cols}")
-        return tuple(
-            sum((self.data[i * self.cols + j] * vec[j] for j in range(self.cols)),
-                start=Fraction(0))
-            for i in range(self.rows))
+        return tuple(sum((x * vec[j] for j, x in row), start=_ZERO)
+                     for row in _nonzero_rows(self))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -141,15 +146,28 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
+def _nonzero_rows(m: RationalMatrix) -> list:
+    """Each row of ``m`` as its (column, value) pairs with value != 0."""
+    cols, data = m.cols, m.data
+    return [[(j, x) for j, x in enumerate(data[i * cols:(i + 1) * cols]) if x]
+            for i in range(m.rows)]
+
+
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Exact product; (m x 0) @ (0 x n) is the m x n zero matrix."""
+    """Exact product; (m x 0) @ (0 x n) is the m x n zero matrix.
+
+    Only products of two nonzero entries are formed: Theta(sum over the
+    nonzeros a_ik of the nonzeros in row k of b) Fraction operations.
+    """
     assert a.cols == b.rows, f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+    b_rows = _nonzero_rows(b)
     out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            out.append(sum((arow[k] * b.data[k * b.cols + j] for k in range(a.cols)),
-                           start=Fraction(0)))
+    for a_row in _nonzero_rows(a):
+        acc = {}
+        for k, x in a_row:
+            for j, y in b_rows[k]:
+                acc[j] = acc.get(j, _ZERO) + x * y
+        out.extend(acc.get(j, _ZERO) for j in range(b.cols))
     return RationalMatrix(a.rows, b.cols, out)
 
 
@@ -167,51 +185,74 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
     of the original matrix), the reduced row echelon form and its pivot
     columns.  This is the one elimination routine of the package.
 
+    Rows are eliminated one at a time as sparse rows {column: value}
+    against the reduced rows found so far; a row that survives takes its
+    leftmost nonzero as pivot and is eliminated from the earlier rows.
+    Every stored row then has a leading 1 at its pivot and zeros in all
+    other pivot columns, so together they are the (unique) RREF.
+
     rank + len(kernel_basis) == cols always.
     """
-    work = m.row_lists()
     rows, cols = m.rows, m.cols
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        if pr == rows:
+    # pivot column -> the rest of its rref row, {column: nonzero value}
+    reduced = {}
+    for row in _nonzero_rows(m):
+        if len(reduced) == cols:
             break
-        pivot_row = None
-        for r in range(pr, rows):
-            if work[r][pc] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        r = dict(row)
+        for pc in [c for c in r if c in reduced]:
+            _eliminate(r, r.pop(pc), reduced[pc])
+        if not r:
             continue
-        work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        pv = work[pr][pc]
-        work[pr] = [x / pv for x in work[pr]]
-        for r in range(rows):
-            if r != pr and work[r][pc] != 0:
-                f = work[r][pc]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
-        pivots.append(pc)
-        pr += 1
+        p = min(r)
+        pv = r.pop(p)
+        r = {c: x / pv for c, x in r.items()}
+        for other in reduced.values():
+            f = other.pop(p, None)
+            if f is not None:
+                _eliminate(other, f, r)
+        reduced[p] = r
 
-    pivot_set = set(pivots)
+    pivots = sorted(reduced)
+    data = []
+    free = {c: [] for c in range(cols) if c not in reduced}
+    for pc in pivots:
+        line = [_ZERO] * cols
+        line[pc] = _ONE
+        for c, x in reduced[pc].items():
+            line[c] = x
+            free[c].append((pc, -x))
+        data.extend(line)
+    data.extend([_ZERO] * ((rows - len(pivots)) * cols))
+
     kernel = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][fc]
+    for fc, entries in free.items():
+        v = [_ZERO] * cols
+        v[fc] = _ONE
+        for pc, x in entries:
+            v[pc] = x
         kernel.append(tuple(v))
 
     image = tuple(m.column(pc) for pc in pivots)
-    rref = RationalMatrix(rows, cols, [x for r in work for x in r])
     return MatrixDecomposition(
         rank=len(pivots),
         kernel_basis=tuple(kernel),
         image_basis=image,
-        rref=rref,
+        rref=RationalMatrix(rows, cols, data),
         pivots=tuple(pivots))
+
+
+def _eliminate(r: dict, f, tail: dict):
+    """r -= f * tail on sparse rows, dropping entries that cancel."""
+    for c, x in tail.items():
+        if c in r:
+            v = r[c] - f * x
+            if v:
+                r[c] = v
+            else:
+                del r[c]
+        else:
+            r[c] = -f * x
 
 
 def _augmented(a: RationalMatrix, b) -> list:

@@ -12,8 +12,9 @@ from sheafcalc.complexes import homology_dims, incidence, validate_complex
 from sheafcalc.rationals import RationalMatrix, block_assemble, decompose
 
 from util import (
-    constant_sheaf, base_complex, random_complex, random_valid_sheaf,
-    running_sheaf, sprinkler, union_find_components, zero_sheaf)
+    constant_sheaf, base_complex, dense_decompose, dense_matmul, grid_complex,
+    random_complex, random_valid_sheaf, running_sheaf, sprinkler,
+    union_find_components, zero_sheaf)
 
 
 # ----------------------------------------------------------- coboundaries
@@ -101,6 +102,18 @@ def test_coboundary_matches_incidence_on_random_sheaves():
             assert coboundary(s, k) == _coboundary_from_incidence(s, k)
 
 
+def test_coboundary_elimination_equals_dense_oracle():
+    rng = random.Random(31)
+    sheaves = [random_valid_sheaf(rng, random_complex(rng)) for _ in range(30)]
+    sheaves.append(running_sheaf())
+    for s in sheaves:
+        deltas = [coboundary(s, k) for k in range(s.base.dimension() + 1)]
+        for delta in deltas:
+            assert decompose(delta) == dense_decompose(delta)
+        for lower, upper in zip(deltas, deltas[1:]):
+            assert upper @ lower == dense_matmul(upper, lower)
+
+
 # ------------------------------------------------------- cohomology dims
 
 def test_running_sheaf_cohomology_regression():
@@ -141,6 +154,14 @@ def test_constant_sheaf_matches_homology_randomly():
         cycle_dims = homology_dims(c)
         assert list(sheaf_dims) == cycle_dims
         assert sheaf_dims[0] == union_find_components(c)
+
+
+def test_holed_ten_by_ten_grid_constant_sheaf():
+    # 638 faces; the sparse elimination makes this a tier-1 size
+    base = grid_complex(10, hole=(4, 4))
+    s = constant_sheaf(base, 1)
+    assert cohomology_dims(s) == tuple(homology_dims(base)) == (1, 1, 0)
+    assert global_section_space(s).dimension == 1
 
 
 def test_euler_characteristic_is_chain_level():

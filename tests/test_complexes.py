@@ -51,8 +51,8 @@ def test_explicit_vertex_order_controls_sorting():
     # the vertex list fixes the order; unused names only order, they
     # do not become 0-faces
     c = validate_complex([("w", "r"), ("s",)], vertices=["w", "s", "r"])
-    assert c.k_faces(0) == [("w",), ("s",), ("r",)]
-    assert c.k_faces(1) == [("w", "r")]
+    assert c.k_faces(0) == (("w",), ("s",), ("r",))
+    assert c.k_faces(1) == (("w", "r"),)
     with pytest.raises(ValueError, match="not sorted"):
         validate_complex([("r", "w")], vertices=["w", "s", "r"])
 
@@ -62,7 +62,7 @@ def test_base_complex_shape():
     assert c.dimension() == 2
     assert len(c.k_faces(0)) == 6
     assert len(c.k_faces(1)) == 9
-    assert c.k_faces(2) == [("c", "d", "e")]
+    assert c.k_faces(2) == (("c", "d", "e"),)
 
 
 # ------------------------------------------------------------ face poset

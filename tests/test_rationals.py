@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sheafcalc.rationals import (
     RationalMatrix, block_assemble, decompose, matmul, rational, solve)
 
+from util import dense_decompose, dense_matmul
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -143,6 +145,72 @@ def test_decompose_reports_the_rref_pivots(m):
         assert dec.image_basis[i] == m.column(pc)
     for i in range(dec.rank, m.rows):
         assert all(x == 0 for x in dec.rref.row(i))
+
+
+# ------------------------------------------------- against the dense oracle
+
+nonzero_entries = st.builds(
+    Fraction,
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=1, max_value=5))
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None, max_dim=8):
+    """Mostly-zero matrices with non-integer entries, some rows being
+    combinations of earlier ones; 0 x n and n x 0 shapes included."""
+    if rows is None:
+        rows = draw(st.integers(min_value=0, max_value=max_dim))
+    if cols is None:
+        cols = draw(st.integers(min_value=0, max_value=max_dim))
+    zero_cut = draw(st.sampled_from((6, 8, 9)))  # P(zero) 0.6, 0.8, 0.9
+    cell = st.tuples(st.integers(min_value=0, max_value=9), nonzero_entries).map(
+        lambda t: Fraction(0) if t[0] < zero_cut else t[1])
+    grid = []
+    for _ in range(rows):
+        if grid and draw(st.booleans()):
+            picks = draw(st.lists(
+                st.tuples(st.integers(min_value=0, max_value=len(grid) - 1),
+                          nonzero_entries),
+                min_size=1, max_size=3))
+            grid.append([sum((f * grid[i][j] for i, f in picks), start=Fraction(0))
+                         for j in range(cols)])
+        else:
+            grid.append(draw(st.lists(cell, min_size=cols, max_size=cols)))
+    return RationalMatrix(rows, cols, [x for row in grid for x in row])
+
+
+def assert_same_decomposition(got, want):
+    assert got.rank == want.rank
+    assert got.pivots == want.pivots
+    assert got.rref == want.rref
+    assert got.kernel_basis == want.kernel_basis
+    assert got.image_basis == want.image_basis
+    assert repr(got) == repr(want)  # same types too: Fractions, never ints
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_decompose_equals_dense_oracle(m):
+    assert_same_decomposition(decompose(m), dense_decompose(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_matmul_equals_dense_oracle(a, data):
+    b = data.draw(sparse_matrices(rows=a.cols))
+    got, want = matmul(a, b), dense_matmul(a, b)
+    assert got == want
+    assert repr(got.data) == repr(want.data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_apply_equals_dense_oracle(m, data):
+    column = data.draw(sparse_matrices(rows=m.cols, cols=1))
+    got = m.apply(column.data)
+    want = dense_matmul(m, column).data
+    assert repr(got) == repr(want)
 
 
 # ------------------------------------------------------------------ solve

@@ -42,6 +42,29 @@ def random_complex(rng, max_faces=8, vertex_pool="abcdef"):
     return validate_complex(faces)
 
 
+def grid_complex(n, hole=None):
+    """Triangulated n x n grid, each unit square cut along its diagonal;
+    ``hole`` names a square (row, column) whose two triangles and
+    diagonal are left out, which adds one loop to the homology."""
+    from sheafcalc.complexes import validate_complex
+
+    def label(i, j):
+        return f"v{i:02d}{j:02d}"  # sorts in row-major order
+
+    faces = []
+    for i in range(n + 1):
+        for j in range(n):
+            faces.append((label(i, j), label(i, j + 1)))
+            faces.append((label(j, i), label(j + 1, i)))
+    for i in range(n):
+        for j in range(n):
+            if (i, j) != hole:
+                a, b = label(i, j), label(i, j + 1)
+                c, d = label(i + 1, j), label(i + 1, j + 1)
+                faces += [(a, b, d), (a, c, d)]
+    return validate_complex(faces)
+
+
 def union_find_components(complex_) -> int:
     """Independent H_0 oracle over the 1-skeleton."""
     parent = {v: v for (v,) in complex_.k_faces(0)}
@@ -331,3 +354,76 @@ def random_copresheaf(rng, poset):
                 bottom = min(stalk[y])
                 action[(x, y)] = {s: bottom for s in stalk[x]}
     return Copresheaf(poset, stalk, action)
+
+
+# ------------------------------------------------------------ dense oracles
+# The dense loops that rationals.matmul and rationals.decompose replaced,
+# kept verbatim: every Fraction cell takes part, zeros included.
+
+def dense_matmul(a, b):
+    """Exact product; (m x 0) @ (0 x n) is the m x n zero matrix."""
+    from fractions import Fraction
+
+    from sheafcalc.rationals import RationalMatrix
+
+    assert a.cols == b.rows, f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+    out = []
+    for i in range(a.rows):
+        arow = a.row(i)
+        for j in range(b.cols):
+            out.append(sum((arow[k] * b.data[k * b.cols + j] for k in range(a.cols)),
+                           start=Fraction(0)))
+    return RationalMatrix(a.rows, b.cols, out)
+
+
+def dense_decompose(m):
+    """Gauss-Jordan over Q: rank, kernel basis, image basis (pivot columns
+    of the original matrix), the reduced row echelon form and its pivot
+    columns."""
+    from fractions import Fraction
+
+    from sheafcalc.rationals import MatrixDecomposition, RationalMatrix
+
+    work = m.row_lists()
+    rows, cols = m.rows, m.cols
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        if pr == rows:
+            break
+        pivot_row = None
+        for r in range(pr, rows):
+            if work[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        work[pr], work[pivot_row] = work[pivot_row], work[pr]
+        pv = work[pr][pc]
+        work[pr] = [x / pv for x in work[pr]]
+        for r in range(rows):
+            if r != pr and work[r][pc] != 0:
+                f = work[r][pc]
+                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
+        pivots.append(pc)
+        pr += 1
+
+    pivot_set = set(pivots)
+    kernel = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -work[i][fc]
+        kernel.append(tuple(v))
+
+    image = tuple(m.column(pc) for pc in pivots)
+    rref = RationalMatrix(rows, cols, [x for r in work for x in r])
+    return MatrixDecomposition(
+        rank=len(pivots),
+        kernel_basis=tuple(kernel),
+        image_basis=image,
+        rref=rref,
+        pivots=tuple(pivots))
