@@ -2,19 +2,20 @@
 
 A sheaf stores one matrix per covering attachment (dimension gap one);
 longer composites are derived on demand, which path independence makes
-well defined.  Section propagation works face by face with exact linear
-solving, so an inconsistent seed is pinned to the first face whose
+well defined.  Section extension adds its linear constraints face by
+face to one running row reduction, and the obstruction search keeps one
+per face, so an inconsistent seed is pinned to the first face whose
 constraint system dies, the way the worked obstruction example walks it.
 """
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .complexes import SimplicialComplex, _signed_facets, face_name
 from .rationals import (
-    RationalMatrix, _augmented, block_assemble, decompose, rational, solve)
+    RationalMatrix, _augmented, _consistent, _nonzero_rows, _particular,
+    _reduce_row, block_assemble, decompose, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -257,8 +258,9 @@ def _vertex_layout(s: CellularSheaf):
 
 
 def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total):
-    """The extension problem as linear rows over concatenated vertex
-    stalks, grouped by face in face order: (face, rows, rhs).
+    """The extension problem as sparse rows of [A | b] over concatenated
+    vertex stalks, b in column ``total``, grouped by face in face order:
+    (face, rows).
 
     An edge contributes its degree-zero coboundary rows, which vanish on
     a global section; a seeded face contributes its value written
@@ -266,25 +268,22 @@ def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total):
     """
     from .cohomology import coboundary
 
-    delta0 = coboundary(s, 0).row_lists()  # edge blocks in face order
+    delta0 = _nonzero_rows(coboundary(s, 0))  # edge blocks in face order
     groups = []
     at = 0
     for face in s.base.all_faces():
         rows = []
-        rhs = []
         if len(face) == 2:
             rows.extend(delta0[at:at + s.stalk_dim[face]])
-            rhs.extend([Fraction(0)] * s.stalk_dim[face])
             at += s.stalk_dim[face]
         if face in seed.vectors:
             v0 = (face[0],)
-            for r in composite_map(s, v0, face).row_lists():
-                row = [Fraction(0)] * total
-                row[offsets[v0]:offsets[v0] + len(r)] = r
-                rows.append(row)
-            rhs.extend(seed[face])
+            block = composite_map(s, v0, face)
+            rows.extend({total if c == block.cols else offsets[v0] + c: x
+                         for c, x in r.items()}
+                        for r in _augmented(block, seed[face]))
         if rows:
-            groups.append((face, rows, rhs))
+            groups.append((face, rows))
     return groups
 
 
@@ -301,13 +300,16 @@ def _spread(s: CellularSheaf, offsets, vertex_data) -> Assignment:
 def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     """Grow a partial assignment into a global section, or say why not.
 
-    First the seed is tested globally: vertex data must lie in the kernel
-    of the degree-zero coboundary and reproduce every seeded value.  If
-    that system is solvable the solution is spread to all faces.  If not,
-    determined values are propagated breadth-first from the seed until
-    some face's exact linear system dies, and that face is reported: with
-    kind "no-consistent-value" when the newest constraint alone is
-    already unsolvable, "conflicting-values" when only the combination is.
+    Vertex data must lie in the kernel of the degree-zero coboundary and
+    reproduce every seeded value.  The rows of that system go face by
+    face into one running reduction; if all go in, the solution is
+    spread to all faces.  If not, determined values are propagated
+    breadth-first from the seed until some face's exact linear system
+    dies, and that face is reported: with kind "no-consistent-value" when
+    the newest constraint alone is already unsolvable, "conflicting-values"
+    when only the combination is.  If none dies, the blame goes to the
+    first face whose rows made the global system inconsistent, with the
+    same two kinds for its rows alone.
     """
     assert s.variance == "sheaf"
     report = validate_sheaf(s)
@@ -315,23 +317,19 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     _check_lengths(s, seed)
 
     offsets, total = _vertex_layout(s)
-    rows = []
-    rhs = []
-    for _, g_rows, g_rhs in _vertex_system(s, seed, offsets, total):
-        rows.extend(g_rows)
-        rhs.extend(g_rhs)
-    solution = solve(RationalMatrix.from_rows(rows, cols=total), rhs)
+    reduced = {}
+    for face, rows in _vertex_system(s, seed, offsets, total):
+        if not _consistent(reduced, rows, total):
+            return _localize_obstruction(s, seed, face, rows, total)
 
-    if solution is not None:
-        result = _spread(s, offsets, solution)
-        for face in seed.vectors:
-            assert result[face] == seed[face]
-        return ExtendResult(result=result)
-
-    return _localize_obstruction(s, seed)
+    result = _spread(s, offsets, _particular(reduced, total))
+    for face in seed.vectors:
+        assert result[face] == seed[face]
+    return ExtendResult(result=result)
 
 
-def _localize_obstruction(s: CellularSheaf, seed: Assignment) -> ExtendResult:
+def _localize_obstruction(s: CellularSheaf, seed: Assignment,
+                          swept, swept_rows, total) -> ExtendResult:
     faces = s.base.all_faces()
     neighbors = {g: [] for g in faces}
     for sigma, tau in covering_pairs(s.base):
@@ -341,18 +339,17 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     for g in faces:
         neighbors[g].sort(key=face_order.get)
 
-    # Each face collects the augmented rows [A | b] of its constraints
-    # A x = b.  One elimination per step answers both questions: the
-    # system is inconsistent iff the augmented column is a pivot, and
-    # the value is determined iff the rank reaches the stalk dimension,
-    # in which case it is the augmented column of the rref.
-    systems = {g: [] for g in faces}
+    # Each face keeps a running reduction of its constraints [A | b], b in
+    # column dim: inconsistent once b is a pivot, determined once there
+    # are dim pivots, and then the value is the b column.
+    reduced = {g: {} for g in faces}
     value = {}
     queue = deque()
     for g in faces:
         if g in seed.vectors:
-            systems[g].extend(
-                _augmented(RationalMatrix.identity(s.stalk_dim[g]), seed[g]))
+            identity = RationalMatrix.identity(s.stalk_dim[g])
+            for row in _augmented(identity, seed[g]):
+                _reduce_row(reduced[g], row)
             value[g] = seed[g]
             queue.append(g)
 
@@ -368,11 +365,8 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment) -> ExtendResult:
             else:
                 # value below must map onto the determined value
                 block = _augmented(s.restriction[(n, g)], xg)
-            systems[n].extend(block)
-            dec = decompose(RationalMatrix.from_rows(systems[n], cols=dim + 1))
-            if dim in dec.pivots:
-                alone = decompose(RationalMatrix.from_rows(block, cols=dim + 1))
-                if dim in alone.pivots:
+            if not _consistent(reduced[n], block, dim):
+                if not _consistent({}, block, dim):
                     kind = "no-consistent-value"
                     detail = (f"constraints at {face_name(s.base, n)} from "
                               f"{face_name(s.base, g)} admit no solution")
@@ -382,29 +376,19 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment) -> ExtendResult:
                 return ExtendResult(
                     obstruction=n, kind=kind, detail=detail,
                     propagated=Assignment(dict(value)))
-            if n not in value and dec.rank == dim:
-                value[n] = dec.rref.column(dim)[:dim]
+            if n not in value and len(reduced[n]) == dim:
+                value[n] = _particular(reduced[n], dim)
                 queue.append(n)
 
-    # The global system is infeasible, yet no single face collected an
-    # inconsistent system from determined neighbors.  Sweep faces in
-    # order, adding each face's rows of the global system to one growing
-    # vertex-coordinate system; the face whose rows break it is blamed.
-    offsets, total = _vertex_layout(s)
-    rows: list = []
-    rhs: list = []
-    for g, g_rows, g_rhs in _vertex_system(s, seed, offsets, total):
-        rows.extend(g_rows)
-        rhs.extend(g_rhs)
-        if solve(RationalMatrix.from_rows(rows, cols=total), rhs) is None:
-            alone = solve(RationalMatrix.from_rows(g_rows, cols=total), g_rhs)
-            kind = "no-consistent-value" if alone is None else "conflicting-values"
-            return ExtendResult(
-                obstruction=g, kind=kind,
-                detail=f"constraints through {face_name(s.base, g)} close off "
-                       f"the remaining solutions",
-                propagated=Assignment(dict(value)))
-    raise AssertionError("global solve failed but no face could be blamed")
+    # No face collected an inconsistent system from determined neighbors:
+    # blame the face whose rows made the global system inconsistent.
+    alone_ok = _consistent({}, swept_rows, total)
+    return ExtendResult(
+        obstruction=swept,
+        kind="conflicting-values" if alone_ok else "no-consistent-value",
+        detail=f"constraints through {face_name(s.base, swept)} close off "
+               f"the remaining solutions",
+        propagated=Assignment(dict(value)))
 
 
 def global_section_space(s: CellularSheaf) -> SectionSpace:

@@ -44,8 +44,8 @@ from .modal import DirectedMultigraph, boundary, modal_iterate, subgraph
 from .morphology import BinaryImage, StructuringElement, closing, dilate, erode, opening
 from .poset import (
     OrderViolation,
+    _monotonicity_witness,
     downset_family,
-    is_monotone,
     set_label,
     validate_poset,
     validate_topology,
@@ -713,9 +713,8 @@ def _cmd_galois_adjoint(objects, options):
     if mapping is None:
         raise InputError(f"synthesis needs the {given} map", f"connection:{given}")
     dom, cod = (c.source, c.target) if given == "left" else (c.target, c.source)
-    if not is_monotone(dom, cod, mapping):
-        bad = next((x, y) for x, y in dom.pairs()
-                   if not cod.leq(mapping[x], mapping[y]))
+    bad = _monotonicity_witness(dom, cod, mapping)
+    if bad is not None:
         raise Failure({"kind": f"{given}-not-monotone", "witness": list(bad)})
     try:
         if direction == "right":

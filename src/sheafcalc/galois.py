@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import FinitePoset, is_monotone
+from .poset import FinitePoset, _monotonicity_witness, is_monotone
 
 __all__ = [
     "GaloisConnection",
@@ -57,14 +57,10 @@ class AdjointSynthesisError(ValueError):
 
 def check_connection(c: GaloisConnection) -> ConnectionReport:
     p, q = c.source, c.target
-    if not is_monotone(p, q, c.left):
-        bad = next((x, y) for x, y in p.pairs()
-                   if not q.leq(c.left[x], c.left[y]))
-        return ConnectionReport(False, "left-not-monotone", bad)
-    if not is_monotone(q, p, c.right):
-        bad = next((x, y) for x, y in q.pairs()
-                   if not p.leq(c.right[x], c.right[y]))
-        return ConnectionReport(False, "right-not-monotone", bad)
+    for side, dom, cod, mapping in (("left", p, q, c.left), ("right", q, p, c.right)):
+        bad = _monotonicity_witness(dom, cod, mapping)
+        if bad is not None:
+            return ConnectionReport(False, f"{side}-not-monotone", bad)
     for x in p.elements:
         for y in q.elements:
             if q.leq(c.left[x], y) != p.leq(x, c.right[y]):

@@ -151,10 +151,16 @@ def validate_poset(elements, pairs) -> FinitePoset:
 
 
 def is_monotone(source: FinitePoset, target: FinitePoset, mapping) -> bool:
+    return _monotonicity_witness(source, target, mapping) is None
+
+
+def _monotonicity_witness(source: FinitePoset, target: FinitePoset, mapping):
+    """The first x <= y in ``source.pairs()`` mapped out of order, or None."""
     assert set(mapping) == set(source.elements), "mapping must be total"
     for v in mapping.values():
         assert v in target.elements, f"value {v!r} outside target"
-    return all(target.leq(mapping[x], mapping[y]) for x, y in source.pairs())
+    return next(((x, y) for x, y in source.pairs()
+                 if not target.leq(mapping[x], mapping[y])), None)
 
 
 # ------------------------------------------------------------- downsets

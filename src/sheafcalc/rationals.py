@@ -183,35 +183,17 @@ class MatrixDecomposition:
 def decompose(m: RationalMatrix) -> MatrixDecomposition:
     """Gauss-Jordan over Q: rank, kernel basis, image basis (pivot columns
     of the original matrix), the reduced row echelon form and its pivot
-    columns.  This is the one elimination routine of the package.
-
-    Rows are eliminated one at a time as sparse rows {column: value}
-    against the reduced rows found so far; a row that survives takes its
-    leftmost nonzero as pivot and is eliminated from the earlier rows.
-    Every stored row then has a leading 1 at its pivot and zeros in all
-    other pivot columns, so together they are the (unique) RREF.
+    columns.  Its row reduction ``_reduce_row`` is the one elimination
+    routine of the package: ``solve`` and ``cellsheaf.extend`` use it too.
 
     rank + len(kernel_basis) == cols always.
     """
     rows, cols = m.rows, m.cols
-    # pivot column -> the rest of its rref row, {column: nonzero value}
     reduced = {}
     for row in _nonzero_rows(m):
         if len(reduced) == cols:
             break
-        r = dict(row)
-        for pc in [c for c in r if c in reduced]:
-            _eliminate(r, r.pop(pc), reduced[pc])
-        if not r:
-            continue
-        p = min(r)
-        pv = r.pop(p)
-        r = {c: x / pv for c, x in r.items()}
-        for other in reduced.values():
-            f = other.pop(p, None)
-            if f is not None:
-                _eliminate(other, f, r)
-        reduced[p] = r
+        _reduce_row(reduced, row)
 
     pivots = sorted(reduced)
     data = []
@@ -242,6 +224,28 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
         pivots=tuple(pivots))
 
 
+def _reduce_row(reduced: dict, row):
+    """Add one sparse row ({column: nonzero} or its pairs, left unchanged)
+    to ``reduced``, {pivot column: rest of its rref row}.  The row is
+    reduced against the stored rows; its leftmost remaining nonzero
+    becomes a pivot and is eliminated from them, so they stay the unique
+    rref of the rows added.  Returns the new pivot column, or None."""
+    r = dict(row)
+    for pc in [c for c in r if c in reduced]:
+        _eliminate(r, r.pop(pc), reduced[pc])
+    if not r:
+        return None
+    p = min(r)
+    pv = r.pop(p)
+    r = {c: x / pv for c, x in r.items()}
+    for other in reduced.values():
+        f = other.pop(p, None)
+        if f is not None:
+            _eliminate(other, f, r)
+    reduced[p] = r
+    return p
+
+
 def _eliminate(r: dict, f, tail: dict):
     """r -= f * tail on sparse rows, dropping entries that cancel."""
     for c, x in tail.items():
@@ -256,22 +260,33 @@ def _eliminate(r: dict, f, tail: dict):
 
 
 def _augmented(a: RationalMatrix, b) -> list:
-    """Rows of [A | b]."""
-    return [list(a.row(i)) + [b[i]] for i in range(a.rows)]
+    """Sparse rows of [A | b]: b sits in column a.cols."""
+    return [dict(row + [(a.cols, v)] if v else row)
+            for row, v in zip(_nonzero_rows(a), b, strict=True)]
+
+
+def _consistent(reduced: dict, rows, rhs: int) -> bool:
+    """Add rows of [A | b] (b in column ``rhs``) to a reduction; False at
+    the first row whose pivot is b, i.e. A x = b has no solution."""
+    return all(_reduce_row(reduced, row) != rhs for row in rows)
+
+
+def _particular(reduced: dict, rhs: int) -> tuple:
+    """The solution of a consistent reduction with every free variable 0."""
+    x = [_ZERO] * rhs
+    for pc, rest in reduced.items():
+        x[pc] = rest.get(rhs, _ZERO)
+    return tuple(x)
 
 
 def solve(a: RationalMatrix, b) -> tuple | None:
     """A particular exact solution of A x = b, or None if inconsistent."""
     b = tuple(rational(x) for x in b)
     assert len(b) == a.rows
-    dec = decompose(RationalMatrix.from_rows(_augmented(a, b), cols=a.cols + 1))
-    # inconsistent iff the augmented column is a pivot column
-    if a.cols in dec.pivots:
+    reduced = {}
+    if not _consistent(reduced, _augmented(a, b), a.cols):
         return None
-    x = [Fraction(0)] * a.cols
-    for i, pc in enumerate(dec.pivots):
-        x[pc] = dec.rref.entry(i, a.cols)
-    return tuple(x)
+    return _particular(reduced, a.cols)
 
 
 def block_assemble(blocks, row_dims, col_dims) -> RationalMatrix:

@@ -265,6 +265,16 @@ def test_conflicting_seeds_blame_the_edge():
                                          ("a", "b"): (Fraction(1),)}
 
 
+def test_seeded_edge_disagreeing_with_its_seeded_vertex_is_blamed():
+    # the edge's own seed is part of its constraint system, so the value
+    # pushed up from the vertex conflicts with it there
+    result = extend(_line_sheaf(), Assignment({("a",): (1,), ("a", "b"): (2,)}))
+    assert (result.obstruction, result.kind, result.detail) == (
+        ("a", "b"), "conflicting-values", "ab is forced two different ways")
+    assert result.propagated.vectors == {("a",): (Fraction(1),),
+                                         ("a", "b"): (Fraction(2),)}
+
+
 def test_edge_seed_propagates_downward():
     result = extend(_line_sheaf(), Assignment({("a", "b"): (5,)}))
     assert result.ok

@@ -316,6 +316,20 @@ def test_galois_adjoint_synthesis(tmp_path, capsys):
                                "adjoint": {"x": "a", "y": "b"}}
 
 
+def test_galois_adjoint_refuses_nonmonotone_map(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", {
+        "source": CHAIN_P, "target": CHAIN_Q, "left": {"a": "y", "b": "x"}})
+    code, out = invoke(capsys, "galois", "adjoint", "--connection", path)
+    assert (code, out) == (
+        1, '{"kind":"left-not-monotone","witness":["a","b"]}\n')
+    path = write_json(tmp_path, "c.json", {
+        "source": CHAIN_P, "target": CHAIN_Q, "right": {"x": "b", "y": "a"}})
+    code, out = invoke(capsys, "galois", "adjoint", "--connection", path,
+                       "--direction", "left")
+    assert (code, out) == (
+        1, '{"kind":"right-not-monotone","witness":["x","y"]}\n')
+
+
 def test_galois_adjoint_reports_missing_join(tmp_path, capsys):
     # two incomparable sources collapsing to a point: the candidate
     # preimage {p, q} has no join, so no right adjoint exists

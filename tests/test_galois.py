@@ -49,6 +49,12 @@ def test_nonmonotone_left_reported():
     assert not report.ok
     assert report.kind == "left-not-monotone"
     assert report.witness == ("a", "b")
+    # the right leg is checked the same way once the left one passes
+    report = check_connection(
+        GaloisConnection(p, q, {"a": "x", "b": "y"}, {"x": "b", "y": "a"}))
+    assert not report.ok
+    assert report.kind == "right-not-monotone"
+    assert report.witness == ("x", "y")
 
 
 def test_partial_maps_rejected():

@@ -241,6 +241,25 @@ def test_solve_agrees_with_rank_test(a, data):
     assert (x is not None) == consistent
     if x is not None:
         assert a.apply(x) == tuple(b)
+    # the particular solution read off the dense oracle's rref of [A | b]:
+    # free variables 0, pivot variables the augmented column
+    oracle = dense_decompose(aug)
+    if a.cols in oracle.pivots:
+        want = None
+    else:
+        want = [Fraction(0)] * a.cols
+        for i, pc in enumerate(oracle.pivots):
+            want[pc] = oracle.rref.entry(i, a.cols)
+        want = tuple(want)
+    assert repr(x) == repr(want)
+
+
+def test_solve_rejects_wrong_length_rhs():
+    a = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    # the assert on a plain run; under python -O the strict row pairing
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises((AssertionError, ValueError)):
+            solve(a, b)
 
 
 # --------------------------------------------------------------- assembly
