@@ -10,9 +10,10 @@ The batch front end lives in sheafcalc.cli and is not re-exported.
 """
 
 from . import (
-    rationals, poset, galois, morphology, modal, complexes, finsheaf,
+    errors, rationals, poset, galois, morphology, modal, complexes, finsheaf,
     cellsheaf, cohomology,
 )
+from .errors import *  # noqa: F401,F403
 from .rationals import *  # noqa: F401,F403
 from .poset import *  # noqa: F401,F403
 from .galois import *  # noqa: F401,F403
@@ -27,7 +28,7 @@ from .cohomology import *  # noqa: F401,F403
 # exactly their union.
 __all__ = [
     name
-    for module in (rationals, poset, galois, morphology, modal, complexes,
-                   finsheaf, cellsheaf, cohomology)
+    for module in (errors, rationals, poset, galois, morphology, modal,
+                   complexes, finsheaf, cellsheaf, cohomology)
     for name in module.__all__
 ]

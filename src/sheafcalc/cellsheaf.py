@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import SimplicialComplex, _signed_facets, face_name
+from .errors import SheafcalcError
 from .rationals import (
     RationalMatrix, _augmented, _consistent, _nonzero_rows, _particular,
     _reduce_row, block_assemble, decompose, rational)
@@ -64,14 +65,16 @@ class CellularSheaf:
     variance: str = "sheaf"
 
     def __post_init__(self):
-        assert self.variance in ("sheaf", "cosheaf")
+        if self.variance not in ("sheaf", "cosheaf"):
+            raise SheafcalcError(f"unknown variance {self.variance!r}")
         for face in self.base.all_faces():
             dim = self.stalk_dim.get(face)
-            assert isinstance(dim, int) and dim >= 0, \
-                f"bad stalk dimension at {face}"
+            if not (isinstance(dim, int) and dim >= 0):
+                raise SheafcalcError(f"bad stalk dimension at {face}")
         covering = set(covering_pairs(self.base))
         for pair in self.restriction:
-            assert pair in covering, f"not a covering attachment: {pair}"
+            if pair not in covering:
+                raise SheafcalcError(f"not a covering attachment: {pair}")
 
     def expected_shape(self, sigma, tau):
         if self.variance == "sheaf":
@@ -185,9 +188,11 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
 
 
 def _require_valid(s: CellularSheaf):
+    if s.variance != "sheaf":
+        raise SheafcalcError(f"needs sheaf variance, got {s.variance!r}")
     report = validate_sheaf(s)
     if not report.ok:
-        raise ValueError(f"invalid sheaf: {report.kind} at {report.witness}")
+        raise SheafcalcError(f"invalid sheaf: {report.kind} at {report.witness}")
 
 
 def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
@@ -196,7 +201,8 @@ def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
     Path independence makes the choice of chain irrelevant; this one adds
     the missing vertices in complex order.
     """
-    assert set(rho) <= set(tau), f"{rho} is not a face of {tau}"
+    if not set(rho) <= set(tau):
+        raise SheafcalcError(f"{rho} is not a face of {tau}")
     order = s.base._index.__getitem__
     out = RationalMatrix.identity(s.stalk_dim[rho])
     current = rho
@@ -214,16 +220,16 @@ def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
 def _check_total(s: CellularSheaf, a: Assignment, faces):
     for face in faces:
         if face not in a.vectors:
-            raise ValueError(f"assignment is partial: no value at {face}")
+            raise SheafcalcError(f"assignment is partial: no value at {face}")
     _check_lengths(s, a)
 
 
 def _check_lengths(s: CellularSheaf, a: Assignment):
     for face, vec in a.vectors.items():
         if not s.base.has_face(face):
-            raise ValueError(f"unknown face {face}")
+            raise SheafcalcError(f"unknown face {face}")
         if len(vec) != s.stalk_dim[face]:
-            raise ValueError(
+            raise SheafcalcError(
                 f"dimension mismatch at {face}: got {len(vec)}, "
                 f"stalk has {s.stalk_dim[face]}")
 
@@ -311,9 +317,7 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     first face whose rows made the global system inconsistent, with the
     same two kinds for its rows alone.
     """
-    assert s.variance == "sheaf"
-    report = validate_sheaf(s)
-    assert report.ok, report
+    _require_valid(s)
     _check_lengths(s, seed)
 
     offsets, total = _vertex_layout(s)
@@ -397,7 +401,6 @@ def global_section_space(s: CellularSheaf) -> SectionSpace:
     Each kernel vector is vertex data; values on higher faces follow
     uniquely through the restriction maps.
     """
-    assert s.variance == "sheaf"
     _require_valid(s)
     from .cohomology import coboundary
 
@@ -415,9 +418,9 @@ def _same_base(a: SimplicialComplex, b: SimplicialComplex) -> bool:
 def direct_sum(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     """Stalkwise sum; restriction maps become block diagonal."""
     if not _same_base(f.base, g.base):
-        raise ValueError("base mismatch")
+        raise SheafcalcError("base mismatch")
     if f.variance != g.variance:
-        raise ValueError("variance mismatch")
+        raise SheafcalcError("variance mismatch")
     dims = {face: f.stalk_dim[face] + g.stalk_dim[face]
             for face in f.base.all_faces()}
     restriction = {}
@@ -434,12 +437,12 @@ def pullback(base: SimplicialComplex, f: dict, s: CellularSheaf) -> CellularShea
     """Reindex a sheaf through an order-preserving face map into its base."""
     for face in base.all_faces():
         if face not in f:
-            raise ValueError(f"face map misses {face}")
+            raise SheafcalcError(f"face map misses {face}")
         if not s.base.has_face(f[face]):
-            raise ValueError(f"face map leaves the target complex at {face}")
+            raise SheafcalcError(f"face map leaves the target complex at {face}")
     for sigma, tau in covering_pairs(base):
         if not set(f[sigma]) <= set(f[tau]):
-            raise ValueError(
+            raise SheafcalcError(
                 f"face map is not order-preserving at {sigma} < {tau}")
     dims = {face: s.stalk_dim[f[face]] for face in base.all_faces()}
     restriction = {}
@@ -462,19 +465,25 @@ class SheafMorphism:
     components: dict  # face of target.base -> RationalMatrix
 
     def __post_init__(self):
-        assert self.source.variance == "sheaf"
-        assert self.target.variance == "sheaf"
+        if (self.source.variance, self.target.variance) != ("sheaf", "sheaf"):
+            raise SheafcalcError("a sheaf morphism joins two sheaves")
         for face in self.target.base.all_faces():
-            assert face in self.cell_map, f"cell map misses {face}"
+            if face not in self.cell_map:
+                raise SheafcalcError(f"cell map misses {face}")
             image = self.cell_map[face]
-            assert self.source.base.has_face(image)
+            if not self.source.base.has_face(image):
+                raise SheafcalcError(f"cell map leaves the source at {face}")
             comp = self.components.get(face)
-            assert comp is not None, f"no component at {face}"
-            assert comp.rows == self.target.stalk_dim[face]
-            assert comp.cols == self.source.stalk_dim[image]
+            if comp is None:
+                raise SheafcalcError(f"no component at {face}")
+            want = (self.target.stalk_dim[face], self.source.stalk_dim[image])
+            if (comp.rows, comp.cols) != want:
+                raise SheafcalcError(
+                    f"component at {face} is {comp.rows}x{comp.cols}, not {want}")
         for sigma, tau in covering_pairs(self.target.base):
-            assert set(self.cell_map[sigma]) <= set(self.cell_map[tau]), \
-                f"cell map is not order-preserving at {sigma} < {tau}"
+            if not set(self.cell_map[sigma]) <= set(self.cell_map[tau]):
+                raise SheafcalcError(
+                    f"cell map is not order-preserving at {sigma} < {tau}")
 
 
 def check_morphism(m: SheafMorphism) -> MorphismReport:

@@ -32,6 +32,7 @@ from .cellsheaf import (
 )
 from .cohomology import BayesModel, bayes_build, bayes_check, cohomology_dims
 from .complexes import face_name, homology_dims, validate_complex
+from .errors import SheafcalcError
 from .finsheaf import FinitePresheaf, irredundant_covers, sheaf_check, validate_presheaf
 from .galois import (
     AdjointSynthesisError,
@@ -152,7 +153,7 @@ def _rational_value(value, where) -> Fraction:
         raise InputError(f"not a rational: {value!r}", where)
     try:
         return rational(value)
-    except (ValueError, ZeroDivisionError):
+    except SheafcalcError:
         raise InputError(f"not a rational: {value!r}", where)
 
 
@@ -200,7 +201,7 @@ def _parse_complex(doc, where):
         # probe one face at a time so the error names its index
         try:
             validate_complex([face], vertices=vertices)
-        except ValueError as err:
+        except SheafcalcError as err:
             raise InputError(str(err), f"{where}:faces[{i}]")
     return validate_complex(faces, vertices=vertices)
 
@@ -385,7 +386,7 @@ def _parse_subgraph(doc, g, where):
             raise InputError(f"unknown edge id {e!r}", f"{where}:edges")
     try:
         return subgraph(g, vertices, edges)
-    except ValueError as err:
+    except SheafcalcError as err:
         raise InputError(str(err), where)
 
 
@@ -419,7 +420,7 @@ def _parse_presheaf(doc, where):
     points = sorted(set().union(*open_sets.values())) if open_sets else []
     try:
         topology = validate_topology(points, open_sets.values())
-    except ValueError as err:
+    except SheafcalcError as err:
         raise InputError(str(err), f"{where}:topology")
 
     stalk = {}
@@ -680,7 +681,7 @@ def _cmd_poset_validate(objects, options):
 def _cmd_poset_downsets(objects, options):
     try:
         family = downset_family(objects["poset"])
-    except ValueError as err:
+    except SheafcalcError as err:
         raise InputError(str(err), "poset:elements")
     return [set_label(s) for s in family]
 
@@ -818,7 +819,7 @@ def _cmd_presheaf_check(objects, options):
         members = list(cover)
         try:
             condition = sheaf_check(p, members, target)
-        except ValueError as err:
+        except SheafcalcError as err:
             raise InputError(str(err), "cover")
         if not condition.ok:
             raise Failure(_cover_witness(bundle, target, members, condition))
@@ -850,7 +851,7 @@ def _cmd_bayes_check(objects, options):
                 f"joint vector needs {_expected_joint_length(m)} entries", "joint")
     try:
         report = bayes_check(m, vector)
-    except ValueError as err:
+    except SheafcalcError as err:
         raise Failure({"error": str(err)})
     if report.ok:
         return {"ok": True}
@@ -861,7 +862,7 @@ def _cmd_bayes_check(objects, options):
 def _cmd_bayes_joint(objects, options):
     try:
         assembly = bayes_build(objects["model"])
-    except ValueError as err:
+    except SheafcalcError as err:
         raise Failure({"error": str(err)})
     return [str(x) for x in assembly.joint]
 

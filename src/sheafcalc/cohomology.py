@@ -12,6 +12,7 @@ from fractions import Fraction
 from .cellsheaf import (
     CellularSheaf, _require_valid, covering_pairs, validate_sheaf)
 from .complexes import _signed_facets, validate_complex
+from .errors import SheafcalcError
 from .rationals import RationalMatrix, block_assemble, decompose, rational
 
 __all__ = [
@@ -40,8 +41,10 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
     The (tau, sigma) block is the incidence sign times the attachment
     map; it is nonzero only for the facets sigma of tau.
     """
-    assert s.variance == "sheaf"
-    assert 0 <= k
+    if s.variance != "sheaf":
+        raise SheafcalcError(f"needs sheaf variance, got {s.variance!r}")
+    if k < 0:
+        raise SheafcalcError(f"no coboundary in degree {k}")
     row_faces = s.base.k_faces(k + 1) if k + 1 <= s.base.dimension() else []
     col_faces = s.base.k_faces(k)
     col_of = {sigma: j for j, sigma in enumerate(col_faces)}
@@ -119,29 +122,31 @@ class BayesReport:
 
 
 def _validate_model(m: BayesModel):
-    assert len(set(m.variables)) == len(m.variables), "duplicate variable"
+    if len(set(m.variables)) != len(m.variables):
+        raise SheafcalcError("duplicate variable")
     for name in m.variables:
-        assert len(m.outcomes[name]) >= 1, f"no outcomes for {name}"
+        if not m.outcomes[name]:
+            raise SheafcalcError(f"no outcomes for {name}")
         for p in m.parents[name]:
             if p not in m.variables:
-                raise ValueError(f"unknown parent {p!r} of {name!r}")
+                raise SheafcalcError(f"unknown parent {p!r} of {name!r}")
         want_rows = 1
         for p in m.parents[name]:
             want_rows *= len(m.outcomes[p])
         rows = m.cpt[name]
         if len(rows) != want_rows:
-            raise ValueError(
+            raise SheafcalcError(
                 f"CPT for {name!r} needs {want_rows} rows, got {len(rows)}")
         for i, row in enumerate(rows):
             if len(row) != len(m.outcomes[name]):
-                raise ValueError(f"CPT row {i} for {name!r} has wrong width")
+                raise SheafcalcError(f"CPT row {i} for {name!r} has wrong width")
             if sum(row, Fraction(0)) != 1:
-                raise ValueError(f"CPT row {i} for {name!r} does not sum to 1")
+                raise SheafcalcError(f"CPT row {i} for {name!r} does not sum to 1")
     scale = 1
     for name in m.variables:
         scale *= len(m.outcomes[name])
     if scale > 4096:
-        raise ValueError("outcome space too large (limit 4096)")
+        raise SheafcalcError("outcome space too large (limit 4096)")
 
 
 def _topological(m: BayesModel):
@@ -152,7 +157,7 @@ def _topological(m: BayesModel):
                  if v in remaining
                  and all(p not in remaining for p in m.parents[v])]
         if not ready:
-            raise ValueError("cycle in dag")
+            raise SheafcalcError("cycle in dag")
         order.append(ready[0])
         remaining.remove(ready[0])
     return order
@@ -301,7 +306,7 @@ def bayes_check(m: BayesModel, joint=None) -> BayesReport:
     else:
         vec = tuple(rational(x) for x in joint)
         if len(vec) != len(assembly.joint):
-            raise ValueError("joint vector has the wrong length")
+            raise SheafcalcError("joint vector has the wrong length")
 
     violations = []
     structural = validate_sheaf(assembly.cosheaf)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import SheafcalcError
 from .poset import FinitePoset
 from .rationals import RationalMatrix, decompose, rational
 
@@ -62,7 +63,8 @@ class SimplicialComplex:
                 f"{len(self.faces)} faces, dim {self.dimension()})")
 
     def dimension(self) -> int:
-        assert self.faces, "empty complex has no dimension"
+        if not self.faces:
+            raise SheafcalcError("empty complex has no dimension")
         return max(len(f) for f in self.faces) - 1
 
     def face_key(self, face):
@@ -104,8 +106,10 @@ class Chain:
         items = []
         for face, value in coefficients.items():
             face = tuple(face)
-            assert complex_.has_face(face), f"{face} not a face"
-            assert len(face) == k + 1, f"{face} is not {k}-dimensional"
+            if not complex_.has_face(face):
+                raise SheafcalcError(f"{face} not a face")
+            if len(face) != k + 1:
+                raise SheafcalcError(f"{face} is not {k}-dimensional")
             items.append((face, rational(value)))
         items.sort(key=lambda fv: complex_.face_key(fv[0]))
         return cls(k, tuple(items))
@@ -124,28 +128,28 @@ def validate_complex(faces, vertices=None,
     faces = [tuple(f) for f in faces]
     for f in faces:
         if not f:
-            raise ValueError("empty face")
+            raise SheafcalcError("empty face")
         if len(set(f)) != len(f):
-            raise ValueError(f"duplicate vertices in face {f}")
+            raise SheafcalcError(f"duplicate vertices in face {f}")
         for v in f:
             if "," in v or "->" in v:
-                raise ValueError(f"vertex label {v!r} uses reserved characters")
+                raise SheafcalcError(f"vertex label {v!r} uses reserved characters")
     if vertices is None:
         vertices = sorted({v for f in faces for v in f})
     else:
         vertices = list(vertices)
         known = set(vertices)
         if len(known) != len(vertices):
-            raise ValueError("duplicate vertex labels")
+            raise SheafcalcError("duplicate vertex labels")
         for f in faces:
             for v in f:
                 if v not in known:
-                    raise ValueError(f"face vertex {v!r} not in vertex list")
+                    raise SheafcalcError(f"face vertex {v!r} not in vertex list")
     index = {v: i for i, v in enumerate(vertices)}
     for f in faces:
         ranks = [index[v] for v in f]
         if ranks != sorted(set(ranks)):
-            raise ValueError(f"face {f} is not sorted by the vertex order")
+            raise SheafcalcError(f"face {f} is not sorted by the vertex order")
     present = set(faces)
     closed = set(faces)
     for f in faces:
@@ -153,7 +157,7 @@ def validate_complex(faces, vertices=None,
             for sub in combinations(f, size):
                 if sub not in present:
                     if strict:
-                        raise ValueError(
+                        raise SheafcalcError(
                             f"not closed: {sub} missing under {f}")
                     closed.add(sub)
     return SimplicialComplex(vertices, closed)
@@ -172,7 +176,8 @@ def face_poset(complex_: SimplicialComplex) -> FinitePoset:
     """Attachment order: a face sits below every face containing it."""
     faces = complex_.all_faces()
     names = {f: face_name(complex_, f) for f in faces}
-    assert len(set(names.values())) == len(faces)
+    if len(set(names.values())) != len(faces):
+        raise SheafcalcError("two faces share a name")
     pairs = [(names[a], names[b])
              for a in faces for b in faces if set(a) <= set(b)]
     return FinitePoset(names.values(), pairs)
@@ -180,7 +185,8 @@ def face_poset(complex_: SimplicialComplex) -> FinitePoset:
 
 def open_star(complex_: SimplicialComplex, face) -> frozenset:
     face = tuple(face)
-    assert complex_.has_face(face)
+    if not complex_.has_face(face):
+        raise SheafcalcError(f"{face} not a face")
     return frozenset(f for f in complex_.faces if set(face) <= set(f))
 
 
@@ -188,8 +194,11 @@ def incidence(complex_: SimplicialComplex, b, a) -> int:
     """[b:a] = 0 unless a arises from b by deleting one vertex, in
     which case the sign alternates with the deleted position."""
     b, a = tuple(b), tuple(a)
-    assert complex_.has_face(b) and complex_.has_face(a)
-    assert len(b) == len(a) + 1, "incidence needs a dimension gap of one"
+    for face in (b, a):
+        if not complex_.has_face(face):
+            raise SheafcalcError(f"{face} not a face")
+    if len(b) != len(a) + 1:
+        raise SheafcalcError("incidence needs a dimension gap of one")
     if not set(a) <= set(b):
         return 0
     missing = set(b) - set(a)
@@ -207,7 +216,8 @@ def _signed_facets(face):
 
 
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> RationalMatrix:
-    assert 1 <= k <= complex_.dimension()
+    if not 1 <= k <= complex_.dimension():
+        raise SheafcalcError(f"no boundary map in degree {k}")
     rows = complex_.k_faces(k - 1)
     cols = complex_.k_faces(k)
     row_of = {a: i for i, a in enumerate(rows)}

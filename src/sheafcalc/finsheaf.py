@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from .errors import SheafcalcError
 from .poset import FinitePoset, FiniteTopology, alexandrov
 
 __all__ = [
@@ -105,15 +106,19 @@ def _check_tables(objects, arrow, stalk, maps):
     """A stalk at every object and, for every arrow x -> y, a table
     sending each section over x to a section over y."""
     for x in objects:
-        assert x in stalk, f"no stalk over {x!r}"
+        if x not in stalk:
+            raise SheafcalcError(f"no stalk over {x!r}")
     for x in objects:
         for y in objects:
             if arrow(x, y):
-                assert (x, y) in maps, f"no map from {x!r} to {y!r}"
+                if (x, y) not in maps:
+                    raise SheafcalcError(f"no map from {x!r} to {y!r}")
                 table = maps[(x, y)]
-                assert set(table) == set(stalk[x])
+                if set(table) != set(stalk[x]):
+                    raise SheafcalcError(f"map {x!r} -> {y!r} has the wrong domain")
                 for s in stalk[x]:
-                    assert table[s] in stalk[y]
+                    if table[s] not in stalk[y]:
+                        raise SheafcalcError(f"map {x!r} -> {y!r} leaves the stalk")
 
 
 def _functor_laws(objects, arrow, stalk, maps):
@@ -142,7 +147,8 @@ def _functor_laws(objects, arrow, stalk, maps):
 
 def restrict(p: FinitePresheaf, u, v, section):
     """Restrict a section of u to the smaller open v."""
-    assert v <= u
+    if not v <= u:
+        raise SheafcalcError(f"{sorted(v)} is not inside {sorted(u)}")
     return p.restriction[(u, v)][section]
 
 
@@ -164,7 +170,8 @@ def matching_families(p: FinitePresheaf, cover):
     """
     members = sorted(set(cover), key=lambda u: (-len(u), tuple(sorted(u))))
     for u in members:
-        assert p.topology.is_open(u)
+        if not p.topology.is_open(u):
+            raise SheafcalcError(f"cover member {sorted(u)} is not open")
 
     def extend(i, partial):
         if i == len(members):
@@ -195,10 +202,10 @@ def sheaf_check(p: FinitePresheaf, cover, target) -> SheafCondition:
     target = frozenset(target)
     members = [frozenset(u) for u in cover]
     if not p.topology.is_open(target):
-        raise ValueError(f"target {sorted(target)} is not open")
+        raise SheafcalcError(f"target {sorted(target)} is not open")
     union = frozenset().union(*members) if members else frozenset()
     if union != target:
-        raise ValueError("cover does not union to the target")
+        raise SheafcalcError("cover does not union to the target")
 
     locality = ("pass", None)
     sections = _ordered(p.stalk[target])
@@ -228,7 +235,8 @@ def irredundant_covers(topology: FiniteTopology, target):
     branch where an already chosen member has gone redundant.
     """
     target = frozenset(target)
-    assert topology.is_open(target)
+    if not topology.is_open(target):
+        raise SheafcalcError(f"target {sorted(target)} is not open")
     usable = [u for u in topology.opens_sorted() if u and u <= target]
     points = sorted(target)
     seen = set()
@@ -280,7 +288,7 @@ def is_sheaf(p: FinitePresheaf) -> bool:
 def stalk_at(p: FinitePresheaf, point):
     """Sections over the minimal open around a point.
 
-    Raises ValueError when the space has no minimal open there.
+    Raises SheafcalcError when the space has no minimal open there.
     """
     u = p.topology.minimal_open_containing(point)
     return p.stalk[u]
@@ -350,7 +358,8 @@ def poset_transfer(f: Copresheaf) -> FinitePresheaf:
     ``copresheaf_from_presheaf`` recovers the input on the nose.
     """
     report = validate_copresheaf(f)
-    assert report.ok, report
+    if not report.ok:
+        raise SheafcalcError(f"not a copresheaf: {report.kind} at {report.witness}")
     topology = alexandrov(f.poset, "up")
     stalk = {u: frozenset(_compatible_tuples(f, u))
              for u in topology.opens}
@@ -465,11 +474,14 @@ def ncolor(vertices, edges, n: int) -> NColorSheaf:
     vertices = sorted(set(vertices))
     edges = sorted({frozenset(e) for e in edges}, key=sorted)
     for e in edges:
-        assert len(e) == 2, f"not a simple edge: {sorted(e)}"
-        assert all(v in vertices for v in e)
-    assert n >= 1
+        if len(e) != 2:
+            raise SheafcalcError(f"not a simple edge: {sorted(e)}")
+        if not all(v in vertices for v in e):
+            raise SheafcalcError(f"edge {sorted(e)} has an unknown vertex")
+    if n < 1:
+        raise SheafcalcError(f"need at least one color, got {n}")
     if not _connected(vertices, edges if len(vertices) > 1 else []):
-        raise ValueError("graph is not connected")
+        raise SheafcalcError("graph is not connected")
 
     subgraphs = {}
     for v in vertices:
@@ -479,7 +491,8 @@ def ncolor(vertices, edges, n: int) -> NColorSheaf:
             vs = frozenset().union(*combo)
             if _connected(vs, combo):
                 subgraphs[_subgraph_label(vs, combo)] = (vs, frozenset(combo))
-    assert len(subgraphs) <= 24, "too many connected subgraphs to enumerate"
+    if len(subgraphs) > 24:
+        raise SheafcalcError("too many connected subgraphs to enumerate")
 
     labels = sorted(subgraphs)
     pairs = []
@@ -522,9 +535,12 @@ def predict(p: FinitePresheaf, u, v, observed):
     v = frozenset(v)
     whole = frozenset(p.topology.points)
     observed = set(observed)
-    assert p.topology.is_open(u) and p.topology.is_open(v)
+    for w in (u, v):
+        if not p.topology.is_open(w):
+            raise SheafcalcError(f"{sorted(w)} is not open")
     for s in observed:
-        assert s in p.stalk[u]
+        if s not in p.stalk[u]:
+            raise SheafcalcError(f"{s!r} is not a section over {sorted(u)}")
     survivors = [s for s in p.stalk[whole]
                  if restrict(p, whole, u, s) in observed]
     return frozenset(restrict(p, whole, v, s) for s in survivors)

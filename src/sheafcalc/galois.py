@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SheafcalcError
 from .poset import FinitePoset, _monotonicity_witness, is_monotone
 
 __all__ = [
@@ -41,7 +42,7 @@ class ConnectionReport:
     witness: tuple | None = None
 
 
-class AdjointSynthesisError(ValueError):
+class AdjointSynthesisError(SheafcalcError):
     """Raised when no adjoint exists; carries the violated join/meet."""
 
     def __init__(self, kind, at, subset, bound, image):
@@ -82,7 +83,8 @@ def right_adjoint_of(left: dict, source: FinitePoset,
     AdjointSynthesisError carrying the subset whose join F breaks.
     Joins are taken in the source, which must provide them.
     """
-    assert is_monotone(source, target, left), "map must be monotone"
+    if not is_monotone(source, target, left):
+        raise SheafcalcError("map must be monotone")
     right = {}
     for q in target.elements:
         subset = [x for x in source.elements if target.leq(left[x], q)]
@@ -131,7 +133,8 @@ def induced_operators(c: GaloisConnection) -> dict:
     those identities are what make the two composites idempotent.
     """
     report = check_connection(c)
-    assert report.ok, f"not a Galois connection: {report}"
+    if not report.ok:
+        raise SheafcalcError(f"not a Galois connection: {report}")
     p, q, f, g = c.source, c.target, c.left, c.right
     for x in p.elements:
         assert f[g[f[x]]] == f[x], f"FGF != F at {x!r}"
@@ -156,12 +159,16 @@ def induced_operators(c: GaloisConnection) -> dict:
 def compose_connections(inner: GaloisConnection,
                         outer: GaloisConnection) -> GaloisConnection:
     """(F', G') after (F, G) gives (F'.F, G.G'): adjunctions compose."""
-    assert inner.target == outer.source, "middle posets must agree"
+    if inner.target != outer.source:
+        raise SheafcalcError("middle posets must agree")
+    for c in (inner, outer):
+        report = check_connection(c)
+        if not report.ok:
+            raise SheafcalcError(f"not a Galois connection: {report}")
     left = {x: outer.left[inner.left[x]] for x in inner.source.elements}
     right = {z: inner.right[outer.right[z]] for z in outer.target.elements}
     composite = GaloisConnection(inner.source, outer.target, left, right)
-    report = check_connection(composite)
-    assert report.ok, report
+    assert check_connection(composite).ok
     return composite
 
 
@@ -169,21 +176,25 @@ def cantor_diagonal(f: dict, xs, ys, alpha: dict) -> dict:
     """g(x) = alpha(f(x, x)) differs from every row f(-, x0) of f.
 
     ``alpha`` must move every point of ys; with a fixed point the
-    construction collapses and a ValueError names the stuck value.
+    construction collapses and a SheafcalcError names the stuck value.
     The post-condition is checked exhaustively: x = x0 always witnesses
     that g is not the row at x0.
     """
     xs = tuple(xs)
     ys = tuple(ys)
-    assert set(alpha) == set(ys), "alpha must be total"
+    if set(alpha) != set(ys):
+        raise SheafcalcError("alpha must be total")
     for y in ys:
-        assert alpha[y] in set(ys)
+        if alpha[y] not in set(ys):
+            raise SheafcalcError(f"alpha leaves ys at {y!r}")
         if alpha[y] == y:
-            raise ValueError(f"alpha has a fixed point at {y!r}")
+            raise SheafcalcError(f"alpha has a fixed point at {y!r}")
     for x1 in xs:
         for x2 in xs:
-            assert (x1, x2) in f, f"f is partial at {(x1, x2)}"
-            assert f[(x1, x2)] in set(ys)
+            if (x1, x2) not in f:
+                raise SheafcalcError(f"f is partial at {(x1, x2)}")
+            if f[(x1, x2)] not in set(ys):
+                raise SheafcalcError(f"f leaves ys at {(x1, x2)}")
     g = {x: alpha[f[(x, x)]] for x in xs}
     for x0 in xs:
         assert g[x0] != f[(x0, x0)], "diagonal escape failed"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SheafcalcError
 from .poset import FinitePoset
 
 __all__ = [
@@ -53,9 +54,9 @@ class DirectedMultigraph:
         vset = set(vertices)
         for eid, src, dst in edges:
             if eid in edge_map:
-                raise ValueError(f"duplicate edge id {eid!r}")
+                raise SheafcalcError(f"duplicate edge id {eid!r}")
             if src not in vset or dst not in vset:
-                raise ValueError(f"edge {eid!r} has a missing endpoint")
+                raise SheafcalcError(f"edge {eid!r} has a missing endpoint")
             edge_map[eid] = (src, dst)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edge_map)
@@ -94,13 +95,13 @@ def validate_subgraph(g: DirectedMultigraph, s: Subgraph) -> Subgraph:
     known = set(g.vertices)
     for v in s.vertices:
         if v not in known:
-            raise ValueError(f"unknown vertex {v!r}")
+            raise SheafcalcError(f"unknown vertex {v!r}")
     for e in s.edges:
         if e not in g.edges:
-            raise ValueError(f"unknown edge {e!r}")
+            raise SheafcalcError(f"unknown edge {e!r}")
         src, dst = g.edges[e]
         if src not in s.vertices or dst not in s.vertices:
-            raise ValueError(
+            raise SheafcalcError(
                 f"edge {e!r} included without endpoint {src!r} or {dst!r}")
     return s
 
@@ -115,7 +116,8 @@ def empty_subgraph(g: DirectedMultigraph) -> Subgraph:
 
 def meet_join(g: DirectedMultigraph, a: Subgraph, b: Subgraph,
               which: str) -> Subgraph:
-    assert which in ("meet", "join")
+    if which not in ("meet", "join"):
+        raise SheafcalcError(f"which must be meet or join, not {which!r}")
     if which == "meet":
         return Subgraph(a.vertices & b.vertices, a.edges & b.edges)
     return Subgraph(a.vertices | b.vertices, a.edges | b.edges)
@@ -163,7 +165,8 @@ def modal_iterate(g: DirectedMultigraph, x: Subgraph,
     to its fixpoint.  Diamond ascends and box descends, so the finite
     lattice forces stabilization; equality of consecutive stages is the
     exact stopping rule."""
-    assert which in ("diamond", "box")
+    if which not in ("diamond", "box"):
+        raise SheafcalcError(f"which must be diamond or box, not {which!r}")
     stages = [x]
     current = x
     while True:
@@ -182,7 +185,8 @@ def reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgraph:
     """Independent reachability routes for checking the modal fixpoints:
     plain BFS forward along arrows, or whole weakly-connected components.
     """
-    assert which in ("forward-reach", "weak-components")
+    if which not in ("forward-reach", "weak-components"):
+        raise SheafcalcError(f"unknown oracle {which!r}")
     if which == "forward-reach":
         reached = set(x.vertices)
         frontier = list(x.vertices)
@@ -217,7 +221,7 @@ def reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgraph:
 def all_subgraphs(g: DirectedMultigraph):
     """Every closed subgraph, for exhaustive lattice sweeps."""
     if len(g.vertices) > ENUMERATION_LIMIT or len(g.edges) > ENUMERATION_LIMIT:
-        raise ValueError(
+        raise SheafcalcError(
             f"subgraph enumeration capped at {ENUMERATION_LIMIT} "
             "vertices/edges")
     verts = list(g.vertices)
@@ -249,7 +253,7 @@ class AspectPredicate:
         pred = cls(aspects, carrier, table)
         ok, witness = validate_aspect_predicate(pred)
         if not ok:
-            raise ValueError(f"not functorial: {witness}")
+            raise SheafcalcError(f"not functorial: {witness}")
         return pred
 
     def holds(self, aspect, x) -> bool:
@@ -263,8 +267,10 @@ def validate_aspect_predicate(pred: AspectPredicate):
     table = dict(pred.truth)
     carrier = set(pred.carrier)
     for a in pred.aspects.elements:
-        assert a in table, f"truth table missing aspect {a!r}"
-        assert table[a] <= carrier, f"truth at {a!r} leaves the carrier"
+        if a not in table:
+            raise SheafcalcError(f"truth table missing aspect {a!r}")
+        if not table[a] <= carrier:
+            raise SheafcalcError(f"truth at {a!r} leaves the carrier")
     # truth must be inherited downward to sub-aspects
     for sub, sup in pred.aspects.pairs():
         for x in table[sup]:
@@ -276,7 +282,8 @@ def validate_aspect_predicate(pred: AspectPredicate):
 def aspect_neg(pred: AspectPredicate, which: str) -> AspectPredicate:
     """Heyting: fails at every sub-aspect; co-Heyting: fails at some
     super-aspect.  Either way the output is functorial again."""
-    assert which in ("heyting", "coheyting")
+    if which not in ("heyting", "coheyting"):
+        raise SheafcalcError(f"unknown negation {which!r}")
     table = dict(pred.truth)
     p = pred.aspects
     out = {}
@@ -295,7 +302,8 @@ def aspect_neg(pred: AspectPredicate, which: str) -> AspectPredicate:
 
 
 def aspect_modal(pred: AspectPredicate, which: str) -> AspectPredicate:
-    assert which in ("diamond", "box")
+    if which not in ("diamond", "box"):
+        raise SheafcalcError(f"which must be diamond or box, not {which!r}")
     if which == "diamond":
         result = aspect_neg(aspect_neg(pred, "heyting"), "coheyting")
     else:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SheafcalcError
+
 __all__ = [
     "StructuringElement",
     "BinaryImage",
@@ -41,10 +43,12 @@ class StructuringElement:
     offsets: frozenset
 
     def __post_init__(self):
-        assert self.offsets, "structuring element must be nonempty"
+        if not self.offsets:
+            raise SheafcalcError("structuring element must be nonempty")
         for off in self.offsets:
-            dx, dy = off
-            assert isinstance(dx, int) and isinstance(dy, int)
+            if not (isinstance(off, tuple) and len(off) == 2
+                    and all(isinstance(d, int) for d in off)):
+                raise SheafcalcError(f"offset {off!r} is not an integer pair")
 
     @classmethod
     def of(cls, *offsets):
@@ -58,17 +62,20 @@ class BinaryImage:
     foreground: frozenset
 
     def __post_init__(self):
-        assert self.width >= 0 and self.height >= 0
+        if self.width < 0 or self.height < 0:
+            raise SheafcalcError(f"negative size {self.width}x{self.height}")
         for x, y in self.foreground:
-            assert 0 <= x < self.width and 0 <= y < self.height, (
-                f"pixel ({x},{y}) outside {self.width}x{self.height}")
+            if not (0 <= x < self.width and 0 <= y < self.height):
+                raise SheafcalcError(
+                    f"pixel ({x},{y}) outside {self.width}x{self.height}")
 
     @classmethod
     def of(cls, width, height, pixels):
         return cls(width, height, frozenset(pixels))
 
     def issubset(self, other: "BinaryImage") -> bool:
-        assert (self.width, self.height) == (other.width, other.height)
+        if (self.width, self.height) != (other.width, other.height):
+            raise SheafcalcError("images differ in size")
         return self.foreground <= other.foreground
 
 
@@ -129,9 +136,11 @@ def flat_erode(signal, window):
 
 
 def flat_filter(signal, window, which: str):
-    assert which in ("dilate", "erode")
+    if which not in ("dilate", "erode"):
+        raise SheafcalcError(f"which must be dilate or erode, not {which!r}")
     window = frozenset(window)
-    assert window, "window must be nonempty"
+    if not window:
+        raise SheafcalcError("window must be nonempty")
     if which == "dilate":
         return flat_dilate(signal, window)
     return flat_erode(signal, window)
@@ -169,26 +178,18 @@ def composite_filter_lattice(image: BinaryImage,
     """
     phi = lambda img: opening(img, element)
     kappa = lambda img: closing(img, element)
-    values = {
-        "identity": image,
-        "open": phi(image),
-        "close": kappa(image),
-        "close_open": kappa(phi(image)),
-        "open_close": phi(kappa(image)),
-        "open_close_open": phi(kappa(phi(image))),
-        "close_open_close": kappa(phi(kappa(image))),
+    composites = {
+        "close_open": lambda v: kappa(phi(v)),
+        "open_close": lambda v: phi(kappa(v)),
+        "open_close_open": lambda v: phi(kappa(phi(v))),
+        "close_open_close": lambda v: kappa(phi(kappa(v))),
     }
+    values = {"identity": image, "open": phi(image), "close": kappa(image)}
+    values.update((name, f(image)) for name, f in composites.items())
     witness = None
     idempotent = True
-    for name, once in [("close_open", values["close_open"]),
-                       ("open_close", values["open_close"]),
-                       ("open_close_open", values["open_close_open"]),
-                       ("close_open_close", values["close_open_close"])]:
-        twice = {"close_open": lambda v: kappa(phi(v)),
-                 "open_close": lambda v: phi(kappa(v)),
-                 "open_close_open": lambda v: phi(kappa(phi(v))),
-                 "close_open_close": lambda v: kappa(phi(kappa(v)))}[name](once)
-        if twice != once:
+    for name, f in composites.items():
+        if f(values[name]) != values[name]:
             idempotent = False
             witness = witness or ("idempotence", name)
     chain_ok = True

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import SheafcalcError
+
 __all__ = [
     "OrderViolation",
     "FinitePoset",
@@ -28,7 +30,7 @@ __all__ = [
 POWERSET_LIMIT = 16
 
 
-class OrderViolation(ValueError):
+class OrderViolation(SheafcalcError):
     """Antisymmetry failure; ``cycle`` holds the offending 2-cycle."""
 
     def __init__(self, x, y):
@@ -130,8 +132,9 @@ def validate_poset(elements, pairs) -> FinitePoset:
     for i in range(n):
         reach[i][i] = True
     for x, y in pairs:
-        assert x in index, f"unknown element {x!r}"
-        assert y in index, f"unknown element {y!r}"
+        for e in (x, y):
+            if e not in index:
+                raise SheafcalcError(f"unknown element {e!r}")
         reach[index[x]][index[y]] = True
     for k in range(n):
         rk = reach[k]
@@ -156,9 +159,11 @@ def is_monotone(source: FinitePoset, target: FinitePoset, mapping) -> bool:
 
 def _monotonicity_witness(source: FinitePoset, target: FinitePoset, mapping):
     """The first x <= y in ``source.pairs()`` mapped out of order, or None."""
-    assert set(mapping) == set(source.elements), "mapping must be total"
+    if set(mapping) != set(source.elements):
+        raise SheafcalcError("mapping must be total")
     for v in mapping.values():
-        assert v in target.elements, f"value {v!r} outside target"
+        if v not in target.elements:
+            raise SheafcalcError(f"value {v!r} outside target")
     return next(((x, y) for x, y in source.pairs()
                  if not target.leq(mapping[x], mapping[y])), None)
 
@@ -172,7 +177,7 @@ def set_label(members) -> str:
 def downset_family(p: FinitePoset):
     """Every down-closed subset, sorted by (size, members)."""
     if len(p) > POWERSET_LIMIT:
-        raise ValueError(
+        raise SheafcalcError(
             f"downset enumeration capped at {POWERSET_LIMIT} elements, "
             f"got {len(p)}")
     elems = p.elements
@@ -231,13 +236,14 @@ class FiniteTopology:
         return sorted(self.opens, key=lambda s: (len(s), tuple(sorted(s))))
 
     def minimal_open_containing(self, point) -> frozenset:
-        assert point in self.points
+        if point not in self.points:
+            raise SheafcalcError(f"unknown point {point!r}")
         out = frozenset(self.points)
         for u in self.opens:
             if point in u:
                 out &= u
         if out not in self.opens:
-            raise ValueError(f"no minimal open around {point!r}")
+            raise SheafcalcError(f"no minimal open around {point!r}")
         return out
 
 
@@ -246,25 +252,27 @@ def validate_topology(points, opens) -> FiniteTopology:
     opens = frozenset(frozenset(u) for u in opens)
     full = frozenset(points)
     for u in opens:
-        assert u <= full, f"open set {sorted(u)} leaves the space"
+        if not u <= full:
+            raise SheafcalcError(f"open set {sorted(u)} leaves the space")
     if frozenset() not in opens:
-        raise ValueError("empty set is not open")
+        raise SheafcalcError("empty set is not open")
     if full not in opens:
-        raise ValueError("whole space is not open")
+        raise SheafcalcError("whole space is not open")
     ordered = sorted(opens, key=lambda s: (len(s), tuple(sorted(s))))
     for u, v in combinations(ordered, 2):
         if u | v not in opens:
-            raise ValueError(
+            raise SheafcalcError(
                 f"not closed under union: {sorted(u)} | {sorted(v)}")
         if u & v not in opens:
-            raise ValueError(
+            raise SheafcalcError(
                 f"not closed under intersection: {sorted(u)} & {sorted(v)}")
     return FiniteTopology(points, opens)
 
 
 def alexandrov(p: FinitePoset, direction: str) -> FiniteTopology:
     """Topology whose opens are all up-closed (or down-closed) sets."""
-    assert direction in ("up", "down")
+    if direction not in ("up", "down"):
+        raise SheafcalcError(f"direction must be up or down, not {direction!r}")
     if direction == "down":
         opens = downset_family(p)
     else:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import SheafcalcError
+
 __all__ = [
     "Rational",
     "RationalMatrix",
@@ -39,7 +41,10 @@ def rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise SheafcalcError(f"not a rational: {value!r}") from None
     raise TypeError(f"not a rational: {value!r}")
 
 
@@ -47,10 +52,11 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries):
-        assert rows >= 0 and cols >= 0
+        if rows < 0 or cols < 0:
+            raise SheafcalcError(f"negative shape {rows}x{cols}")
         data = tuple(rational(x) for x in entries)
-        assert len(data) == rows * cols, (
-            f"expected {rows * cols} entries, got {len(data)}")
+        if len(data) != rows * cols:
+            raise SheafcalcError(f"expected {rows * cols} entries, got {len(data)}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
@@ -63,12 +69,13 @@ class RationalMatrix:
         rows_list = [list(r) for r in rows_list]
         if rows_list:
             width = len(rows_list[0])
-            assert all(len(r) == width for r in rows_list), "ragged rows"
-            if cols is not None:
-                assert cols == width
+            if any(len(r) != width for r in rows_list):
+                raise SheafcalcError("ragged rows")
+            if cols is not None and cols != width:
+                raise SheafcalcError(f"rows have width {width}, not {cols}")
             cols = width
-        else:
-            assert cols is not None, "0-row matrix needs an explicit width"
+        elif cols is None:
+            raise SheafcalcError("0-row matrix needs an explicit width")
         flat = [x for r in rows_list for x in r]
         return cls(len(rows_list), cols, flat)
 
@@ -81,15 +88,18 @@ class RationalMatrix:
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     def entry(self, i: int, j: int) -> Fraction:
-        assert 0 <= i < self.rows and 0 <= j < self.cols
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise SheafcalcError(f"no entry ({i}, {j}) in {self.rows}x{self.cols}")
         return self.data[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
-        assert 0 <= i < self.rows
+        if not 0 <= i < self.rows:
+            raise SheafcalcError(f"no row {i} in {self.rows}x{self.cols}")
         return self.data[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
-        assert 0 <= j < self.cols
+        if not 0 <= j < self.cols:
+            raise SheafcalcError(f"no column {j} in {self.rows}x{self.cols}")
         return tuple(self.data[i * self.cols + j] for i in range(self.rows))
 
     def row_lists(self):
@@ -113,7 +123,8 @@ class RationalMatrix:
         return hash((self.rows, self.cols, self.data))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise SheafcalcError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
         return RationalMatrix(self.rows, self.cols,
                               [a + b for a, b in zip(self.data, other.data)])
 
@@ -133,8 +144,9 @@ class RationalMatrix:
     def apply(self, vector) -> tuple:
         """Matrix times column vector (any iterable of rationals)."""
         vec = tuple(rational(x) for x in vector)
-        assert len(vec) == self.cols, (
-            f"vector of length {len(vec)} against {self.rows}x{self.cols}")
+        if len(vec) != self.cols:
+            raise SheafcalcError(f"vector of length {len(vec)} against "
+                                 f"{self.rows}x{self.cols}")
         return tuple(sum((x * vec[j] for j, x in row), start=_ZERO)
                      for row in _nonzero_rows(self))
 
@@ -159,7 +171,8 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     Only products of two nonzero entries are formed: Theta(sum over the
     nonzeros a_ik of the nonzeros in row k of b) Fraction operations.
     """
-    assert a.cols == b.rows, f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+    if a.cols != b.rows:
+        raise SheafcalcError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     b_rows = _nonzero_rows(b)
     out = []
     for a_row in _nonzero_rows(a):
@@ -282,7 +295,8 @@ def _particular(reduced: dict, rhs: int) -> tuple:
 def solve(a: RationalMatrix, b) -> tuple | None:
     """A particular exact solution of A x = b, or None if inconsistent."""
     b = tuple(rational(x) for x in b)
-    assert len(b) == a.rows
+    if len(b) != a.rows:
+        raise SheafcalcError(f"right-hand side of length {len(b)}, not {a.rows}")
     reduced = {}
     if not _consistent(reduced, _augmented(a, b), a.cols):
         return None
@@ -297,12 +311,15 @@ def block_assemble(blocks, row_dims, col_dims) -> RationalMatrix:
     """
     row_dims = list(row_dims)
     col_dims = list(col_dims)
-    assert all(d >= 0 for d in row_dims + col_dims)
+    if any(d < 0 for d in row_dims + col_dims):
+        raise SheafcalcError("negative block dimension")
     for (i, j), blk in blocks.items():
-        assert 0 <= i < len(row_dims) and 0 <= j < len(col_dims), (i, j)
-        assert (blk.rows, blk.cols) == (row_dims[i], col_dims[j]), (
-            f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
-            f"grid wants {row_dims[i]}x{col_dims[j]}")
+        if not (0 <= i < len(row_dims) and 0 <= j < len(col_dims)):
+            raise SheafcalcError(f"block ({i},{j}) lies outside the grid")
+        if (blk.rows, blk.cols) != (row_dims[i], col_dims[j]):
+            raise SheafcalcError(
+                f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
+                f"grid wants {row_dims[i]}x{col_dims[j]}")
     total_rows = sum(row_dims)
     total_cols = sum(col_dims)
     row_off = [0]

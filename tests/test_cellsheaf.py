@@ -10,6 +10,7 @@ from sheafcalc.cellsheaf import (
     is_global_section, pullback, validate_sheaf)
 from sheafcalc.cohomology import coboundary
 from sheafcalc.complexes import validate_complex
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import RationalMatrix, decompose
 
 from util import (
@@ -39,13 +40,13 @@ def test_sheaf_rejects_non_covering_key():
     c = base_complex()
     dims = {f: 1 for f in c.all_faces()}
     bad = {(("a",), ("c", "d", "e")): RationalMatrix.identity(1)}
-    with pytest.raises(AssertionError, match="covering"):
+    with pytest.raises(SheafcalcError, match="covering"):
         CellularSheaf(c, dims, bad)
 
 
 def test_sheaf_rejects_missing_stalk_dimension():
     c = validate_complex([("a", "b")])
-    with pytest.raises(AssertionError, match="stalk dimension"):
+    with pytest.raises(SheafcalcError, match="stalk dimension"):
         CellularSheaf(c, {("a",): 1}, {})
 
 
@@ -294,13 +295,13 @@ def test_extend_refuses_invalid_or_cosheaf_input():
     s = running_sheaf()
     maps = dict(s.restriction)
     del maps[(("c",), ("c", "e"))]
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         extend(CellularSheaf(s.base, s.stalk_dim, maps),
                Assignment({}))
     dual = CellularSheaf(
         s.base, s.stalk_dim,
         {p: m.transpose() for p, m in s.restriction.items()}, "cosheaf")
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         extend(dual, Assignment({}))
 
 
@@ -335,6 +336,11 @@ def test_section_space_refuses_invalid_sheaves():
     del maps[(("a", "b"), ("a", "b", "c"))]
     with pytest.raises(ValueError, match="invalid sheaf: missing-map"):
         global_section_space(CellularSheaf(s.base, s.stalk_dim, maps))
+    dual = CellularSheaf(
+        s.base, s.stalk_dim,
+        {p: m.transpose() for p, m in s.restriction.items()}, "cosheaf")
+    with pytest.raises(SheafcalcError, match="needs sheaf variance"):
+        global_section_space(dual)
 
 
 def test_section_space_members_restrict_consistently():
@@ -610,11 +616,11 @@ def test_morphism_structural_asserts():
     ident = {face: face for face in s.base.all_faces()}
     eyes = {face: RationalMatrix.identity(s.stalk_dim[face])
             for face in s.base.all_faces()}
-    with pytest.raises(AssertionError, match="no component"):
+    with pytest.raises(SheafcalcError, match="no component"):
         missing = dict(eyes)
         del missing[("a",)]
         SheafMorphism(s, s, ident, missing)
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         wrong = dict(eyes)
         wrong[("a",)] = RationalMatrix.identity(5)
         SheafMorphism(s, s, ident, wrong)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sheafcalc import cli
 from sheafcalc.cli import main
 from sheafcalc.complexes import face_name
 from sheafcalc.morphology import (
@@ -562,6 +563,17 @@ def test_bayes_cycle_is_a_domain_failure(tmp_path, capsys):
     code, out = invoke(capsys, "bayes", "check", "--model", path)
     assert code == 1
     assert "cycle" in json.loads(out)["error"]
+
+
+def test_library_bug_is_a_traceback_not_a_domain_failure(tmp_path, monkeypatch):
+    # only SheafcalcError is refused input; any other ValueError is a bug
+    def broken(model):
+        raise ValueError("internal slip")
+
+    monkeypatch.setattr(cli, "bayes_build", broken)
+    path = write_json(tmp_path, "sprinkler.json", SPRINKLER_DOC)
+    with pytest.raises(ValueError, match="internal slip"):
+        main(["bayes", "joint", "--model", path])
 
 
 def test_bayes_unknown_parent_is_schema_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ from sheafcalc.cohomology import (
     BayesModel, bayes_build, bayes_check, coboundary, cochain_complex,
     cohomology_dims)
 from sheafcalc.complexes import homology_dims, incidence, validate_complex
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import RationalMatrix, block_assemble, decompose
 
 from util import (
@@ -47,8 +48,12 @@ def test_coboundary_rejects_cosheaves():
     dual = CellularSheaf(
         s.base, s.stalk_dim,
         {p: m.transpose() for p, m in s.restriction.items()}, "cosheaf")
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         coboundary(dual, 0)
+    with pytest.raises(SheafcalcError, match="needs sheaf variance"):
+        cohomology_dims(dual)
+    with pytest.raises(SheafcalcError, match="no coboundary in degree -1"):
+        coboundary(s, -1)
 
 
 def test_cochain_complex_of_running_sheaf():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.complexes import (
     Chain, boundary_matrix, face_name, face_poset, homology_dims,
     incidence, open_star, validate_complex)
@@ -103,7 +104,7 @@ def test_incidence_signs():
     assert incidence(c, abc, ("a", "c")) == -1
     assert incidence(c, abc, ("a", "b")) == 1
     assert incidence(c, abc, ("d", "e")) == 0
-    with pytest.raises(AssertionError, match="dimension gap"):
+    with pytest.raises(SheafcalcError, match="dimension gap"):
         incidence(c, abc, ("a",))
 
 
@@ -186,9 +187,9 @@ def test_chain_validation_and_vector():
     c = validate_complex([("a", "b"), ("b", "c")])
     ch = Chain.of(c, 1, {("a", "b"): "1/2", ("b", "c"): -1})
     assert ch.vector(c) == (rationalize("1/2"), rationalize(-1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         Chain.of(c, 1, {("a", "c"): 1})
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         Chain.of(c, 0, {("a", "b"): 1})
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.finsheaf import (
     Copresheaf,
     FinitePresheaf,
@@ -80,7 +81,7 @@ class TestPresheafLaws:
     def test_missing_restriction_rejected(self):
         p = presheaf_p()
         partial = {k: v for k, v in p.restriction.items() if k != (PQ, P_OPEN)}
-        with pytest.raises(AssertionError):
+        with pytest.raises(SheafcalcError):
             FinitePresheaf(p.topology, p.stalk, partial)
 
 
@@ -330,8 +331,15 @@ class TestNColor:
             ncolor("abcd", [("a", "b"), ("c", "d")], 3)
 
     def test_loops_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(SheafcalcError):
             ncolor("ab", [("a", "a"), ("a", "b")], 2)
+
+    def test_k4_hits_the_subgraph_cap(self):
+        # K4 has 64 connected subgraphs; the cap is 24
+        k4 = [("a", "b"), ("a", "c"), ("a", "d"),
+              ("b", "c"), ("b", "d"), ("c", "d")]
+        with pytest.raises(SheafcalcError, match="too many connected subgraphs"):
+            ncolor("abcd", k4, 3)
 
 
 class TestPredict:
@@ -360,5 +368,5 @@ class TestPredict:
 
     def test_unknown_observation_rejected(self):
         h = presheaf_h()
-        with pytest.raises(AssertionError):
+        with pytest.raises(SheafcalcError):
             predict(h, P_OPEN, Q_OPEN, {99})

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.galois import (
     AdjointSynthesisError, GaloisConnection, cantor_diagonal,
     check_connection, compose_connections, induced_operators,
@@ -59,7 +60,7 @@ def test_nonmonotone_left_reported():
 
 def test_partial_maps_rejected():
     c = hand_connection()
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         check_connection(GaloisConnection(c.source, c.target, {"a": "x"}, c.right))
 
 
@@ -157,7 +158,7 @@ def test_induced_operators_on_hand_connection():
 def test_induced_operators_require_a_connection():
     c = hand_connection()
     bad = GaloisConnection(c.source, c.target, c.left, {"x": "a", "y": "c"})
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         induced_operators(bad)
 
 
@@ -174,8 +175,29 @@ def test_composition_is_a_connection():
 
 def test_composition_rejects_mismatched_middle():
     c1 = hand_connection()
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         compose_connections(c1, c1)
+
+
+def test_composition_rejects_a_middle_with_the_same_labels():
+    # the maps compose, but the middle orders differ
+    ident = {"a": "a", "b": "b"}
+    ordered = GaloisConnection(chain("ab"), chain("ab"), ident, ident)
+    flat_poset = validate_poset("ab", [])
+    flat = GaloisConnection(flat_poset, flat_poset, ident, ident)
+    with pytest.raises(SheafcalcError, match="middle posets must agree"):
+        compose_connections(ordered, flat)
+
+
+def test_composition_rejects_a_leg_that_is_no_connection():
+    c = hand_connection()
+    partial = GaloisConnection(c.source, c.target, {"a": "x"}, c.right)
+    with pytest.raises(SheafcalcError, match="mapping must be total"):
+        compose_connections(partial, GaloisConnection(
+            c.target, c.target, {"x": "x", "y": "y"}, {"x": "x", "y": "y"}))
+    swapped = GaloisConnection(c.target, c.source, c.right, c.left)
+    with pytest.raises(SheafcalcError, match="not a Galois connection"):
+        compose_connections(c, swapped)
 
 
 # ------------------------------------------------------------- antitone

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.morphology import (
     NEG_INF, POS_INF, BinaryImage, StructuringElement, closing,
     composite_filter_lattice, dilate, erode, flat_filter, opening)
@@ -50,12 +51,18 @@ def test_erode_spec_bar_example():
 
 
 def test_structuring_element_must_be_nonempty():
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         StructuringElement(frozenset())
 
 
+def test_structuring_element_offsets_are_integer_pairs():
+    for offset in ((1,), (0, 0, 0), (0, "1")):
+        with pytest.raises(SheafcalcError, match="integer pair"):
+            StructuringElement(frozenset({offset}))
+
+
 def test_image_pixels_must_be_in_bounds():
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         BinaryImage.of(2, 2, [(2, 0)])
 
 

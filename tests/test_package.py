@@ -2,7 +2,7 @@ import importlib
 
 import sheafcalc
 
-MODULES = ("rationals", "poset", "galois", "morphology", "modal",
+MODULES = ("errors", "rationals", "poset", "galois", "morphology", "modal",
            "complexes", "finsheaf", "cellsheaf", "cohomology")
 
 
@@ -18,6 +18,12 @@ def test_every_exported_name_resolves_to_its_module_binding():
         module = importlib.import_module(f"sheafcalc.{m}")
         for name in module.__all__:
             assert getattr(sheafcalc, name) is getattr(module, name), name
+
+
+def test_refusals_share_one_exception_family():
+    assert issubclass(sheafcalc.SheafcalcError, ValueError)
+    assert issubclass(sheafcalc.OrderViolation, sheafcalc.SheafcalcError)
+    assert issubclass(sheafcalc.AdjointSynthesisError, sheafcalc.SheafcalcError)
 
 
 def test_module_limits_stay_unexported():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.poset import (
     FinitePoset, OrderViolation, alexandrov, all_downsets, downset_family,
     is_monotone, set_label, validate_poset, validate_topology, yoneda_check)
@@ -37,7 +38,7 @@ def test_validate_rejects_longer_cycle():
 
 
 def test_validate_rejects_unknown_labels():
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         validate_poset("ab", [("a", "q")])
 
 
@@ -119,7 +120,7 @@ def test_is_monotone():
     p = fence()
     assert is_monotone(p, chain, {"a": "a", "b": "a", "c": "b", "d": "b"})
     assert not is_monotone(p, chain, {"a": "b", "b": "a", "c": "a", "d": "b"})
-    with pytest.raises(AssertionError):
+    with pytest.raises(SheafcalcError):
         is_monotone(p, chain, {"a": "a"})  # partial map
 
 
@@ -147,6 +148,11 @@ def test_validate_topology_accepts_and_rejects():
         validate_topology("abc", [set(), {"a"}, {"b"}, {"a", "b", "c"}])
     with pytest.raises(ValueError, match="empty"):
         validate_topology("a", [{"a"}])
+
+
+def test_validate_topology_refuses_opens_outside_the_space():
+    with pytest.raises(SheafcalcError, match="leaves the space"):
+        validate_topology("ab", [set(), {"a", "z"}, {"a", "b"}])
 
 
 @settings(max_examples=25, deadline=None)
