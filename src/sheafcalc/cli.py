@@ -687,7 +687,10 @@ def _cmd_poset_downsets(objects, options):
 
 
 def _cmd_poset_yoneda(objects, options):
-    ok, witness = yoneda_check(objects["poset"])
+    try:
+        ok, witness = yoneda_check(objects["poset"])
+    except SheafcalcError as err:
+        raise InputError(str(err), "poset:elements")
     if ok:
         return {"ok": True}
     raise Failure({"kind": witness[0], "witness": _jsonable(list(witness[1:]))})

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cellsheaf import (
     CellularSheaf, _require_valid, covering_pairs, validate_sheaf)
-from .complexes import _signed_facets, validate_complex
+from .complexes import _signed_facets, face_name, validate_complex
 from .errors import SheafcalcError
 from .rationals import RationalMatrix, block_assemble, decompose, rational
 
@@ -53,7 +53,11 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
         for sigma, sign in _signed_facets(tau):
             if sigma not in col_of:
                 continue
-            mat = s.restriction[(sigma, tau)]
+            mat = s.restriction.get((sigma, tau))
+            if mat is None:
+                raise SheafcalcError(
+                    f"no attachment map {face_name(s.base, sigma)}->"
+                    f"{face_name(s.base, tau)}")
             blocks[(i, col_of[sigma])] = (
                 mat if sign == 1 else mat.scale(Fraction(-1)))
     return block_assemble(

@@ -483,16 +483,19 @@ def ncolor(vertices, edges, n: int) -> NColorSheaf:
     if not _connected(vertices, edges if len(vertices) > 1 else []):
         raise SheafcalcError("graph is not connected")
 
+    # every connected subgraph grows from one of its vertices by adding
+    # edges that touch what is already there
     subgraphs = {}
-    for v in vertices:
-        subgraphs[_subgraph_label([v], [])] = (frozenset([v]), frozenset())
-    for r in range(1, len(edges) + 1):
-        for combo in combinations(edges, r):
-            vs = frozenset().union(*combo)
-            if _connected(vs, combo):
-                subgraphs[_subgraph_label(vs, combo)] = (vs, frozenset(combo))
-    if len(subgraphs) > 24:
-        raise SheafcalcError("too many connected subgraphs to enumerate")
+    grow = [(frozenset([v]), frozenset()) for v in vertices]
+    while grow:
+        vs, es = grow.pop()
+        label = _subgraph_label(vs, es)
+        if label in subgraphs:
+            continue
+        subgraphs[label] = (vs, es)
+        if len(subgraphs) > 24:
+            raise SheafcalcError("too many connected subgraphs to enumerate")
+        grow += [(vs | e, es | {e}) for e in edges if e & vs and e not in es]
 
     labels = sorted(subgraphs)
     pairs = []

@@ -38,6 +38,11 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
+def _int_pair(p) -> bool:
+    return (isinstance(p, tuple) and len(p) == 2
+            and all(isinstance(d, int) for d in p))
+
+
 @dataclass(frozen=True)
 class StructuringElement:
     offsets: frozenset
@@ -46,8 +51,7 @@ class StructuringElement:
         if not self.offsets:
             raise SheafcalcError("structuring element must be nonempty")
         for off in self.offsets:
-            if not (isinstance(off, tuple) and len(off) == 2
-                    and all(isinstance(d, int) for d in off)):
+            if not _int_pair(off):
                 raise SheafcalcError(f"offset {off!r} is not an integer pair")
 
     @classmethod
@@ -64,7 +68,10 @@ class BinaryImage:
     def __post_init__(self):
         if self.width < 0 or self.height < 0:
             raise SheafcalcError(f"negative size {self.width}x{self.height}")
-        for x, y in self.foreground:
+        for pixel in self.foreground:
+            if not _int_pair(pixel):
+                raise SheafcalcError(f"pixel {pixel!r} is not an integer pair")
+            x, y = pixel
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise SheafcalcError(
                     f"pixel ({x},{y}) outside {self.width}x{self.height}")

@@ -27,7 +27,7 @@ __all__ = [
     "alexandrov",
 ]
 
-POWERSET_LIMIT = 16
+POWERSET_LIMIT = 1 << 16  # downsets, the most a 16-element poset has
 
 
 class OrderViolation(SheafcalcError):
@@ -126,31 +126,21 @@ def validate_poset(elements, pairs) -> FinitePoset:
     antisymmetry.  Raises OrderViolation naming a 2-cycle on failure.
     """
     elements = tuple(sorted(set(elements)))
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    reach = [[False] * n for _ in range(n)]
-    for i in range(n):
-        reach[i][i] = True
+    above = {e: {e} for e in elements}
     for x, y in pairs:
         for e in (x, y):
-            if e not in index:
+            if e not in above:
                 raise SheafcalcError(f"unknown element {e!r}")
-        reach[index[x]][index[y]] = True
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if reach[i][j] and reach[j][i]:
-                raise OrderViolation(elements[i], elements[j])
-    closed = [(elements[i], elements[j])
-              for i in range(n) for j in range(n) if reach[i][j]]
-    return FinitePoset(elements, closed)
+        above[x].add(y)
+    for k in elements:
+        for x in elements:
+            if k in above[x]:
+                above[x] |= above[k]
+    for x in elements:
+        for y in sorted(above[x]):
+            if y > x and x in above[y]:
+                raise OrderViolation(x, y)
+    return FinitePoset(elements, ((x, y) for x in elements for y in above[x]))
 
 
 def is_monotone(source: FinitePoset, target: FinitePoset, mapping) -> bool:
@@ -175,18 +165,18 @@ def set_label(members) -> str:
 
 
 def downset_family(p: FinitePoset):
-    """Every down-closed subset, sorted by (size, members)."""
-    if len(p) > POWERSET_LIMIT:
-        raise SheafcalcError(
-            f"downset enumeration capped at {POWERSET_LIMIT} elements, "
-            f"got {len(p)}")
-    elems = p.elements
-    downs = {e: p.principal_down(e) for e in elems}
-    found = []
-    for mask in range(1 << len(elems)):
-        subset = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
-        if all(downs[e] <= subset for e in subset):
-            found.append(subset)
+    """Every down-closed subset, sorted by (size, members).
+
+    Elements are taken along a linear extension, so a downset of the
+    elements taken so far grows by e exactly when it holds all below e.
+    """
+    below = {e: p.principal_down(e) - {e} for e in p.elements}
+    found = [frozenset()]
+    for e in sorted(p.elements, key=lambda e: (len(below[e]), e)):
+        found += [s | {e} for s in found if below[e] <= s]
+        if len(found) > POWERSET_LIMIT:
+            raise SheafcalcError(
+                f"downset enumeration capped at {POWERSET_LIMIT} downsets")
     found.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return found
 

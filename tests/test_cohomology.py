@@ -56,6 +56,15 @@ def test_coboundary_rejects_cosheaves():
         coboundary(s, -1)
 
 
+def test_coboundary_names_a_missing_attachment():
+    s = CellularSheaf(
+        validate_complex([("a", "b")]), {("a",): 1, ("b",): 1, ("a", "b"): 1},
+        {(("a",), ("a", "b")): RationalMatrix.identity(1)})
+    with pytest.raises(SheafcalcError) as err:
+        coboundary(s, 0)
+    assert str(err.value) == "no attachment map b->ab"
+
+
 def test_cochain_complex_of_running_sheaf():
     s = running_sheaf()
     cc = cochain_complex(s)

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +22,12 @@ from sheafcalc.finsheaf import (
     validate_copresheaf,
     validate_presheaf,
 )
-from sheafcalc.poset import FiniteTopology, validate_poset, validate_topology
+from sheafcalc.poset import (
+    FinitePoset, FiniteTopology, validate_poset, validate_topology)
 
 from util import (
     WINDOW,
+    combination_subgraphs,
     presheaf_g,
     presheaf_h,
     presheaf_p,
@@ -340,6 +344,51 @@ class TestNColor:
               ("b", "c"), ("b", "d"), ("c", "d")]
         with pytest.raises(SheafcalcError, match="too many connected subgraphs"):
             ncolor("abcd", k4, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    def test_growth_matches_the_combination_scan(self, seed):
+        # connected by construction: a random tree plus random chords
+        rng = random.Random(seed)
+        vertices = "abcde"[:rng.randint(1, 5)]
+        edges = {frozenset((v, rng.choice(vertices[:i])))
+                 for i, v in enumerate(vertices) if i}
+        edges |= {frozenset(e) for e in combinations(vertices, 2)
+                  if rng.random() < 0.2}
+        expected = combination_subgraphs(vertices, edges)
+        if len(expected) > 24:
+            with pytest.raises(SheafcalcError, match="too many connected"):
+                ncolor(vertices, edges, 2)
+            return
+        if len(expected) > 16:
+            return  # slow to build; the six-path test covers 17 to 24
+        nc = ncolor(vertices, edges, 2)
+        assert nc.labels == expected
+        assert expected[nc.top] == (frozenset(vertices), frozenset(edges))
+        assert nc.poset == FinitePoset(expected, [
+            (a, b) for a, (va, ea) in expected.items()
+            for b, (vb, eb) in expected.items() if va <= vb and ea <= eb])
+        for label, (vs, es) in expected.items():
+            order = sorted(vs)
+            colorings = [dict(zip(order, colors))
+                         for colors in product(range(2), repeat=len(order))]
+            proper = {tuple(sorted(c.items())) for c in colorings
+                      if all(len({c[v] for v in e}) == 2 for e in es)}
+            assert nc.colorings(label) == proper
+
+    def test_six_path_builds_all_twenty_one_subgraphs(self):
+        # 21 subgraphs: more than 16 poset elements, within the cap of 24
+        nc = ncolor("abcdef", [("a", "b"), ("b", "c"), ("c", "d"),
+                               ("d", "e"), ("e", "f")], 2)
+        assert len(nc.labels) == 21
+        assert len(nc.colorings(nc.top)) == 2
+
+    def test_k7_refuses_without_scanning_edge_subsets(self):
+        k7 = list(combinations("abcdefg", 2))
+        start = time.perf_counter()
+        with pytest.raises(SheafcalcError, match="too many connected subgraphs"):
+            ncolor("abcdefg", k7, 3)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPredict:

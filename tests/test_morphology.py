@@ -66,6 +66,13 @@ def test_image_pixels_must_be_in_bounds():
         BinaryImage.of(2, 2, [(2, 0)])
 
 
+def test_image_pixels_are_integer_pairs():
+    # a fractional pixel would dilate to another fractional pixel
+    for pixel in ((0.5, 0), (1,), (0, 0, 0), (0, "1"), "ab"):
+        with pytest.raises(SheafcalcError, match="integer pair"):
+            BinaryImage.of(2, 2, [pixel])
+
+
 def test_opening_closing_sandwich_exhaustive_2x2():
     for img in grid_images(2, 2):
         for el in ELEMENTS:

@@ -1,14 +1,16 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc.cli import main
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.poset import (
     FinitePoset, OrderViolation, alexandrov, all_downsets, downset_family,
     is_monotone, set_label, validate_poset, validate_topology, yoneda_check)
 
-from util import random_poset
+from util import mask_downset_family, matrix_closure_poset, random_poset
 
 
 def fence():
@@ -40,6 +42,24 @@ def test_validate_rejects_longer_cycle():
 def test_validate_rejects_unknown_labels():
     with pytest.raises(SheafcalcError):
         validate_poset("ab", [("a", "q")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_validate_matches_the_matrix_closure(seed):
+    # arbitrary relations, so cycles of every length show up
+    rng = random.Random(seed)
+    labels = [f"e{i}" for i in range(rng.randint(1, 9))]
+    pairs = [(rng.choice(labels), rng.choice(labels))
+             for _ in range(rng.randint(0, 2 * len(labels)))]
+    try:
+        expected = matrix_closure_poset(labels, pairs)
+    except OrderViolation as err:
+        with pytest.raises(OrderViolation) as got:
+            validate_poset(labels, pairs)
+        assert got.value.cycle == err.cycle
+        return
+    assert validate_poset(labels, pairs) == expected
 
 
 # ------------------------------------------------------------ principals
@@ -90,6 +110,53 @@ def test_downset_lattice_orders_by_inclusion_and_is_a_lattice():
         for t in family:
             assert lat.join((set_label(s), set_label(t))) == set_label(s | t)
             assert lat.meet((set_label(s), set_label(t))) == set_label(s & t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_downset_family_matches_the_mask_scan(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_elements=10, edge_prob=rng.random())
+    assert downset_family(p) == mask_downset_family(p)
+
+
+def chain(n):
+    labels = [f"c{i:02d}" for i in range(n)]
+    return labels, [[x, y] for x, y in zip(labels, labels[1:])]
+
+
+def test_forty_chain_has_its_forty_one_prefixes():
+    labels, pairs = chain(40)
+    family = downset_family(validate_poset(labels, pairs))
+    assert family == [frozenset(labels[:k]) for k in range(41)]
+
+
+def test_downset_cap_admits_the_sixteen_antichain():
+    # 2^16 downsets, the most any 16-element poset has, is not refused
+    p = validate_poset([f"e{i:02d}" for i in range(16)], [])
+    assert len(downset_family(p)) == 65536
+
+
+def test_cli_refuses_too_many_downsets_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps(
+        {"elements": [f"e{i:02d}" for i in range(17)], "leq": []}))
+    for action in ("downsets", "yoneda"):
+        code = main(["poset", action, "--poset", str(path)])
+        assert (code, capsys.readouterr().out) == (2, (
+            '{"error":"downset enumeration capped at 65536 downsets",'
+            '"location":"poset:elements"}\n'))
+
+
+def test_cli_enumerates_a_twenty_chain(tmp_path, capsys):
+    labels, pairs = chain(20)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"elements": labels, "leq": pairs}))
+    assert main(["poset", "downsets", "--poset", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        set_label(labels[:k]) for k in range(21)]
+    assert main(["poset", "yoneda", "--poset", str(path)]) == 0
+    assert capsys.readouterr().out == '{"ok":true}\n'
 
 
 def test_downset_guard():

@@ -427,3 +427,75 @@ def dense_decompose(m):
         image_basis=image,
         rref=rref,
         pivots=tuple(pivots))
+
+
+# ------------------------------------------------------------- scan oracles
+# The index-space scans that validate_poset, downset_family and ncolor
+# replaced, kept verbatim (the downset scan without its element cap).
+
+def matrix_closure_poset(elements, pairs):
+    """Close the relation reflexively and transitively, then check
+    antisymmetry.  Raises OrderViolation naming a 2-cycle on failure.
+    """
+    from sheafcalc.errors import SheafcalcError
+    from sheafcalc.poset import OrderViolation
+
+    elements = tuple(sorted(set(elements)))
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    reach = [[False] * n for _ in range(n)]
+    for i in range(n):
+        reach[i][i] = True
+    for x, y in pairs:
+        for e in (x, y):
+            if e not in index:
+                raise SheafcalcError(f"unknown element {e!r}")
+        reach[index[x]][index[y]] = True
+    for k in range(n):
+        rk = reach[k]
+        for i in range(n):
+            if reach[i][k]:
+                ri = reach[i]
+                for j in range(n):
+                    if rk[j]:
+                        ri[j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if reach[i][j] and reach[j][i]:
+                raise OrderViolation(elements[i], elements[j])
+    closed = [(elements[i], elements[j])
+              for i in range(n) for j in range(n) if reach[i][j]]
+    return FinitePoset(elements, closed)
+
+
+def mask_downset_family(p):
+    """Every down-closed subset, sorted by (size, members)."""
+    elems = p.elements
+    downs = {e: p.principal_down(e) for e in elems}
+    found = []
+    for mask in range(1 << len(elems)):
+        subset = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+        if all(downs[e] <= subset for e in subset):
+            found.append(subset)
+    found.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return found
+
+
+def combination_subgraphs(vertices, edges):
+    """label -> (vertices, edges) for every connected subgraph: the single
+    vertices, then every edge subset that spans a connected graph."""
+    from itertools import combinations
+
+    from sheafcalc.finsheaf import _connected, _subgraph_label
+
+    vertices = sorted(set(vertices))
+    edges = sorted({frozenset(e) for e in edges}, key=sorted)
+    subgraphs = {}
+    for v in vertices:
+        subgraphs[_subgraph_label([v], [])] = (frozenset([v]), frozenset())
+    for r in range(1, len(edges) + 1):
+        for combo in combinations(edges, r):
+            vs = frozenset().union(*combo)
+            if _connected(vs, combo):
+                subgraphs[_subgraph_label(vs, combo)] = (vs, frozenset(combo))
+    return subgraphs
