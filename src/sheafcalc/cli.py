@@ -30,7 +30,13 @@ from .cellsheaf import (
     global_section_space,
     validate_sheaf,
 )
-from .cohomology import BayesModel, bayes_build, bayes_check, cohomology_dims
+from .cohomology import (
+    OUTCOME_LIMIT,
+    BayesModel,
+    bayes_build,
+    bayes_check,
+    cohomology_dims,
+)
 from .complexes import face_name, homology_dims, validate_complex
 from .errors import SheafcalcError
 from .finsheaf import FinitePresheaf, irredundant_covers, sheaf_check, validate_presheaf
@@ -522,7 +528,11 @@ def _parse_model(doc, where):
             rows.append(tuple(_rational_value(x, f"{vwhere}:cpt[{r}][{c}]")
                               for c, x in enumerate(rdoc)))
         cpt[name] = tuple(rows)
-    return BayesModel(tuple(names), outcomes, parents, cpt)
+    model = BayesModel(tuple(names), outcomes, parents, cpt)
+    if _expected_joint_length(model) > OUTCOME_LIMIT:
+        raise InputError(f"outcome space too large (limit {OUTCOME_LIMIT})",
+                         f"{where}:variables")
+    return model
 
 
 def _parse_bitmap(path, flag):

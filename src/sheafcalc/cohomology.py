@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cellsheaf import (
-    CellularSheaf, _require_valid, covering_pairs, validate_sheaf)
+    CellularSheaf, _require_valid, composite_map, covering_pairs,
+    validate_sheaf)
 from .complexes import _signed_facets, face_name, validate_complex
 from .errors import SheafcalcError
 from .rationals import RationalMatrix, block_assemble, decompose, rational
@@ -26,6 +27,8 @@ __all__ = [
     "bayes_build",
     "bayes_check",
 ]
+
+OUTCOME_LIMIT = 4096  # entries of a Bayes model's joint distribution
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,10 @@ class BayesModel:
     cpt: dict         # name -> tuple of rows of Fractions
 
     def __post_init__(self):
+        for name in self.variables:
+            for field in ("outcomes", "parents", "cpt"):
+                if name not in getattr(self, field):
+                    raise SheafcalcError(f"no {field} entry for {name!r}")
         clean = {name: tuple(tuple(rational(x) for x in row)
                              for row in self.cpt[name])
                  for name in self.variables}
@@ -131,9 +138,13 @@ def _validate_model(m: BayesModel):
     for name in m.variables:
         if not m.outcomes[name]:
             raise SheafcalcError(f"no outcomes for {name}")
+        if len(set(m.outcomes[name])) != len(m.outcomes[name]):
+            raise SheafcalcError(f"duplicate outcomes for {name!r}")
         for p in m.parents[name]:
             if p not in m.variables:
                 raise SheafcalcError(f"unknown parent {p!r} of {name!r}")
+        if len(set(m.parents[name])) != len(m.parents[name]):
+            raise SheafcalcError(f"duplicate parents of {name!r}")
         want_rows = 1
         for p in m.parents[name]:
             want_rows *= len(m.outcomes[p])
@@ -149,8 +160,9 @@ def _validate_model(m: BayesModel):
     scale = 1
     for name in m.variables:
         scale *= len(m.outcomes[name])
-    if scale > 4096:
-        raise SheafcalcError("outcome space too large (limit 4096)")
+    if scale > OUTCOME_LIMIT:
+        raise SheafcalcError(
+            f"outcome space too large (limit {OUTCOME_LIMIT})")
 
 
 def _topological(m: BayesModel):
@@ -208,17 +220,16 @@ def _cpt_value(m: BayesModel, name, own, parent_combo) -> Fraction:
 def _conditional_matrix(m: BayesModel, small, big) -> RationalMatrix:
     """Multiplication by the CPT of the one variable big adds to small."""
     (new,) = set(big) - set(small)
-    small_combos = _combos(m, small)
-    small_index = {c: i for i, c in enumerate(small_combos)}
+    small_index = _index_map(m, small)
     rows = []
     for combo in _combos(m, big):
-        row = [Fraction(0)] * len(small_combos)
+        row = [Fraction(0)] * len(small_index)
         below = _restrict_combo(big, small, combo)
         own = combo[big.index(new)]
         parent_combo = _restrict_combo(big, m.parents[new], combo)
         row[small_index[below]] = _cpt_value(m, new, own, parent_combo)
         rows.append(row)
-    return RationalMatrix.from_rows(rows, cols=len(small_combos))
+    return RationalMatrix.from_rows(rows, cols=len(small_index))
 
 
 def bayes_build(m: BayesModel) -> BayesAssembly:
@@ -272,26 +283,11 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
 def _brute_marginal(m: BayesModel, face, joint) -> tuple:
     """Marginal by direct summation over outcomes, bypassing the matrices."""
     full = _face_of(m, m.variables)
-    sums = [Fraction(0)] * len(_combos(m, face))
     index = _index_map(m, face)
+    sums = [Fraction(0)] * len(index)
     for j, combo in enumerate(_combos(m, full)):
         sums[index[_restrict_combo(full, face, combo)]] += joint[j]
     return tuple(sums)
-
-
-def _route_matrix(m: BayesModel, cosheaf: CellularSheaf, sub, face, reverse):
-    """Compose single-step marginalizations, dropping variables in the
-    given direction; any two routes must agree."""
-    current = face
-    out = RationalMatrix.identity(cosheaf.stalk_dim[face])
-    extra = [v for v in face if v not in sub]
-    if reverse:
-        extra = list(reversed(extra))
-    for name in extra:
-        smaller = tuple(v for v in current if v != name)
-        out = cosheaf.restriction[(smaller, current)] @ out
-        current = smaller
-    return out
 
 
 def bayes_check(m: BayesModel, joint=None) -> BayesReport:
@@ -299,9 +295,12 @@ def bayes_check(m: BayesModel, joint=None) -> BayesReport:
 
     The default joint is the CPT product; passing a vector checks that
     distribution instead.  Marginals are recomputed by brute-force
-    summation and compared against the cosheaf's matrices along two
-    opposite elimination orders; the sheaf side must rebuild each chain
-    marginal from the previous one.
+    summation and compared against the cosheaf's composite map from the
+    joint down to each face.  One route per face is enough: on a simplex
+    any two routes differ by a sequence of square swaps, so a route
+    disagreement implies a failed square, and the cosheaf's
+    path-independence check reports those.  The sheaf side must rebuild
+    each chain marginal from the previous one.
     """
     assembly = bayes_build(m)
     full = _face_of(m, m.variables)
@@ -317,20 +316,16 @@ def bayes_check(m: BayesModel, joint=None) -> BayesReport:
     if not structural.ok:
         violations.append(("cosheaf-path-independence", structural.witness))
 
+    marginal = {}
     for face in assembly.cosheaf.base.all_faces():
-        expected = _brute_marginal(m, face, vec)
-        forward = _route_matrix(m, assembly.cosheaf, face, full, False)
-        backward = _route_matrix(m, assembly.cosheaf, face, full, True)
-        if forward != backward:
-            violations.append(("marginalization-route", face))
-            continue
-        if forward.apply(vec) != expected:
+        marginal[face] = _brute_marginal(m, face, vec)
+        got = composite_map(assembly.cosheaf, face, full).apply(vec)
+        if got != marginal[face]:
             violations.append(("marginalization", face))
 
     for small, big in zip(assembly.chain, assembly.chain[1:]):
-        got = assembly.sheaf.restriction[(small, big)].apply(
-            _brute_marginal(m, small, vec))
-        if got != _brute_marginal(m, big, vec):
+        got = assembly.sheaf.restriction[(small, big)].apply(marginal[small])
+        if got != marginal[big]:
             violations.append(("conditional-component", (small, big)))
 
     return BayesReport(not violations, tuple(violations))

@@ -586,6 +586,21 @@ def test_bayes_unknown_parent_is_schema_error(tmp_path, capsys):
     assert json.loads(out)["location"] == "model:variables[0]:parents[0]"
 
 
+def test_bayes_outcome_cap_is_a_schema_error(tmp_path, capsys):
+    # 2**13 outcomes; the cap is reported before V0's CPT row that does
+    # not sum to one
+    doc = {"variables": [
+        {"name": f"V{i}", "outcomes": ["0", "1"], "cpt": [["1/2", "1/2"]]}
+        for i in range(13)]}
+    doc["variables"][0]["cpt"] = [["1/3", "1/2"]]
+    path = write_json(tmp_path, "wide.json", doc)
+    for verb in ("joint", "check"):
+        code, out = invoke(capsys, "bayes", verb, "--model", path)
+        assert (code, out) == (
+            2, '{"error":"outcome space too large (limit 4096)",'
+               '"location":"model:variables"}\n')
+
+
 # ----------------------------------------------------------------- usage
 
 def test_usage_errors_exit_2(tmp_path, capsys):

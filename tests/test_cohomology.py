@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from sheafcalc.cellsheaf import (
-    CellularSheaf, covering_pairs, global_section_space, validate_sheaf)
+    CellularSheaf, composite_map, covering_pairs, global_section_space,
+    validate_sheaf)
 from sheafcalc.cohomology import (
     BayesModel, bayes_build, bayes_check, coboundary, cochain_complex,
     cohomology_dims)
@@ -13,9 +14,9 @@ from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import RationalMatrix, block_assemble, decompose
 
 from util import (
-    constant_sheaf, base_complex, dense_decompose, dense_matmul, grid_complex,
-    random_complex, random_valid_sheaf, running_sheaf, sprinkler,
-    union_find_components, zero_sheaf)
+    binary_chain, constant_sheaf, base_complex, dense_decompose, dense_matmul,
+    grid_complex, random_bayes_model, random_complex, random_valid_sheaf,
+    route_matrix, running_sheaf, sprinkler, union_find_components, zero_sheaf)
 
 
 # ----------------------------------------------------------- coboundaries
@@ -213,6 +214,24 @@ def test_model_validation_errors():
         bayes_build(BayesModel(m.variables, m.outcomes, m.parents, bad))
 
 
+def test_model_holes_raise_typed_errors_naming_the_variable():
+    m = sprinkler()
+    tables = {"outcomes": m.outcomes, "parents": m.parents, "cpt": m.cpt}
+    for field in tables:
+        holed = {name: dict(table) for name, table in tables.items()}
+        del holed[field]["S"]
+        with pytest.raises(SheafcalcError, match=f"no {field} entry for 'S'"):
+            BayesModel(m.variables, **holed)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(SheafcalcError, match="duplicate outcomes for 'A'"):
+        bayes_build(BayesModel(
+            ("A",), {"A": ("0", "0")}, {"A": ()}, {"A": (half,)}))
+    with pytest.raises(SheafcalcError, match="duplicate parents of 'B'"):
+        bayes_build(BayesModel(
+            ("A", "B"), {"A": ("0", "1"), "B": ("0", "1")},
+            {"A": (), "B": ("A", "A")}, {"A": (half,), "B": (half,) * 4}))
+
+
 def test_outcome_space_guard():
     names = tuple(f"V{i}" for i in range(13))
     with pytest.raises(ValueError, match="too large"):
@@ -287,16 +306,36 @@ def test_sprinkler_passes_both_axes():
 
 
 def test_perturbed_joint_fails_only_the_conditionals():
-    m = sprinkler()
-    vec = list(bayes_build(m).joint)
-    vec[0] += Fraction(1, 7)
-    total = sum(vec)
-    vec = [x / total for x in vec]
-    report = bayes_check(m, joint=vec)
-    assert not report.ok
-    assert report.violations
-    assert all(kind == "conditional-component"
-               for kind, _ in report.violations)
+    # the chain and the random models have two or more variables of two
+    # or more outcomes and no zero CPT entry, so moving any joint entry
+    # breaks at least the last chain step
+    rng = random.Random(4096)
+    models = [sprinkler(), binary_chain(6)] + [
+        random_bayes_model(rng, n_variables=(2, 4), n_outcomes=(2, 3))
+        for _ in range(20)]
+    for m in models:
+        assert bayes_check(m).ok
+        vec = list(bayes_build(m).joint)
+        vec[rng.randrange(len(vec))] += Fraction(1, 7)
+        total = sum(vec)
+        vec = [x / total for x in vec]
+        report = bayes_check(m, joint=vec)
+        assert not report.ok
+        assert report.violations
+        assert all(kind == "conditional-component"
+                   for kind, _ in report.violations)
+
+
+def test_composite_map_agrees_with_both_elimination_routes():
+    rng = random.Random(2020)
+    for _ in range(30):
+        m = random_bayes_model(rng)
+        cosheaf = bayes_build(m).cosheaf
+        full = m.variables
+        for face in cosheaf.base.all_faces():
+            forward = route_matrix(m, cosheaf, face, full, False)
+            backward = route_matrix(m, cosheaf, face, full, True)
+            assert forward == backward == composite_map(cosheaf, face, full)
 
 
 def test_joint_override_length_is_checked():

@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import sheafcalc
 
@@ -29,3 +31,11 @@ def test_refusals_share_one_exception_family():
 def test_module_limits_stay_unexported():
     assert "POWERSET_LIMIT" not in sheafcalc.__all__
     assert "ENUMERATION_LIMIT" not in sheafcalc.__all__
+    assert "OUTCOME_LIMIT" not in sheafcalc.__all__
+
+
+def test_readme_quick_tour_runs_as_written():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (tour,) = re.findall(r"```python\n(.*?)```",
+                         readme.read_text(encoding="utf-8"), re.S)
+    exec(compile(tour, "README.md", "exec"), {})

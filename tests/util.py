@@ -300,6 +300,47 @@ def sprinkler():
         })
 
 
+def binary_chain(n):
+    """X0 -> X1 -> ... -> X(n-1) over binary outcomes, no zero entries."""
+    from fractions import Fraction as f
+
+    from sheafcalc.cohomology import BayesModel
+    names = tuple(f"X{i}" for i in range(n))
+    step = ((f(1, 3), f(2, 3)), (f(3, 4), f(1, 4)))
+    return BayesModel(
+        variables=names,
+        outcomes={v: ("0", "1") for v in names},
+        parents={v: (names[i - 1],) if i else ()
+                 for i, v in enumerate(names)},
+        cpt={v: step if i else ((f(1, 2), f(1, 2)),)
+             for i, v in enumerate(names)})
+
+
+def random_bayes_model(rng, n_variables=(1, 4), n_outcomes=(1, 3)):
+    """Variables V0.. with at most two parents each, added along a random
+    order unrelated to the declaration order; every CPT entry is
+    positive."""
+    from fractions import Fraction
+
+    from sheafcalc.cohomology import BayesModel
+    names = [f"V{i}" for i in range(rng.randint(*n_variables))]
+    order = rng.sample(names, len(names))
+    outcomes = {v: tuple(f"o{j}" for j in range(rng.randint(*n_outcomes)))
+                for v in names}
+    parents, cpt = {}, {}
+    for k, v in enumerate(order):
+        parents[v] = tuple(rng.sample(order[:k], min(k, rng.randint(0, 2))))
+        rows = 1
+        for p in parents[v]:
+            rows *= len(outcomes[p])
+        table = []
+        for _ in range(rows):
+            weights = [rng.randint(1, 4) for _ in outcomes[v]]
+            table.append(tuple(Fraction(w, sum(weights)) for w in weights))
+        cpt[v] = tuple(table)
+    return BayesModel(tuple(names), outcomes, parents, cpt)
+
+
 def random_copresheaf(rng, poset):
     """Random functor on a poset: random stalks of size 1..3, maps built
     on covering relations and composed along lexicographically smallest
@@ -499,3 +540,24 @@ def combination_subgraphs(vertices, edges):
             if _connected(vs, combo):
                 subgraphs[_subgraph_label(vs, combo)] = (vs, frozenset(combo))
     return subgraphs
+
+
+# ------------------------------------------------------------ route oracle
+# The two elimination routes bayes_check compared before it read each
+# marginal through composite_map, kept verbatim.
+
+def route_matrix(m, cosheaf, sub, face, reverse):
+    """Compose single-step marginalizations, dropping variables in the
+    given direction; any two routes must agree."""
+    from sheafcalc.rationals import RationalMatrix
+
+    current = face
+    out = RationalMatrix.identity(cosheaf.stalk_dim[face])
+    extra = [v for v in face if v not in sub]
+    if reverse:
+        extra = list(reversed(extra))
+    for name in extra:
+        smaller = tuple(v for v in current if v != name)
+        out = cosheaf.restriction[(smaller, current)] @ out
+        current = smaller
+    return out
