@@ -2,10 +2,13 @@
 
 A sheaf stores one matrix per covering attachment (dimension gap one);
 longer composites are derived on demand, which path independence makes
-well defined.  Section extension adds its linear constraints face by
-face to one running row reduction, and the obstruction search keeps one
-per face, so an inconsistent seed is pinned to the first face whose
-constraint system dies, the way the worked obstruction example walks it.
+well defined.  Values are carried one attachment at a time along the
+route a composite takes, so spreading vertex data over the faces costs
+one matrix-vector product per face and builds no composite.  Section
+extension adds its linear constraints face by face to one running row
+reduction, and the obstruction search keeps one per face, so an
+inconsistent seed is pinned to the first face whose constraint system
+dies, the way the worked obstruction example walks it.
 """
 
 from collections import deque
@@ -15,8 +18,9 @@ from typing import Optional
 from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
-    RationalMatrix, _augmented, _consistent, _nonzero_rows, _particular,
-    _reduce_row, block_assemble, decompose, rational)
+    RationalMatrix, _augmented, _augmented_identity, _consistent,
+    _nonzero_rows, _particular, _reduce_row, block_assemble, decompose,
+    rational)
 
 __all__ = [
     "CellularSheaf",
@@ -294,12 +298,22 @@ def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total):
 
 
 def _spread(s: CellularSheaf, offsets, vertex_data) -> Assignment:
-    """Vertex data carried to every face through its first vertex."""
+    """Vertex data carried to every face one attachment at a time.
+
+    A vertex takes its block of ``vertex_data``; a higher face takes the
+    image of its facet ``face[:-1]``, which comes earlier in face order.
+    That is the route ``composite_map`` takes from the first vertex, so
+    each face gets the value of the composite, one matrix-vector product
+    per face and no composite matrix.
+    """
     vectors = {}
     for face in s.base.all_faces():
-        v0 = (face[0],)
-        block = vertex_data[offsets[v0]:offsets[v0] + s.stalk_dim[v0]]
-        vectors[face] = composite_map(s, v0, face).apply(block)
+        if len(face) == 1:
+            at = offsets[face]
+            vectors[face] = vertex_data[at:at + s.stalk_dim[face]]
+        else:
+            facet = face[:-1]
+            vectors[face] = s.restriction[(facet, face)].apply(vectors[facet])
     return Assignment(vectors)
 
 
@@ -351,8 +365,7 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment,
     queue = deque()
     for g in faces:
         if g in seed.vectors:
-            identity = RationalMatrix.identity(s.stalk_dim[g])
-            for row in _augmented(identity, seed[g]):
+            for row in _augmented_identity(seed[g]):
                 _reduce_row(reduced[g], row)
             value[g] = seed[g]
             queue.append(g)
@@ -364,8 +377,7 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment,
             dim = s.stalk_dim[n]
             if len(n) > len(g):
                 # value above is forced outright
-                block = _augmented(RationalMatrix.identity(dim),
-                                   s.restriction[(g, n)].apply(xg))
+                block = _augmented_identity(s.restriction[(g, n)].apply(xg))
             else:
                 # value below must map onto the determined value
                 block = _augmented(s.restriction[(n, g)], xg)

@@ -33,6 +33,7 @@ from .cellsheaf import (
 from .cohomology import (
     OUTCOME_LIMIT,
     BayesModel,
+    _outcome_count,
     bayes_build,
     bayes_check,
     cohomology_dims,
@@ -529,7 +530,7 @@ def _parse_model(doc, where):
                               for c, x in enumerate(rdoc)))
         cpt[name] = tuple(rows)
     model = BayesModel(tuple(names), outcomes, parents, cpt)
-    if _expected_joint_length(model) > OUTCOME_LIMIT:
+    if _outcome_count(model) > OUTCOME_LIMIT:
         raise InputError(f"outcome space too large (limit {OUTCOME_LIMIT})",
                          f"{where}:variables")
     return model
@@ -840,13 +841,6 @@ def _cmd_presheaf_check(objects, options):
     return {"ok": True, "covers": count}
 
 
-def _expected_joint_length(m):
-    n = 1
-    for name in m.variables:
-        n *= len(m.outcomes[name])
-    return n
-
-
 def _cmd_bayes_check(objects, options):
     m = objects["model"]
     vector = None
@@ -859,9 +853,9 @@ def _cmd_bayes_check(objects, options):
             raise InputError("joint must be an array", "joint")
         vector = tuple(_rational_value(x, f"joint[{j}]")
                        for j, x in enumerate(doc))
-        if len(vector) != _expected_joint_length(m):
+        if len(vector) != _outcome_count(m):
             raise InputError(
-                f"joint vector needs {_expected_joint_length(m)} entries", "joint")
+                f"joint vector needs {_outcome_count(m)} entries", "joint")
     try:
         report = bayes_check(m, vector)
     except SheafcalcError as err:

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cellsheaf import (
-    CellularSheaf, _require_valid, composite_map, covering_pairs,
-    validate_sheaf)
+    CellularSheaf, _require_valid, covering_pairs, validate_sheaf)
 from .complexes import _signed_facets, face_name, validate_complex
 from .errors import SheafcalcError
-from .rationals import RationalMatrix, block_assemble, decompose, rational
+from .rationals import (
+    RationalMatrix, _product_rows, block_assemble, decompose, rational)
 
 __all__ = [
     "CochainComplex",
@@ -76,7 +76,8 @@ def cochain_complex(s: CellularSheaf) -> CochainComplex:
     dims = tuple(sum(s.stalk_dim[f] for f in layer) for layer in layout)
     deltas = tuple(coboundary(s, k) for k in range(top + 1))
     for k in range(top):
-        assert (deltas[k + 1] @ deltas[k]).is_zero(), f"delta^2 != 0 at {k}"
+        product = _product_rows(deltas[k + 1], deltas[k])
+        assert not any(any(row.values()) for row in product), f"delta^2 != 0 at {k}"
     return CochainComplex(dims, deltas, layout)
 
 
@@ -157,12 +158,17 @@ def _validate_model(m: BayesModel):
                 raise SheafcalcError(f"CPT row {i} for {name!r} has wrong width")
             if sum(row, Fraction(0)) != 1:
                 raise SheafcalcError(f"CPT row {i} for {name!r} does not sum to 1")
-    scale = 1
-    for name in m.variables:
-        scale *= len(m.outcomes[name])
-    if scale > OUTCOME_LIMIT:
+    if _outcome_count(m) > OUTCOME_LIMIT:
         raise SheafcalcError(
             f"outcome space too large (limit {OUTCOME_LIMIT})")
+
+
+def _outcome_count(m: BayesModel) -> int:
+    """Entries of the joint distribution: the product of outcome counts."""
+    n = 1
+    for name in m.variables:
+        n *= len(m.outcomes[name])
+    return n
 
 
 def _topological(m: BayesModel):
@@ -290,20 +296,41 @@ def _brute_marginal(m: BayesModel, face, joint) -> tuple:
     return tuple(sums)
 
 
+def _carried_marginals(cosheaf: CellularSheaf, vec) -> dict:
+    """face -> image of ``vec``, a vector on the top face of a complete
+    simplex, carried down the cosheaf one attachment at a time.
+
+    Walking the faces from largest to smallest, a face takes the image
+    of the face one larger: itself plus its first missing vertex in
+    vertex order.  That is the route ``composite_map(cosheaf, face,
+    top)`` takes, so each face gets the value of the composite, one
+    matrix-vector product per face and no composite matrix.
+    """
+    base = cosheaf.base
+    order = base._index.__getitem__
+    faces = base.all_faces()
+    out = {faces[-1]: vec}
+    for face in reversed(faces[:-1]):
+        missing = next(v for v in base.vertex_order if v not in face)
+        bigger = tuple(sorted(face + (missing,), key=order))
+        out[face] = cosheaf.restriction[(face, bigger)].apply(out[bigger])
+    return out
+
+
 def bayes_check(m: BayesModel, joint=None) -> BayesReport:
     """Marginalization consistency plus CPT-chain reproduction.
 
     The default joint is the CPT product; passing a vector checks that
     distribution instead.  Marginals are recomputed by brute-force
-    summation and compared against the cosheaf's composite map from the
-    joint down to each face.  One route per face is enough: on a simplex
+    summation and compared against the cosheaf's image of the joint on
+    each face, carried down one attachment at a time along the route
+    ``composite_map`` takes.  One route per face is enough: on a simplex
     any two routes differ by a sequence of square swaps, so a route
     disagreement implies a failed square, and the cosheaf's
     path-independence check reports those.  The sheaf side must rebuild
     each chain marginal from the previous one.
     """
     assembly = bayes_build(m)
-    full = _face_of(m, m.variables)
     if joint is None:
         vec = assembly.joint
     else:
@@ -317,10 +344,10 @@ def bayes_check(m: BayesModel, joint=None) -> BayesReport:
         violations.append(("cosheaf-path-independence", structural.witness))
 
     marginal = {}
+    carried = _carried_marginals(assembly.cosheaf, vec)
     for face in assembly.cosheaf.base.all_faces():
         marginal[face] = _brute_marginal(m, face, vec)
-        got = composite_map(assembly.cosheaf, face, full).apply(vec)
-        if got != marginal[face]:
+        if carried[face] != marginal[face]:
             violations.append(("marginalization", face))
 
     for small, big in zip(assembly.chain, assembly.chain[1:]):

@@ -173,15 +173,23 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """
     if a.cols != b.rows:
         raise SheafcalcError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    b_rows = _nonzero_rows(b)
     out = []
+    for acc in _product_rows(a, b):
+        out.extend(acc.get(j, _ZERO) for j in range(b.cols))
+    return RationalMatrix(a.rows, b.cols, out)
+
+
+def _product_rows(a: RationalMatrix, b: RationalMatrix):
+    """Each row of ``a @ b`` in turn as {column: value}, over the columns
+    some product reaches; a value may be a zero left by cancellation.
+    The shapes must already agree."""
+    b_rows = _nonzero_rows(b)
     for a_row in _nonzero_rows(a):
         acc = {}
         for k, x in a_row:
             for j, y in b_rows[k]:
                 acc[j] = acc.get(j, _ZERO) + x * y
-        out.extend(acc.get(j, _ZERO) for j in range(b.cols))
-    return RationalMatrix(a.rows, b.cols, out)
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -276,6 +284,14 @@ def _augmented(a: RationalMatrix, b) -> list:
     """Sparse rows of [A | b]: b sits in column a.cols."""
     return [dict(row + [(a.cols, v)] if v else row)
             for row, v in zip(_nonzero_rows(a), b, strict=True)]
+
+
+def _augmented_identity(b) -> list:
+    """Sparse rows of [I | b], the constraint x = b: b sits in column
+    len(b).  The rows ``_augmented(RationalMatrix.identity(len(b)), b)``
+    gives, without the identity."""
+    n = len(b)
+    return [{i: _ONE, n: v} if v else {i: _ONE} for i, v in enumerate(b)]
 
 
 def _consistent(reduced: dict, rows, rhs: int) -> bool:

@@ -14,8 +14,8 @@ from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import RationalMatrix, decompose
 
 from util import (
-    RUNNING_STALK_DIMS, constant_sheaf, base_complex, random_complex,
-    random_valid_sheaf, running_sheaf, zero_sheaf)
+    RUNNING_STALK_DIMS, composite_spread, constant_sheaf, base_complex,
+    random_complex, random_valid_sheaf, running_sheaf, zero_sheaf)
 
 
 # ------------------------------------------------------ structure checks
@@ -394,6 +394,40 @@ def test_extend_agrees_with_section_space_membership():
             assert result.kind in ("no-consistent-value",
                                    "conflicting-values")
     assert tried_ok and tried_fail
+
+
+def test_sections_and_extensions_match_the_composite_spread():
+    # _spread carries each face's value from its facet; the oracle builds
+    # the composite from the first vertex.  Exact arithmetic makes the
+    # two byte-identical.
+    from sheafcalc.cellsheaf import _vertex_layout
+
+    rng = random.Random(9)
+    triangles = 0
+    for _ in range(60):
+        s = random_valid_sheaf(rng, random_complex(rng))
+        faces = s.base.all_faces()
+        offsets, total = _vertex_layout(s)
+        kernel = decompose(coboundary(s, 0)).kernel_basis
+        space = global_section_space(s)
+        assert repr(space.basis) == repr(
+            tuple(composite_spread(s, offsets, vec) for vec in kernel))
+
+        # seed some faces of a random section, so the extension exists
+        mixed = [Fraction(0)] * total
+        for vec in kernel:
+            c = rng.randint(-2, 2)
+            mixed = [x + c * y for x, y in zip(mixed, vec)]
+        section = composite_spread(s, offsets, tuple(mixed))
+        seeded = rng.sample(faces, min(len(faces), rng.randint(1, 3)))
+        result = extend(s, Assignment({f: section[f] for f in seeded}))
+        assert result.ok
+        vertex_data = tuple(x for v in s.base.k_faces(0)
+                            for x in result.result[v])
+        assert repr(result.result) == repr(
+            composite_spread(s, offsets, vertex_data))
+        triangles += sum(1 for f in faces if len(f) == 3 and s.stalk_dim[f])
+    assert triangles  # routes of two attachments were carried
 
 
 def _path_or_cycle_case(seed):

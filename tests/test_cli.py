@@ -1,7 +1,10 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +80,44 @@ def test_edge_homology_example(tmp_path, capsys):
     code, out = invoke(capsys, "complex", "homology", "--complex", path)
     assert code == 0
     assert out == "[1,0]\n"
+
+
+def _readme_fixture(readme, heading):
+    """The JSON block under a bold heading of README "Input formats"."""
+    (block,) = re.findall(rf"\*\*{heading}\*\*.*?```json\n(.*?)```", readme, re.S)
+    return block
+
+
+def test_readme_worked_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    (transcript,) = re.findall(r"### Worked examples\n\n```sh\n(.*?)```", readme, re.S)
+    # "triangle.json and line.json as above, chain.json the three-element
+    # chain, and bar.json containing [[0, 0], [1, 0]]"
+    (tmp_path / "triangle.json").write_text(_readme_fixture(readme, "Complex"))
+    (tmp_path / "line.json").write_text(_readme_fixture(readme, "Sheaf"))
+    (tmp_path / "chain.json").write_text(_readme_fixture(readme, "Poset"))
+    (tmp_path / "bar.json").write_text("[[0, 0], [1, 0]]")
+    monkeypatch.chdir(tmp_path)
+
+    ran = 0
+    for example in transcript.strip().split("\n\n"):
+        command, *output = example.split("\n")
+        argv = shlex.split(command.removeprefix("$ "))
+        if argv[0] == "printf":
+            fmt, redirect, target = argv[1:]
+            assert redirect == ">"
+            Path(target).write_text(fmt.encode().decode("unicode_escape"))
+            command, *output = output
+            argv = shlex.split(command.removeprefix("$ "))
+        assert argv[0] == "sheafcalc"
+        want_code = 0
+        if "   # exit " in output[-1]:
+            output[-1], code = output[-1].split("   # exit ")
+            want_code = int(code)
+        assert invoke(capsys, *argv[1:]) == (want_code, "\n".join(output) + "\n")
+        ran += 1
+    assert ran == 5
 
 
 def test_running_cohomology_dims(running_path, capsys):

@@ -338,6 +338,26 @@ def test_composite_map_agrees_with_both_elimination_routes():
             assert forward == backward == composite_map(cosheaf, face, full)
 
 
+def test_carried_marginals_match_the_composite_maps():
+    # bayes_check carries the joint down one attachment per face; the
+    # composite map from the full face gives the same values exactly
+    from sheafcalc.cohomology import _carried_marginals
+
+    rng = random.Random(303)
+    models = [random_bayes_model(rng) for _ in range(30)] + [binary_chain(6)]
+    for m in models:
+        assembly = bayes_build(m)
+        cosheaf = assembly.cosheaf
+        full = m.variables
+        raw = [Fraction(rng.randint(0, 5)) for _ in assembly.joint]
+        for vec in (assembly.joint, tuple(raw)):
+            carried = _carried_marginals(cosheaf, vec)
+            assert set(carried) == set(cosheaf.base.all_faces())
+            for face in cosheaf.base.all_faces():
+                want = composite_map(cosheaf, face, full).apply(vec)
+                assert repr(carried[face]) == repr(want), face
+
+
 def test_joint_override_length_is_checked():
     with pytest.raises(ValueError, match="wrong length"):
         bayes_check(sprinkler(), joint=[1])

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import (
-    RationalMatrix, block_assemble, decompose, matmul, rational, solve)
+    RationalMatrix, _augmented, _augmented_identity, _product_rows,
+    block_assemble, decompose, matmul, rational, solve)
 
 from util import dense_decompose, dense_matmul
 
@@ -219,6 +220,20 @@ def test_matmul_equals_dense_oracle(a, data):
     got, want = matmul(a, b), dense_matmul(a, b)
     assert got == want
     assert repr(got.data) == repr(want.data)
+    # the delta-squared check scans these rows instead of the product
+    rows = list(_product_rows(a, b))
+    assert len(rows) == a.rows
+    assert any(any(r.values()) for r in rows) == (not want.is_zero())
+
+
+def test_product_rows_keep_cancelled_entries_as_zeros():
+    # the first row of the product cancels to zero but keeps its entry,
+    # so a nonzero scan must read the values, not the keys
+    a = RationalMatrix.from_rows([[1, 1], [0, 2]])
+    b = RationalMatrix.from_rows([[1], [-1]])
+    assert list(_product_rows(a, b)) == [{0: 0}, {0: -2}]
+    (first,) = _product_rows(RationalMatrix.from_rows([[1, 1]]), b)
+    assert first and not any(first.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,6 +291,13 @@ def test_solve_rejects_wrong_length_rhs():
     for b in ([1], [1, 2, 3]):
         with pytest.raises(SheafcalcError):
             solve(a, b)
+
+
+def test_augmented_identity_rows_are_those_of_the_identity():
+    for b in ((), (Fraction(0),), (Fraction(3), Fraction(0), Fraction(-1, 2))):
+        want = _augmented(RationalMatrix.identity(len(b)), b)
+        got = _augmented_identity(b)
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
 
 
 # --------------------------------------------------------------- assembly

@@ -561,3 +561,19 @@ def route_matrix(m, cosheaf, sub, face, reverse):
         out = cosheaf.restriction[(smaller, current)] @ out
         current = smaller
     return out
+
+
+# ------------------------------------------------------------ spread oracle
+# The per-face composite spread that cellsheaf._spread replaced, kept
+# verbatim: each face builds the composite map from its first vertex.
+
+def composite_spread(s, offsets, vertex_data):
+    """Vertex data carried to every face through its first vertex."""
+    from sheafcalc.cellsheaf import Assignment, composite_map
+
+    vectors = {}
+    for face in s.base.all_faces():
+        v0 = (face[0],)
+        block = vertex_data[offsets[v0]:offsets[v0] + s.stalk_dim[v0]]
+        vectors[face] = composite_map(s, v0, face).apply(block)
+    return Assignment(vectors)
