@@ -18,9 +18,8 @@ from typing import Optional
 from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
-    RationalMatrix, _augmented, _augmented_identity, _consistent,
-    _nonzero_rows, _particular, _reduce_row, block_assemble, decompose,
-    rational)
+    RationalMatrix, _augmented, _consistent, _particular, _reduce_row,
+    block_assemble, decompose, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -278,7 +277,7 @@ def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total):
     """
     from .cohomology import coboundary
 
-    delta0 = _nonzero_rows(coboundary(s, 0))  # edge blocks in face order
+    delta0 = coboundary(s, 0)._rows  # edge blocks in face order; never mutated
     groups = []
     at = 0
     for face in s.base.all_faces():
@@ -365,7 +364,7 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment,
     queue = deque()
     for g in faces:
         if g in seed.vectors:
-            for row in _augmented_identity(seed[g]):
+            for row in _augmented(RationalMatrix.identity(len(seed[g])), seed[g]):
                 _reduce_row(reduced[g], row)
             value[g] = seed[g]
             queue.append(g)
@@ -377,7 +376,8 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment,
             dim = s.stalk_dim[n]
             if len(n) > len(g):
                 # value above is forced outright
-                block = _augmented_identity(s.restriction[(g, n)].apply(xg))
+                block = _augmented(RationalMatrix.identity(dim),
+                                   s.restriction[(g, n)].apply(xg))
             else:
                 # value below must map onto the determined value
                 block = _augmented(s.restriction[(n, g)], xg)

@@ -14,7 +14,7 @@ from .cellsheaf import (
 from .complexes import _signed_facets, face_name, validate_complex
 from .errors import SheafcalcError
 from .rationals import (
-    RationalMatrix, _product_rows, block_assemble, decompose, rational)
+    RationalMatrix, block_assemble, decompose, rational)
 
 __all__ = [
     "CochainComplex",
@@ -76,8 +76,7 @@ def cochain_complex(s: CellularSheaf) -> CochainComplex:
     dims = tuple(sum(s.stalk_dim[f] for f in layer) for layer in layout)
     deltas = tuple(coboundary(s, k) for k in range(top + 1))
     for k in range(top):
-        product = _product_rows(deltas[k + 1], deltas[k])
-        assert not any(any(row.values()) for row in product), f"delta^2 != 0 at {k}"
+        assert (deltas[k + 1] @ deltas[k]).is_zero(), f"delta^2 != 0 at {k}"
     return CochainComplex(dims, deltas, layout)
 
 
@@ -210,10 +209,10 @@ def _marginalize_matrix(m: BayesModel, sub, face) -> RationalMatrix:
     """0/1 summation matrix collapsing the face's distribution onto sub."""
     sub_index = _index_map(m, sub)
     cols = _combos(m, face)
-    rows = [[Fraction(0)] * len(cols) for _ in sub_index]
+    rows = tuple({} for _ in sub_index)
     for j, combo in enumerate(cols):
         rows[sub_index[_restrict_combo(face, sub, combo)]][j] = Fraction(1)
-    return RationalMatrix.from_rows(rows, cols=len(cols))
+    return RationalMatrix._from_sparse(len(rows), len(cols), rows)
 
 
 def _cpt_value(m: BayesModel, name, own, parent_combo) -> Fraction:
@@ -229,13 +228,12 @@ def _conditional_matrix(m: BayesModel, small, big) -> RationalMatrix:
     small_index = _index_map(m, small)
     rows = []
     for combo in _combos(m, big):
-        row = [Fraction(0)] * len(small_index)
         below = _restrict_combo(big, small, combo)
         own = combo[big.index(new)]
         parent_combo = _restrict_combo(big, m.parents[new], combo)
-        row[small_index[below]] = _cpt_value(m, new, own, parent_combo)
-        rows.append(row)
-    return RationalMatrix.from_rows(rows, cols=len(small_index))
+        p = _cpt_value(m, new, own, parent_combo)
+        rows.append({small_index[below]: p} if p else {})
+    return RationalMatrix._from_sparse(len(rows), len(small_index), tuple(rows))
 
 
 def bayes_build(m: BayesModel) -> BayesAssembly:

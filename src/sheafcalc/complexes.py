@@ -221,12 +221,12 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> RationalMatrix:
     rows = complex_.k_faces(k - 1)
     cols = complex_.k_faces(k)
     row_of = {a: i for i, a in enumerate(rows)}
-    entries = [0] * (len(rows) * len(cols))
+    sparse = tuple({} for _ in rows)
     for j, b in enumerate(cols):
         for a, sign in _signed_facets(b):
             if a in row_of:
-                entries[row_of[a] * len(cols) + j] = sign
-    return RationalMatrix(len(rows), len(cols), entries)
+                sparse[row_of[a]][j] = rational(sign)
+    return RationalMatrix._from_sparse(len(rows), len(cols), sparse)
 
 
 def homology_dims(complex_: SimplicialComplex):

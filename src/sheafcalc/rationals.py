@@ -1,19 +1,19 @@
-"""Exact linear algebra over the rationals: dense storage, with
-products and elimination over nonzeros.
+"""Exact linear algebra over the rationals, stored as sparse rows.
 
 Scalars are ``fractions.Fraction`` (always canonical: gcd 1, positive
-denominator).  Matrices are immutable, row-major, and empty shapes
-(0 x n, n x 0) are first-class citizens so that block assembly and
-chain-complex code never has to special-case them.  Products and
-elimination read each row's nonzeros once and do arithmetic on those
-only, so a coboundary with k+2 nonzero blocks per row costs work in
-proportion to its nonzeros, not to its area.
+denominator).  Matrices are immutable, and empty shapes (0 x n, n x 0)
+are first-class citizens so that block assembly and chain-complex code
+never has to special-case them.  A matrix stores one {column: nonzero}
+dict per row, never a zero, and ``data`` is a dense view built on each
+read.  Products and elimination work on the nonzeros only, so a
+coboundary costs work in proportion to its nonzeros, not to its area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import SheafcalcError
 
@@ -49,17 +49,29 @@ def rational(value) -> Fraction:
 
 
 class RationalMatrix:
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_rows")
 
-    def __init__(self, rows: int, cols: int, entries):
+    def __new__(cls, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise SheafcalcError(f"negative shape {rows}x{cols}")
-        data = tuple(rational(x) for x in entries)
+        data = [rational(x) for x in entries]
         if len(data) != rows * cols:
             raise SheafcalcError(f"expected {rows * cols} entries, got {len(data)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        sparse = tuple([{} for _ in range(rows)])
+        for k, x in enumerate(data):
+            if x:
+                sparse[k // cols][k % cols] = x
+        return cls._from_sparse(rows, cols, sparse)
+
+    @classmethod
+    def _from_sparse(cls, rows: int, cols: int, sparse: tuple) -> "RationalMatrix":
+        """The trusted constructor, unchecked: ``sparse`` is one {column:
+        nonzero Fraction} dict per row, kept as given and never mutated."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_rows", sparse)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -81,43 +93,59 @@ class RationalMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise SheafcalcError(f"negative shape {rows}x{cols}")
+        return cls._from_sparse(rows, cols, tuple({} for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        if n < 0:
+            raise SheafcalcError(f"negative shape {n}x{n}")
+        return cls._from_sparse(n, n, tuple({i: _ONE} for i in range(n)))
+
+    @property
+    def data(self) -> tuple:
+        """All entries row by row, zeros included."""
+        return tuple(x for r in self._rows for x in self._dense(r))
+
+    def _dense(self, r: dict) -> list:
+        line = [_ZERO] * self.cols
+        for j, x in r.items():
+            line[j] = x
+        return line
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise SheafcalcError(f"no entry ({i}, {j}) in {self.rows}x{self.cols}")
-        return self.data[i * self.cols + j]
+        return self._rows[i].get(j, _ZERO)
 
     def row(self, i: int) -> tuple:
         if not 0 <= i < self.rows:
             raise SheafcalcError(f"no row {i} in {self.rows}x{self.cols}")
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        return tuple(self._dense(self._rows[i]))
 
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.cols:
             raise SheafcalcError(f"no column {j} in {self.rows}x{self.cols}")
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        return tuple(r.get(j, _ZERO) for r in self._rows)
 
     def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [self._dense(r) for r in self._rows]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows,
-            [self.data[i * self.cols + j]
-             for j in range(self.cols) for i in range(self.rows)])
+        out = tuple({} for _ in range(self.cols))
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                out[j][i] = x
+        return RationalMatrix._from_sparse(self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not any(self._rows)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+        return (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.data))
@@ -125,18 +153,21 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise SheafcalcError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        return RationalMatrix(self.rows, self.cols,
-                              [a + b for a, b in zip(self.data, other.data)])
+        out = tuple(dict(r) for r in self._rows)
+        for r, s in zip(out, other._rows):
+            _eliminate(r, -_ONE, s)
+        return RationalMatrix._from_sparse(self.rows, self.cols, out)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, [-a for a in self.data])
+        return self.scale(-_ONE)
 
     def scale(self, k) -> "RationalMatrix":
         k = rational(k)
-        return RationalMatrix(self.rows, self.cols, [k * a for a in self.data])
+        return RationalMatrix._from_sparse(self.rows, self.cols, tuple(
+            {j: k * x for j, x in r.items()} if k else {} for r in self._rows))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         return matmul(self, other)
@@ -147,22 +178,15 @@ class RationalMatrix:
         if len(vec) != self.cols:
             raise SheafcalcError(f"vector of length {len(vec)} against "
                                  f"{self.rows}x{self.cols}")
-        return tuple(sum((x * vec[j] for j, x in row), start=_ZERO)
-                     for row in _nonzero_rows(self))
+        return tuple(sum((x * vec[j] for j, x in row.items()), start=_ZERO)
+                     for row in self._rows)
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"RationalMatrix({self.rows}x{self.cols})"
         body = "; ".join(
-            " ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+            " ".join(str(x) for x in self._dense(r)) for r in self._rows)
         return f"RationalMatrix[{body}]"
-
-
-def _nonzero_rows(m: RationalMatrix) -> list:
-    """Each row of ``m`` as its (column, value) pairs with value != 0."""
-    cols, data = m.cols, m.data
-    return [[(j, x) for j, x in enumerate(data[i * cols:(i + 1) * cols]) if x]
-            for i in range(m.rows)]
 
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -170,26 +194,20 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
     Only products of two nonzero entries are formed: Theta(sum over the
     nonzeros a_ik of the nonzeros in row k of b) Fraction operations.
+    Entries that cancel to zero are dropped.
     """
     if a.cols != b.rows:
         raise SheafcalcError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    b_rows = b._rows
     out = []
-    for acc in _product_rows(a, b):
-        out.extend(acc.get(j, _ZERO) for j in range(b.cols))
-    return RationalMatrix(a.rows, b.cols, out)
-
-
-def _product_rows(a: RationalMatrix, b: RationalMatrix):
-    """Each row of ``a @ b`` in turn as {column: value}, over the columns
-    some product reaches; a value may be a zero left by cancellation.
-    The shapes must already agree."""
-    b_rows = _nonzero_rows(b)
-    for a_row in _nonzero_rows(a):
+    for a_row in a._rows:
         acc = {}
-        for k, x in a_row:
-            for j, y in b_rows[k]:
-                acc[j] = acc.get(j, _ZERO) + x * y
-        yield acc
+        for k, x in a_row.items():
+            for j, y in b_rows[k].items():
+                p = x * y
+                acc[j] = acc[j] + p if j in acc else p
+        out.append({j: v for j, v in acc.items() if v})
+    return RationalMatrix._from_sparse(a.rows, b.cols, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -211,22 +229,19 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
     """
     rows, cols = m.rows, m.cols
     reduced = {}
-    for row in _nonzero_rows(m):
+    for row in m._rows:
         if len(reduced) == cols:
             break
         _reduce_row(reduced, row)
 
     pivots = sorted(reduced)
-    data = []
+    rref = []
     free = {c: [] for c in range(cols) if c not in reduced}
     for pc in pivots:
-        line = [_ZERO] * cols
-        line[pc] = _ONE
+        rref.append({pc: _ONE, **reduced[pc]})
         for c, x in reduced[pc].items():
-            line[c] = x
             free[c].append((pc, -x))
-        data.extend(line)
-    data.extend([_ZERO] * ((rows - len(pivots)) * cols))
+    rref.extend({} for _ in range(rows - len(pivots)))
 
     kernel = []
     for fc, entries in free.items():
@@ -241,13 +256,13 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
         rank=len(pivots),
         kernel_basis=tuple(kernel),
         image_basis=image,
-        rref=RationalMatrix(rows, cols, data),
+        rref=RationalMatrix._from_sparse(rows, cols, tuple(rref)),
         pivots=tuple(pivots))
 
 
 def _reduce_row(reduced: dict, row):
-    """Add one sparse row ({column: nonzero} or its pairs, left unchanged)
-    to ``reduced``, {pivot column: rest of its rref row}.  The row is
+    """Add one sparse row ({column: nonzero}, left unchanged) to
+    ``reduced``, {pivot column: rest of its rref row}.  The row is
     reduced against the stored rows; its leftmost remaining nonzero
     becomes a pivot and is eliminated from them, so they stay the unique
     rref of the rows added.  Returns the new pivot column, or None."""
@@ -281,17 +296,9 @@ def _eliminate(r: dict, f, tail: dict):
 
 
 def _augmented(a: RationalMatrix, b) -> list:
-    """Sparse rows of [A | b]: b sits in column a.cols."""
-    return [dict(row + [(a.cols, v)] if v else row)
-            for row, v in zip(_nonzero_rows(a), b, strict=True)]
-
-
-def _augmented_identity(b) -> list:
-    """Sparse rows of [I | b], the constraint x = b: b sits in column
-    len(b).  The rows ``_augmented(RationalMatrix.identity(len(b)), b)``
-    gives, without the identity."""
-    n = len(b)
-    return [{i: _ONE, n: v} if v else {i: _ONE} for i, v in enumerate(b)]
+    """Sparse rows of [A | b], copies of A's: b sits in column a.cols."""
+    return [{**row, a.cols: v} if v else dict(row)
+            for row, v in zip(a._rows, b, strict=True)]
 
 
 def _consistent(reduced: dict, rows, rhs: int) -> bool:
@@ -336,18 +343,11 @@ def block_assemble(blocks, row_dims, col_dims) -> RationalMatrix:
             raise SheafcalcError(
                 f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
                 f"grid wants {row_dims[i]}x{col_dims[j]}")
-    total_rows = sum(row_dims)
-    total_cols = sum(col_dims)
-    row_off = [0]
-    for d in row_dims:
-        row_off.append(row_off[-1] + d)
-    col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
-    grid = [[Fraction(0)] * total_cols for _ in range(total_rows)]
+    row_off = list(accumulate(row_dims, initial=0))
+    col_off = list(accumulate(col_dims, initial=0))
+    out = tuple({} for _ in range(row_off[-1]))
     for (i, j), blk in blocks.items():
-        for r in range(blk.rows):
-            base = row_off[i] + r
-            for c in range(blk.cols):
-                grid[base][col_off[j] + c] = blk.entry(r, c)
-    return RationalMatrix(total_rows, total_cols, [x for row in grid for x in row])
+        at = col_off[j]
+        for r, row in enumerate(blk._rows, start=row_off[i]):
+            out[r].update((at + c, x) for c, x in row.items())
+    return RationalMatrix._from_sparse(row_off[-1], col_off[-1], out)

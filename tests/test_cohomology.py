@@ -232,8 +232,16 @@ def test_model_holes_raise_typed_errors_naming_the_variable():
             {"A": (), "B": ("A", "A")}, {"A": (half,), "B": (half,) * 4}))
 
 
-def test_outcome_space_guard():
-    names = tuple(f"V{i}" for i in range(13))
+def test_outcome_space_guard(monkeypatch):
+    from sheafcalc import cohomology
+
+    def unreachable(*args):
+        raise AssertionError("the outcome cap let the model through")
+
+    # 2 ** bit_length outcomes always exceed the cap, whatever it is; a
+    # cap that admits them fails here instead of building the cosheaf
+    monkeypatch.setattr(cohomology, "_marginalize_matrix", unreachable)
+    names = tuple(f"V{i}" for i in range(cohomology.OUTCOME_LIMIT.bit_length()))
     with pytest.raises(ValueError, match="too large"):
         bayes_build(BayesModel(
             names, {n: ("0", "1") for n in names},
@@ -288,6 +296,11 @@ def test_conditional_chain_follows_the_dag():
         [0, Fraction(2, 5)],
         [Fraction(99, 100), 0],
         [0, Fraction(3, 5)]]
+    # one CPT entry per row, and P(w | ~s, ~r) = 0 is left out of the
+    # stored rows, so the matrix equals the one its dense entries build
+    grow_w = a.sheaf.restriction[(("S", "R"), ("W", "S", "R"))]
+    assert [len(row) for row in grow_w._rows] == [1, 1, 1, 0, 1, 1, 1, 1]
+    assert grow_w == RationalMatrix(grow_w.rows, grow_w.cols, grow_w.data)
 
 
 def test_joint_is_the_cpt_product():

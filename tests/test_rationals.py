@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import (
-    RationalMatrix, _augmented, _augmented_identity, _product_rows,
-    block_assemble, decompose, matmul, rational, solve)
+    RationalMatrix, block_assemble, decompose, matmul, rational, solve)
 
 from util import dense_decompose, dense_matmul
 
@@ -220,20 +219,54 @@ def test_matmul_equals_dense_oracle(a, data):
     got, want = matmul(a, b), dense_matmul(a, b)
     assert got == want
     assert repr(got.data) == repr(want.data)
-    # the delta-squared check scans these rows instead of the product
-    rows = list(_product_rows(a, b))
-    assert len(rows) == a.rows
-    assert any(any(r.values()) for r in rows) == (not want.is_zero())
 
 
-def test_product_rows_keep_cancelled_entries_as_zeros():
-    # the first row of the product cancels to zero but keeps its entry,
-    # so a nonzero scan must read the values, not the keys
+def assert_stored_canonically(m):
+    """No stored row holds a zero, and m is the matrix its dense view
+    builds, hash included."""
+    assert len(m._rows) == m.rows
+    assert all(x != 0 and 0 <= j < m.cols for r in m._rows for j, x in r.items())
+    dense = RationalMatrix(m.rows, m.cols, m.data)
+    assert m == dense
+    assert hash(m) == hash(dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_every_way_of_building_a_matrix_stores_only_nonzeros(m, data):
+    other = data.draw(sparse_matrices(rows=m.rows, cols=m.cols))
+    right = data.draw(sparse_matrices(rows=m.cols))
+    k = data.draw(st.one_of(st.just(Fraction(0)), nonzero_entries))
+    before = (m.data, other.data, right.data)
+    # [m | m] @ [right; -right] is zero, every product cancelling
+    twice = block_assemble({(0, 0): m, (0, 1): m}, [m.rows], [m.cols, m.cols])
+    both = block_assemble({(0, 0): right, (1, 0): -right},
+                          [m.cols, m.cols], [right.cols])
+    built = [
+        m,
+        RationalMatrix.from_rows(m.row_lists(), cols=m.cols),
+        RationalMatrix.zero(m.rows, m.cols),
+        RationalMatrix.identity(m.cols),
+        m.transpose(),
+        m + other, m + (-m), m - other, m - m, -m,
+        m.scale(k), m.scale(0),
+        m @ right, twice @ both, twice, both,
+        decompose(m).rref,
+    ]
+    for got in built:
+        assert_stored_canonically(got)
+    assert (m.data, other.data, right.data) == before  # operands untouched
+
+
+def test_products_that_cancel_store_no_zero():
+    # the first row of the product cancels to zero and stores nothing,
+    # so the delta-squared check can ask is_zero()
     a = RationalMatrix.from_rows([[1, 1], [0, 2]])
     b = RationalMatrix.from_rows([[1], [-1]])
-    assert list(_product_rows(a, b)) == [{0: 0}, {0: -2}]
-    (first,) = _product_rows(RationalMatrix.from_rows([[1, 1]]), b)
-    assert first and not any(first.values())
+    prod = matmul(a, b)
+    assert prod._rows == ({}, {0: -2})
+    assert prod == RationalMatrix.from_rows([[0], [-2]])
+    assert matmul(RationalMatrix.from_rows([[1, 1]]), b).is_zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,13 +324,6 @@ def test_solve_rejects_wrong_length_rhs():
     for b in ([1], [1, 2, 3]):
         with pytest.raises(SheafcalcError):
             solve(a, b)
-
-
-def test_augmented_identity_rows_are_those_of_the_identity():
-    for b in ((), (Fraction(0),), (Fraction(3), Fraction(0), Fraction(-1, 2))):
-        want = _augmented(RationalMatrix.identity(len(b)), b)
-        got = _augmented_identity(b)
-        assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
 
 
 # --------------------------------------------------------------- assembly
