@@ -13,6 +13,10 @@ arrive already sorted by the complex's vertex order, because the
 attachment signs depend on that order; unsorted faces are rejected
 rather than silently reordered.  Output is deterministic: the same
 command on the same files produces the same bytes.
+
+Only ``errors`` is imported with this module.  Each parser and action
+imports the library functions it calls when it runs, so one call loads
+only the modules its verb needs.
 """
 
 import argparse
@@ -22,44 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cellsheaf import (
-    Assignment,
-    CellularSheaf,
-    covering_pairs,
-    extend,
-    global_section_space,
-    validate_sheaf,
-)
-from .cohomology import (
-    OUTCOME_LIMIT,
-    BayesModel,
-    _outcome_count,
-    bayes_build,
-    bayes_check,
-    cohomology_dims,
-)
-from .complexes import face_name, homology_dims, validate_complex
 from .errors import SheafcalcError
-from .finsheaf import FinitePresheaf, irredundant_covers, sheaf_check, validate_presheaf
-from .galois import (
-    AdjointSynthesisError,
-    GaloisConnection,
-    check_connection,
-    left_adjoint_of,
-    right_adjoint_of,
-)
-from .modal import DirectedMultigraph, boundary, modal_iterate, subgraph
-from .morphology import BinaryImage, StructuringElement, closing, dilate, erode, opening
-from .poset import (
-    OrderViolation,
-    _monotonicity_witness,
-    downset_family,
-    set_label,
-    validate_poset,
-    validate_topology,
-    yoneda_check,
-)
-from .rationals import RationalMatrix, rational
 
 __all__ = ["Command", "InputError", "Failure", "parse_inputs", "run", "main"]
 
@@ -152,6 +119,8 @@ def _string_list(doc, where, allow_empty=False):
 
 
 def _rational_value(value, where) -> Fraction:
+    from .rationals import rational
+
     # JSON floats are refused: 0.1 arrives already rounded to binary
     if isinstance(value, float):
         raise InputError(
@@ -193,6 +162,8 @@ def _face_from_name(base, text, where):
 # ------------------------------------------------------------- parsers
 
 def _parse_complex(doc, where):
+    from .complexes import validate_complex
+
     obj = _as_object(doc, where, keys={"vertices", "faces"}, required=("faces",))
     vertices = None
     if "vertices" in obj:
@@ -214,6 +185,8 @@ def _parse_complex(doc, where):
 
 
 def _parse_matrix(doc, where, default_cols=0):
+    from .rationals import RationalMatrix
+
     if not isinstance(doc, list):
         raise InputError("matrix must be an array of rows", where)
     rows = []
@@ -233,6 +206,9 @@ def _parse_matrix(doc, where, default_cols=0):
 
 
 def _parse_sheaf(doc, where, base_dir):
+    from .cellsheaf import CellularSheaf, covering_pairs
+    from .complexes import face_name
+
     obj = _as_object(doc, where, keys={"complex", "stalks", "maps", "variance"},
                      required=("complex", "stalks", "maps"))
     cdoc = obj["complex"]
@@ -272,6 +248,8 @@ def _parse_sheaf(doc, where, base_dir):
 
 
 def _parse_seed(text, s, flag="seed"):
+    from .cellsheaf import Assignment
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -291,6 +269,8 @@ def _parse_seed(text, s, flag="seed"):
 
 
 def _parse_poset(doc, where):
+    from .poset import OrderViolation, validate_poset
+
     obj = _as_object(doc, where, keys={"elements", "leq"}, required=("elements",))
     elements = _string_list(obj["elements"], f"{where}:elements")
     if len(set(elements)) != len(elements):
@@ -352,6 +332,8 @@ def _parse_connection(doc, where):
 
 
 def _parse_graph(doc, where):
+    from .modal import DirectedMultigraph
+
     obj = _as_object(doc, where, keys={"vertices", "edges"}, required=("vertices",))
     vertices = _string_list(obj["vertices"], f"{where}:vertices")
     if len(set(vertices)) != len(vertices):
@@ -380,6 +362,8 @@ def _parse_graph(doc, where):
 
 
 def _parse_subgraph(doc, g, where):
+    from .modal import subgraph
+
     obj = _as_object(doc, where, keys={"vertices", "edges"})
     vertices = _string_list(obj.get("vertices", []), f"{where}:vertices",
                             allow_empty=True)
@@ -399,12 +383,15 @@ def _parse_subgraph(doc, g, where):
 
 @dataclass(frozen=True)
 class _PresheafDoc:
-    presheaf: FinitePresheaf
+    presheaf: object  # a finsheaf.FinitePresheaf
     open_sets: dict  # name -> frozenset of points
     name_of: dict    # frozenset -> name
 
 
 def _parse_presheaf(doc, where):
+    from .finsheaf import FinitePresheaf
+    from .poset import validate_topology
+
     obj = _as_object(doc, where, keys={"opens", "restrictions", "topology"},
                      required=("opens", "restrictions", "topology"))
     entries = obj["topology"]
@@ -488,6 +475,8 @@ def _parse_presheaf(doc, where):
 
 
 def _parse_model(doc, where):
+    from .cohomology import OUTCOME_LIMIT, BayesModel, _outcome_count
+
     obj = _as_object(doc, where, keys={"variables"}, required=("variables",))
     vdocs = obj["variables"]
     if not isinstance(vdocs, list) or not vdocs:
@@ -537,6 +526,8 @@ def _parse_model(doc, where):
 
 
 def _parse_bitmap(path, flag):
+    from .morphology import BinaryImage
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -562,6 +553,8 @@ def _parse_bitmap(path, flag):
 
 
 def _parse_element(doc, flag):
+    from .morphology import StructuringElement
+
     if not isinstance(doc, list) or not doc:
         raise InputError("offsets must be a nonempty array", flag)
     offsets = []
@@ -611,6 +604,8 @@ def parse_inputs(command: Command) -> dict:
 # ------------------------------------------------------------- actions
 
 def _sheaf_witness(base, report):
+    from .complexes import face_name
+
     if report.kind == "missing-map":
         sigma, tau = report.witness
         return {"kind": report.kind,
@@ -626,6 +621,8 @@ def _sheaf_witness(base, report):
 
 
 def _checked_sheaf(objects):
+    from .cellsheaf import validate_sheaf
+
     s = objects["sheaf"]
     report = validate_sheaf(s)
     if not report.ok:
@@ -639,6 +636,8 @@ def _require_sheaf_variance(s, action):
 
 
 def _assignment_json(base, assignment):
+    from .complexes import face_name
+
     return {face_name(base, face): [str(x) for x in assignment[face]]
             for face in base.all_faces() if face in assignment.support}
 
@@ -650,6 +649,8 @@ def _cmd_complex_validate(objects, options):
 
 
 def _cmd_complex_homology(objects, options):
+    from .complexes import homology_dims
+
     return list(homology_dims(objects["complex"]))
 
 
@@ -659,6 +660,9 @@ def _cmd_sheaf_validate(objects, options):
 
 
 def _cmd_sheaf_extend(objects, options):
+    from .cellsheaf import extend
+    from .complexes import face_name
+
     s = _checked_sheaf(objects)
     _require_sheaf_variance(s, "extend")
     seed = _parse_seed(options["seed"], s)
@@ -670,6 +674,8 @@ def _cmd_sheaf_extend(objects, options):
 
 
 def _cmd_sheaf_sections(objects, options):
+    from .cellsheaf import global_section_space
+
     s = _checked_sheaf(objects)
     _require_sheaf_variance(s, "sections")
     space = global_section_space(s)
@@ -678,6 +684,8 @@ def _cmd_sheaf_sections(objects, options):
 
 
 def _cmd_cohomology_dims(objects, options):
+    from .cohomology import cohomology_dims
+
     s = _checked_sheaf(objects)
     _require_sheaf_variance(s, "cohomology")
     return list(cohomology_dims(s))
@@ -690,6 +698,8 @@ def _cmd_poset_validate(objects, options):
 
 
 def _cmd_poset_downsets(objects, options):
+    from .poset import downset_family, set_label
+
     try:
         family = downset_family(objects["poset"])
     except SheafcalcError as err:
@@ -698,6 +708,8 @@ def _cmd_poset_downsets(objects, options):
 
 
 def _cmd_poset_yoneda(objects, options):
+    from .poset import yoneda_check
+
     try:
         ok, witness = yoneda_check(objects["poset"])
     except SheafcalcError as err:
@@ -708,6 +720,8 @@ def _cmd_poset_yoneda(objects, options):
 
 
 def _cmd_galois_check(objects, options):
+    from .galois import GaloisConnection, check_connection
+
     c = objects["connection"]
     for side in ("left", "right"):
         if getattr(c, side) is None:
@@ -719,6 +733,9 @@ def _cmd_galois_check(objects, options):
 
 
 def _cmd_galois_adjoint(objects, options):
+    from .galois import AdjointSynthesisError, left_adjoint_of, right_adjoint_of
+    from .poset import _monotonicity_witness
+
     c = objects["connection"]
     direction = options.get("direction", "right")
     if direction not in ("right", "left"):
@@ -743,9 +760,11 @@ def _cmd_galois_adjoint(objects, options):
     return {"direction": direction, "adjoint": adjoint}
 
 
-def _morph_action(op):
+def _morph_action(name):
     def handler(objects, options):
-        out = op(objects["bitmap"], objects["element"])
+        from . import morphology
+
+        out = getattr(morphology, name)(objects["bitmap"], objects["element"])
         return PlainText(_render_bitmap(out))
     return handler
 
@@ -763,16 +782,22 @@ def _subgraph_json(s):
 
 def _modal_action(which):
     def handler(objects, options):
+        from .modal import modal_iterate
+
         trace = modal_iterate(objects["graph"], objects["subgraph"], which)
         return _subgraph_json(trace.stabilized)
     return handler
 
 
 def _cmd_modal_boundary(objects, options):
+    from .modal import boundary
+
     return _subgraph_json(boundary(objects["graph"], objects["subgraph"]))
 
 
 def _cmd_presheaf_validate(objects, options):
+    from .finsheaf import validate_presheaf
+
     bundle = objects["presheaf"]
     report = validate_presheaf(bundle.presheaf)
     if report.ok:
@@ -804,6 +829,8 @@ def _cover_witness(bundle, target, members, condition):
 
 
 def _cmd_presheaf_check(objects, options):
+    from .finsheaf import irredundant_covers, sheaf_check
+
     bundle = objects["presheaf"]
     p = bundle.presheaf
     target_name = options.get("target")
@@ -842,6 +869,8 @@ def _cmd_presheaf_check(objects, options):
 
 
 def _cmd_bayes_check(objects, options):
+    from .cohomology import _outcome_count, bayes_check
+
     m = objects["model"]
     vector = None
     if "joint" in options:
@@ -867,6 +896,8 @@ def _cmd_bayes_check(objects, options):
 
 
 def _cmd_bayes_joint(objects, options):
+    from .cohomology import bayes_build
+
     try:
         assembly = bayes_build(objects["model"])
     except SheafcalcError as err:
@@ -899,13 +930,13 @@ ACTIONS = {
         ("connection",), (("direction", False),), _cmd_galois_adjoint,
         "synthesize the missing adjoint, or report why none exists"),
     ("morph", "dilate"): _ActionSpec(
-        ("bitmap", "element"), (), _morph_action(dilate), "Minkowski sum"),
+        ("bitmap", "element"), (), _morph_action("dilate"), "Minkowski sum"),
     ("morph", "erode"): _ActionSpec(
-        ("bitmap", "element"), (), _morph_action(erode), "Minkowski difference"),
+        ("bitmap", "element"), (), _morph_action("erode"), "Minkowski difference"),
     ("morph", "open"): _ActionSpec(
-        ("bitmap", "element"), (), _morph_action(opening), "erode, then dilate"),
+        ("bitmap", "element"), (), _morph_action("opening"), "erode, then dilate"),
     ("morph", "close"): _ActionSpec(
-        ("bitmap", "element"), (), _morph_action(closing), "dilate, then erode"),
+        ("bitmap", "element"), (), _morph_action("closing"), "dilate, then erode"),
     ("modal", "diamond"): _ActionSpec(
         ("graph", "subgraph"), (), _modal_action("diamond"),
         "iterate co-negation of negation to its fixpoint"),

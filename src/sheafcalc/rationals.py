@@ -76,6 +76,10 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild from the stored sparse rows
+        return type(self)._from_sparse, (self.rows, self.cols, self._rows)
+
     @classmethod
     def from_rows(cls, rows_list, cols: int | None = None) -> "RationalMatrix":
         rows_list = [list(r) for r in rows_list]

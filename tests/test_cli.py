@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sheafcalc import cli
+from sheafcalc import cohomology
 from sheafcalc.cli import main
 from sheafcalc.complexes import face_name
 from sheafcalc.morphology import (
@@ -607,11 +607,12 @@ def test_bayes_cycle_is_a_domain_failure(tmp_path, capsys):
 
 
 def test_library_bug_is_a_traceback_not_a_domain_failure(tmp_path, monkeypatch):
-    # only SheafcalcError is refused input; any other ValueError is a bug
+    # only SheafcalcError is refused input; any other ValueError is a bug.
+    # The action reads bayes_build from its module when it runs.
     def broken(model):
         raise ValueError("internal slip")
 
-    monkeypatch.setattr(cli, "bayes_build", broken)
+    monkeypatch.setattr(cohomology, "bayes_build", broken)
     path = write_json(tmp_path, "sprinkler.json", SPRINKLER_DOC)
     with pytest.raises(ValueError, match="internal slip"):
         main(["bayes", "joint", "--model", path])

@@ -1,6 +1,12 @@
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sheafcalc
 
@@ -39,3 +45,110 @@ def test_readme_quick_tour_runs_as_written():
     (tour,) = re.findall(r"```python\n(.*?)```",
                          readme.read_text(encoding="utf-8"), re.S)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+# ------------------------------------------- lazy namespace, fresh interpreters
+# The test process has imported every module already, so these run a
+# new interpreter and read back what it loaded.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LOADED = "sorted(m[10:] for m in sys.modules if m.startswith('sheafcalc.'))"
+
+
+def fresh(code, *argv, cwd=None):
+    """Run ``code`` in a new interpreter with ``src`` on the path; return
+    the JSON value its last stdout line holds."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code, *argv],
+        capture_output=True, text=True, cwd=cwd, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert fresh(f"import sheafcalc\nprint(json.dumps({LOADED}))") == []
+
+
+def test_submodule_attribute_loads_only_its_imports():
+    assert fresh("import sheafcalc\nsheafcalc.poset\n"
+                 f"print(json.dumps({LOADED}))") == ["errors", "poset"]
+    assert fresh("from sheafcalc import morphology\n"
+                 f"print(json.dumps({LOADED}))") == ["errors", "morphology"]
+
+
+def test_star_import_binds_exactly_all():
+    code = ("import sheafcalc\n"
+            "before = set(globals())\n"
+            "from sheafcalc import *\n"
+            "bound = sorted(set(globals()) - before - {'before'})\n"
+            "print(json.dumps([bound, sorted(sheafcalc.__all__)]))")
+    bound, names = fresh(code)
+    assert bound == names == sorted(sheafcalc.__all__)
+
+
+def test_dir_public_names_and_unknown_attributes():
+    code = ("import sheafcalc\n"
+            "listed = '__all__' in dir(sheafcalc)\n"
+            "same = sheafcalc.cohomology.cohomology_dims is sheafcalc.cohomology_dims\n"
+            "try:\n"
+            "    sheafcalc.no_such_name\n"
+            "    missing = False\n"
+            "except AttributeError:\n"
+            "    missing = True\n"
+            "print(json.dumps([listed, same, missing]))")
+    assert fresh(code) == [True, True, True]
+
+
+TINY_INPUTS = {
+    "poset.json": {"elements": ["a", "b"], "leq": [["a", "b"]]},
+    "connection.json": {"source": {"elements": ["a", "b"], "leq": [["a", "b"]]},
+                        "target": {"elements": ["x", "y"], "leq": [["x", "y"]]},
+                        "left": {"a": "x", "b": "y"}},
+    "graph.json": {"vertices": ["a", "b"],
+                   "edges": [{"id": "e", "src": "a", "dst": "b"}]},
+    "subgraph.json": {"vertices": ["a"]},
+    "presheaf.json": {"topology": [["E"], ["U", "p"]],
+                      "opens": {"E": ["*"], "U": ["s"]},
+                      "restrictions": {"E<=U": {"s": "*"}}},
+    "element.json": [[0, 0], [1, 0]],
+    "complex.json": {"faces": [["a", "b"]]},
+    "sheaf.json": {"complex": {"faces": [["a", "b"]]},
+                   "stalks": {"a": 1, "b": 1, "ab": 1},
+                   "maps": {"a->ab": [["1"]], "b->ab": [["1"]]}},
+    "model.json": {"variables": [{"name": "X", "outcomes": ["t", "f"],
+                                  "cpt": [["1/2", "1/2"]]}]},
+}
+
+SHEAF_CLOSURE = ["cellsheaf", "cohomology", "complexes", "errors", "poset", "rationals"]
+
+VERB_CLOSURES = [
+    (["poset", "downsets", "--poset", "poset.json"], ["errors", "poset"]),
+    (["galois", "adjoint", "--connection", "connection.json"],
+     ["errors", "galois", "poset"]),
+    (["modal", "diamond", "--graph", "graph.json", "--subgraph", "subgraph.json"],
+     ["errors", "modal", "poset"]),
+    (["presheaf", "check", "--presheaf", "presheaf.json"],
+     ["errors", "finsheaf", "poset"]),
+    (["morph", "close", "--bitmap", "bitmap.txt", "--element", "element.json"],
+     ["errors", "morphology"]),
+    (["complex", "homology", "--complex", "complex.json"],
+     ["complexes", "errors", "poset", "rationals"]),
+    (["sheaf", "extend", "--sheaf", "sheaf.json", "--seed", '{"a":["1"]}'],
+     SHEAF_CLOSURE),
+    (["cohomology", "dims", "--sheaf", "sheaf.json"], SHEAF_CLOSURE),
+    (["bayes", "joint", "--model", "model.json"], SHEAF_CLOSURE),
+]
+
+
+@pytest.mark.parametrize("argv, closure", VERB_CLOSURES,
+                         ids=[argv[0] for argv, _ in VERB_CLOSURES])
+def test_a_cli_call_loads_only_its_verbs_modules(tmp_path, argv, closure):
+    for name, doc in TINY_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "bitmap.txt").write_text("10\n01\n")
+    code = ("import contextlib, io\n"
+            "from sheafcalc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            f"print(json.dumps([code, {LOADED}]))")
+    assert fresh(code, *argv, cwd=tmp_path) == [0, sorted(closure + ["cli"])]

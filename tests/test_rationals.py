@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -267,6 +269,18 @@ def test_products_that_cancel_store_no_zero():
     assert prod._rows == ({}, {0: -2})
     assert prod == RationalMatrix.from_rows([[0], [-2]])
     assert matmul(RationalMatrix.from_rows([[1, 1]]), b).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_copies_and_pickles_rebuild_the_same_matrix(m):
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert clone == m
+        assert hash(clone) == hash(m)
+        assert repr(clone) == repr(m)
+        assert_stored_canonically(clone)
+        with pytest.raises(AttributeError, match="immutable"):
+            clone.rows = m.rows + 1
 
 
 @settings(max_examples=100, deadline=None)
