@@ -11,10 +11,11 @@ inconsistent seed is pinned to the first face whose constraint system
 dies, the way the worked obstruction example walks it.
 """
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from __future__ import annotations
 
+from collections import deque
+
+from ._record import Record
 from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
@@ -53,8 +54,7 @@ def covering_pairs(base: SimplicialComplex):
     return out
 
 
-@dataclass(frozen=True)
-class CellularSheaf:
+class CellularSheaf(Record):
     """Stalk dimensions per face plus one matrix per covering attachment.
 
     A sheaf map for sigma < tau has shape dim(tau) x dim(sigma); a
@@ -85,8 +85,7 @@ class CellularSheaf:
         return self.stalk_dim[sigma], self.stalk_dim[tau]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """Vectors on a subset of faces; partial assignments are allowed."""
 
     vectors: dict
@@ -104,40 +103,35 @@ class Assignment:
         return self.vectors[face]
 
 
-@dataclass(frozen=True)
-class SheafReport:
+class SheafReport(Record):
     ok: bool
-    kind: Optional[str] = None  # missing-map | shape | path-independence
-    witness: Optional[tuple] = None
+    kind: str | None = None  # missing-map | shape | path-independence
+    witness: tuple | None = None
 
 
-@dataclass(frozen=True)
-class SectionReport:
+class SectionReport(Record):
     ok: bool
     violations: tuple = ()
 
 
-@dataclass(frozen=True)
-class ExtendResult:
-    result: Optional[Assignment] = None
-    obstruction: Optional[tuple] = None
-    kind: Optional[str] = None  # no-consistent-value | conflicting-values
-    detail: Optional[str] = None
-    propagated: Optional[Assignment] = None
+class ExtendResult(Record):
+    result: Assignment | None = None
+    obstruction: tuple | None = None
+    kind: str | None = None  # no-consistent-value | conflicting-values
+    detail: str | None = None
+    propagated: Assignment | None = None
 
     @property
     def ok(self) -> bool:
         return self.result is not None
 
 
-@dataclass(frozen=True)
-class SectionSpace:
+class SectionSpace(Record):
     dimension: int
     basis: tuple  # of Assignment
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(Record):
     ok: bool
     squares: tuple = ()  # failing (sigma, tau) attachments
     induced: tuple = ()  # images of the source section basis
@@ -463,8 +457,7 @@ def pullback(base: SimplicialComplex, f: dict, s: CellularSheaf) -> CellularShea
     return CellularSheaf(base, dims, restriction, s.variance)
 
 
-@dataclass(frozen=True)
-class SheafMorphism:
+class SheafMorphism(Record):
     """Componentwise maps l_sigma : F(f(sigma)) -> G(sigma).
 
     The source sheaf lives over the image complex, the target over the

@@ -14,18 +14,21 @@ attachment signs depend on that order; unsorted faces are rejected
 rather than silently reordered.  Output is deterministic: the same
 command on the same files produces the same bytes.
 
-Only ``errors`` is imported with this module.  Each parser and action
-imports the library functions it calls when it runs, so one call loads
-only the modules its verb needs.
+Only ``errors`` and ``_record`` are imported with this module.  Each
+parser and action imports the library functions it calls when it runs,
+so one call loads only the modules its verb needs, and the argument
+parser builds only that verb's action parsers.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ._record import Record
 from .errors import SheafcalcError
 
 __all__ = ["Command", "InputError", "Failure", "parse_inputs", "run", "main"]
@@ -49,16 +52,14 @@ class Failure(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Record):
     verb: str
     action: str
     inputs: dict   # flag -> file path
     options: dict  # flag -> raw string value
 
 
-@dataclass(frozen=True)
-class PlainText:
+class PlainText(Record):
     """Payload emitted verbatim instead of as JSON (bitmap grids)."""
 
     text: str
@@ -310,8 +311,7 @@ def _parse_monotone_map(doc, dom, cod, where):
     return out
 
 
-@dataclass(frozen=True)
-class _ConnectionDoc:
+class _ConnectionDoc(Record):
     source: object
     target: object
     left: dict
@@ -381,8 +381,7 @@ def _parse_subgraph(doc, g, where):
         raise InputError(str(err), where)
 
 
-@dataclass(frozen=True)
-class _PresheafDoc:
+class _PresheafDoc(Record):
     presheaf: object  # a finsheaf.FinitePresheaf
     open_sets: dict  # name -> frozenset of points
     name_of: dict    # frozenset -> name
@@ -905,8 +904,7 @@ def _cmd_bayes_joint(objects, options):
     return [str(x) for x in assembly.joint]
 
 
-@dataclass(frozen=True)
-class _ActionSpec:
+class _ActionSpec(Record):
     paths: tuple
     options: tuple  # (name, required) pairs
     fn: object
@@ -997,7 +995,13 @@ def run(command: Command, out=None) -> int:
     return 0
 
 
-def _build_parser():
+def _build_parser(argv):
+    """Every verb, but the actions of only the verb ``argv`` names: the
+    first argument not starting with a dash, as the top-level parser
+    has no option that takes a value.  No other verb's actions can be
+    reached in this call, so output and errors are those of the full
+    tree."""
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="sheafcalc",
         description="exact lattice, sheaf and morphology calculations on files")
@@ -1008,6 +1012,8 @@ def _build_parser():
             vp = sub.add_parser(verb)
             verbs[verb] = vp.add_subparsers(dest="action", metavar="action",
                                             required=True)
+        if verb != named:
+            continue
         ap = verbs[verb].add_parser(action, help=spec.help)
         for flag in spec.paths:
             ap.add_argument(f"--{flag}", required=True, metavar="FILE")
@@ -1017,8 +1023,9 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
     spec = ACTIONS[(args.verb, args.action)]

@@ -6,9 +6,11 @@ delta-squared vanishing is a mechanical consequence that the constructor
 still verifies outright.  All arithmetic is exact.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
 from fractions import Fraction
 
+from ._record import Record
 from .cellsheaf import (
     CellularSheaf, _require_valid, covering_pairs, validate_sheaf)
 from .complexes import _signed_facets, face_name, validate_complex
@@ -31,8 +33,7 @@ __all__ = [
 OUTCOME_LIMIT = 4096  # entries of a Bayes model's joint distribution
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(Record):
     dims: tuple    # dim C^k per degree
     deltas: tuple  # delta^k : C^k -> C^{k+1}
     layout: tuple  # faces whose stalks occupy each degree, in block order
@@ -93,8 +94,7 @@ def cohomology_dims(s: CellularSheaf) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BayesModel:
+class BayesModel(Record):
     """Finite-outcome variables, a parent DAG, and exact-rational CPTs.
 
     ``cpt[name]`` has one row per combination of parent outcomes (first
@@ -118,16 +118,14 @@ class BayesModel:
         object.__setattr__(self, "cpt", clean)
 
 
-@dataclass(frozen=True)
-class BayesAssembly:
+class BayesAssembly(Record):
     cosheaf: CellularSheaf
     sheaf: CellularSheaf  # partial: maps only along the chain
     chain: tuple          # the DAG-selected nested faces
     joint: tuple
 
 
-@dataclass(frozen=True)
-class BayesReport:
+class BayesReport(Record):
     ok: bool
     violations: tuple = ()
 

@@ -8,9 +8,9 @@ be sorted; reordering silently would change every sign downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .errors import SheafcalcError
 from .poset import FinitePoset
 from .rationals import RationalMatrix, decompose, rational
@@ -48,6 +48,10 @@ class SimplicialComplex:
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__
+        return SimplicialComplex, (self.vertex_order, self.faces)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -96,8 +100,7 @@ class SimplicialComplex:
         return tuple(face) in self.faces
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     dimension: int
     coefficients: tuple        # sorted (face, Rational) pairs
 

@@ -7,10 +7,11 @@ locality by comparing sections, gluing by building every matching family
 and looking for amalgamations.
 """
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from __future__ import annotations
 
+from itertools import combinations
+
+from ._record import Record
 from .errors import SheafcalcError
 from .poset import FinitePoset, FiniteTopology, alexandrov
 
@@ -41,8 +42,7 @@ def _ordered(elements):
     return sorted(elements, key=repr)
 
 
-@dataclass(frozen=True)
-class FinitePresheaf:
+class FinitePresheaf(Record):
     """Stalks over every open, restriction maps over every nested pair.
 
     ``stalk`` maps each open (a frozenset of points) to a finite set of
@@ -59,15 +59,13 @@ class FinitePresheaf:
                       self.restriction)
 
 
-@dataclass(frozen=True)
-class PresheafReport:
+class PresheafReport(Record):
     ok: bool
-    kind: Optional[str] = None
-    witness: Optional[tuple] = None
+    kind: str | None = None
+    witness: tuple | None = None
 
 
-@dataclass(frozen=True)
-class SheafCondition:
+class SheafCondition(Record):
     """Outcome of both sheaf axioms for one cover.
 
     Each field is ``("pass", None)`` or ``("fail", witness)``.  A locality
@@ -83,8 +81,7 @@ class SheafCondition:
         return self.locality[0] == "pass" and self.gluing[0] == "pass"
 
 
-@dataclass(frozen=True)
-class MatchingFamily:
+class MatchingFamily(Record):
     """A choice of section per cover member, agreeing on overlaps."""
 
     cover: tuple
@@ -294,8 +291,7 @@ def stalk_at(p: FinitePresheaf, point):
     return p.stalk[u]
 
 
-@dataclass(frozen=True)
-class Copresheaf:
+class Copresheaf(Record):
     """Covariant set-valued data on a poset: stalks and action maps upward."""
 
     poset: FinitePoset
@@ -398,8 +394,7 @@ def copresheaf_from_presheaf(p: FinitePresheaf, poset: FinitePoset) -> Copreshea
     return Copresheaf(poset, stalk, action)
 
 
-@dataclass(frozen=True)
-class NColorSheaf:
+class NColorSheaf(Record):
     """Proper colorings organized over the connected-subgraph poset."""
 
     presheaf: FinitePresheaf

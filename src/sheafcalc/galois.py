@@ -8,8 +8,7 @@ either route shows up as a disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import SheafcalcError
 from .poset import FinitePoset, _monotonicity_witness, is_monotone
 
@@ -27,16 +26,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaloisConnection:
+class GaloisConnection(Record):
     source: FinitePoset        # P
     target: FinitePoset        # Q
     left: dict                 # F: P -> Q
     right: dict                # G: Q -> P
 
 
-@dataclass(frozen=True)
-class ConnectionReport:
+class ConnectionReport(Record):
     ok: bool
     kind: str | None = None    # what failed
     witness: tuple | None = None
@@ -119,8 +116,7 @@ def left_adjoint_of(right: dict, source: FinitePoset,
             err.bound, err.image) from None
 
 
-@dataclass(frozen=True)
-class LatticeOperator:
+class LatticeOperator(Record):
     poset: FinitePoset
     mapping: dict
     kind: str                  # "closure" or "kernel"

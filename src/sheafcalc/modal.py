@@ -13,8 +13,7 @@ over sub- and super-aspects in place of the edge repairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import SheafcalcError
 from .poset import FinitePoset
 
@@ -64,6 +63,11 @@ class DirectedMultigraph:
     def __setattr__(self, name, value):
         raise AttributeError("DirectedMultigraph is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__
+        edges = tuple((eid, src, dst) for eid, (src, dst) in self.edges.items())
+        return DirectedMultigraph, (self.vertices, edges)
+
     def edge_ids(self):
         return tuple(sorted(self.edges))
 
@@ -72,17 +76,40 @@ class DirectedMultigraph:
                 f"{len(self.edges)} edges)")
 
 
-@dataclass(frozen=True)
 class Subgraph:
     """Vertex and edge ids of a subgraph.
 
     Trusts its caller, and so does every lattice operation below: build
     subgraphs of raw input with ``subgraph``, which checks them once
-    with ``validate_subgraph``.
+    with ``validate_subgraph``.  Lattice sweeps build one per operation,
+    so it is slotted and written out by hand rather than a ``Record``.
     """
 
-    vertices: frozenset
-    edges: frozenset
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: frozenset, edges: frozenset):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subgraph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Subgraph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"Subgraph(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return Subgraph, (self.vertices, self.edges)
 
 
 def subgraph(g: DirectedMultigraph, vertices, edges=()) -> Subgraph:
@@ -152,8 +179,7 @@ def boundary(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
     return meet_join(g, y, coheyting_neg(g, y), "meet")
 
 
-@dataclass(frozen=True)
-class ModalTrace:
+class ModalTrace(Record):
     trace: tuple               # stages, starting with x itself
     stabilized: Subgraph
     steps: int
@@ -239,8 +265,7 @@ def all_subgraphs(g: DirectedMultigraph):
 
 # ------------------------------------------------------------- aspects
 
-@dataclass(frozen=True)
-class AspectPredicate:
+class AspectPredicate(Record):
     aspects: FinitePoset
     carrier: tuple
     truth: tuple               # sorted (aspect, frozenset) pairs

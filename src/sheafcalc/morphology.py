@@ -15,8 +15,7 @@ lattice unit (-inf for sup, +inf for inf).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import SheafcalcError
 
 __all__ = [
@@ -43,8 +42,7 @@ def _int_pair(p) -> bool:
             and all(isinstance(d, int) for d in p))
 
 
-@dataclass(frozen=True)
-class StructuringElement:
+class StructuringElement(Record):
     offsets: frozenset
 
     def __post_init__(self):
@@ -59,8 +57,7 @@ class StructuringElement:
         return cls(frozenset(offsets))
 
 
-@dataclass(frozen=True)
-class BinaryImage:
+class BinaryImage(Record):
     width: int
     height: int
     foreground: frozenset
@@ -155,8 +152,7 @@ def flat_filter(signal, window, which: str):
 
 # ---------------------------------------------------- filter composites
 
-@dataclass(frozen=True)
-class FilterLattice:
+class FilterLattice(Record):
     filters: dict              # name -> BinaryImage, incl. "identity"
     idempotent: bool
     chain_ok: bool

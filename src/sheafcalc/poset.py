@@ -8,9 +8,9 @@ lookup and keeps downset/upset computations trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .errors import SheafcalcError
 
 __all__ = [
@@ -49,6 +49,10 @@ class FinitePoset:
 
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__
+        return FinitePoset, (self.elements, self._leq)
 
     def __len__(self):
         return len(self.elements)
@@ -214,8 +218,7 @@ def yoneda_check(p: FinitePoset):
 
 # ------------------------------------------------------------- topology
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(Record):
     points: tuple
     opens: frozenset  # of frozensets
 

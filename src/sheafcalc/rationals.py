@@ -11,10 +11,10 @@ coboundary costs work in proportion to its nonzeros, not to its area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+from ._record import Record
 from .errors import SheafcalcError
 
 __all__ = [
@@ -214,8 +214,7 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix._from_sparse(a.rows, b.cols, tuple(out))
 
 
-@dataclass(frozen=True)
-class MatrixDecomposition:
+class MatrixDecomposition(Record):
     rank: int
     kernel_basis: tuple       # tuples of length cols
     image_basis: tuple        # original pivot columns, tuples of length rows

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sheafcalc import cohomology
-from sheafcalc.cli import main
+from sheafcalc.cli import ACTIONS, main
 from sheafcalc.complexes import face_name
 from sheafcalc.morphology import (
     BinaryImage, StructuringElement, closing, erode, opening)
@@ -652,6 +653,41 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["complex", "nosuch"]) == 2
     assert main(["nosuch", "verb"]) == 2
     capsys.readouterr()  # argparse noise on stderr
+
+
+def full_parser():
+    """Every verb with every action parser built: the reference that the
+    per-verb parser of ``main`` must match, output and errors alike."""
+    parser = argparse.ArgumentParser(
+        prog="sheafcalc",
+        description="exact lattice, sheaf and morphology calculations on files")
+    sub = parser.add_subparsers(dest="verb", metavar="verb", required=True)
+    verbs = {}
+    for (verb, action), spec in ACTIONS.items():
+        if verb not in verbs:
+            vp = sub.add_parser(verb)
+            verbs[verb] = vp.add_subparsers(dest="action", metavar="action",
+                                            required=True)
+        ap = verbs[verb].add_parser(action, help=spec.help)
+        for flag in spec.paths:
+            ap.add_argument(f"--{flag}", required=True, metavar="FILE")
+        for name, required in spec.options:
+            ap.add_argument(f"--{name}", required=required)
+    return parser
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["poset", "--help"], ["complex"], ["complex", "nosuch"],
+    ["nosuch", "verb"], [], ["sheaf", "extend", "-h"], ["bayes", "check"],
+    ["--", "poset", "validate"], ["-x", "poset", "validate"],
+    ["galois", "adjoint", "--connection"], ["complex", "validate", "extra"],
+], ids=repr)
+def test_help_and_usage_errors_match_the_full_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        full_parser().parse_args(argv)
+    want = (stop.value.code or 0, *capsys.readouterr())
+    assert (main(argv), *capsys.readouterr()) == want
 
 
 def test_module_entrypoint_round_trip(tmp_path):

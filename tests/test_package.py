@@ -71,9 +71,15 @@ def test_import_loads_no_submodule():
 
 def test_submodule_attribute_loads_only_its_imports():
     assert fresh("import sheafcalc\nsheafcalc.poset\n"
-                 f"print(json.dumps({LOADED}))") == ["errors", "poset"]
+                 f"print(json.dumps({LOADED}))") == ["_record", "errors", "poset"]
     assert fresh("from sheafcalc import morphology\n"
-                 f"print(json.dumps({LOADED}))") == ["errors", "morphology"]
+                 f"print(json.dumps({LOADED}))") == ["_record", "errors", "morphology"]
+
+
+def test_library_and_cli_import_no_class_generation_machinery():
+    code = (f"import sheafcalc.cli\nfrom sheafcalc import {', '.join(MODULES)}\n"
+            "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
+    assert fresh(code) == []
 
 
 def test_star_import_binds_exactly_all():
@@ -119,20 +125,21 @@ TINY_INPUTS = {
                                   "cpt": [["1/2", "1/2"]]}]},
 }
 
-SHEAF_CLOSURE = ["cellsheaf", "cohomology", "complexes", "errors", "poset", "rationals"]
+SHEAF_CLOSURE = ["_record", "cellsheaf", "cohomology", "complexes", "errors", "poset",
+                 "rationals"]
 
 VERB_CLOSURES = [
-    (["poset", "downsets", "--poset", "poset.json"], ["errors", "poset"]),
+    (["poset", "downsets", "--poset", "poset.json"], ["_record", "errors", "poset"]),
     (["galois", "adjoint", "--connection", "connection.json"],
-     ["errors", "galois", "poset"]),
+     ["_record", "errors", "galois", "poset"]),
     (["modal", "diamond", "--graph", "graph.json", "--subgraph", "subgraph.json"],
-     ["errors", "modal", "poset"]),
+     ["_record", "errors", "modal", "poset"]),
     (["presheaf", "check", "--presheaf", "presheaf.json"],
-     ["errors", "finsheaf", "poset"]),
+     ["_record", "errors", "finsheaf", "poset"]),
     (["morph", "close", "--bitmap", "bitmap.txt", "--element", "element.json"],
-     ["errors", "morphology"]),
+     ["_record", "errors", "morphology"]),
     (["complex", "homology", "--complex", "complex.json"],
-     ["complexes", "errors", "poset", "rationals"]),
+     ["_record", "complexes", "errors", "poset", "rationals"]),
     (["sheaf", "extend", "--sheaf", "sheaf.json", "--seed", '{"a":["1"]}'],
      SHEAF_CLOSURE),
     (["cohomology", "dims", "--sheaf", "sheaf.json"], SHEAF_CLOSURE),
