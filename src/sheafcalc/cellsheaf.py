@@ -251,6 +251,30 @@ def is_global_section(s: CellularSheaf, a: Assignment) -> SectionReport:
     return SectionReport(not violations, tuple(violations))
 
 
+def _coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
+    """``cohomology.coboundary`` without its checks, for callers that ran
+    ``_require_valid``.  Degree zero's rows, edge by edge, are the layout
+    ``_vertex_system`` slices; a faceless base raises through ``dimension``."""
+    row_faces = s.base.k_faces(k + 1) if k + 1 <= s.base.dimension() else []
+    col_faces = s.base.k_faces(k)
+    col_of = {sigma: j for j, sigma in enumerate(col_faces)}
+    blocks = {}
+    for i, tau in enumerate(row_faces):
+        for sigma, sign in _signed_facets(tau):
+            if sigma not in col_of:
+                continue
+            mat = s.restriction.get((sigma, tau))
+            if mat is None:
+                raise SheafcalcError(
+                    f"no attachment map {face_name(s.base, sigma)}->"
+                    f"{face_name(s.base, tau)}")
+            blocks[(i, col_of[sigma])] = mat if sign == 1 else -mat
+    return block_assemble(
+        blocks,
+        tuple(s.stalk_dim[tau] for tau in row_faces),
+        tuple(s.stalk_dim[sigma] for sigma in col_faces))
+
+
 def _vertex_layout(s: CellularSheaf):
     offsets = {}
     total = 0
@@ -269,9 +293,7 @@ def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total):
     a global section; a seeded face contributes its value written
     through its first vertex.
     """
-    from .cohomology import coboundary
-
-    delta0 = coboundary(s, 0)._rows  # edge blocks in face order; never mutated
+    delta0 = _coboundary(s, 0)._rows  # edge blocks in face order; never mutated
     groups = []
     at = 0
     for face in s.base.all_faces():
@@ -408,10 +430,8 @@ def global_section_space(s: CellularSheaf) -> SectionSpace:
     uniquely through the restriction maps.
     """
     _require_valid(s)
-    from .cohomology import coboundary
-
     offsets, _ = _vertex_layout(s)
-    dec = decompose(coboundary(s, 0))
+    dec = decompose(_coboundary(s, 0))
     basis = tuple(_spread(s, offsets, vec) for vec in dec.kernel_basis)
     return SectionSpace(len(basis), basis)
 

@@ -518,7 +518,7 @@ def _parse_model(doc, where):
                               for c, x in enumerate(rdoc)))
         cpt[name] = tuple(rows)
     model = BayesModel(tuple(names), outcomes, parents, cpt)
-    if _outcome_count(model) > OUTCOME_LIMIT:
+    if _outcome_count(model, model.variables) > OUTCOME_LIMIT:
         raise InputError(f"outcome space too large (limit {OUTCOME_LIMIT})",
                          f"{where}:variables")
     return model
@@ -881,9 +881,9 @@ def _cmd_bayes_check(objects, options):
             raise InputError("joint must be an array", "joint")
         vector = tuple(_rational_value(x, f"joint[{j}]")
                        for j, x in enumerate(doc))
-        if len(vector) != _outcome_count(m):
-            raise InputError(
-                f"joint vector needs {_outcome_count(m)} entries", "joint")
+        want = _outcome_count(m, m.variables)
+        if len(vector) != want:
+            raise InputError(f"joint vector needs {want} entries", "joint")
     try:
         report = bayes_check(m, vector)
     except SheafcalcError as err:

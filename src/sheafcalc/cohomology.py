@@ -1,7 +1,8 @@
 """Cochain complexes and cohomology of cellular sheaves; Bayes nets as a
 paired sheaf/cosheaf over the complete simplex on the variables.
 
-Coboundaries are assembled blockwise from signed incidence numbers, so
+Coboundaries are assembled blockwise from signed incidence numbers by
+``cellsheaf``, whose section code slices the same rows, so
 delta-squared vanishing is a mechanical consequence that the constructor
 still verifies outright.  All arithmetic is exact.
 """
@@ -9,14 +10,14 @@ still verifies outright.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from ._record import Record
 from .cellsheaf import (
-    CellularSheaf, _require_valid, covering_pairs, validate_sheaf)
-from .complexes import _signed_facets, face_name, validate_complex
+    CellularSheaf, _coboundary, _require_valid, covering_pairs, validate_sheaf)
+from .complexes import validate_complex
 from .errors import SheafcalcError
-from .rationals import (
-    RationalMatrix, block_assemble, decompose, rational)
+from .rationals import RationalMatrix, _reduced, rational
 
 __all__ = [
     "CochainComplex",
@@ -43,31 +44,14 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
     """delta^k, blocked by the global face order in each degree.
 
     The (tau, sigma) block is the incidence sign times the attachment
-    map; it is nonzero only for the facets sigma of tau.
+    map; it is nonzero only for the facets sigma of tau.  The sheaf is
+    not validated: a missing attachment map is named when it is reached.
     """
     if s.variance != "sheaf":
         raise SheafcalcError(f"needs sheaf variance, got {s.variance!r}")
     if k < 0:
         raise SheafcalcError(f"no coboundary in degree {k}")
-    row_faces = s.base.k_faces(k + 1) if k + 1 <= s.base.dimension() else []
-    col_faces = s.base.k_faces(k)
-    col_of = {sigma: j for j, sigma in enumerate(col_faces)}
-    blocks = {}
-    for i, tau in enumerate(row_faces):
-        for sigma, sign in _signed_facets(tau):
-            if sigma not in col_of:
-                continue
-            mat = s.restriction.get((sigma, tau))
-            if mat is None:
-                raise SheafcalcError(
-                    f"no attachment map {face_name(s.base, sigma)}->"
-                    f"{face_name(s.base, tau)}")
-            blocks[(i, col_of[sigma])] = (
-                mat if sign == 1 else mat.scale(Fraction(-1)))
-    return block_assemble(
-        blocks,
-        tuple(s.stalk_dim[tau] for tau in row_faces),
-        tuple(s.stalk_dim[sigma] for sigma in col_faces))
+    return _coboundary(s, k)
 
 
 def cochain_complex(s: CellularSheaf) -> CochainComplex:
@@ -75,23 +59,18 @@ def cochain_complex(s: CellularSheaf) -> CochainComplex:
     top = s.base.dimension()
     layout = tuple(tuple(s.base.k_faces(k)) for k in range(top + 1))
     dims = tuple(sum(s.stalk_dim[f] for f in layer) for layer in layout)
-    deltas = tuple(coboundary(s, k) for k in range(top + 1))
+    deltas = tuple(_coboundary(s, k) for k in range(top + 1))
     for k in range(top):
         assert (deltas[k + 1] @ deltas[k]).is_zero(), f"delta^2 != 0 at {k}"
     return CochainComplex(dims, deltas, layout)
 
 
 def cohomology_dims(s: CellularSheaf) -> tuple:
-    """dim H^k = dim ker delta^k - rank delta^(k-1), degree by degree."""
+    """dim H^k = dim C^k - rank delta^k - rank delta^(k-1), degree by
+    degree, with delta^(-1) zero."""
     cc = cochain_complex(s)
-    out = []
-    previous_rank = 0
-    for k, delta in enumerate(cc.deltas):
-        dec = decompose(delta)
-        kernel_dim = cc.dims[k] - dec.rank
-        out.append(kernel_dim - previous_rank)
-        previous_rank = dec.rank
-    return tuple(out)
+    ranks = [0] + [len(_reduced(delta)) for delta in cc.deltas]
+    return tuple(n - ranks[k + 1] - ranks[k] for k, n in enumerate(cc.dims))
 
 
 class BayesModel(Record):
@@ -155,17 +134,15 @@ def _validate_model(m: BayesModel):
                 raise SheafcalcError(f"CPT row {i} for {name!r} has wrong width")
             if sum(row, Fraction(0)) != 1:
                 raise SheafcalcError(f"CPT row {i} for {name!r} does not sum to 1")
-    if _outcome_count(m) > OUTCOME_LIMIT:
+    if _outcome_count(m, m.variables) > OUTCOME_LIMIT:
         raise SheafcalcError(
             f"outcome space too large (limit {OUTCOME_LIMIT})")
 
 
-def _outcome_count(m: BayesModel) -> int:
-    """Entries of the joint distribution: the product of outcome counts."""
-    n = 1
-    for name in m.variables:
-        n *= len(m.outcomes[name])
-    return n
+def _outcome_count(m: BayesModel, face) -> int:
+    """Outcomes of a face, the product of its variables' outcome counts;
+    over all the variables, the entries of the joint distribution."""
+    return prod(len(m.outcomes[name]) for name in face)
 
 
 def _topological(m: BayesModel):
@@ -186,52 +163,52 @@ def _face_of(m: BayesModel, names) -> tuple:
     return tuple(sorted(names, key=m.variables.index))
 
 
-def _combos(m: BayesModel, face):
-    """All outcome assignments over the face, first variable slowest."""
-    out = [()]
+def _outcome_indices(m: BayesModel, face, sub) -> list:
+    """For each outcome of ``face``, the index of its restriction to
+    ``sub``, a subset of face's variables in any order.
+
+    A face's outcomes are numbered in mixed radix, first variable
+    slowest, so restricting one to ``sub`` keeps its digits on sub's
+    variables and weighs them by sub's own place values.
+    """
+    place = {}
+    weight = 1
+    for name in reversed(sub):
+        place[name] = weight
+        weight *= len(m.outcomes[name])
+    out = [0]
     for name in face:
-        out = [c + (o,) for c in out for o in m.outcomes[name]]
+        step = place.get(name, 0)
+        out = [i + d * step for i in out for d in range(len(m.outcomes[name]))]
     return out
-
-
-def _index_map(m: BayesModel, face):
-    return {combo: i for i, combo in enumerate(_combos(m, face))}
-
-
-def _restrict_combo(face, sub, combo):
-    pick = {name: value for name, value in zip(face, combo)}
-    return tuple(pick[name] for name in sub)
 
 
 def _marginalize_matrix(m: BayesModel, sub, face) -> RationalMatrix:
     """0/1 summation matrix collapsing the face's distribution onto sub."""
-    sub_index = _index_map(m, sub)
-    cols = _combos(m, face)
-    rows = tuple({} for _ in sub_index)
-    for j, combo in enumerate(cols):
-        rows[sub_index[_restrict_combo(face, sub, combo)]][j] = Fraction(1)
-    return RationalMatrix._from_sparse(len(rows), len(cols), rows)
+    below = _outcome_indices(m, face, sub)
+    rows = tuple({} for _ in range(_outcome_count(m, sub)))
+    for j, i in enumerate(below):
+        rows[i][j] = Fraction(1)
+    return RationalMatrix._from_sparse(len(rows), len(below), rows)
 
 
-def _cpt_value(m: BayesModel, name, own, parent_combo) -> Fraction:
-    row = 0
-    for p, value in zip(m.parents[name], parent_combo):
-        row = row * len(m.outcomes[p]) + m.outcomes[p].index(value)
-    return m.cpt[name][row][m.outcomes[name].index(own)]
+def _cpt_entries(m: BayesModel, face, name) -> list:
+    """P(name | its parents) at each outcome of ``face``, a face holding
+    name and its parents: the CPT row is the parents' outcome index, the
+    column name's own."""
+    table = m.cpt[name]
+    return [table[row][col] for row, col in zip(
+        _outcome_indices(m, face, m.parents[name]),
+        _outcome_indices(m, face, (name,)))]
 
 
 def _conditional_matrix(m: BayesModel, small, big) -> RationalMatrix:
     """Multiplication by the CPT of the one variable big adds to small."""
     (new,) = set(big) - set(small)
-    small_index = _index_map(m, small)
-    rows = []
-    for combo in _combos(m, big):
-        below = _restrict_combo(big, small, combo)
-        own = combo[big.index(new)]
-        parent_combo = _restrict_combo(big, m.parents[new], combo)
-        p = _cpt_value(m, new, own, parent_combo)
-        rows.append({small_index[below]: p} if p else {})
-    return RationalMatrix._from_sparse(len(rows), len(small_index), tuple(rows))
+    rows = tuple({i: p} if p else {} for i, p in zip(
+        _outcome_indices(m, big, small), _cpt_entries(m, big, new)))
+    return RationalMatrix._from_sparse(
+        len(rows), _outcome_count(m, small), rows)
 
 
 def bayes_build(m: BayesModel) -> BayesAssembly:
@@ -252,12 +229,7 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
     faces = [_face_of(m, s) for s in subsets if s]
     base = validate_complex(faces, vertices=m.variables)
 
-    dim_of = {}
-    for face in base.all_faces():
-        d = 1
-        for name in face:
-            d *= len(m.outcomes[name])
-        dim_of[face] = d
+    dim_of = {face: _outcome_count(m, face) for face in base.all_faces()}
 
     marg = {}
     for sigma, tau in covering_pairs(base):
@@ -271,13 +243,9 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
     sheaf = CellularSheaf(base, dim_of, conditional, "sheaf")
 
     full = _face_of(m, m.variables)
-    joint = []
-    for combo in _combos(m, full):
-        p = Fraction(1)
-        for name, own in zip(full, combo):
-            p *= _cpt_value(m, name, own,
-                            _restrict_combo(full, m.parents[name], combo))
-        joint.append(p)
+    joint = [Fraction(1)] * _outcome_count(m, full)
+    for name in full:
+        joint = [p * q for p, q in zip(joint, _cpt_entries(m, full, name))]
 
     return BayesAssembly(cosheaf, sheaf, chain, tuple(joint))
 
@@ -285,10 +253,9 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
 def _brute_marginal(m: BayesModel, face, joint) -> tuple:
     """Marginal by direct summation over outcomes, bypassing the matrices."""
     full = _face_of(m, m.variables)
-    index = _index_map(m, face)
-    sums = [Fraction(0)] * len(index)
-    for j, combo in enumerate(_combos(m, full)):
-        sums[index[_restrict_combo(full, face, combo)]] += joint[j]
+    sums = [Fraction(0)] * _outcome_count(m, face)
+    for i, p in zip(_outcome_indices(m, full, face), joint):
+        sums[i] += p
     return tuple(sums)
 
 

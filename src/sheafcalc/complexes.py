@@ -13,7 +13,7 @@ from itertools import combinations
 from ._record import Record
 from .errors import SheafcalcError
 from .poset import FinitePoset
-from .rationals import RationalMatrix, decompose, rational
+from .rationals import RationalMatrix, _reduced, rational
 
 __all__ = [
     "SimplicialComplex",
@@ -233,14 +233,10 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> RationalMatrix:
 
 
 def homology_dims(complex_: SimplicialComplex):
-    """dim H_k = dim ker d_k - rank d_{k+1} for k = 0..dim; d_0 is the
-    zero map, so its kernel is all of C_0."""
+    """dim H_k = dim C_k - rank d_k - rank d_{k+1} for k = 0..dim; d_0
+    and d_{dim+1} are zero maps."""
     dim = complex_.dimension()
-    kernel_dims = {0: len(complex_.k_faces(0))}
-    ranks = {}
-    for k in range(1, dim + 1):
-        dec = decompose(boundary_matrix(complex_, k))
-        kernel_dims[k] = len(dec.kernel_basis)
-        ranks[k] = dec.rank
-    ranks[dim + 1] = 0
-    return [kernel_dims[k] - ranks[k + 1] for k in range(dim + 1)]
+    ranks = [0] + [len(_reduced(boundary_matrix(complex_, k)))
+                   for k in range(1, dim + 1)] + [0]
+    return [len(complex_.k_faces(k)) - ranks[k] - ranks[k + 1]
+            for k in range(dim + 1)]

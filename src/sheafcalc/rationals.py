@@ -225,17 +225,15 @@ class MatrixDecomposition(Record):
 def decompose(m: RationalMatrix) -> MatrixDecomposition:
     """Gauss-Jordan over Q: rank, kernel basis, image basis (pivot columns
     of the original matrix), the reduced row echelon form and its pivot
-    columns.  Its row reduction ``_reduce_row`` is the one elimination
-    routine of the package: ``solve`` and ``cellsheaf.extend`` use it too.
+    columns, written out from ``_reduced``.  Its row step ``_reduce_row``
+    is the one elimination routine of the package: ``solve`` and
+    ``cellsheaf.extend`` use it too, and the Betti numbers read only the
+    rank of ``_reduced``.
 
     rank + len(kernel_basis) == cols always.
     """
     rows, cols = m.rows, m.cols
-    reduced = {}
-    for row in m._rows:
-        if len(reduced) == cols:
-            break
-        _reduce_row(reduced, row)
+    reduced = _reduced(m)
 
     pivots = sorted(reduced)
     rref = []
@@ -261,6 +259,17 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
         image_basis=image,
         rref=RationalMatrix._from_sparse(rows, cols, tuple(rref)),
         pivots=tuple(pivots))
+
+
+def _reduced(m: RationalMatrix) -> dict:
+    """The rref of m's rows as {pivot column: rest of its row}, built
+    row by row with ``_reduce_row``; its length is the rank of m."""
+    reduced = {}
+    for row in m._rows:
+        if len(reduced) == m.cols:
+            break
+        _reduce_row(reduced, row)
+    return reduced
 
 
 def _reduce_row(reduced: dict, row):

@@ -4,19 +4,22 @@ from fractions import Fraction
 import pytest
 
 from sheafcalc.cellsheaf import (
-    CellularSheaf, composite_map, covering_pairs, global_section_space,
-    validate_sheaf)
+    Assignment, CellularSheaf, composite_map, covering_pairs, extend,
+    global_section_space, validate_sheaf)
 from sheafcalc.cohomology import (
-    BayesModel, bayes_build, bayes_check, coboundary, cochain_complex,
-    cohomology_dims)
-from sheafcalc.complexes import homology_dims, incidence, validate_complex
+    BayesModel, _brute_marginal, bayes_build, bayes_check, coboundary,
+    cochain_complex, cohomology_dims)
+from sheafcalc.complexes import (
+    boundary_matrix, homology_dims, incidence, validate_complex)
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import RationalMatrix, block_assemble, decompose
 
 from util import (
     binary_chain, constant_sheaf, base_complex, dense_decompose, dense_matmul,
     grid_complex, random_bayes_model, random_complex, random_valid_sheaf,
-    route_matrix, running_sheaf, sprinkler, union_find_components, zero_sheaf)
+    route_matrix, running_sheaf, sprinkler, tuple_brute_marginal,
+    tuple_conditional_matrix, tuple_joint, tuple_marginalize_matrix,
+    union_find_components, zero_sheaf)
 
 
 # ----------------------------------------------------------- coboundaries
@@ -64,6 +67,15 @@ def test_coboundary_names_a_missing_attachment():
     with pytest.raises(SheafcalcError) as err:
         coboundary(s, 0)
     assert str(err.value) == "no attachment map b->ab"
+
+
+def test_faceless_complex_has_no_coboundary():
+    s = CellularSheaf(validate_complex([]), {}, {})
+    for call in (lambda: coboundary(s, 0), lambda: global_section_space(s),
+                 lambda: extend(s, Assignment({}))):
+        with pytest.raises(SheafcalcError) as err:
+            call()
+        assert str(err.value) == "empty complex has no dimension"
 
 
 def test_cochain_complex_of_running_sheaf():
@@ -177,6 +189,30 @@ def test_holed_ten_by_ten_grid_constant_sheaf():
     s = constant_sheaf(base, 1)
     assert cohomology_dims(s) == tuple(homology_dims(base)) == (1, 1, 0)
     assert global_section_space(s).dimension == 1
+
+
+def _dense_rank(m):
+    # rank is transpose-invariant, and the dense oracle runs several
+    # times faster on the orientation with fewer rows
+    return dense_decompose(m.transpose() if m.rows > m.cols else m).rank
+
+
+def test_betti_numbers_match_dense_ranks():
+    # both Betti routines read ranks off the sparse reduction; the dense
+    # oracle's ranks give dim C_k minus the ranks of the maps at degree k
+    rng = random.Random(43)
+    sheaves = [random_valid_sheaf(rng, random_complex(rng)) for _ in range(40)]
+    sheaves.append(constant_sheaf(grid_complex(10, hole=(4, 4)), 1))
+    for s in sheaves:
+        degrees = range(s.base.dimension() + 1)
+        ranks = [0] + [_dense_rank(coboundary(s, k)) for k in degrees]
+        assert cohomology_dims(s) == tuple(
+            sum(s.stalk_dim[f] for f in s.base.k_faces(k)) - ranks[k] - ranks[k + 1]
+            for k in degrees)
+        ranks = [0] + [_dense_rank(boundary_matrix(s.base, k))
+                       for k in degrees[1:]] + [0]
+        assert homology_dims(s.base) == [
+            len(s.base.k_faces(k)) - ranks[k] - ranks[k + 1] for k in degrees]
 
 
 def test_euler_characteristic_is_chain_level():
@@ -369,6 +405,38 @@ def test_carried_marginals_match_the_composite_maps():
             for face in cosheaf.base.all_faces():
                 want = composite_map(cosheaf, face, full).apply(vec)
                 assert repr(carried[face]) == repr(want), face
+
+
+def test_mixed_radix_indices_rebuild_the_outcome_tuple_oracles():
+    f = Fraction
+    # C has one outcome, B's CPT has a zero entry, and C's parents are
+    # declared against the variable order
+    uneven = BayesModel(
+        variables=("A", "B", "C"),
+        outcomes={"A": ("a0", "a1", "a2"), "B": ("b0", "b1"), "C": ("c",)},
+        parents={"A": (), "B": ("A",), "C": ("B", "A")},
+        cpt={"A": ((f(1, 6), f(1, 3), f(1, 2)),),
+             "B": ((f(0), f(1)), (f(1, 2), f(1, 2)), (f(3, 4), f(1, 4))),
+             "C": ((f(1),),) * 6})
+    rng = random.Random(1313)
+    models = [sprinkler(), binary_chain(6), uneven] + [
+        random_bayes_model(rng) for _ in range(60)]
+    for m in models:
+        a = bayes_build(m)
+        rebuilt = [(a.cosheaf.restriction[(sigma, tau)],
+                    tuple_marginalize_matrix(m, sigma, tau))
+                   for sigma, tau in covering_pairs(a.cosheaf.base)]
+        rebuilt += [(a.sheaf.restriction[(small, big)],
+                     tuple_conditional_matrix(m, small, big))
+                    for small, big in zip(a.chain, a.chain[1:])]
+        for got, want in rebuilt:
+            assert got == want and repr(got) == repr(want)
+        assert repr(a.joint) == repr(tuple_joint(m))
+        raw = tuple(Fraction(rng.randint(0, 5)) for _ in a.joint)
+        for vec in (a.joint, raw):
+            for face in a.cosheaf.base.all_faces():
+                assert repr(_brute_marginal(m, face, vec)) == repr(
+                    tuple_brute_marginal(m, face, vec)), face
 
 
 def test_joint_override_length_is_checked():

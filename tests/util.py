@@ -577,3 +577,93 @@ def composite_spread(s, offsets, vertex_data):
         block = vertex_data[offsets[v0]:offsets[v0] + s.stalk_dim[v0]]
         vectors[face] = composite_map(s, v0, face).apply(block)
     return Assignment(vectors)
+
+
+# ------------------------------------------------------ outcome-tuple oracles
+# The outcome-tuple helpers that cohomology._outcome_indices replaced,
+# kept verbatim, and the Bayes matrices, joint and brute marginal as
+# bayes_build and bayes_check built them with these helpers.
+
+def combos(m, face):
+    """All outcome assignments over the face, first variable slowest."""
+    out = [()]
+    for name in face:
+        out = [c + (o,) for c in out for o in m.outcomes[name]]
+    return out
+
+
+def index_map(m, face):
+    return {combo: i for i, combo in enumerate(combos(m, face))}
+
+
+def restrict_combo(face, sub, combo):
+    pick = {name: value for name, value in zip(face, combo)}
+    return tuple(pick[name] for name in sub)
+
+
+def cpt_value(m, name, own, parent_combo):
+    row = 0
+    for p, value in zip(m.parents[name], parent_combo):
+        row = row * len(m.outcomes[p]) + m.outcomes[p].index(value)
+    return m.cpt[name][row][m.outcomes[name].index(own)]
+
+
+def tuple_marginalize_matrix(m, sub, face):
+    """0/1 summation matrix collapsing the face's distribution onto sub."""
+    from fractions import Fraction
+
+    from sheafcalc.rationals import RationalMatrix
+
+    sub_index = index_map(m, sub)
+    cols = combos(m, face)
+    rows = tuple({} for _ in sub_index)
+    for j, combo in enumerate(cols):
+        rows[sub_index[restrict_combo(face, sub, combo)]][j] = Fraction(1)
+    return RationalMatrix._from_sparse(len(rows), len(cols), rows)
+
+
+def tuple_conditional_matrix(m, small, big):
+    """Multiplication by the CPT of the one variable big adds to small."""
+    from sheafcalc.rationals import RationalMatrix
+
+    (new,) = set(big) - set(small)
+    small_index = index_map(m, small)
+    rows = []
+    for combo in combos(m, big):
+        below = restrict_combo(big, small, combo)
+        own = combo[big.index(new)]
+        parent_combo = restrict_combo(big, m.parents[new], combo)
+        p = cpt_value(m, new, own, parent_combo)
+        rows.append({small_index[below]: p} if p else {})
+    return RationalMatrix._from_sparse(len(rows), len(small_index), tuple(rows))
+
+
+def tuple_joint(m):
+    """The CPT product at each outcome of the full face."""
+    from fractions import Fraction
+
+    from sheafcalc.cohomology import _face_of
+
+    full = _face_of(m, m.variables)
+    joint = []
+    for combo in combos(m, full):
+        p = Fraction(1)
+        for name, own in zip(full, combo):
+            p *= cpt_value(m, name, own,
+                           restrict_combo(full, m.parents[name], combo))
+        joint.append(p)
+    return tuple(joint)
+
+
+def tuple_brute_marginal(m, face, joint):
+    """Marginal by direct summation over outcomes, bypassing the matrices."""
+    from fractions import Fraction
+
+    from sheafcalc.cohomology import _face_of
+
+    full = _face_of(m, m.variables)
+    index = index_map(m, face)
+    sums = [Fraction(0)] * len(index)
+    for j, combo in enumerate(combos(m, full)):
+        sums[index[restrict_combo(full, face, combo)]] += joint[j]
+    return tuple(sums)
