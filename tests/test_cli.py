@@ -644,6 +644,280 @@ def test_bayes_outcome_cap_is_a_schema_error(tmp_path, capsys):
                '"location":"model:variables"}\n')
 
 
+# ------------------------------------------------------------- refusals
+
+PRESHEAF_DOC = {"topology": [["E"], ["U", "p"]],
+                "opens": {"E": ["*"], "U": ["s"]},
+                "restrictions": {"E<=U": {"s": "*"}}}
+BAYES_A = {"name": "A", "outcomes": ["0", "1"], "cpt": [["1/2", "1/2"]]}
+MORPH_FILES = {"img.txt": "110\n010\n", "el.json": [[0, 0], [1, 0]]}
+
+
+def line_maps(key, rows):
+    return dict(LINE_SHEAF_DOC, maps=dict(LINE_SHEAF_DOC["maps"], **{key: rows}))
+
+
+def line_stalks(**stalks):
+    return dict(LINE_SHEAF_DOC, stalks=dict(LINE_SHEAF_DOC["stalks"], **stalks))
+
+
+def presheaf(**changes):
+    return dict(PRESHEAF_DOC, **changes)
+
+
+def restriction(table):
+    return presheaf(restrictions={"E<=U": table})
+
+
+def graph(*edges):
+    return {"vertices": ["a", "b"], "edges": [
+        {"id": eid, "src": src, "dst": dst} for eid, src, dst in edges]}
+
+
+def model(*variables):
+    return {"variables": [dict(BAYES_A, **v) for v in variables]}
+
+
+SHEAF = "sheaf validate --sheaf d.json"
+COMPLEX = "complex validate --complex d.json"
+POSET = "poset validate --poset d.json"
+GALOIS = "galois check --connection d.json"
+MODAL = "modal diamond --graph d.json --subgraph x.json"
+SUBGRAPH = "modal diamond --graph g.json --subgraph d.json"
+PRESHEAF = "presheaf validate --presheaf d.json"
+BAYES = "bayes joint --model d.json"
+MORPH = "morph dilate --bitmap img.txt --element el.json"
+
+# One malformed input for each place the CLI refuses input: the id, the
+# command line, the files it reads (JSON documents as values, raw text
+# as strings) and the exact stdout of its exit 2.
+REFUSALS = [
+    ("read", "complex validate --complex nope.json", {},
+     '{"error":"cannot read nope.json: No such file or directory","location":"complex"}\n'),
+    ("json", COMPLEX, {"d.json": '{"faces": [}'},
+     '{"error":"invalid JSON: Expecting value (line 1 column 12)","location":"complex"}\n'),
+    ("object", COMPLEX, {"d.json": [1]},
+     '{"error":"expected an object","location":"complex"}\n'),
+    ("unknown-key", COMPLEX, {"d.json": {"faces": [["a"]], "colour": 1}},
+     '{"error":"unknown key \'colour\'","location":"complex"}\n'),
+    ("missing-key", COMPLEX, {"d.json": {"vertices": ["a"]}},
+     '{"error":"missing key \'faces\'","location":"complex"}\n'),
+    ("string-list", COMPLEX, {"d.json": {"faces": [["a", 1]]}},
+     '{"error":"expected an array of strings","location":"complex:faces[0]"}\n'),
+    ("nonempty-list", COMPLEX, {"d.json": {"faces": [[]]}},
+     '{"error":"expected a nonempty array of strings","location":"complex:faces[0]"}\n'),
+    ("float", SHEAF, {"d.json": line_maps("a->ab", [[0.5]])},
+     '{"error":"floats are inexact, write 0.5 as a quoted rational string","location":"sheaf:maps.a->ab[0][0]"}\n'),
+    ("not-rational-type", SHEAF, {"d.json": line_maps("a->ab", [[None]])},
+     '{"error":"not a rational: None","location":"sheaf:maps.a->ab[0][0]"}\n'),
+    ("not-rational-text", SHEAF, {"d.json": line_maps("a->ab", [["x"]])},
+     '{"error":"not a rational: \'x\'","location":"sheaf:maps.a->ab[0][0]"}\n'),
+    ("face-name", SHEAF, {"d.json": line_stalks(**{"": 1})},
+     '{"error":"face names are nonempty strings","location":"sheaf:stalks."}\n'),
+    ("face-vertex", SHEAF, {"d.json": line_stalks(z=1)},
+     '{"error":"unknown vertex \'z\' in face \'z\'","location":"sheaf:stalks.z"}\n'),
+    ("face-unsorted", SHEAF, {"d.json": line_stalks(ba=1)},
+     '{"error":"face \'ba\' is not sorted by the vertex order","location":"sheaf:stalks.ba"}\n'),
+    ("face-unknown", SHEAF, {"d.json": {"complex": {"faces": [["a", "b"], ["c"]]},
+                                        "stalks": {"ac": 1}, "maps": {}}},
+     '{"error":"unknown face \'ac\'","location":"sheaf:stalks.ac"}\n'),
+    ("complex-vertices", COMPLEX, {"d.json": {"vertices": ["a", "a"],
+                                              "faces": [["a"]]}},
+     '{"error":"duplicate vertex labels","location":"complex:vertices"}\n'),
+    ("complex-faces", COMPLEX, {"d.json": {"faces": []}},
+     '{"error":"faces must be a nonempty array","location":"complex:faces"}\n'),
+    ("complex-face", COMPLEX, {"d.json": {"faces": [["a"], ["b", "a"]]}},
+     '{"error":"face (\'b\', \'a\') is not sorted by the vertex order","location":"complex:faces[1]"}\n'),
+    ("complex-read", SHEAF, {"d.json": dict(LINE_SHEAF_DOC, complex="base.json")},
+     '{"error":"cannot read base.json: No such file or directory","location":"sheaf:complex"}\n'),
+    ("complex-path", SHEAF, {"d.json": dict(LINE_SHEAF_DOC, complex="base.json"),
+                             "base.json": {"faces": "ab"}},
+     '{"error":"faces must be a nonempty array","location":"base.json:faces"}\n'),
+    ("matrix", SHEAF, {"d.json": line_maps("a->ab", "1")},
+     '{"error":"matrix must be an array of rows","location":"sheaf:maps.a->ab"}\n'),
+    ("matrix-row", SHEAF, {"d.json": line_maps("a->ab", ["1"])},
+     '{"error":"matrix rows are arrays","location":"sheaf:maps.a->ab[0]"}\n'),
+    ("matrix-ragged", SHEAF, {"d.json": line_maps("a->ab", [["1"], ["1", "2"]])},
+     '{"error":"ragged matrix","location":"sheaf:maps.a->ab[1]"}\n'),
+    ("variance", SHEAF, {"d.json": dict(LINE_SHEAF_DOC, variance="both")},
+     '{"error":"variance must be \\"sheaf\\" or \\"cosheaf\\"","location":"sheaf:variance"}\n'),
+    ("stalk-dimension", SHEAF, {"d.json": line_stalks(a=-1)},
+     '{"error":"stalk dimensions are nonnegative integers","location":"sheaf:stalks.a"}\n'),
+    ("stalk-missing", SHEAF, {"d.json": dict(LINE_SHEAF_DOC,
+                                             stalks={"a": 1, "b": 1})},
+     '{"error":"no stalk dimension for face \'ab\'","location":"sheaf:stalks"}\n'),
+    ("map-key", SHEAF, {"d.json": line_maps("ab", [["1"]])},
+     '{"error":"map keys look like \\"a->ab\\"","location":"sheaf:maps.ab"}\n'),
+    ("map-attachment", SHEAF, {"d.json": line_maps("a->b", [["1"]])},
+     '{"error":"\'a->b\' is not a covering attachment","location":"sheaf:maps.a->b"}\n'),
+    ("seed-json", "sheaf extend --sheaf d.json --seed 'not json'",
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"invalid JSON: Expecting value","location":"seed"}\n'),
+    ("seed-vector", """sheaf extend --sheaf d.json --seed '{"a": "1"}'""",
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"seed vectors are arrays","location":"seed:a"}\n'),
+    ("seed-length", """sheaf extend --sheaf d.json --seed '{"a": ["1", "2"]}'""",
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"seed at \'a\' needs 1 entries","location":"seed:a"}\n'),
+    ("poset-elements", POSET, {"d.json": {"elements": ["a", "a"]}},
+     '{"error":"duplicate elements","location":"poset:elements"}\n'),
+    ("poset-leq", POSET, {"d.json": {"elements": ["a"], "leq": {}}},
+     '{"error":"leq must be an array of pairs","location":"poset:leq"}\n'),
+    ("poset-pair", POSET, {"d.json": {"elements": ["a"], "leq": [["a"]]}},
+     '{"error":"relation entries are pairs","location":"poset:leq[0]"}\n'),
+    ("poset-element", POSET, {"d.json": {"elements": ["a"], "leq": [["a", "z"]]}},
+     '{"error":"unknown element \'z\'","location":"poset:leq[0]"}\n'),
+    ("map-element", GALOIS, {"d.json": {"source": CHAIN_P, "target": CHAIN_Q,
+                                        "left": {"z": "x"}}},
+     '{"error":"unknown element \'z\'","location":"connection:left.z"}\n'),
+    ("map-codomain", GALOIS, {"d.json": {"source": CHAIN_P, "target": CHAIN_Q,
+                                         "left": {"a": "z"}}},
+     '{"error":"\'z\' is not in the codomain","location":"connection:left.a"}\n'),
+    ("map-partial", GALOIS, {"d.json": {"source": CHAIN_P, "target": CHAIN_Q,
+                                        "left": {"a": "x"}}},
+     '{"error":"map is partial at \'b\'","location":"connection:left"}\n'),
+    ("graph-vertices", MODAL, {"d.json": {"vertices": ["a", "a"]},
+                               "x.json": {}},
+     '{"error":"duplicate vertices","location":"graph:vertices"}\n'),
+    ("graph-edges", MODAL, {"d.json": {"vertices": ["a"], "edges": {}},
+                            "x.json": {}},
+     '{"error":"edges must be an array","location":"graph:edges"}\n'),
+    ("graph-edge-strings", MODAL, {"d.json": graph((1, "a", "b")), "x.json": {}},
+     '{"error":"id, src and dst are strings","location":"graph:edges[0]"}\n'),
+    ("graph-edge-id", MODAL, {"d.json": graph(("e", "a", "b"), ("e", "b", "a")),
+                              "x.json": {}},
+     '{"error":"duplicate edge id \'e\'","location":"graph:edges[1]"}\n'),
+    ("graph-edge-vertex", MODAL, {"d.json": graph(("e", "a", "z")), "x.json": {}},
+     '{"error":"unknown vertex \'z\'","location":"graph:edges[0]"}\n'),
+    ("subgraph-vertex", SUBGRAPH, {"g.json": GRAPH_DOC,
+                                   "d.json": {"vertices": ["z"]}},
+     '{"error":"unknown vertex \'z\'","location":"subgraph:vertices"}\n'),
+    ("subgraph-edge", SUBGRAPH, {"g.json": GRAPH_DOC, "d.json": {"edges": ["zz"]}},
+     '{"error":"unknown edge id \'zz\'","location":"subgraph:edges"}\n'),
+    ("subgraph", SUBGRAPH, {"g.json": GRAPH_DOC,
+                            "d.json": {"vertices": ["a"], "edges": ["e1"]}},
+     '{"error":"edge \'e1\' included without endpoint \'a\' or \'b\'","location":"subgraph"}\n'),
+    ("topology", PRESHEAF, {"d.json": presheaf(topology={})},
+     '{"error":"topology must be an array","location":"presheaf:topology"}\n'),
+    ("topology-twice", PRESHEAF, {"d.json": presheaf(
+        topology=[["E"], ["E", "p"]])},
+     '{"error":"open \'E\' declared twice","location":"presheaf:topology[1]"}\n'),
+    ("topology-same-open", PRESHEAF, {"d.json": presheaf(
+        topology=[["E"], ["U", "p"], ["V", "p"]])},
+     '{"error":"\'U\' and \'V\' denote the same open","location":"presheaf:topology"}\n'),
+    ("topology-refused", PRESHEAF, {"d.json": presheaf(topology=[["U", "p"]])},
+     '{"error":"empty set is not open","location":"presheaf:topology"}\n'),
+    ("opens-undeclared", PRESHEAF, {"d.json": presheaf(
+        opens={"E": ["*"], "U": ["s"], "X": []})},
+     '{"error":"open \'X\' not declared in the topology","location":"presheaf:opens.X"}\n'),
+    ("opens-missing", PRESHEAF, {"d.json": presheaf(opens={"E": ["*"]})},
+     '{"error":"no sections listed for open \'U\'","location":"presheaf:opens"}\n'),
+    ("sections", PRESHEAF, {"d.json": presheaf(opens={"E": ["*"], "U": ["s", "s"]})},
+     '{"error":"duplicate section labels","location":"presheaf:opens.U"}\n'),
+    ("restriction-key", PRESHEAF, {"d.json": presheaf(restrictions={"EU": {}})},
+     '{"error":"restriction keys look like \\"V<=U\\"","location":"presheaf:restrictions.EU"}\n'),
+    ("restriction-open", PRESHEAF, {"d.json": presheaf(restrictions={"E<=Z": {}})},
+     '{"error":"unknown open \'Z\'","location":"presheaf:restrictions.E<=Z"}\n'),
+    ("restriction-inside", PRESHEAF, {"d.json": presheaf(
+        restrictions={"U<=E": {}})},
+     '{"error":"\'U\' is not inside \'E\'","location":"presheaf:restrictions.U<=E"}\n'),
+    ("restriction-source", PRESHEAF, {"d.json": restriction({"z": "*"})},
+     '{"error":"\'z\' is not a section of \'U\'","location":"presheaf:restrictions.E<=U.z"}\n'),
+    ("restriction-target", PRESHEAF, {"d.json": restriction({"s": "z"})},
+     '{"error":"\'z\' is not a section of \'E\'","location":"presheaf:restrictions.E<=U.s"}\n'),
+    ("restriction-partial", PRESHEAF, {"d.json": restriction({})},
+     '{"error":"restriction is partial at \'s\'","location":"presheaf:restrictions.E<=U"}\n'),
+    ("restriction-missing", PRESHEAF, {"d.json": presheaf(restrictions={})},
+     '{"error":"missing restriction E<=U","location":"presheaf:restrictions"}\n'),
+    ("variables", BAYES, {"d.json": {"variables": []}},
+     '{"error":"variables must be a nonempty array","location":"model:variables"}\n'),
+    ("variable-name", BAYES, {"d.json": model({"name": 1})},
+     '{"error":"variable names are strings","location":"model:variables[0]"}\n'),
+    ("variable-twice", BAYES, {"d.json": model({}, {})},
+     '{"error":"duplicate variable names","location":"model:variables"}\n'),
+    ("outcomes", BAYES, {"d.json": model({"outcomes": ["0", "0"]})},
+     '{"error":"duplicate outcomes","location":"model:variables[0]:outcomes"}\n'),
+    ("parent-unknown", BAYES, {"d.json": model({"parents": ["Z"]})},
+     '{"error":"unknown parent \'Z\'","location":"model:variables[0]:parents[0]"}\n'),
+    ("parent-twice", BAYES, {"d.json": model({}, {"name": "B",
+                                                  "parents": ["A", "A"]})},
+     '{"error":"duplicate parents","location":"model:variables[1]:parents"}\n'),
+    ("cpt", BAYES, {"d.json": model({"cpt": {}})},
+     '{"error":"cpt must be an array of rows","location":"model:variables[0]:cpt"}\n'),
+    ("cpt-row", BAYES, {"d.json": model({"cpt": [1]})},
+     '{"error":"cpt rows are arrays","location":"model:variables[0]:cpt[0]"}\n'),
+    ("outcome-cap", BAYES, {"d.json": model(*({"name": f"V{i}"} for i in range(13)))},
+     '{"error":"outcome space too large (limit 4096)","location":"model:variables"}\n'),
+    ("bitmap-read", MORPH, {"el.json": [[0, 0]]},
+     '{"error":"cannot read img.txt: No such file or directory","location":"bitmap"}\n'),
+    ("bitmap-empty", MORPH, dict(MORPH_FILES, **{"img.txt": "\n"}),
+     '{"error":"empty bitmap","location":"bitmap"}\n'),
+    ("bitmap-width", MORPH, dict(MORPH_FILES, **{"img.txt": "10\n1\n"}),
+     '{"error":"row width 1 differs from 2","location":"bitmap:line 2"}\n'),
+    ("bitmap-char", MORPH, dict(MORPH_FILES, **{"img.txt": "102\n"}),
+     '{"error":"unexpected character \'2\'","location":"bitmap:line 1 column 3"}\n'),
+    ("element", MORPH, dict(MORPH_FILES, **{"el.json": []}),
+     '{"error":"offsets must be a nonempty array","location":"element"}\n'),
+    ("element-pair", MORPH, dict(MORPH_FILES, **{"el.json": [[0]]}),
+     '{"error":"offsets are [dx, dy] integer pairs","location":"element[0]"}\n'),
+    ("extend-variance", "sheaf extend --sheaf d.json --seed {}",
+     {"d.json": dict(LINE_SHEAF_DOC, variance="cosheaf")},
+     '{"error":"extend needs sheaf variance","location":"sheaf:variance"}\n'),
+    ("sections-variance", "sheaf sections --sheaf d.json",
+     {"d.json": dict(LINE_SHEAF_DOC, variance="cosheaf")},
+     '{"error":"sections needs sheaf variance","location":"sheaf:variance"}\n'),
+    ("cohomology-variance", "cohomology dims --sheaf d.json",
+     {"d.json": dict(LINE_SHEAF_DOC, variance="cosheaf")},
+     '{"error":"cohomology needs sheaf variance","location":"sheaf:variance"}\n'),
+    ("downsets-cap", "poset downsets --poset d.json",
+     {"d.json": {"elements": [f"e{i}" for i in range(17)]}},
+     '{"error":"downset enumeration capped at 65536 downsets","location":"poset:elements"}\n'),
+    ("yoneda-cap", "poset yoneda --poset d.json",
+     {"d.json": {"elements": [f"e{i}" for i in range(17)]}},
+     '{"error":"downset enumeration capped at 65536 downsets","location":"poset:elements"}\n'),
+    ("check-map", GALOIS, {"d.json": {"source": CHAIN_P, "target": CHAIN_Q,
+                                      "right": {"x": "a", "y": "b"}}},
+     '{"error":"connection needs a left map","location":"connection:left"}\n'),
+    ("direction", "galois adjoint --connection d.json --direction up",
+     {"d.json": {"source": CHAIN_P, "target": CHAIN_Q}},
+     '{"error":"direction must be right or left","location":"direction"}\n'),
+    ("adjoint-map", "galois adjoint --connection d.json",
+     {"d.json": {"source": CHAIN_P, "target": CHAIN_Q}},
+     '{"error":"synthesis needs the left map","location":"connection:left"}\n'),
+    ("cover-target", "presheaf check --presheaf d.json --cover E",
+     {"d.json": PRESHEAF_DOC},
+     '{"error":"a cover needs a target open","location":"target"}\n'),
+    ("target", "presheaf check --presheaf d.json --target Z",
+     {"d.json": PRESHEAF_DOC},
+     '{"error":"unknown open \'Z\'","location":"target"}\n'),
+    ("cover", "presheaf check --presheaf d.json --target U --cover Z",
+     {"d.json": PRESHEAF_DOC},
+     '{"error":"unknown open \'Z\'","location":"cover"}\n'),
+    ("cover-refused", "presheaf check --presheaf d.json --target U --cover E",
+     {"d.json": PRESHEAF_DOC},
+     '{"error":"cover does not union to the target","location":"cover"}\n'),
+    ("joint-json", "bayes check --model d.json --joint nope",
+     {"d.json": SPRINKLER_DOC},
+     '{"error":"invalid JSON: Expecting value","location":"joint"}\n'),
+    ("joint", "bayes check --model d.json --joint {}", {"d.json": SPRINKLER_DOC},
+     '{"error":"joint must be an array","location":"joint"}\n'),
+    ("joint-length", """bayes check --model d.json --joint '["1"]'""",
+     {"d.json": SPRINKLER_DOC},
+     '{"error":"joint vector needs 8 entries","location":"joint"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, files, want", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_every_refusal_byte_for_byte(argv, files, want, tmp_path, monkeypatch,
+                                     capsys):
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert invoke(capsys, *shlex.split(argv)) == (2, want)
+
+
 # ----------------------------------------------------------------- usage
 
 def test_usage_errors_exit_2(tmp_path, capsys):
