@@ -5,14 +5,17 @@ leave as a single JSON value on stdout, so runs can be scripted and
 diffed.  The exit code carries the verdict: 0 for success, 1 for a
 domain failure (an obstruction or violated axiom, with its witness on
 stdout), 2 for input the tool refuses, with a location path into the
-offending document.
+offending document.  Every refusal of a call's input comes before
+any verdict on it, so a 1 always means well-formed input.
 
 Numbers cross the boundary as exact rational strings ("1/2", "-3",
 "0.5"); floats are refused on input and never emitted.  Faces must
 arrive already sorted by the complex's vertex order, because the
 attachment signs depend on that order; unsorted faces are rejected
 rather than silently reordered.  Output is deterministic: the same
-command on the same files produces the same bytes.
+command on the same files produces the same bytes.  An object key may
+appear once in a document or JSON option, and a face, however it is
+spelled, once per document.
 
 Only ``errors`` and ``_record`` are imported with this module.  Each
 parser and action imports the library functions it calls when it runs,
@@ -59,12 +62,6 @@ class Command(Record):
     options: dict  # flag -> raw string value
 
 
-class PlainText(Record):
-    """Payload emitted verbatim instead of as JSON (bitmap grids)."""
-
-    text: str
-
-
 # ------------------------------------------------------------- helpers
 
 def _jsonable(value):
@@ -80,22 +77,35 @@ def _jsonable(value):
 
 
 def _emit(payload, out):
-    if isinstance(payload, PlainText):
-        out.write(payload.text + "\n")
+    if isinstance(payload, str):  # a bitmap grid, written verbatim
+        out.write(payload + "\n")
     else:
         out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _load_document(path, flag):
+def _read_text(path, flag):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise InputError(f"cannot read {path}: {err.strerror or err}", flag)
+
+
+def _decode(text, where, lines=False):
+    """JSON whose objects name each key once; ``lines`` adds the line and
+    column of a syntax error, which only documents report."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"duplicate key {key!r}", where)
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as err:
-        raise InputError(
-            f"invalid JSON: {err.msg} (line {err.lineno} column {err.colno})", flag)
+        at = f" (line {err.lineno} column {err.colno})" if lines else ""
+        raise InputError(f"invalid JSON: {err.msg}{at}", where)
 
 
 def _as_object(doc, where, keys=None, required=()):
@@ -111,12 +121,37 @@ def _as_object(doc, where, keys=None, required=()):
     return doc
 
 
-def _string_list(doc, where, allow_empty=False):
+def _string_list(doc, where, allow_empty=False, unique=None):
+    """``unique`` names the entries when none may repeat."""
     if not isinstance(doc, list) or any(not isinstance(x, str) for x in doc):
         raise InputError("expected an array of strings", where)
     if not doc and not allow_empty:
         raise InputError("expected a nonempty array of strings", where)
+    if unique is not None and len(set(doc)) != len(doc):
+        raise InputError(f"duplicate {unique}", where)
     return list(doc)
+
+
+def _require_known(items, known, noun, where):
+    for item in items:
+        if item not in known:
+            raise InputError(f"unknown {noun} {item!r}", where)
+
+
+def _require_once(spelled, key, name, noun, where):
+    """Record ``name`` as the spelling of ``key``, refusing a second one."""
+    if key in spelled:
+        raise InputError(f"{spelled[key]!r} and {name!r} denote the same {noun}",
+                         where)
+    spelled[key] = name
+
+
+def _refusing(where, fn, *args, **kwargs):
+    """``fn``'s result, with a library refusal reported at ``where``."""
+    try:
+        return fn(*args, **kwargs)
+    except SheafcalcError as err:
+        raise InputError(str(err), where)
 
 
 def _rational_value(value, where) -> Fraction:
@@ -128,10 +163,7 @@ def _rational_value(value, where) -> Fraction:
             f"floats are inexact, write {value!r} as a quoted rational string", where)
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError(f"not a rational: {value!r}", where)
-    try:
-        return rational(value)
-    except SheafcalcError:
-        raise InputError(f"not a rational: {value!r}", where)
+    return _refusing(where, rational, value)
 
 
 def _face_from_name(base, text, where):
@@ -168,9 +200,8 @@ def _parse_complex(doc, where):
     obj = _as_object(doc, where, keys={"vertices", "faces"}, required=("faces",))
     vertices = None
     if "vertices" in obj:
-        vertices = _string_list(obj["vertices"], f"{where}:vertices")
-        if len(set(vertices)) != len(vertices):
-            raise InputError("duplicate vertex labels", f"{where}:vertices")
+        vertices = _string_list(obj["vertices"], f"{where}:vertices",
+                                unique="vertex labels")
     faces_doc = obj["faces"]
     if not isinstance(faces_doc, list) or not faces_doc:
         raise InputError("faces must be a nonempty array", f"{where}:faces")
@@ -178,10 +209,7 @@ def _parse_complex(doc, where):
              for i, f in enumerate(faces_doc)]
     for i, face in enumerate(faces):
         # probe one face at a time so the error names its index
-        try:
-            validate_complex([face], vertices=vertices)
-        except SheafcalcError as err:
-            raise InputError(str(err), f"{where}:faces[{i}]")
+        _refusing(f"{where}:faces[{i}]", validate_complex, [face], vertices=vertices)
     return validate_complex(faces, vertices=vertices)
 
 
@@ -212,28 +240,29 @@ def _parse_sheaf(doc, where, base_dir):
 
     obj = _as_object(doc, where, keys={"complex", "stalks", "maps", "variance"},
                      required=("complex", "stalks", "maps"))
-    cdoc = obj["complex"]
+    cdoc, cwhere = obj["complex"], f"{where}:complex"
     if isinstance(cdoc, str):
         cpath = Path(base_dir) / cdoc
-        base = _parse_complex(_load_document(cpath, f"{where}:complex"), str(cpath))
-    else:
-        base = _parse_complex(cdoc, f"{where}:complex")
+        cdoc = _decode(_read_text(cpath, cwhere), cwhere, lines=True)
+        cwhere = str(cpath)
+    base = _parse_complex(cdoc, cwhere)
     variance = obj.get("variance", "sheaf")
     if variance not in ("sheaf", "cosheaf"):
         raise InputError('variance must be "sheaf" or "cosheaf"', f"{where}:variance")
-    dims = {}
+    dims, spelled = {}, {}
     for name, value in _as_object(obj["stalks"], f"{where}:stalks").items():
-        face = _face_from_name(base, name, f"{where}:stalks.{name}")
+        nwhere = f"{where}:stalks.{name}"
+        face = _face_from_name(base, name, nwhere)
+        _require_once(spelled, face, name, "face", nwhere)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise InputError("stalk dimensions are nonnegative integers",
-                             f"{where}:stalks.{name}")
+            raise InputError("stalk dimensions are nonnegative integers", nwhere)
         dims[face] = value
     for face in base.all_faces():
         if face not in dims:
             raise InputError(f"no stalk dimension for face {face_name(base, face)!r}",
                              f"{where}:stalks")
     pairs = set(covering_pairs(base))
-    maps = {}
+    maps, spelled = {}, {}
     for key, rows in _as_object(obj["maps"], f"{where}:maps").items():
         kwhere = f"{where}:maps.{key}"
         if key.count("->") != 1:
@@ -243,6 +272,7 @@ def _parse_sheaf(doc, where, base_dir):
         tau = _face_from_name(base, right, kwhere)
         if (sigma, tau) not in pairs:
             raise InputError(f"{key!r} is not a covering attachment", kwhere)
+        _require_once(spelled, (sigma, tau), key, "attachment", kwhere)
         cols = dims[sigma] if variance == "sheaf" else dims[tau]
         maps[(sigma, tau)] = _parse_matrix(rows, kwhere, default_cols=cols)
     return CellularSheaf(base, dims, maps, variance)
@@ -251,13 +281,10 @@ def _parse_sheaf(doc, where, base_dir):
 def _parse_seed(text, s, flag="seed"):
     from .cellsheaf import Assignment
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InputError(f"invalid JSON: {err.msg}", flag)
-    values = {}
-    for name, vec in _as_object(doc, flag).items():
+    values, spelled = {}, {}
+    for name, vec in _as_object(_decode(text, flag), flag).items():
         face = _face_from_name(s.base, name, f"{flag}:{name}")
+        _require_once(spelled, face, name, "face", f"{flag}:{name}")
         if not isinstance(vec, list):
             raise InputError("seed vectors are arrays", f"{flag}:{name}")
         values[face] = tuple(_rational_value(x, f"{flag}:{name}[{j}]")
@@ -273,9 +300,7 @@ def _parse_poset(doc, where):
     from .poset import OrderViolation, validate_poset
 
     obj = _as_object(doc, where, keys={"elements", "leq"}, required=("elements",))
-    elements = _string_list(obj["elements"], f"{where}:elements")
-    if len(set(elements)) != len(elements):
-        raise InputError("duplicate elements", f"{where}:elements")
+    elements = _string_list(obj["elements"], f"{where}:elements", unique="elements")
     known = set(elements)
     pairs = []
     leq_doc = obj.get("leq", [])
@@ -285,9 +310,7 @@ def _parse_poset(doc, where):
         pair = _string_list(pdoc, f"{where}:leq[{i}]")
         if len(pair) != 2:
             raise InputError("relation entries are pairs", f"{where}:leq[{i}]")
-        for e in pair:
-            if e not in known:
-                raise InputError(f"unknown element {e!r}", f"{where}:leq[{i}]")
+        _require_known(pair, known, "element", f"{where}:leq[{i}]")
         pairs.append(tuple(pair))
     try:
         return validate_poset(elements, pairs)
@@ -300,8 +323,7 @@ def _parse_monotone_map(doc, dom, cod, where):
     known_dom, known_cod = set(dom.elements), set(cod.elements)
     out = {}
     for k, v in obj.items():
-        if k not in known_dom:
-            raise InputError(f"unknown element {k!r}", f"{where}.{k}")
+        _require_known((k,), known_dom, "element", f"{where}.{k}")
         if not isinstance(v, str) or v not in known_cod:
             raise InputError(f"{v!r} is not in the codomain", f"{where}.{k}")
         out[k] = v
@@ -311,14 +333,10 @@ def _parse_monotone_map(doc, dom, cod, where):
     return out
 
 
-class _ConnectionDoc(Record):
-    source: object
-    target: object
-    left: dict
-    right: dict
-
-
 def _parse_connection(doc, where):
+    """A GaloisConnection whose missing legs are None."""
+    from .galois import GaloisConnection
+
     obj = _as_object(doc, where, keys={"source", "target", "left", "right"},
                      required=("source", "target"))
     source = _parse_poset(obj["source"], f"{where}:source")
@@ -328,16 +346,14 @@ def _parse_connection(doc, where):
         left = _parse_monotone_map(obj["left"], source, target, f"{where}:left")
     if "right" in obj:
         right = _parse_monotone_map(obj["right"], target, source, f"{where}:right")
-    return _ConnectionDoc(source, target, left, right)
+    return GaloisConnection(source, target, left, right)
 
 
 def _parse_graph(doc, where):
     from .modal import DirectedMultigraph
 
     obj = _as_object(doc, where, keys={"vertices", "edges"}, required=("vertices",))
-    vertices = _string_list(obj["vertices"], f"{where}:vertices")
-    if len(set(vertices)) != len(vertices):
-        raise InputError("duplicate vertices", f"{where}:vertices")
+    vertices = _string_list(obj["vertices"], f"{where}:vertices", unique="vertices")
     known = set(vertices)
     edges = []
     seen = set()
@@ -354,9 +370,7 @@ def _parse_graph(doc, where):
         if eid in seen:
             raise InputError(f"duplicate edge id {eid!r}", ewhere)
         seen.add(eid)
-        for v in (src, dst):
-            if v not in known:
-                raise InputError(f"unknown vertex {v!r}", ewhere)
+        _require_known((src, dst), known, "vertex", ewhere)
         edges.append((eid, src, dst))
     return DirectedMultigraph(tuple(vertices), tuple(edges))
 
@@ -368,17 +382,9 @@ def _parse_subgraph(doc, g, where):
     vertices = _string_list(obj.get("vertices", []), f"{where}:vertices",
                             allow_empty=True)
     edges = _string_list(obj.get("edges", []), f"{where}:edges", allow_empty=True)
-    known = set(g.vertices)
-    for v in vertices:
-        if v not in known:
-            raise InputError(f"unknown vertex {v!r}", f"{where}:vertices")
-    for e in edges:
-        if e not in g.edges:
-            raise InputError(f"unknown edge id {e!r}", f"{where}:edges")
-    try:
-        return subgraph(g, vertices, edges)
-    except SheafcalcError as err:
-        raise InputError(str(err), where)
+    _require_known(vertices, set(g.vertices), "vertex", f"{where}:vertices")
+    _require_known(edges, g.edges, "edge id", f"{where}:edges")
+    return _refusing(where, subgraph, g, vertices, edges)
 
 
 class _PresheafDoc(Record):
@@ -411,10 +417,8 @@ def _parse_presheaf(doc, where):
                 f"{where}:topology")
         name_of[members] = name
     points = sorted(set().union(*open_sets.values())) if open_sets else []
-    try:
-        topology = validate_topology(points, open_sets.values())
-    except SheafcalcError as err:
-        raise InputError(str(err), f"{where}:topology")
+    topology = _refusing(f"{where}:topology", validate_topology,
+                         points, open_sets.values())
 
     stalk = {}
     opens_doc = _as_object(obj["opens"], f"{where}:opens")
@@ -427,9 +431,8 @@ def _parse_presheaf(doc, where):
             raise InputError(f"no sections listed for open {name!r}",
                              f"{where}:opens")
     for name, sections in opens_doc.items():
-        listed = _string_list(sections, f"{where}:opens.{name}", allow_empty=True)
-        if len(set(listed)) != len(listed):
-            raise InputError("duplicate section labels", f"{where}:opens.{name}")
+        listed = _string_list(sections, f"{where}:opens.{name}", allow_empty=True,
+                              unique="section labels")
         stalk[open_sets[name]] = frozenset(listed)
 
     restriction = {}
@@ -439,9 +442,7 @@ def _parse_presheaf(doc, where):
         if key.count("<=") != 1:
             raise InputError('restriction keys look like "V<=U"', kwhere)
         small_name, big_name = key.split("<=")
-        for name in (small_name, big_name):
-            if name not in open_sets:
-                raise InputError(f"unknown open {name!r}", kwhere)
+        _require_known((small_name, big_name), open_sets, "open", kwhere)
         v, u = open_sets[small_name], open_sets[big_name]
         if not v <= u:
             raise InputError(f"{small_name!r} is not inside {big_name!r}", kwhere)
@@ -495,15 +496,12 @@ def _parse_model(doc, where):
     for i, vdoc in enumerate(vdocs):
         vwhere = f"{where}:variables[{i}]"
         name = vdoc["name"]
-        listed = _string_list(vdoc["outcomes"], f"{vwhere}:outcomes")
-        if len(set(listed)) != len(listed):
-            raise InputError("duplicate outcomes", f"{vwhere}:outcomes")
-        outcomes[name] = tuple(listed)
+        outcomes[name] = tuple(_string_list(vdoc["outcomes"], f"{vwhere}:outcomes",
+                                            unique="outcomes"))
         declared = _string_list(vdoc.get("parents", []), f"{vwhere}:parents",
                                 allow_empty=True)
         for j, p in enumerate(declared):
-            if p not in known:
-                raise InputError(f"unknown parent {p!r}", f"{vwhere}:parents[{j}]")
+            _require_known((p,), known, "parent", f"{vwhere}:parents[{j}]")
         if len(set(declared)) != len(declared):
             raise InputError("duplicate parents", f"{vwhere}:parents")
         parents[name] = tuple(declared)
@@ -524,13 +522,9 @@ def _parse_model(doc, where):
     return model
 
 
-def _parse_bitmap(path, flag):
+def _parse_bitmap(text, flag):
     from .morphology import BinaryImage
 
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err.strerror or err}", flag)
     lines = text.splitlines()
     while lines and lines[-1] == "":
         lines.pop()
@@ -566,6 +560,12 @@ def _parse_element(doc, flag):
     return StructuringElement(frozenset(offsets))
 
 
+_PARSERS = {"complex": _parse_complex, "poset": _parse_poset,
+            "connection": _parse_connection, "graph": _parse_graph,
+            "presheaf": _parse_presheaf, "model": _parse_model,
+            "element": _parse_element}
+
+
 def parse_inputs(command: Command) -> dict:
     """Load and type-check every file named by the command, in the
     order the action declares them (a subgraph needs its graph first)."""
@@ -573,30 +573,17 @@ def parse_inputs(command: Command) -> dict:
     objects = {}
     for flag in spec.paths:
         path = command.inputs[flag]
-        if flag == "complex":
-            objects[flag] = _parse_complex(_load_document(path, flag), flag)
-        elif flag == "sheaf":
-            doc = _load_document(path, flag)
+        text = _read_text(path, flag)
+        if flag == "bitmap":
+            objects[flag] = _parse_bitmap(text, flag)
+            continue
+        doc = _decode(text, flag, lines=True)
+        if flag == "sheaf":
             objects[flag] = _parse_sheaf(doc, flag, Path(path).parent)
-        elif flag == "poset":
-            objects[flag] = _parse_poset(_load_document(path, flag), flag)
-        elif flag == "connection":
-            objects[flag] = _parse_connection(_load_document(path, flag), flag)
-        elif flag == "graph":
-            objects[flag] = _parse_graph(_load_document(path, flag), flag)
         elif flag == "subgraph":
-            doc = _load_document(path, flag)
             objects[flag] = _parse_subgraph(doc, objects["graph"], flag)
-        elif flag == "presheaf":
-            objects[flag] = _parse_presheaf(_load_document(path, flag), flag)
-        elif flag == "model":
-            objects[flag] = _parse_model(_load_document(path, flag), flag)
-        elif flag == "bitmap":
-            objects[flag] = _parse_bitmap(path, flag)
-        elif flag == "element":
-            objects[flag] = _parse_element(_load_document(path, flag), flag)
         else:
-            assert False, flag
+            objects[flag] = _PARSERS[flag](doc, flag)
     return objects
 
 
@@ -619,19 +606,21 @@ def _sheaf_witness(base, report):
             "faces": [face_name(base, f) for f in report.witness]}
 
 
-def _checked_sheaf(objects):
+def _checked_sheaf(objects, action=None, seed=None):
+    """The sheaf and its parsed seed.  Every refusal comes first: sheaf
+    variance, when ``action`` needs it, then the seed; only then does
+    ``validate_sheaf`` give its verdict."""
     from .cellsheaf import validate_sheaf
 
     s = objects["sheaf"]
+    if action is not None and s.variance != "sheaf":
+        raise InputError(f"{action} needs sheaf variance", "sheaf:variance")
+    if seed is not None:
+        seed = _parse_seed(seed, s)
     report = validate_sheaf(s)
     if not report.ok:
         raise Failure(_sheaf_witness(s.base, report))
-    return s
-
-
-def _require_sheaf_variance(s, action):
-    if s.variance != "sheaf":
-        raise InputError(f"{action} needs sheaf variance", "sheaf:variance")
+    return s, seed
 
 
 def _assignment_json(base, assignment):
@@ -662,9 +651,7 @@ def _cmd_sheaf_extend(objects, options):
     from .cellsheaf import extend
     from .complexes import face_name
 
-    s = _checked_sheaf(objects)
-    _require_sheaf_variance(s, "extend")
-    seed = _parse_seed(options["seed"], s)
+    s, seed = _checked_sheaf(objects, "extend", options["seed"])
     outcome = extend(s, seed)
     if outcome.ok:
         return _assignment_json(s.base, outcome.result)
@@ -675,8 +662,7 @@ def _cmd_sheaf_extend(objects, options):
 def _cmd_sheaf_sections(objects, options):
     from .cellsheaf import global_section_space
 
-    s = _checked_sheaf(objects)
-    _require_sheaf_variance(s, "sections")
+    s, _ = _checked_sheaf(objects, "sections")
     space = global_section_space(s)
     return {"dimension": space.dimension,
             "basis": [_assignment_json(s.base, a) for a in space.basis]}
@@ -685,8 +671,7 @@ def _cmd_sheaf_sections(objects, options):
 def _cmd_cohomology_dims(objects, options):
     from .cohomology import cohomology_dims
 
-    s = _checked_sheaf(objects)
-    _require_sheaf_variance(s, "cohomology")
+    s, _ = _checked_sheaf(objects, "cohomology")
     return list(cohomology_dims(s))
 
 
@@ -699,33 +684,27 @@ def _cmd_poset_validate(objects, options):
 def _cmd_poset_downsets(objects, options):
     from .poset import downset_family, set_label
 
-    try:
-        family = downset_family(objects["poset"])
-    except SheafcalcError as err:
-        raise InputError(str(err), "poset:elements")
+    family = _refusing("poset:elements", downset_family, objects["poset"])
     return [set_label(s) for s in family]
 
 
 def _cmd_poset_yoneda(objects, options):
     from .poset import yoneda_check
 
-    try:
-        ok, witness = yoneda_check(objects["poset"])
-    except SheafcalcError as err:
-        raise InputError(str(err), "poset:elements")
+    ok, witness = _refusing("poset:elements", yoneda_check, objects["poset"])
     if ok:
         return {"ok": True}
     raise Failure({"kind": witness[0], "witness": _jsonable(list(witness[1:]))})
 
 
 def _cmd_galois_check(objects, options):
-    from .galois import GaloisConnection, check_connection
+    from .galois import check_connection
 
     c = objects["connection"]
     for side in ("left", "right"):
         if getattr(c, side) is None:
             raise InputError(f"connection needs a {side} map", f"connection:{side}")
-    report = check_connection(GaloisConnection(c.source, c.target, c.left, c.right))
+    report = check_connection(c)
     if report.ok:
         return {"ok": True}
     raise Failure({"kind": report.kind, "witness": _jsonable(list(report.witness))})
@@ -764,7 +743,7 @@ def _morph_action(name):
         from . import morphology
 
         out = getattr(morphology, name)(objects["bitmap"], objects["element"])
-        return PlainText(_render_bitmap(out))
+        return _render_bitmap(out)
     return handler
 
 
@@ -836,31 +815,22 @@ def _cmd_presheaf_check(objects, options):
     cover_opt = options.get("cover")
     if cover_opt is not None and target_name is None:
         raise InputError("a cover needs a target open", "target")
-    if target_name is not None and target_name not in bundle.open_sets:
-        raise InputError(f"unknown open {target_name!r}", "target")
-    checks = []
-    if cover_opt is not None:
-        names = cover_opt.split(",")
-        for n in names:
-            if n not in bundle.open_sets:
-                raise InputError(f"unknown open {n!r}", "cover")
-        checks.append((bundle.open_sets[target_name],
-                       tuple(bundle.open_sets[n] for n in names)))
-    elif target_name is not None:
-        target = bundle.open_sets[target_name]
-        checks = [(target, cover)
+    if target_name is None:
+        targets = p.topology.opens_sorted()
+    else:
+        _require_known((target_name,), bundle.open_sets, "open", "target")
+        targets = [bundle.open_sets[target_name]]
+    if cover_opt is None:
+        checks = [(target, cover) for target in targets
                   for cover in irredundant_covers(p.topology, target)]
     else:
-        for target in p.topology.opens_sorted():
-            for cover in irredundant_covers(p.topology, target):
-                checks.append((target, cover))
+        names = cover_opt.split(",")
+        _require_known(names, bundle.open_sets, "open", "cover")
+        checks = [(targets[0], [bundle.open_sets[n] for n in names])]
     count = 0
     for target, cover in checks:
         members = list(cover)
-        try:
-            condition = sheaf_check(p, members, target)
-        except SheafcalcError as err:
-            raise InputError(str(err), "cover")
+        condition = _refusing("cover", sheaf_check, p, members, target)
         if not condition.ok:
             raise Failure(_cover_witness(bundle, target, members, condition))
         count += 1
@@ -873,10 +843,7 @@ def _cmd_bayes_check(objects, options):
     m = objects["model"]
     vector = None
     if "joint" in options:
-        try:
-            doc = json.loads(options["joint"])
-        except json.JSONDecodeError as err:
-            raise InputError(f"invalid JSON: {err.msg}", "joint")
+        doc = _decode(options["joint"], "joint")
         if not isinstance(doc, list):
             raise InputError("joint must be an array", "joint")
         vector = tuple(_rational_value(x, f"joint[{j}]")

@@ -907,15 +907,58 @@ REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("argv, files, want", [row[1:] for row in REFUSALS],
-                         ids=[row[0] for row in REFUSALS])
-def test_every_refusal_byte_for_byte(argv, files, want, tmp_path, monkeypatch,
-                                     capsys):
+def invoke_in(tmp_path, monkeypatch, capsys, argv, files):
     for name, content in files.items():
         text = content if isinstance(content, str) else json.dumps(content)
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    assert invoke(capsys, *shlex.split(argv)) == (2, want)
+    return invoke(capsys, *shlex.split(argv))
+
+
+@pytest.mark.parametrize("argv, files, want", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_every_refusal_byte_for_byte(argv, files, want, tmp_path, monkeypatch,
+                                     capsys):
+    assert invoke_in(tmp_path, monkeypatch, capsys, argv, files) == (2, want)
+
+
+# a sheaf that validate_sheaf rejects: the b->ab map is missing
+BROKEN_LINE = dict(LINE_SHEAF_DOC, maps={"a->ab": [["1"]]})
+
+
+@pytest.mark.parametrize("argv, files, want", [
+    ("cohomology dims --sheaf d.json",
+     {"d.json": dict(BROKEN_LINE, variance="cosheaf")},
+     '{"error":"cohomology needs sheaf variance","location":"sheaf:variance"}\n'),
+    ("sheaf extend --sheaf d.json --seed 'not json'", {"d.json": BROKEN_LINE},
+     '{"error":"invalid JSON: Expecting value","location":"seed"}\n'),
+    ("""sheaf extend --sheaf d.json --seed '{"z": ["1"]}'""", {"d.json": BROKEN_LINE},
+     '{"error":"unknown vertex \'z\' in face \'z\'","location":"seed:z"}\n'),
+], ids=["cosheaf-cohomology", "seed-json", "seed-face"])
+def test_refusals_come_before_the_sheaf_verdict(argv, files, want, tmp_path,
+                                                monkeypatch, capsys):
+    assert invoke_in(tmp_path, monkeypatch, capsys, argv, files) == (2, want)
+
+
+@pytest.mark.parametrize("argv, files, want", [
+    (SHEAF, {"d.json": line_stalks(**{"a,b": 2})},
+     '{"error":"\'ab\' and \'a,b\' denote the same face",'
+     '"location":"sheaf:stalks.a,b"}\n'),
+    (SHEAF, {"d.json": line_maps("a->a,b", [["2"]])},
+     '{"error":"\'a->ab\' and \'a->a,b\' denote the same attachment",'
+     '"location":"sheaf:maps.a->a,b"}\n'),
+    ("""sheaf extend --sheaf d.json --seed '{"ab": ["1"], "a,b": ["3"]}'""",
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"\'ab\' and \'a,b\' denote the same face","location":"seed:a,b"}\n'),
+    ("""sheaf extend --sheaf d.json --seed '{"a": ["1"], "a": ["3"]}'""",
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"duplicate key \'a\'","location":"seed"}\n'),
+    (POSET, {"d.json": '{"elements": ["a"], "elements": ["a", "b"]}'},
+     '{"error":"duplicate key \'elements\'","location":"poset"}\n'),
+], ids=["stalk-face", "map-attachment", "seed-face", "seed-key", "document-key"])
+def test_a_name_given_twice_is_refused(argv, files, want, tmp_path, monkeypatch,
+                                       capsys):
+    assert invoke_in(tmp_path, monkeypatch, capsys, argv, files) == (2, want)
 
 
 # ----------------------------------------------------------------- usage

@@ -31,7 +31,7 @@ from sheafcalc.poset import validate_poset
 from sheafcalc.rationals import RationalMatrix, decompose
 from util import constant_sheaf, presheaf_p, sprinkler
 
-RECORD_CLASSES = 34
+RECORD_CLASSES = 32
 
 
 def samples():
@@ -67,7 +67,6 @@ def samples():
         sheaf, seed, validate_sheaf(sheaf), is_global_section(sheaf, space.basis[0]),
         extend(sheaf, seed), space, morphism, check_morphism(morphism),
         cli.Command("poset", "validate", {"poset": "poset.json"}, {}),
-        cli.PlainText("10\n01"),
         cli._parse_connection(connection_doc, "connection"),
         cli._parse_presheaf(presheaf_doc, "presheaf"),
         cli.ACTIONS[("poset", "validate")],
