@@ -43,22 +43,37 @@ ENUMERATION_LIMIT = 16
 
 
 class DirectedMultigraph:
-    __slots__ = ("vertices", "edges")
+    """Vertices and edges of a directed multigraph.
+
+    ``__init__`` also indexes the incidence once: the vertex set, the
+    edge-id set and, for each vertex, the set of edges touching it.  The
+    lattice operations below are set algebra on that index, so mutating
+    ``edges`` after construction is unsupported.
+    """
+
+    __slots__ = ("vertices", "edges", "_vertex_set", "_edge_set", "_touching")
 
     def __init__(self, vertices, edges):
         """edges: iterable of (edge-id, source, target); loops and
         parallel edges welcome, ids must be unique."""
         vertices = tuple(sorted(set(vertices)))
         edge_map = {}
-        vset = set(vertices)
+        touching = {v: [] for v in vertices}
         for eid, src, dst in edges:
             if eid in edge_map:
                 raise SheafcalcError(f"duplicate edge id {eid!r}")
-            if src not in vset or dst not in vset:
+            if src not in touching or dst not in touching:
                 raise SheafcalcError(f"edge {eid!r} has a missing endpoint")
             edge_map[eid] = (src, dst)
+            touching[src].append(eid)
+            if dst != src:
+                touching[dst].append(eid)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edge_map)
+        object.__setattr__(self, "_vertex_set", frozenset(vertices))
+        object.__setattr__(self, "_edge_set", frozenset(edge_map))
+        object.__setattr__(self, "_touching", {
+            v: frozenset(es) for v, es in touching.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("DirectedMultigraph is immutable")
@@ -119,22 +134,25 @@ def subgraph(g: DirectedMultigraph, vertices, edges=()) -> Subgraph:
 
 
 def validate_subgraph(g: DirectedMultigraph, s: Subgraph) -> Subgraph:
-    known = set(g.vertices)
     for v in s.vertices:
-        if v not in known:
+        if v not in g._vertex_set:
             raise SheafcalcError(f"unknown vertex {v!r}")
     for e in s.edges:
         if e not in g.edges:
             raise SheafcalcError(f"unknown edge {e!r}")
-        src, dst = g.edges[e]
-        if src not in s.vertices or dst not in s.vertices:
+        # source before target, a loop's vertex once
+        missing = [v for v in dict.fromkeys(g.edges[e])
+                   if v not in s.vertices]
+        if missing:
+            plural = "s" if len(missing) > 1 else ""
+            names = " and ".join(map(repr, missing))
             raise SheafcalcError(
-                f"edge {e!r} included without endpoint {src!r} or {dst!r}")
+                f"edge {e!r} included without endpoint{plural} {names}")
     return s
 
 
 def full_subgraph(g: DirectedMultigraph) -> Subgraph:
-    return Subgraph(frozenset(g.vertices), frozenset(g.edges))
+    return Subgraph(g._vertex_set, g._edge_set)
 
 
 def empty_subgraph(g: DirectedMultigraph) -> Subgraph:
@@ -154,25 +172,33 @@ def subgraph_leq(a: Subgraph, b: Subgraph) -> bool:
     return a.vertices <= b.vertices and a.edges <= b.edges
 
 
+def _neg(g: DirectedMultigraph, vertices, edges):
+    """Heyting negation on (vertices, edges): drop y's vertices and
+    every edge touching one of them.  ``edges`` is unused; it keeps the
+    signature of ``_coneg``, so ``modal_iterate`` composes either way."""
+    return (g._vertex_set - vertices,
+            g._edge_set.difference(*map(g._touching.__getitem__, vertices)))
+
+
+def _coneg(g: DirectedMultigraph, vertices, edges):
+    """Co-Heyting negation on (vertices, edges): the complement edges,
+    and every vertex except those of y whose edges all lie in y."""
+    touching = g._touching
+    return (g._vertex_set.difference(
+                [v for v in vertices if touching[v] <= edges]),
+            g._edge_set - edges)
+
+
 def heyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
     """Largest subgraph disjoint from y: the induced subgraph on the
     complementary vertices (edges needing a y-vertex are discarded)."""
-    keep = frozenset(g.vertices) - y.vertices
-    edges = frozenset(e for e, (s, d) in g.edges.items()
-                      if s in keep and d in keep)
-    return Subgraph(keep, edges)
+    return Subgraph(*_neg(g, y.vertices, y.edges))
 
 
 def coheyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
     """Smallest subgraph whose join with y restores g: complement edges
     pull in their endpoints, complement vertices come along."""
-    edges = frozenset(e for e in g.edges if e not in y.edges)
-    verts = set(g.vertices) - set(y.vertices)
-    for e in edges:
-        s, d = g.edges[e]
-        verts.add(s)
-        verts.add(d)
-    return Subgraph(frozenset(verts), edges)
+    return Subgraph(*_coneg(g, y.vertices, y.edges))
 
 
 def boundary(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
@@ -193,18 +219,16 @@ def modal_iterate(g: DirectedMultigraph, x: Subgraph,
     exact stopping rule."""
     if which not in ("diamond", "box"):
         raise SheafcalcError(f"which must be diamond or box, not {which!r}")
+    first, second = (_neg, _coneg) if which == "diamond" else (_coneg, _neg)
     stages = [x]
-    current = x
+    current = (x.vertices, x.edges)
     while True:
-        if which == "diamond":
-            nxt = coheyting_neg(g, heyting_neg(g, current))
-        else:
-            nxt = heyting_neg(g, coheyting_neg(g, current))
+        nxt = second(g, *first(g, *current))
         if nxt == current:
             break
-        stages.append(nxt)
+        stages.append(Subgraph(*nxt))
         current = nxt
-    return ModalTrace(tuple(stages), current, len(stages) - 1)
+    return ModalTrace(tuple(stages), stages[-1], len(stages) - 1)
 
 
 def reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgraph:
@@ -227,20 +251,18 @@ def reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgraph:
         edges = set(x.edges) | {e for e, (s, d) in g.edges.items()
                                 if s in reached}
         return Subgraph(frozenset(reached), frozenset(edges))
-    # weak components: undirected closure of the component partition
-    neighbours = {v: set() for v in g.vertices}
-    for s, d in g.edges.values():
-        neighbours[s].add(d)
-        neighbours[d].add(s)
+    # weak components: undirected closure along the incidence index; a
+    # union of components holds every edge touching it
+    touching = g._touching
     reached = set(x.vertices)
     frontier = list(x.vertices)
     while frontier:
-        v = frontier.pop()
-        for w in neighbours[v]:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    edges = frozenset(e for e, (s, d) in g.edges.items() if s in reached)
+        for e in touching[frontier.pop()]:
+            for w in g.edges[e]:
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+    edges = frozenset().union(*map(touching.__getitem__, reached))
     return Subgraph(frozenset(reached), edges)
 
 
@@ -251,11 +273,11 @@ def all_subgraphs(g: DirectedMultigraph):
             f"subgraph enumeration capped at {ENUMERATION_LIMIT} "
             "vertices/edges")
     verts = list(g.vertices)
+    edges = sorted(g.edges.items())
     out = []
     for vmask in range(1 << len(verts)):
         vs = frozenset(v for i, v in enumerate(verts) if vmask >> i & 1)
-        eligible = [e for e, (s, d) in sorted(g.edges.items())
-                    if s in vs and d in vs]
+        eligible = [e for e, (s, d) in edges if s in vs and d in vs]
         for emask in range(1 << len(eligible)):
             es = frozenset(e for i, e in enumerate(eligible)
                            if emask >> i & 1)

@@ -10,7 +10,7 @@ comparison below is equality, never a tolerance.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations
 
 from sheafcalc.cellsheaf import (
     Assignment, extend, global_section_space, validate_sheaf)
@@ -21,7 +21,7 @@ from sheafcalc.finsheaf import (
     poset_transfer, sheaf_check, stalk_at)
 from sheafcalc.galois import right_adjoint_of
 from sheafcalc.modal import (
-    DirectedMultigraph, all_subgraphs, boundary, coheyting_neg,
+    all_subgraphs, boundary, coheyting_neg,
     empty_subgraph, full_subgraph, heyting_neg, meet_join, modal_iterate,
     reach_oracle, subgraph_leq)
 from sheafcalc.morphology import (
@@ -30,8 +30,9 @@ from sheafcalc.poset import all_downsets, set_label, validate_poset, yoneda_chec
 from sheafcalc.rationals import decompose
 
 from util import (
-    constant_sheaf, presheaf_g, presheaf_h, presheaf_p, random_complex,
-    random_copresheaf, random_poset, running_sheaf, sprinkler)
+    constant_sheaf, multigraphs_up_to, presheaf_g, presheaf_h, presheaf_p,
+    random_complex, random_copresheaf, random_poset, running_sheaf,
+    simple_digraph_classes, sprinkler)
 
 
 # ----------------------------------------------------- shared corpora
@@ -55,45 +56,6 @@ def grid_image(mask):
 
 def grid_images():
     return [grid_image(mask) for mask in range(64)]
-
-
-def multigraphs_up_to(max_vertices=3, max_edges=4):
-    """Every directed multigraph on at most max_vertices labelled
-    vertices with at most max_edges edges, loops and parallels included:
-    a multiset of (source, target) slots of each size."""
-    labels = "abc"[:max_vertices]
-    for n in range(max_vertices + 1):
-        verts = labels[:n]
-        slots = [(s, d) for s in verts for d in verts]
-        for k in range(max_edges + 1):
-            if k > 0 and not slots:
-                break
-            for combo in combinations_with_replacement(slots, k):
-                edges = [(f"e{i}", s, d) for i, (s, d) in enumerate(combo)]
-                yield DirectedMultigraph(verts, edges)
-
-
-def simple_digraph_classes(n=4):
-    """Loopless simple digraphs on n vertices, one representative per
-    isomorphism class (canonical minimum arc bitmask over S_n)."""
-    labels = "abcd"[:n]
-    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    index = {arc: k for k, arc in enumerate(arcs)}
-    perms = list(permutations(range(n)))
-    seen = set()
-    out = []
-    for mask in range(1 << len(arcs)):
-        canon = min(
-            sum(1 << index[(p[i], p[j])]
-                for k, (i, j) in enumerate(arcs) if mask >> k & 1)
-            for p in perms)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        edges = [(f"e{k}", labels[i], labels[j])
-                 for k, (i, j) in enumerate(arcs) if mask >> k & 1]
-        out.append(DirectedMultigraph(labels, edges))
-    return out
 
 
 # -------------------------------------------------------- the 13 gates

@@ -796,7 +796,14 @@ REFUSALS = [
      '{"error":"unknown edge id \'zz\'","location":"subgraph:edges"}\n'),
     ("subgraph", SUBGRAPH, {"g.json": GRAPH_DOC,
                             "d.json": {"vertices": ["a"], "edges": ["e1"]}},
-     '{"error":"edge \'e1\' included without endpoint \'a\' or \'b\'","location":"subgraph"}\n'),
+     '{"error":"edge \'e1\' included without endpoint \'b\'","location":"subgraph"}\n'),
+    ("subgraph-source", SUBGRAPH, {"g.json": GRAPH_DOC,
+                                   "d.json": {"vertices": ["b"], "edges": ["e1"]}},
+     '{"error":"edge \'e1\' included without endpoint \'a\'","location":"subgraph"}\n'),
+    ("subgraph-endpoints", SUBGRAPH, {"g.json": graph(("e1", "b", "a")),
+                                      "d.json": {"edges": ["e1"]}},
+     '{"error":"edge \'e1\' included without endpoints \'b\' and \'a\'",'
+     '"location":"subgraph"}\n'),
     ("topology", PRESHEAF, {"d.json": presheaf(topology={})},
      '{"error":"topology must be an array","location":"presheaf:topology"}\n'),
     ("topology-twice", PRESHEAF, {"d.json": presheaf(

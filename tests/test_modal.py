@@ -45,6 +45,19 @@ def test_subgraph_closure_enforced():
     assert subgraph(g, {"a", "b"}, {"e"}) == full_subgraph(g)
 
 
+def test_closure_refusal_names_only_the_missing_endpoints():
+    g = DirectedMultigraph("abd", [("e1", "a", "b"), ("e2", "d", "b"),
+                                   ("loop", "a", "a")])
+    cases = [({"a"}, {"e1"}, "edge 'e1' included without endpoint 'b'"),
+             ({"b"}, {"e1"}, "edge 'e1' included without endpoint 'a'"),
+             (set(), {"e2"}, "edge 'e2' included without endpoints 'd' and 'b'"),
+             ({"b"}, {"loop"}, "edge 'loop' included without endpoint 'a'")]
+    for vertices, edges, message in cases:
+        with pytest.raises(ValueError) as refused:
+            subgraph(g, vertices, edges)
+        assert str(refused.value) == message
+
+
 def test_meet_join_stay_closed():
     g = two_islands()
     a = subgraph(g, {"a", "b"}, {"ab"})

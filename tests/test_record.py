@@ -24,7 +24,8 @@ from sheafcalc.finsheaf import (
     Copresheaf, matching_families, ncolor, sheaf_check, validate_presheaf)
 from sheafcalc.galois import GaloisConnection, check_connection, induced_operators
 from sheafcalc.modal import (
-    AspectPredicate, DirectedMultigraph, Subgraph, modal_iterate, subgraph)
+    AspectPredicate, DirectedMultigraph, Subgraph, all_subgraphs, coheyting_neg,
+    full_subgraph, heyting_neg, modal_iterate, reach_oracle, subgraph)
 from sheafcalc.morphology import (
     BinaryImage, StructuringElement, composite_filter_lattice)
 from sheafcalc.poset import validate_poset
@@ -54,7 +55,9 @@ def samples():
     connection = GaloisConnection(chain, chain, identity, identity)
     image = BinaryImage.of(2, 2, [(0, 0)])
     element = StructuringElement.of((0, 0), (1, 0))
-    graph = DirectedMultigraph("ab", [("e", "a", "b")])
+    # parallel edges, a loop and an isolated vertex
+    graph = DirectedMultigraph("abc", [("e", "a", "b"), ("f", "a", "b"),
+                                       ("l", "b", "b")])
     x = subgraph(graph, "a")
     connection_doc = {"source": {"elements": ["a"], "leq": []},
                       "target": {"elements": ["x"], "leq": []},
@@ -162,6 +165,17 @@ def check_records():
             check_against_twin(sample)
 
 
+def lattice_results(g):
+    """Every lattice operation's answer on every subgraph of g."""
+    lattice = all_subgraphs(g)
+    return lattice, full_subgraph(g), [
+        (heyting_neg(g, x), coheyting_neg(g, x),
+         modal_iterate(g, x, "diamond"), modal_iterate(g, x, "box"),
+         reach_oracle(g, x, "forward-reach"),
+         reach_oracle(g, x, "weak-components"))
+        for x in lattice]
+
+
 def check_round_trips():
     for sample in samples():
         for clone in (copy.copy(sample), copy.deepcopy(sample),
@@ -169,6 +183,8 @@ def check_round_trips():
             assert type(clone) is type(sample)
             if isinstance(sample, DirectedMultigraph):
                 assert (clone.vertices, clone.edges) == (sample.vertices, sample.edges)
+                # the clone re-derives its incidence index in __init__
+                assert lattice_results(clone) == lattice_results(sample)
             else:
                 assert clone == sample, type(sample)
 

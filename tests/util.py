@@ -1,5 +1,10 @@
 """Shared test helpers: random structure generators with explicit rngs."""
 
+from itertools import combinations_with_replacement, permutations
+
+from sheafcalc.errors import SheafcalcError
+from sheafcalc.modal import (
+    ENUMERATION_LIMIT, DirectedMultigraph, ModalTrace, Subgraph)
 from sheafcalc.poset import FinitePoset, validate_poset
 
 
@@ -667,3 +672,146 @@ def tuple_brute_marginal(m, face, joint):
     for j, combo in enumerate(combos(m, full)):
         sums[index[restrict_combo(full, face, combo)]] += joint[j]
     return tuple(sums)
+
+
+# ----------------------------------------------------------- modal oracle
+# The subgraph lattice operations as they were before DirectedMultigraph
+# carried an incidence index, kept verbatim: each one walks the whole
+# edge dict in Python on every call.
+
+def slow_heyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
+    """Largest subgraph disjoint from y: the induced subgraph on the
+    complementary vertices (edges needing a y-vertex are discarded)."""
+    keep = frozenset(g.vertices) - y.vertices
+    edges = frozenset(e for e, (s, d) in g.edges.items()
+                      if s in keep and d in keep)
+    return Subgraph(keep, edges)
+
+
+def slow_coheyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
+    """Smallest subgraph whose join with y restores g: complement edges
+    pull in their endpoints, complement vertices come along."""
+    edges = frozenset(e for e in g.edges if e not in y.edges)
+    verts = set(g.vertices) - set(y.vertices)
+    for e in edges:
+        s, d = g.edges[e]
+        verts.add(s)
+        verts.add(d)
+    return Subgraph(frozenset(verts), edges)
+
+
+def slow_modal_iterate(g: DirectedMultigraph, x: Subgraph,
+                       which: str) -> ModalTrace:
+    """Iterate diamond = co-neg after neg (or box = neg after co-neg)
+    to its fixpoint.  Diamond ascends and box descends, so the finite
+    lattice forces stabilization; equality of consecutive stages is the
+    exact stopping rule."""
+    if which not in ("diamond", "box"):
+        raise SheafcalcError(f"which must be diamond or box, not {which!r}")
+    stages = [x]
+    current = x
+    while True:
+        if which == "diamond":
+            nxt = slow_coheyting_neg(g, slow_heyting_neg(g, current))
+        else:
+            nxt = slow_heyting_neg(g, slow_coheyting_neg(g, current))
+        if nxt == current:
+            break
+        stages.append(nxt)
+        current = nxt
+    return ModalTrace(tuple(stages), current, len(stages) - 1)
+
+
+def slow_reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgraph:
+    """Independent reachability routes for checking the modal fixpoints:
+    plain BFS forward along arrows, or whole weakly-connected components.
+    """
+    if which not in ("forward-reach", "weak-components"):
+        raise SheafcalcError(f"unknown oracle {which!r}")
+    if which == "forward-reach":
+        reached = set(x.vertices)
+        frontier = list(x.vertices)
+        while frontier:
+            nxt = []
+            for e, (s, d) in g.edges.items():
+                if s in reached and d not in reached:
+                    nxt.append(d)
+            for d in nxt:
+                reached.add(d)
+            frontier = nxt
+        edges = set(x.edges) | {e for e, (s, d) in g.edges.items()
+                                if s in reached}
+        return Subgraph(frozenset(reached), frozenset(edges))
+    # weak components: undirected closure of the component partition
+    neighbours = {v: set() for v in g.vertices}
+    for s, d in g.edges.values():
+        neighbours[s].add(d)
+        neighbours[d].add(s)
+    reached = set(x.vertices)
+    frontier = list(x.vertices)
+    while frontier:
+        v = frontier.pop()
+        for w in neighbours[v]:
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    edges = frozenset(e for e, (s, d) in g.edges.items() if s in reached)
+    return Subgraph(frozenset(reached), edges)
+
+
+def slow_all_subgraphs(g: DirectedMultigraph):
+    """Every closed subgraph, for exhaustive lattice sweeps."""
+    if len(g.vertices) > ENUMERATION_LIMIT or len(g.edges) > ENUMERATION_LIMIT:
+        raise SheafcalcError(
+            f"subgraph enumeration capped at {ENUMERATION_LIMIT} "
+            "vertices/edges")
+    verts = list(g.vertices)
+    out = []
+    for vmask in range(1 << len(verts)):
+        vs = frozenset(v for i, v in enumerate(verts) if vmask >> i & 1)
+        eligible = [e for e, (s, d) in sorted(g.edges.items())
+                    if s in vs and d in vs]
+        for emask in range(1 << len(eligible)):
+            es = frozenset(e for i, e in enumerate(eligible)
+                           if emask >> i & 1)
+            out.append(Subgraph(vs, es))
+    return out
+
+
+def multigraphs_up_to(max_vertices=3, max_edges=4):
+    """Every directed multigraph on at most max_vertices labelled
+    vertices with at most max_edges edges, loops and parallels included:
+    a multiset of (source, target) slots of each size."""
+    labels = "abc"[:max_vertices]
+    for n in range(max_vertices + 1):
+        verts = labels[:n]
+        slots = [(s, d) for s in verts for d in verts]
+        for k in range(max_edges + 1):
+            if k > 0 and not slots:
+                break
+            for combo in combinations_with_replacement(slots, k):
+                edges = [(f"e{i}", s, d) for i, (s, d) in enumerate(combo)]
+                yield DirectedMultigraph(verts, edges)
+
+
+def simple_digraph_classes(n=4):
+    """Loopless simple digraphs on n vertices, one representative per
+    isomorphism class (canonical minimum arc bitmask over S_n)."""
+    labels = "abcd"[:n]
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    index = {arc: k for k, arc in enumerate(arcs)}
+    perms = list(permutations(range(n)))
+    seen = set()
+    out = []
+    for mask in range(1 << len(arcs)):
+        canon = min(
+            sum(1 << index[(p[i], p[j])]
+                for k, (i, j) in enumerate(arcs) if mask >> k & 1)
+            for p in perms)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        edges = [(f"e{k}", labels[i], labels[j])
+                 for k, (i, j) in enumerate(arcs) if mask >> k & 1]
+        out.append(DirectedMultigraph(labels, edges))
+    return out
