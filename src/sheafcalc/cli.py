@@ -106,6 +106,11 @@ def _decode(text, where, lines=False):
     except json.JSONDecodeError as err:
         at = f" (line {err.lineno} column {err.colno})" if lines else ""
         raise InputError(f"invalid JSON: {err.msg}{at}", where)
+    except RecursionError:
+        raise InputError("JSON nested too deeply", where)
+    except ValueError:
+        # the interpreter's cap on the digits of an integer literal
+        raise InputError("JSON integer has too many digits", where)
 
 
 def _as_object(doc, where, keys=None, required=()):

@@ -238,18 +238,18 @@ def reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgraph:
     if which not in ("forward-reach", "weak-components"):
         raise SheafcalcError(f"unknown oracle {which!r}")
     if which == "forward-reach":
+        # its own out-edge lists, not the incidence index it checks
+        out = {}
+        for e, (s, d) in g.edges.items():
+            out.setdefault(s, []).append((e, d))
         reached = set(x.vertices)
         frontier = list(x.vertices)
         while frontier:
-            nxt = []
-            for e, (s, d) in g.edges.items():
-                if s in reached and d not in reached:
-                    nxt.append(d)
-            for d in nxt:
-                reached.add(d)
-            frontier = nxt
-        edges = set(x.edges) | {e for e, (s, d) in g.edges.items()
-                                if s in reached}
+            for _, d in out.get(frontier.pop(), ()):
+                if d not in reached:
+                    reached.add(d)
+                    frontier.append(d)
+        edges = set(x.edges) | {e for v in reached for e, _ in out.get(v, ())}
         return Subgraph(frozenset(reached), frozenset(edges))
     # weak components: undirected closure along the incidence index; a
     # union of components holds every edge touching it

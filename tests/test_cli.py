@@ -759,6 +759,16 @@ REFUSALS = [
     ("seed-length", """sheaf extend --sheaf d.json --seed '{"a": ["1", "2"]}'""",
      {"d.json": LINE_SHEAF_DOC},
      '{"error":"seed at \'a\' needs 1 entries","location":"seed:a"}\n'),
+    ("json-depth", POSET, {"d.json": "[" * 5000 + "]" * 5000},
+     '{"error":"JSON nested too deeply","location":"poset"}\n'),
+    ("json-digits", POSET, {"d.json": '{"elements": [' + "1" * 5000 + "]}"},
+     '{"error":"JSON integer has too many digits","location":"poset"}\n'),
+    ("seed-depth", "sheaf extend --sheaf d.json --seed " + "[" * 5000 + "]" * 5000,
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"JSON nested too deeply","location":"seed"}\n'),
+    ("seed-digits", """sheaf extend --sheaf d.json --seed '{"a": [""" + "1" * 5000 + "]}'",
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"JSON integer has too many digits","location":"seed"}\n'),
     ("poset-elements", POSET, {"d.json": {"elements": ["a", "a"]}},
      '{"error":"duplicate elements","location":"poset:elements"}\n'),
     ("poset-leq", POSET, {"d.json": {"elements": ["a"], "leq": {}}},

@@ -33,6 +33,8 @@ from util import (
     presheaf_p,
     random_copresheaf,
     random_poset,
+    slow_is_sheaf,
+    slow_sheaf_check,
     two_point_space,
 )
 
@@ -151,6 +153,88 @@ class TestEqualizerAgreement:
                 report = sheaf_check(p, cover, target)
                 assert injective == (report.locality[0] == "pass")
                 assert surjective == (report.gluing[0] == "pass")
+
+
+def duplicate_sections(p, u):
+    """Copy every section over u, each restricting like its original;
+    nothing above u restricts onto a copy.  The copies sort after the
+    originals and in reverse, so the first row two sections share is
+    not the row of the first section that repeats an earlier row."""
+    # equal-width integers sort by repr as by value, and after any tuple
+    originals = sorted(p.stalk[u], key=repr)
+    copies = {2 * 10**6 - i: s for i, s in enumerate(originals)}
+    stalk = dict(p.stalk)
+    stalk[u] = p.stalk[u] | set(copies)
+    restriction = dict(p.restriction)
+    for (w, v), table in p.restriction.items():
+        if w == u:
+            restriction[(w, v)] = {**table, **{
+                c: c if v == u else table[s] for c, s in copies.items()}}
+    return FinitePresheaf(p.topology, stalk, restriction)
+
+
+def remove_section(p, u, s):
+    """Drop section s over u together with every section above u that
+    restricts onto it."""
+    stalk = {w: frozenset(r for r in p.stalk[w]
+                          if not (u <= w and p.restriction[(w, u)][r] == s))
+             for w in p.topology.opens}
+    restriction = {(w, v): {r: t for r, t in table.items() if r in stalk[w]}
+                   for (w, v), table in p.restriction.items()}
+    return FinitePresheaf(p.topology, stalk, restriction)
+
+
+def oracle_corpus():
+    """The fixtures, transfers of random copresheaves, and those
+    transfers with the sections over a random open duplicated, or with
+    one section removed."""
+    yield from (presheaf_p(), presheaf_g(), presheaf_h())
+    for seed in range(40):
+        rng = random.Random(seed)
+        q = poset_transfer(random_copresheaf(rng, random_poset(rng, 4)))
+        yield q
+        inhabited = [w for w in q.topology.opens_sorted() if q.stalk[w]]
+        yield duplicate_sections(q, rng.choice(inhabited))
+        u = rng.choice(inhabited)
+        yield remove_section(q, u, rng.choice(sorted(q.stalk[u], key=repr)))
+
+
+def test_sheaf_checks_agree_with_the_pairwise_oracle():
+    """``sheaf_check`` gives the oracle's verdicts and witnesses on every
+    irredundant cover of every open, and on each open's minimal-open
+    cover; ``is_sheaf`` gives the oracle's answer.  Both answer for
+    presheaves that pass ``validate_presheaf``: the one-cover-per-open
+    reduction composes restrictions, as the irredundant-cover reduction
+    did."""
+    failed = set()
+    verdicts = set()
+    for p in oracle_corpus():
+        assert validate_presheaf(p).ok
+        topology = p.topology
+        for target in topology.opens_sorted():
+            minimal = frozenset(topology.minimal_open_containing(x)
+                                for x in target)
+            for cover in [minimal, *irredundant_covers(topology, target)]:
+                got = sheaf_check(p, cover, target)
+                assert repr(got) == repr(slow_sheaf_check(p, cover, target))
+                failed |= {axiom for axiom in ("locality", "gluing")
+                           if getattr(got, axiom)[0] == "fail"}
+        verdict = is_sheaf(p)
+        assert verdict == slow_is_sheaf(p)
+        verdicts.add(verdict)
+    assert failed == {"locality", "gluing"}
+    assert verdicts == {True, False}
+
+
+def test_cover_member_that_is_not_open_is_refused():
+    sierpinski = validate_topology("pq", [(), ("p",), ("p", "q")])
+    two = frozenset((0, 1))
+    opens = sierpinski.opens
+    p = FinitePresheaf(sierpinski, {u: two for u in opens},
+                       {(u, v): {0: 0, 1: 1}
+                        for u in opens for v in opens if v <= u})
+    with pytest.raises(SheafcalcError, match=r"cover member \['q'\] is not open"):
+        sheaf_check(p, [Q_OPEN, P_OPEN], PQ)
 
 
 class TestIrredundantCovers:

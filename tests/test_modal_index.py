@@ -8,6 +8,8 @@ and its step count, both reachability routes, and the subgraph list in
 the same order.
 """
 
+import time
+
 from hypothesis import given, settings, strategies as st
 
 from sheafcalc.modal import (
@@ -55,6 +57,33 @@ def test_simple_digraph_classes_agree():
     assert len(classes) == 218
     for g in classes:
         check_graph(g)
+
+
+def directed_path(n):
+    labels = [f"v{i:05d}" for i in range(n)]
+    return DirectedMultigraph(labels, [(f"e{i}", s, d) for i, (s, d)
+                                       in enumerate(zip(labels, labels[1:]))])
+
+
+def test_directed_paths_agree_from_both_ends_and_the_middle():
+    for n in (64, 256):
+        g = directed_path(n)
+        labels = sorted(g.vertices)
+        for start in (labels[0], labels[n // 2], labels[-1]):
+            x = Subgraph(frozenset([start]), frozenset())
+            for which in ROUTES:
+                assert reach_oracle(g, x, which) == slow_reach_oracle(g, x, which)
+
+
+def test_forward_reach_is_linear_on_a_long_path():
+    # a level-by-level rescan of every edge takes about 0.6 s at 2,000
+    # vertices and a hundredfold more here
+    g = directed_path(20000)
+    x = Subgraph(frozenset(["v00000"]), frozenset())
+    start = time.perf_counter()
+    reached = reach_oracle(g, x, "forward-reach")
+    assert time.perf_counter() - start < 1.0
+    assert reached == full_subgraph(g)
 
 
 @st.composite

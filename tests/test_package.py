@@ -191,3 +191,28 @@ def test_library_modules_import_at_top_level_without_cycles():
         assert leaves, f"import cycle among {sorted(graph)}"
         for m in leaves:
             del graph[m]
+
+
+def test_every_module_level_import_is_used():
+    # a name bound by a top-level import must be read somewhere in its
+    # module, unless the module re-exports it through __all__
+    unused = []
+    for path in sorted((SRC / "sheafcalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                exported |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read | exported:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

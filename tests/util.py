@@ -1,6 +1,6 @@
 """Shared test helpers: random structure generators with explicit rngs."""
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.modal import (
@@ -815,3 +815,62 @@ def simple_digraph_classes(n=4):
                  for k, (i, j) in enumerate(arcs) if mask >> k & 1]
         out.append(DirectedMultigraph(labels, edges))
     return out
+
+
+# ---------------------------------------------------------- sheaf oracle
+# The sheaf axioms as finsheaf checked them before one restriction table
+# per cover and one cover per open, kept verbatim: locality compares
+# every pair of target sections, gluing rescans every target section for
+# each matching family, and is_sheaf walks every irredundant cover.
+
+def slow_sheaf_check(p, cover, target):
+    """Test locality and gluing for one cover of one open.
+
+    The cover must be a family of opens whose union is the target open;
+    anything else is a usage error, not a sheaf failure.
+    """
+    from sheafcalc.finsheaf import (
+        SheafCondition, _ordered, matching_families, restrict)
+
+    target = frozenset(target)
+    members = [frozenset(u) for u in cover]
+    if not p.topology.is_open(target):
+        raise SheafcalcError(f"target {sorted(target)} is not open")
+    union = frozenset().union(*members) if members else frozenset()
+    if union != target:
+        raise SheafcalcError("cover does not union to the target")
+
+    locality = ("pass", None)
+    sections = _ordered(p.stalk[target])
+    for s, t in combinations(sections, 2):
+        if all(restrict(p, target, u, s) == restrict(p, target, u, t)
+               for u in members):
+            locality = ("fail", (s, t))
+            break
+
+    gluing = ("pass", None)
+    for family in matching_families(p, members):
+        glued = [s for s in sections
+                 if all(restrict(p, target, u, s) == family.section(u)
+                        for u in set(members))]
+        if not glued:
+            gluing = ("fail", family)
+            break
+
+    return SheafCondition(locality, gluing)
+
+
+def slow_is_sheaf(p):
+    """Both sheaf axioms over every irredundant cover of every open.
+
+    Redundant covers add no information: dropping a member contained in
+    the union of the rest never changes the matching families that
+    matter, so checking irredundant covers decides the full condition.
+    """
+    from sheafcalc.finsheaf import irredundant_covers
+
+    for target in p.topology.opens_sorted():
+        for cover in irredundant_covers(p.topology, target):
+            if not slow_sheaf_check(p, cover, target).ok:
+                return False
+    return True
