@@ -480,7 +480,7 @@ def _parse_presheaf(doc, where):
 
 
 def _parse_model(doc, where):
-    from .cohomology import OUTCOME_LIMIT, BayesModel, _outcome_count
+    from .cohomology import BayesModel
 
     obj = _as_object(doc, where, keys={"variables"}, required=("variables",))
     vdocs = obj["variables"]
@@ -520,11 +520,8 @@ def _parse_model(doc, where):
             rows.append(tuple(_rational_value(x, f"{vwhere}:cpt[{r}][{c}]")
                               for c, x in enumerate(rdoc)))
         cpt[name] = tuple(rows)
-    model = BayesModel(tuple(names), outcomes, parents, cpt)
-    if _outcome_count(model, model.variables) > OUTCOME_LIMIT:
-        raise InputError(f"outcome space too large (limit {OUTCOME_LIMIT})",
-                         f"{where}:variables")
-    return model
+    return _refusing(f"{where}:variables", BayesModel,
+                     tuple(names), outcomes, parents, cpt)
 
 
 def _parse_bitmap(text, flag):

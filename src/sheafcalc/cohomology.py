@@ -15,7 +15,7 @@ from math import prod
 from ._record import Record
 from .cellsheaf import (
     CellularSheaf, _coboundary, _require_valid, covering_pairs, validate_sheaf)
-from .complexes import validate_complex
+from .complexes import SimplicialComplex
 from .errors import SheafcalcError
 from .rationals import RationalMatrix, _reduced, rational
 
@@ -78,7 +78,9 @@ class BayesModel(Record):
 
     ``cpt[name]`` has one row per combination of parent outcomes (first
     parent slowest, in the declared parent order) and one column per own
-    outcome; every row sums to one exactly.
+    outcome; every row sums to one exactly.  The model is checked as it
+    is built, the outcome cap first; a cycle among the parents is found
+    when ``bayes_build`` orders the variables.
     """
 
     variables: tuple  # names in declaration order
@@ -95,6 +97,7 @@ class BayesModel(Record):
                              for row in self.cpt[name])
                  for name in self.variables}
         object.__setattr__(self, "cpt", clean)
+        _validate_model(self)
 
 
 class BayesAssembly(Record):
@@ -110,6 +113,9 @@ class BayesReport(Record):
 
 
 def _validate_model(m: BayesModel):
+    if _outcome_count(m, m.variables) > OUTCOME_LIMIT:
+        raise SheafcalcError(
+            f"outcome space too large (limit {OUTCOME_LIMIT})")
     if len(set(m.variables)) != len(m.variables):
         raise SheafcalcError("duplicate variable")
     for name in m.variables:
@@ -134,9 +140,6 @@ def _validate_model(m: BayesModel):
                 raise SheafcalcError(f"CPT row {i} for {name!r} has wrong width")
             if sum(row, Fraction(0)) != 1:
                 raise SheafcalcError(f"CPT row {i} for {name!r} does not sum to 1")
-    if _outcome_count(m, m.variables) > OUTCOME_LIMIT:
-        raise SheafcalcError(
-            f"outcome space too large (limit {OUTCOME_LIMIT})")
 
 
 def _outcome_count(m: BayesModel, face) -> int:
@@ -220,14 +223,13 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
     the nested faces a topological order of the DAG selects; its k-th
     map multiplies a distribution by the CPT of the k-th variable added.
     """
-    _validate_model(m)
     order = _topological(m)
 
     subsets = [[]]
     for name in m.variables:
         subsets += [s + [name] for s in subsets]
     faces = [_face_of(m, s) for s in subsets if s]
-    base = validate_complex(faces, vertices=m.variables)
+    base = SimplicialComplex(m.variables, faces)
 
     dim_of = {face: _outcome_count(m, face) for face in base.all_faces()}
 

@@ -98,23 +98,27 @@ def _contains(u, v) -> bool:
     return v <= u
 
 
+def _arrows(objects, arrow):
+    """Each object's arrow targets, listed in objects order."""
+    return {x: [y for y in objects if arrow(x, y)] for x in objects}
+
+
 def _check_tables(objects, arrow, stalk, maps):
     """A stalk at every object and, for every arrow x -> y, a table
     sending each section over x to a section over y."""
     for x in objects:
         if x not in stalk:
             raise SheafcalcError(f"no stalk over {x!r}")
-    for x in objects:
-        for y in objects:
-            if arrow(x, y):
-                if (x, y) not in maps:
-                    raise SheafcalcError(f"no map from {x!r} to {y!r}")
-                table = maps[(x, y)]
-                if set(table) != set(stalk[x]):
-                    raise SheafcalcError(f"map {x!r} -> {y!r} has the wrong domain")
-                for s in stalk[x]:
-                    if table[s] not in stalk[y]:
-                        raise SheafcalcError(f"map {x!r} -> {y!r} leaves the stalk")
+    for x, targets in _arrows(objects, arrow).items():
+        for y in targets:
+            if (x, y) not in maps:
+                raise SheafcalcError(f"no map from {x!r} to {y!r}")
+            table = maps[(x, y)]
+            if set(table) != set(stalk[x]):
+                raise SheafcalcError(f"map {x!r} -> {y!r} has the wrong domain")
+            for s in stalk[x]:
+                if table[s] not in stalk[y]:
+                    raise SheafcalcError(f"map {x!r} -> {y!r} leaves the stalk")
 
 
 def _functor_laws(objects, arrow, stalk, maps):
@@ -125,14 +129,12 @@ def _functor_laws(objects, arrow, stalk, maps):
         for s in _ordered(stalk[x]):
             if table[s] != s:
                 return PresheafReport(False, "identity", (x, s, table[s]))
+    targets = _arrows(objects, arrow)
     for x in objects:
-        for y in objects:
-            if not arrow(x, y):
-                continue
-            for z in objects:
-                if not arrow(y, z):
-                    continue
-                for s in _ordered(stalk[x]):
+        sections = _ordered(stalk[x])
+        for y in targets[x]:
+            for z in targets[y]:
+                for s in sections:
                     direct = maps[(x, z)][s]
                     stepped = maps[(y, z)][maps[(x, y)][s]]
                     if direct != stepped:
@@ -312,58 +314,33 @@ def validate_copresheaf(f: Copresheaf) -> PresheafReport:
     return _functor_laws(f.poset.elements, f.poset.leq, f.stalk, f.action)
 
 
-def _compatible_tuples(f: Copresheaf, points):
-    """All assignments over the given points that the action maps force.
-
-    Points are filled along a linear extension, so each new value is
-    either free (no predecessor yet assigned) or forced by every
-    assigned predecessor at once.
-    """
-    order = sorted(points,
-                   key=lambda x: (sum(1 for y in points if f.poset.leq(y, x)), x))
-    out = []
-
-    def extend(i, partial):
-        if i == len(order):
-            out.append(tuple(sorted(partial.items())))
-            return
-        q = order[i]
-        forced = None
-        consistent = True
-        for x, v in partial.items():
-            if f.poset.leq(x, q):
-                image = f.action[(x, q)][v]
-                if forced is None:
-                    forced = image
-                elif forced != image:
-                    consistent = False
-                    break
-        if not consistent:
-            return
-        candidates = [forced] if forced is not None else _ordered(f.stalk[q])
-        for v in candidates:
-            partial[q] = v
-            extend(i + 1, partial)
-            del partial[q]
-
-    extend(0, {})
-    return out
-
-
 def poset_transfer(f: Copresheaf) -> FinitePresheaf:
     """Realize a copresheaf as a presheaf on the up-set topology.
 
     The sections over an open are the action-compatible tuples over its
-    points; restriction just forgets coordinates.  The result always
-    satisfies both sheaf axioms, and the construction is reversible:
+    points; restriction just forgets coordinates.  Opens are taken
+    small-to-large, and each open U grows from U - {x} for the first
+    point x whose removal leaves an open: such an x is minimal in U, so
+    a section of U is one of U - {x} plus a value at x that the action
+    maps send onto its values above x.  The result always satisfies
+    both sheaf axioms, and the construction is reversible:
     ``copresheaf_from_presheaf`` recovers the input on the nose.
     """
     report = validate_copresheaf(f)
     if not report.ok:
         raise SheafcalcError(f"not a copresheaf: {report.kind} at {report.witness}")
     topology = alexandrov(f.poset, "up")
-    stalk = {u: frozenset(_compatible_tuples(f, u))
-             for u in topology.opens}
+    grown = {frozenset(): frozenset([()])}
+    for u in topology.opens_sorted()[1:]:
+        x = next(x for x in sorted(u) if topology.is_open(u - {x}))
+        above = [(y, f.action[(x, y)]) for y in u - {x} if f.poset.leq(x, y)]
+        sections = []
+        for s in grown[u - {x}]:
+            values = dict(s)
+            sections += [tuple(sorted(s + ((x, v),))) for v in f.stalk[x]
+                         if all(table[v] == values[y] for y, table in above)]
+        grown[u] = frozenset(sections)
+    stalk = {u: grown[u] for u in topology.opens}  # keyed like the tables
     restriction = {}
     for u in topology.opens:
         for v in topology.opens:
@@ -387,15 +364,12 @@ def copresheaf_from_presheaf(p: FinitePresheaf, poset: FinitePoset) -> Copreshea
         stalk[x] = frozenset(values)
         rep[x] = values
     action = {}
-    for x in poset.elements:
-        for y in poset.elements:
-            if not poset.leq(x, y):
-                continue
-            table = {}
-            for v, section in rep[x].items():
-                smaller = restrict(p, up[x], up[y], section)
-                table[v] = dict(smaller)[y]
-            action[(x, y)] = table
+    for x, y in poset.pairs():
+        table = {}
+        for v, section in rep[x].items():
+            smaller = restrict(p, up[x], up[y], section)
+            table[v] = dict(smaller)[y]
+        action[(x, y)] = table
     return Copresheaf(poset, stalk, action)
 
 
@@ -514,13 +488,11 @@ def ncolor(vertices, edges, n: int) -> NColorSheaf:
         stalk[a] = frozenset(_proper_colorings(va, ea, n))
     # colorings restrict downward, so the covariant data lives on the dual
     dual = poset.dualize()
-    for a in labels:
-        for b in labels:
-            if dual.leq(a, b):
-                vb, _ = subgraphs[b]
-                action[(a, b)] = {
-                    s: tuple(pair for pair in s if pair[0] in vb)
-                    for s in stalk[a]}
+    for a, b in dual.pairs():
+        vb, _ = subgraphs[b]
+        action[(a, b)] = {
+            s: tuple(pair for pair in s if pair[0] in vb)
+            for s in stalk[a]}
     functor = Copresheaf(dual, stalk, action)
     presheaf = poset_transfer(functor)
     top = _subgraph_label(vertices, edges)

@@ -11,6 +11,7 @@ coboundary costs work in proportion to its nonzeros, not to its area.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate
 
@@ -30,21 +31,53 @@ __all__ = [
 
 Rational = Fraction
 
+DIGIT_LIMIT = 4300  # digits of a rational string's value, and of each digit run
+_DIGIT_BOUND = 10 ** DIGIT_LIMIT
+_DIGIT_RUN = re.compile(r"[\d_]+")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _fits(text) -> bool:
+    """False when a rational string is sure to pass ``DIGIT_LIMIT``
+    before it is parsed: a run of more digits than the limit, or an
+    exponent past the limit plus the length of the string.  A nonzero
+    mantissa has fewer digits than the string, so such an exponent puts
+    the value past the limit, and no power of ten that large is built.
+    Refusing long runs here keeps the interpreter's own integer-string
+    limit, at its default or above, out of the answer."""
+    runs = _DIGIT_RUN.findall(text)
+    exponent = _EXPONENT.search(text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    bound = DIGIT_LIMIT + len(text)
+    return (all(len(run.replace("_", "")) <= DIGIT_LIMIT for run in runs)
+            and len(digits) <= len(str(bound)) and int(digits or "0") <= bound)
+
+
 def rational(value) -> Fraction:
-    """Coerce ints, Fractions and strings ("1/2", "-3", "0.5") to Fraction."""
+    """Coerce ints, Fractions and strings ("1/2", "-3", "0.5") to Fraction.
+
+    A string is refused when the numerator or denominator of its value,
+    or a run of digits in it, has more than ``DIGIT_LIMIT`` digits; an
+    exponent too large for any value within the limit is refused before
+    it is applied, even on a zero mantissa.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SheafcalcError(f"not a rational: {value!r}") from None
+        if _fits(value):
+            try:
+                out = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise SheafcalcError(f"not a rational: {value!r}") from None
+            if abs(out.numerator) < _DIGIT_BOUND and out.denominator < _DIGIT_BOUND:
+                return out
+        raise SheafcalcError(
+            f"rational {value!r} has more than {DIGIT_LIMIT} digits")
     raise TypeError(f"not a rational: {value!r}")
 
 

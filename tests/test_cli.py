@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -607,6 +608,21 @@ def test_bayes_cycle_is_a_domain_failure(tmp_path, capsys):
     assert "cycle" in json.loads(out)["error"]
 
 
+def test_bayes_variable_names_are_not_face_names(tmp_path, capsys):
+    # the complete simplex is built from the variables as they are, so
+    # the face-name syntax of sheaf documents never applies to them
+    doc = {"variables": [
+        {"name": "rain,wet", "outcomes": ["0", "1"], "cpt": [["1/3", "2/3"]]},
+        {"name": "a->b", "outcomes": ["0", "1"], "parents": ["rain,wet"],
+         "cpt": [["1/2", "1/2"], ["1/4", "3/4"]]},
+    ]}
+    path = write_json(tmp_path, "names.json", doc)
+    assert invoke(capsys, "bayes", "joint", "--model", path) == (
+        0, '["1/6","1/6","1/6","1/2"]\n')
+    assert invoke(capsys, "bayes", "check", "--model", path) == (
+        0, '{"ok":true}\n')
+
+
 def test_library_bug_is_a_traceback_not_a_domain_failure(tmp_path, monkeypatch):
     # only SheafcalcError is refused input; any other ValueError is a bug.
     # The action reads bayes_build from its module when it runs.
@@ -759,6 +775,14 @@ REFUSALS = [
     ("seed-length", """sheaf extend --sheaf d.json --seed '{"a": ["1", "2"]}'""",
      {"d.json": LINE_SHEAF_DOC},
      '{"error":"seed at \'a\' needs 1 entries","location":"seed:a"}\n'),
+    ("seed-exponent", """sheaf extend --sheaf d.json --seed '{"a": ["1e100000"]}'""",
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"rational \'1e100000\' has more than 4300 digits","location":"seed:a[0]"}\n'),
+    ("seed-exponent-negative",
+     """sheaf extend --sheaf d.json --seed '{"a": ["1e-999999999"]}'""",
+     {"d.json": LINE_SHEAF_DOC},
+     '{"error":"rational \'1e-999999999\' has more than 4300 digits",'
+     '"location":"seed:a[0]"}\n'),
     ("json-depth", POSET, {"d.json": "[" * 5000 + "]" * 5000},
      '{"error":"JSON nested too deeply","location":"poset"}\n'),
     ("json-digits", POSET, {"d.json": '{"elements": [' + "1" * 5000 + "]}"},
@@ -863,6 +887,12 @@ REFUSALS = [
      '{"error":"cpt must be an array of rows","location":"model:variables[0]:cpt"}\n'),
     ("cpt-row", BAYES, {"d.json": model({"cpt": [1]})},
      '{"error":"cpt rows are arrays","location":"model:variables[0]:cpt[0]"}\n'),
+    ("cpt-rows", BAYES, {"d.json": model({"cpt": [["1/2", "1/2"]] * 2})},
+     '{"error":"CPT for \'A\' needs 1 rows, got 2","location":"model:variables"}\n'),
+    ("cpt-width", BAYES, {"d.json": model({"cpt": [["1"]]})},
+     '{"error":"CPT row 0 for \'A\' has wrong width","location":"model:variables"}\n'),
+    ("cpt-sum", BAYES, {"d.json": model({"cpt": [["1/2", "1/3"]]})},
+     '{"error":"CPT row 0 for \'A\' does not sum to 1","location":"model:variables"}\n'),
     ("outcome-cap", BAYES, {"d.json": model(*({"name": f"V{i}"} for i in range(13)))},
      '{"error":"outcome space too large (limit 4096)","location":"model:variables"}\n'),
     ("bitmap-read", MORPH, {"el.json": [[0, 0]]},
@@ -1022,6 +1052,57 @@ def test_help_and_usage_errors_match_the_full_parser(argv, monkeypatch, capsys):
         full_parser().parse_args(argv)
     want = (stop.value.code or 0, *capsys.readouterr())
     assert (main(argv), *capsys.readouterr()) == want
+
+
+DIAMOND = {"elements": ["bot", "l", "r", "top"],
+           "leq": [["bot", "l"], ["bot", "r"], ["l", "top"], ["r", "top"]]}
+GRAPH_4 = {"vertices": ["a", "b", "c", "d"], "edges": [
+    {"id": "e1", "src": "a", "dst": "b"}, {"id": "e2", "src": "c", "dst": "b"},
+    {"id": "e3", "src": "c", "dst": "c"}]}
+# restricting s to the empty open directly or through p disagrees
+BROKEN_COMPOSITE = {
+    "topology": [["empty"], ["p", "p"], ["pq", "p", "q"]],
+    "opens": {"empty": ["a", "b"], "p": ["m"], "pq": ["s"]},
+    "restrictions": {"empty<=p": {"m": "a"}, "p<=pq": {"s": "m"},
+                     "empty<=pq": {"s": "b"}},
+}
+HASH_SEED_FILES = {
+    "gap.json": GLUING_GAP_DOC, "broken.json": BROKEN_COMPOSITE,
+    "diamond.json": DIAMOND, "graph.json": GRAPH_4,
+    "sub.json": {"vertices": ["a", "d"]},
+    "connection.json": {"source": DIAMOND, "target": DIAMOND, "left": {
+        "bot": "bot", "l": "l", "r": "r", "top": "top"}},
+    "running.json": sheaf_doc(running_sheaf()), "sprinkler.json": SPRINKLER_DOC,
+}
+HASH_SEED_COMMANDS = [
+    "presheaf check --presheaf gap.json",
+    "presheaf validate --presheaf broken.json",
+    "poset downsets --poset diamond.json",
+    "galois adjoint --connection connection.json",
+    "modal diamond --graph graph.json --subgraph sub.json",
+    """sheaf extend --sheaf running.json --seed '{"e":["1","0","-1"]}'""",
+    "bayes check --model sprinkler.json",
+    "cohomology dims --sheaf running.json",
+]
+
+
+def test_same_bytes_under_every_hash_seed(tmp_path):
+    # string hashing orders sets and dicts differently in each process;
+    # none of that order may reach stdout or the exit code
+    for name, doc in HASH_SEED_FILES.items():
+        write_json(tmp_path, name, doc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        runs.append([])
+        for command in HASH_SEED_COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sheafcalc.cli", *shlex.split(command)],
+                cwd=tmp_path, env=env, capture_output=True, text=True)
+            runs[-1].append((command, proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert [code for _, code, _ in runs[0]] == [1, 1, 0, 0, 0, 1, 0, 0]
 
 
 def test_module_entrypoint_round_trip(tmp_path):

@@ -10,14 +10,15 @@ from sheafcalc.cohomology import (
     BayesModel, _brute_marginal, bayes_build, bayes_check, coboundary,
     cochain_complex, cohomology_dims)
 from sheafcalc.complexes import (
-    boundary_matrix, homology_dims, incidence, validate_complex)
+    SimplicialComplex, boundary_matrix, homology_dims, incidence,
+    validate_complex)
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import RationalMatrix, block_assemble, decompose
 
 from util import (
     binary_chain, constant_sheaf, base_complex, dense_decompose, dense_matmul,
-    grid_complex, random_bayes_model, random_complex, random_valid_sheaf,
-    route_matrix, running_sheaf, sprinkler, tuple_brute_marginal,
+    grid_complex, random_bayes_model, random_complex, random_unimodular,
+    random_valid_sheaf, route_matrix, running_sheaf, sprinkler, tuple_brute_marginal,
     tuple_conditional_matrix, tuple_joint, tuple_marginalize_matrix,
     union_find_components, zero_sheaf)
 
@@ -185,10 +186,66 @@ def test_constant_sheaf_matches_homology_randomly():
 
 def test_holed_ten_by_ten_grid_constant_sheaf():
     # 638 faces; the sparse elimination makes this a tier-1 size
-    base = grid_complex(10, hole=(4, 4))
+    base = grid_complex(10, holes=[(4, 4)])
     s = constant_sheaf(base, 1)
     assert cohomology_dims(s) == tuple(homology_dims(base)) == (1, 1, 0)
     assert global_section_space(s).dimension == 1
+
+
+def test_each_holed_square_adds_one_loop():
+    # three pairwise non-adjacent holes in a 6 x 6 grid: Betti numbers
+    # (1, h, 0) with h = 3, read without any elimination oracle
+    base = grid_complex(6, holes=[(1, 1), (1, 4), (4, 2)])
+    assert union_find_components(base) == 1
+    assert homology_dims(base) == [1, 3, 0]
+    assert cohomology_dims(constant_sheaf(base, 1)) == (1, 3, 0)
+
+
+def reversed_vertex_order(s):
+    """s over its complex with the vertex order reversed: every face
+    re-sorted for the new order, every stalk and map kept."""
+    def flip(face):
+        return tuple(reversed(face))
+
+    base = SimplicialComplex(reversed(s.base.vertex_order),
+                             [flip(f) for f in s.base.faces])
+    return CellularSheaf(
+        base, {flip(f): d for f, d in s.stalk_dim.items()},
+        {(flip(a), flip(b)): m for (a, b), m in s.restriction.items()},
+        s.variance)
+
+
+def dimensions(s):
+    return (cochain_complex(s).dims, cohomology_dims(s),
+            homology_dims(s.base), global_section_space(s).dimension)
+
+
+def test_dimensions_ignore_the_vertex_order():
+    # reversing the order flips incidence signs and every pivot order,
+    # not the ranks
+    rng = random.Random(2017)
+    sheaves = [random_valid_sheaf(rng, random_complex(rng)) for _ in range(40)]
+    sheaves.append(constant_sheaf(grid_complex(6, holes=[(1, 1), (4, 2)]), 1))
+    for s in sheaves:
+        assert dimensions(reversed_vertex_order(s)) == dimensions(s)
+
+
+def test_dimensions_ignore_a_stalkwise_change_of_basis():
+    # F'(sigma, tau) = T_tau F(sigma, tau) T_sigma^-1 is isomorphic to F
+    rng = random.Random(2018)
+    sheaves = [random_valid_sheaf(rng, random_complex(rng)) for _ in range(40)]
+    sheaves.append(running_sheaf())
+    moved = 0
+    for s in sheaves:
+        twist = {f: random_unimodular(rng, d) for f, d in s.stalk_dim.items()}
+        rebased = CellularSheaf(s.base, dict(s.stalk_dim), {
+            (a, b): twist[b][0] @ m @ twist[a][1]
+            for (a, b), m in s.restriction.items()})
+        moved += rebased.restriction != s.restriction
+        assert cohomology_dims(rebased) == cohomology_dims(s)
+        assert (global_section_space(rebased).dimension
+                == global_section_space(s).dimension)
+    assert moved > len(sheaves) // 2
 
 
 def _dense_rank(m):
@@ -202,7 +259,7 @@ def test_betti_numbers_match_dense_ranks():
     # oracle's ranks give dim C_k minus the ranks of the maps at degree k
     rng = random.Random(43)
     sheaves = [random_valid_sheaf(rng, random_complex(rng)) for _ in range(40)]
-    sheaves.append(constant_sheaf(grid_complex(10, hole=(4, 4)), 1))
+    sheaves.append(constant_sheaf(grid_complex(10, holes=[(4, 4)]), 1))
     for s in sheaves:
         degrees = range(s.base.dimension() + 1)
         ranks = [0] + [_dense_rank(coboundary(s, k)) for k in degrees]

@@ -23,7 +23,7 @@ from sheafcalc.finsheaf import (
     validate_presheaf,
 )
 from sheafcalc.poset import (
-    FinitePoset, FiniteTopology, validate_poset, validate_topology)
+    FinitePoset, FiniteTopology, alexandrov, validate_poset, validate_topology)
 
 from util import (
     WINDOW,
@@ -33,6 +33,9 @@ from util import (
     presheaf_p,
     random_copresheaf,
     random_poset,
+    slow_check_tables,
+    slow_compatible_tuples,
+    slow_functor_laws,
     slow_is_sheaf,
     slow_sheaf_check,
     two_point_space,
@@ -473,6 +476,137 @@ class TestNColor:
         with pytest.raises(SheafcalcError, match="too many connected subgraphs"):
             ncolor("abcdefg", k7, 3)
         assert time.perf_counter() - start < 1.0
+
+
+PATH3 = [("a", "b"), ("b", "c")]
+PATH4 = [("a", "b"), ("b", "c"), ("c", "d")]
+
+
+def coloring_functor(nc):
+    """The copresheaf ``ncolor`` transfers, rebuilt by brute force: the
+    proper colourings of each subgraph, forgetting vertices along the
+    dual containment order."""
+    stalk = {}
+    for label, (vs, es) in nc.labels.items():
+        order = sorted(vs)
+        stalk[label] = frozenset(
+            tuple(zip(order, colors))
+            for colors in product(range(nc.colors), repeat=len(order))
+            if all(len({colors[order.index(v)] for v in e}) == 2 for e in es))
+    dual = nc.poset.dualize()
+    action = {(a, b): {s: tuple(pair for pair in s if pair[0] in nc.labels[b][0])
+                       for s in stalk[a]}
+              for a, b in dual.pairs()}
+    return Copresheaf(dual, stalk, action)
+
+
+def oracle_transfer(f):
+    """The transfer with each open's sections found by the per-open
+    search, restriction forgetting coordinates."""
+    topology = alexandrov(f.poset, "up")
+    stalk = {u: frozenset(slow_compatible_tuples(f, u)) for u in topology.opens}
+    restriction = {(u, v): {s: tuple(pair for pair in s if pair[0] in v)
+                            for s in stalk[u]}
+                   for u in topology.opens for v in topology.opens if v <= u}
+    return FinitePresheaf(topology, stalk, restriction)
+
+
+def transfer_corpus():
+    """(functor, transfer) pairs: random copresheaves on posets of up to
+    six elements, then the three-colouring functors of the 3-path, the
+    4-path and the triangle with ``ncolor``'s presheaf."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        f = random_copresheaf(rng, random_poset(rng, 6))
+        yield f, poset_transfer(f)
+    for edges in (PATH3, PATH4, K3_EDGES):
+        nc = ncolor(sorted(set().union(*edges)), edges, 3)
+        yield coloring_functor(nc), nc.presheaf
+
+
+def test_poset_transfer_matches_the_search_oracle():
+    for f, q in transfer_corpus():
+        want = oracle_transfer(f)
+        assert q == want
+        assert list(q.stalk) == list(want.stalk)
+
+
+def recomposed(rng, stalk, maps):
+    """maps with one table between distinct objects sending its first
+    section elsewhere in the target stalk, or None if no table can."""
+    keys = sorted((k for k in maps if k[0] != k[1]
+                   and stalk[k[0]] and len(stalk[k[1]]) > 1), key=repr)
+    if not keys:
+        return None
+    k = rng.choice(keys)
+    table = dict(maps[k])
+    s = min(table, key=repr)
+    table[s] = rng.choice(sorted(stalk[k[1]] - {table[s]}, key=repr))
+    return {**maps, k: table}
+
+
+def untabled(rng, stalk, maps):
+    """maps with one table missing, one table missing a section, and
+    one table sending a section out of its target stalk."""
+    keys = sorted((k for k in maps if stalk[k[0]]), key=repr)
+    missing = dict(maps)
+    del missing[rng.choice(keys)]
+    yield missing
+    for value in (None, "outside"):
+        k = rng.choice(keys)
+        table = dict(maps[k])
+        s = min(table, key=repr)
+        if value is None:
+            del table[s]
+        else:
+            table[s] = value
+        yield {**maps, k: table}
+
+
+KINDS = ("no map", "wrong domain", "leaves the stalk")
+
+
+def refusal(check, *args):
+    try:
+        check(*args)
+    except SheafcalcError as err:
+        return str(err)
+    return None
+
+
+def test_table_checks_match_the_scan_oracles():
+    """The functor laws give the oracle's report, and the table check
+    its refusal, on the transfer corpus, its functors and the P/G/H
+    fixtures, each as given and with tables broken."""
+    def contains(u, v):
+        return v <= u
+
+    cases = []
+    presheaves = [presheaf_p(), presheaf_g(), presheaf_h()]
+    for f, q in transfer_corpus():
+        cases.append((f.poset.elements, f.poset.elements, f.poset.leq,
+                      f.stalk, f.action, validate_copresheaf,
+                      lambda a, f=f: Copresheaf(f.poset, f.stalk, a)))
+        presheaves.append(q)
+    for p in presheaves:
+        cases.append((p.topology.opens, p.topology.opens_sorted(), contains,
+                      p.stalk, p.restriction, validate_presheaf,
+                      lambda r, p=p: FinitePresheaf(p.topology, p.stalk, r)))
+    rng = random.Random(1717)
+    kinds, refused = set(), set()
+    for tabled, scanned, arrow, stalk, maps, validate, build in cases:
+        for laws in (maps, recomposed(rng, stalk, maps)):
+            if laws is not None:
+                got = validate(build(laws))
+                assert repr(got) == repr(
+                    slow_functor_laws(scanned, arrow, stalk, laws))
+                kinds.add(got.kind)
+        for broken in untabled(rng, stalk, maps):
+            got = refusal(build, broken)
+            assert got == refusal(slow_check_tables, tabled, arrow, stalk, broken)
+            refused.add(next(kind for kind in KINDS if kind in got))
+    assert kinds == {None, "composition"}
+    assert refused == set(KINDS)
 
 
 class TestPredict:

@@ -1,14 +1,20 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import (
-    RationalMatrix, block_assemble, decompose, matmul, rational, solve)
+    DIGIT_LIMIT, RationalMatrix, block_assemble, decompose, matmul, rational,
+    solve)
 
 from util import dense_decompose, dense_matmul
 
@@ -78,6 +84,41 @@ def test_unparsable_rational_strings_refused():
     for text in ("x", "1/0", ""):
         with pytest.raises(SheafcalcError, match="not a rational"):
             rational(text)
+
+
+def test_rational_strings_past_the_digit_limit_refused_quickly():
+    """The exponent is read before any power of ten is built, and the
+    value's numerator and denominator, and every run of digits, are held
+    to DIGIT_LIMIT digits."""
+    edge = DIGIT_LIMIT - 1
+    assert rational(f"1e{edge}") == 10 ** edge
+    assert rational(f"-1e-{edge}") == Fraction(-1, 10 ** edge)
+    assert rational(f"0.0001e{edge + 3}") == 10 ** (edge - 1)
+    assert rational("1" * DIGIT_LIMIT + "/" + "1" * DIGIT_LIMIT) == 1
+    for text in (f"1e{DIGIT_LIMIT}", f"1e-{DIGIT_LIMIT}", "1e100000",
+                 "1e-999999999", "1e-1000000", "-2.5E+99_999_999",
+                 "1e" + "9" * 5000, "0e999999999", "1" * (DIGIT_LIMIT + 1),
+                 "0." + "0" * DIGIT_LIMIT + "1", "0_" * DIGIT_LIMIT + "1"):
+        start = time.perf_counter()
+        with pytest.raises(SheafcalcError, match=f"more than {DIGIT_LIMIT} digits"):
+            rational(text)
+        assert time.perf_counter() - start < 1.0, text
+
+
+def test_digit_limit_ignores_the_interpreter_setting():
+    # 0 lifts the interpreter's integer-string limit; 4300 is its default
+    code = ("from sheafcalc.rationals import rational\n"
+            "for text in ('1' * 4301, '1' * 4300 + 'e1', '1e-4300'):\n"
+            "    try:\n        rational(text)\n"
+            "    except ValueError as err:\n        print(err)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": digits},
+        check=True).stdout for digits in ("0", "4300", "100000")}
+    (output,) = outputs
+    assert [line.endswith("has more than 4300 digits")
+            for line in output.splitlines()] == [True] * 3
 
 
 def test_out_of_range_cells_refused():

@@ -47,10 +47,10 @@ def random_complex(rng, max_faces=8, vertex_pool="abcdef"):
     return validate_complex(faces)
 
 
-def grid_complex(n, hole=None):
+def grid_complex(n, holes=()):
     """Triangulated n x n grid, each unit square cut along its diagonal;
-    ``hole`` names a square (row, column) whose two triangles and
-    diagonal are left out, which adds one loop to the homology."""
+    each of ``holes`` names a square (row, column) whose two triangles
+    and diagonal are left out, which adds one loop to the homology."""
     from sheafcalc.complexes import validate_complex
 
     def label(i, j):
@@ -63,7 +63,7 @@ def grid_complex(n, hole=None):
             faces.append((label(j, i), label(j + 1, i)))
     for i in range(n):
         for j in range(n):
-            if (i, j) != hole:
+            if (i, j) not in holes:
                 a, b = label(i, j), label(i, j + 1)
                 c, d = label(i + 1, j), label(i + 1, j + 1)
                 faces += [(a, b, d), (a, c, d)]
@@ -874,3 +874,93 @@ def slow_is_sheaf(p):
             if not slow_sheaf_check(p, cover, target).ok:
                 return False
     return True
+
+
+# -------------------------------------------------------- transfer oracles
+# The per-open search that poset_transfer's growth from the open one point
+# smaller replaced, and the table checks as they tested every pair of
+# objects for an arrow inside their loops, kept verbatim.
+
+def slow_compatible_tuples(f, points):
+    """All assignments over the given points that the action maps force.
+
+    Points are filled along a linear extension, so each new value is
+    either free (no predecessor yet assigned) or forced by every
+    assigned predecessor at once.
+    """
+    from sheafcalc.finsheaf import _ordered
+
+    order = sorted(points,
+                   key=lambda x: (sum(1 for y in points if f.poset.leq(y, x)), x))
+    out = []
+
+    def extend(i, partial):
+        if i == len(order):
+            out.append(tuple(sorted(partial.items())))
+            return
+        q = order[i]
+        forced = None
+        consistent = True
+        for x, v in partial.items():
+            if f.poset.leq(x, q):
+                image = f.action[(x, q)][v]
+                if forced is None:
+                    forced = image
+                elif forced != image:
+                    consistent = False
+                    break
+        if not consistent:
+            return
+        candidates = [forced] if forced is not None else _ordered(f.stalk[q])
+        for v in candidates:
+            partial[q] = v
+            extend(i + 1, partial)
+            del partial[q]
+
+    extend(0, {})
+    return out
+
+
+def slow_check_tables(objects, arrow, stalk, maps):
+    """A stalk at every object and, for every arrow x -> y, a table
+    sending each section over x to a section over y."""
+    for x in objects:
+        if x not in stalk:
+            raise SheafcalcError(f"no stalk over {x!r}")
+    for x in objects:
+        for y in objects:
+            if arrow(x, y):
+                if (x, y) not in maps:
+                    raise SheafcalcError(f"no map from {x!r} to {y!r}")
+                table = maps[(x, y)]
+                if set(table) != set(stalk[x]):
+                    raise SheafcalcError(f"map {x!r} -> {y!r} has the wrong domain")
+                for s in stalk[x]:
+                    if table[s] not in stalk[y]:
+                        raise SheafcalcError(f"map {x!r} -> {y!r} leaves the stalk")
+
+
+def slow_functor_laws(objects, arrow, stalk, maps):
+    """Identity and composition laws of the tables, scanning objects
+    in the given order; returns the first violation found."""
+    from sheafcalc.finsheaf import PresheafReport, _ordered
+
+    for x in objects:
+        table = maps[(x, x)]
+        for s in _ordered(stalk[x]):
+            if table[s] != s:
+                return PresheafReport(False, "identity", (x, s, table[s]))
+    for x in objects:
+        for y in objects:
+            if not arrow(x, y):
+                continue
+            for z in objects:
+                if not arrow(y, z):
+                    continue
+                for s in _ordered(stalk[x]):
+                    direct = maps[(x, z)][s]
+                    stepped = maps[(y, z)][maps[(x, y)][s]]
+                    if direct != stepped:
+                        return PresheafReport(
+                            False, "composition", (x, y, z, s, direct, stepped))
+    return PresheafReport(True)
