@@ -138,6 +138,12 @@ class MorphismReport(Record):
     induced_ok: bool = True
 
 
+def _then(s: CellularSheaf, first, second) -> RationalMatrix:
+    """The map of ``first``, then ``second``, along s's arrows: a sheaf's
+    matrices act on the left, a cosheaf's on the right."""
+    return second @ first if s.variance == "sheaf" else first @ second
+
+
 def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafReport:
     """Dimension check plus every path-independence square.
 
@@ -172,12 +178,10 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
                 needed = [(rho, mid_a), (mid_a, tau), (rho, mid_b), (mid_b, tau)]
                 if any(p not in usable for p in needed):
                     continue
-                if s.variance == "sheaf":
-                    route_a = s.restriction[(mid_a, tau)] @ s.restriction[(rho, mid_a)]
-                    route_b = s.restriction[(mid_b, tau)] @ s.restriction[(rho, mid_b)]
-                else:
-                    route_a = s.restriction[(rho, mid_a)] @ s.restriction[(mid_a, tau)]
-                    route_b = s.restriction[(rho, mid_b)] @ s.restriction[(mid_b, tau)]
+                route_a = _then(s, s.restriction[(rho, mid_a)],
+                                s.restriction[(mid_a, tau)])
+                route_b = _then(s, s.restriction[(rho, mid_b)],
+                                s.restriction[(mid_b, tau)])
                 if route_a != route_b:
                     return SheafReport(
                         False, "path-independence", (rho, mid_a, mid_b, tau))
@@ -200,16 +204,11 @@ def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
     """
     if not set(rho) <= set(tau):
         raise SheafcalcError(f"{rho} is not a face of {tau}")
-    order = s.base._index.__getitem__
     out = RationalMatrix.identity(s.stalk_dim[rho])
     current = rho
-    for v in sorted(set(tau) - set(rho), key=order):
-        bigger = tuple(sorted(current + (v,), key=order))
-        step = s.restriction[(current, bigger)]
-        if s.variance == "sheaf":
-            out = step @ out
-        else:
-            out = out @ step
+    for v in s.base._face(set(tau) - set(rho)):
+        bigger = s.base._face(current + (v,))
+        out = _then(s, out, s.restriction[(current, bigger)])
         current = bigger
     return out
 
@@ -459,17 +458,23 @@ def direct_sum(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
     return CellularSheaf(f.base, dims, restriction, f.variance)
 
 
-def pullback(base: SimplicialComplex, f: dict, s: CellularSheaf) -> CellularSheaf:
-    """Reindex a sheaf through an order-preserving face map into its base."""
+def _check_face_map(base: SimplicialComplex, f: dict, image, map_name, image_name):
+    """``f`` sends every face of ``base`` to a face of ``image`` and keeps
+    the face order; refusals call the two ``map_name`` and ``image_name``."""
     for face in base.all_faces():
         if face not in f:
-            raise SheafcalcError(f"face map misses {face}")
-        if not s.base.has_face(f[face]):
-            raise SheafcalcError(f"face map leaves the target complex at {face}")
+            raise SheafcalcError(f"{map_name} misses {face}")
+        if not image.has_face(f[face]):
+            raise SheafcalcError(f"{map_name} leaves the {image_name} at {face}")
     for sigma, tau in covering_pairs(base):
         if not set(f[sigma]) <= set(f[tau]):
             raise SheafcalcError(
-                f"face map is not order-preserving at {sigma} < {tau}")
+                f"{map_name} is not order-preserving at {sigma} < {tau}")
+
+
+def pullback(base: SimplicialComplex, f: dict, s: CellularSheaf) -> CellularSheaf:
+    """Reindex a sheaf through an order-preserving face map into its base."""
+    _check_face_map(base, f, s.base, "face map", "target complex")
     dims = {face: s.stalk_dim[f[face]] for face in base.all_faces()}
     restriction = {}
     for sigma, tau in covering_pairs(base):
@@ -492,23 +497,17 @@ class SheafMorphism(Record):
     def __post_init__(self):
         if (self.source.variance, self.target.variance) != ("sheaf", "sheaf"):
             raise SheafcalcError("a sheaf morphism joins two sheaves")
+        _check_face_map(self.target.base, self.cell_map, self.source.base,
+                        "cell map", "source")
         for face in self.target.base.all_faces():
-            if face not in self.cell_map:
-                raise SheafcalcError(f"cell map misses {face}")
-            image = self.cell_map[face]
-            if not self.source.base.has_face(image):
-                raise SheafcalcError(f"cell map leaves the source at {face}")
             comp = self.components.get(face)
             if comp is None:
                 raise SheafcalcError(f"no component at {face}")
-            want = (self.target.stalk_dim[face], self.source.stalk_dim[image])
+            want = (self.target.stalk_dim[face],
+                    self.source.stalk_dim[self.cell_map[face]])
             if (comp.rows, comp.cols) != want:
                 raise SheafcalcError(
                     f"component at {face} is {comp.rows}x{comp.cols}, not {want}")
-        for sigma, tau in covering_pairs(self.target.base):
-            if not set(self.cell_map[sigma]) <= set(self.cell_map[tau]):
-                raise SheafcalcError(
-                    f"cell map is not order-preserving at {sigma} < {tau}")
 
 
 def check_morphism(m: SheafMorphism) -> MorphismReport:

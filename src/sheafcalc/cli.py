@@ -64,9 +64,26 @@ class Command(Record):
 
 # ------------------------------------------------------------- helpers
 
+_CHUNK = 10 ** 600  # under 640 digits, the lowest cap on int-to-text
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, exact at any size: ``str`` refuses an int past the
+    interpreter's digit cap, so a longer one is printed 600 digits at a
+    time."""
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    return "-" * (n < 0) + str(rest) + "".join(reversed(chunks))
+
+
 def _jsonable(value):
+    """Library values as JSON: a rational as its exact text, a set as a
+    list sorted by repr, a tuple as a list."""
     if isinstance(value, Fraction):
-        return str(value)
+        num, den = value.as_integer_ratio()
+        return _decimal(num) + (f"/{_decimal(den)}" if den != 1 else "")
     if isinstance(value, (frozenset, set)):
         return sorted((_jsonable(v) for v in value), key=repr)
     if isinstance(value, (list, tuple)):
@@ -80,7 +97,8 @@ def _emit(payload, out):
     if isinstance(payload, str):  # a bitmap grid, written verbatim
         out.write(payload + "\n")
     else:
-        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(json.dumps(_jsonable(payload), sort_keys=True,
+                             separators=(",", ":")) + "\n")
 
 
 def _read_text(path, flag):
@@ -171,32 +189,6 @@ def _rational_value(value, where) -> Fraction:
     return _refusing(where, rational, value)
 
 
-def _face_from_name(base, text, where):
-    """Resolve a face name: comma-joined labels, a bare vertex label, or
-    concatenated single characters when every vertex label is one."""
-    if not isinstance(text, str) or not text:
-        raise InputError("face names are nonempty strings", where)
-    vertices = set(base.vertex_order)
-    if "," in text:
-        parts = tuple(text.split(","))
-    elif text in vertices:
-        parts = (text,)
-    elif all(len(v) == 1 for v in vertices):
-        parts = tuple(text)
-    else:
-        parts = (text,)
-    for v in parts:
-        if v not in vertices:
-            raise InputError(f"unknown vertex {v!r} in face {text!r}", where)
-    if base.has_face(parts):
-        return parts
-    rank = {v: i for i, v in enumerate(base.vertex_order)}
-    if tuple(sorted(set(parts), key=rank.get)) != parts:
-        raise InputError(
-            f"face {text!r} is not sorted by the vertex order", where)
-    raise InputError(f"unknown face {text!r}", where)
-
-
 # ------------------------------------------------------------- parsers
 
 def _parse_complex(doc, where):
@@ -241,7 +233,7 @@ def _parse_matrix(doc, where, default_cols=0):
 
 def _parse_sheaf(doc, where, base_dir):
     from .cellsheaf import CellularSheaf, covering_pairs
-    from .complexes import face_name
+    from .complexes import _parse_face_name, face_name
 
     obj = _as_object(doc, where, keys={"complex", "stalks", "maps", "variance"},
                      required=("complex", "stalks", "maps"))
@@ -257,7 +249,7 @@ def _parse_sheaf(doc, where, base_dir):
     dims, spelled = {}, {}
     for name, value in _as_object(obj["stalks"], f"{where}:stalks").items():
         nwhere = f"{where}:stalks.{name}"
-        face = _face_from_name(base, name, nwhere)
+        face = _refusing(nwhere, _parse_face_name, base, name)
         _require_once(spelled, face, name, "face", nwhere)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise InputError("stalk dimensions are nonnegative integers", nwhere)
@@ -273,8 +265,8 @@ def _parse_sheaf(doc, where, base_dir):
         if key.count("->") != 1:
             raise InputError('map keys look like "a->ab"', kwhere)
         left, right = key.split("->")
-        sigma = _face_from_name(base, left, kwhere)
-        tau = _face_from_name(base, right, kwhere)
+        sigma = _refusing(kwhere, _parse_face_name, base, left)
+        tau = _refusing(kwhere, _parse_face_name, base, right)
         if (sigma, tau) not in pairs:
             raise InputError(f"{key!r} is not a covering attachment", kwhere)
         _require_once(spelled, (sigma, tau), key, "attachment", kwhere)
@@ -285,10 +277,11 @@ def _parse_sheaf(doc, where, base_dir):
 
 def _parse_seed(text, s, flag="seed"):
     from .cellsheaf import Assignment
+    from .complexes import _parse_face_name
 
     values, spelled = {}, {}
     for name, vec in _as_object(_decode(text, flag), flag).items():
-        face = _face_from_name(s.base, name, f"{flag}:{name}")
+        face = _refusing(f"{flag}:{name}", _parse_face_name, s.base, name)
         _require_once(spelled, face, name, "face", f"{flag}:{name}")
         if not isinstance(vec, list):
             raise InputError("seed vectors are arrays", f"{flag}:{name}")
@@ -320,7 +313,7 @@ def _parse_poset(doc, where):
     try:
         return validate_poset(elements, pairs)
     except OrderViolation as err:
-        raise Failure({"kind": "antisymmetry", "witness": list(err.cycle)})
+        raise Failure({"kind": "antisymmetry", "witness": err.cycle})
 
 
 def _parse_monotone_map(doc, dom, cod, where):
@@ -416,11 +409,7 @@ def _parse_presheaf(doc, where):
         open_sets[name] = points
     name_of = {}
     for name, members in open_sets.items():
-        if members in name_of:
-            raise InputError(
-                f"{name_of[members]!r} and {name!r} denote the same open",
-                f"{where}:topology")
-        name_of[members] = name
+        _require_once(name_of, members, name, "open", f"{where}:topology")
     points = sorted(set().union(*open_sets.values())) if open_sets else []
     topology = _refusing(f"{where}:topology", validate_topology,
                          points, open_sets.values())
@@ -602,7 +591,7 @@ def _sheaf_witness(base, report):
         sigma, tau, got, want = report.witness
         return {"kind": report.kind,
                 "attachment": [face_name(base, sigma), face_name(base, tau)],
-                "got": list(got), "want": list(want)}
+                "got": got, "want": want}
     assert report.kind == "path-independence"
     return {"kind": report.kind,
             "faces": [face_name(base, f) for f in report.witness]}
@@ -628,20 +617,19 @@ def _checked_sheaf(objects, action=None, seed=None):
 def _assignment_json(base, assignment):
     from .complexes import face_name
 
-    return {face_name(base, face): [str(x) for x in assignment[face]]
+    return {face_name(base, face): assignment[face]
             for face in base.all_faces() if face in assignment.support}
 
 
 def _cmd_complex_validate(objects, options):
     base = objects["complex"]
-    return {"vertices": list(base.vertex_order),
-            "faces": [list(f) for f in base.all_faces()]}
+    return {"vertices": base.vertex_order, "faces": base.all_faces()}
 
 
 def _cmd_complex_homology(objects, options):
     from .complexes import homology_dims
 
-    return list(homology_dims(objects["complex"]))
+    return homology_dims(objects["complex"])
 
 
 def _cmd_sheaf_validate(objects, options):
@@ -674,13 +662,12 @@ def _cmd_cohomology_dims(objects, options):
     from .cohomology import cohomology_dims
 
     s, _ = _checked_sheaf(objects, "cohomology")
-    return list(cohomology_dims(s))
+    return cohomology_dims(s)
 
 
 def _cmd_poset_validate(objects, options):
     p = objects["poset"]
-    return {"elements": list(p.elements),
-            "leq": sorted([x, y] for x, y in p.pairs())}
+    return {"elements": p.elements, "leq": p.pairs()}
 
 
 def _cmd_poset_downsets(objects, options):
@@ -696,7 +683,7 @@ def _cmd_poset_yoneda(objects, options):
     ok, witness = _refusing("poset:elements", yoneda_check, objects["poset"])
     if ok:
         return {"ok": True}
-    raise Failure({"kind": witness[0], "witness": _jsonable(list(witness[1:]))})
+    raise Failure({"kind": witness[0], "witness": witness[1:]})
 
 
 def _cmd_galois_check(objects, options):
@@ -709,7 +696,7 @@ def _cmd_galois_check(objects, options):
     report = check_connection(c)
     if report.ok:
         return {"ok": True}
-    raise Failure({"kind": report.kind, "witness": _jsonable(list(report.witness))})
+    raise Failure({"kind": report.kind, "witness": report.witness})
 
 
 def _cmd_galois_adjoint(objects, options):
@@ -727,15 +714,14 @@ def _cmd_galois_adjoint(objects, options):
     dom, cod = (c.source, c.target) if given == "left" else (c.target, c.source)
     bad = _monotonicity_witness(dom, cod, mapping)
     if bad is not None:
-        raise Failure({"kind": f"{given}-not-monotone", "witness": list(bad)})
+        raise Failure({"kind": f"{given}-not-monotone", "witness": bad})
     try:
         if direction == "right":
             adjoint = right_adjoint_of(mapping, c.source, c.target)
         else:
             adjoint = left_adjoint_of(mapping, c.source, c.target)
     except AdjointSynthesisError as err:
-        raise Failure({"kind": err.kind, "at": err.at,
-                       "subset": list(err.subset),
+        raise Failure({"kind": err.kind, "at": err.at, "subset": err.subset,
                        "bound": err.bound, "image": err.image})
     return {"direction": direction, "adjoint": adjoint}
 
@@ -793,6 +779,8 @@ def _cmd_presheaf_validate(objects, options):
 
 
 def _cover_witness(bundle, target, members, condition):
+    from .poset import _open_key
+
     out = {"target": bundle.name_of[target],
            "cover": sorted(bundle.name_of[frozenset(u)] for u in members)}
     if condition.locality[0] == "fail":
@@ -803,8 +791,7 @@ def _cover_witness(bundle, target, members, condition):
         family = condition.gluing[1]
         out["axiom"] = "gluing"
         out["family"] = [[bundle.name_of[u], family.section(u)]
-                         for u in sorted(family.cover,
-                                         key=lambda u: (len(u), tuple(sorted(u))))]
+                         for u in sorted(family.cover, key=_open_key)]
     return out
 
 
@@ -859,8 +846,7 @@ def _cmd_bayes_check(objects, options):
         raise Failure({"error": str(err)})
     if report.ok:
         return {"ok": True}
-    raise Failure({"ok": False,
-                   "violations": [_jsonable(v) for v in report.violations]})
+    raise Failure({"ok": False, "violations": report.violations})
 
 
 def _cmd_bayes_joint(objects, options):
@@ -870,7 +856,7 @@ def _cmd_bayes_joint(objects, options):
         assembly = bayes_build(objects["model"])
     except SheafcalcError as err:
         raise Failure({"error": str(err)})
-    return [str(x) for x in assembly.joint]
+    return assembly.joint
 
 
 class _ActionSpec(Record):

@@ -128,9 +128,7 @@ def _validate_model(m: BayesModel):
                 raise SheafcalcError(f"unknown parent {p!r} of {name!r}")
         if len(set(m.parents[name])) != len(m.parents[name]):
             raise SheafcalcError(f"duplicate parents of {name!r}")
-        want_rows = 1
-        for p in m.parents[name]:
-            want_rows *= len(m.outcomes[p])
+        want_rows = _outcome_count(m, m.parents[name])
         rows = m.cpt[name]
         if len(rows) != want_rows:
             raise SheafcalcError(
@@ -160,10 +158,6 @@ def _topological(m: BayesModel):
         order.append(ready[0])
         remaining.remove(ready[0])
     return order
-
-
-def _face_of(m: BayesModel, names) -> tuple:
-    return tuple(sorted(names, key=m.variables.index))
 
 
 def _outcome_indices(m: BayesModel, face, sub) -> list:
@@ -225,11 +219,10 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
     """
     order = _topological(m)
 
-    subsets = [[]]
+    subsets = [()]
     for name in m.variables:
-        subsets += [s + [name] for s in subsets]
-    faces = [_face_of(m, s) for s in subsets if s]
-    base = SimplicialComplex(m.variables, faces)
+        subsets += [s + (name,) for s in subsets]
+    base = SimplicialComplex(m.variables, subsets[1:])
 
     dim_of = {face: _outcome_count(m, face) for face in base.all_faces()}
 
@@ -238,13 +231,13 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
         marg[(sigma, tau)] = _marginalize_matrix(m, sigma, tau)
     cosheaf = CellularSheaf(base, dim_of, marg, "cosheaf")
 
-    chain = tuple(_face_of(m, order[:i + 1]) for i in range(len(order)))
+    chain = tuple(base._face(order[:i + 1]) for i in range(len(order)))
     conditional = {}
     for small, big in zip(chain, chain[1:]):
         conditional[(small, big)] = _conditional_matrix(m, small, big)
     sheaf = CellularSheaf(base, dim_of, conditional, "sheaf")
 
-    full = _face_of(m, m.variables)
+    full = tuple(m.variables)
     joint = [Fraction(1)] * _outcome_count(m, full)
     for name in full:
         joint = [p * q for p, q in zip(joint, _cpt_entries(m, full, name))]
@@ -254,7 +247,7 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
 
 def _brute_marginal(m: BayesModel, face, joint) -> tuple:
     """Marginal by direct summation over outcomes, bypassing the matrices."""
-    full = _face_of(m, m.variables)
+    full = tuple(m.variables)
     sums = [Fraction(0)] * _outcome_count(m, face)
     for i, p in zip(_outcome_indices(m, full, face), joint):
         sums[i] += p
@@ -272,12 +265,11 @@ def _carried_marginals(cosheaf: CellularSheaf, vec) -> dict:
     matrix-vector product per face and no composite matrix.
     """
     base = cosheaf.base
-    order = base._index.__getitem__
     faces = base.all_faces()
     out = {faces[-1]: vec}
     for face in reversed(faces[:-1]):
         missing = next(v for v in base.vertex_order if v not in face)
-        bigger = tuple(sorted(face + (missing,), key=order))
+        bigger = base._face(face + (missing,))
         out[face] = cosheaf.restriction[(face, bigger)].apply(out[bigger])
     return out
 

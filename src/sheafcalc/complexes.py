@@ -99,6 +99,10 @@ class SimplicialComplex:
     def has_face(self, face) -> bool:
         return tuple(face) in self.faces
 
+    def _face(self, vertices) -> tuple:
+        """The face on ``vertices``, sorted by the vertex order."""
+        return tuple(sorted(set(vertices), key=self._index.__getitem__))
+
 
 class Chain(Record):
     dimension: int
@@ -173,6 +177,31 @@ def face_name(complex_: SimplicialComplex, face) -> str:
     if all(len(v) == 1 for v in complex_.vertex_order):
         return "".join(face)
     return ",".join(face)
+
+
+def _parse_face_name(complex_: SimplicialComplex, text) -> tuple:
+    """The face ``face_name`` prints as ``text``: comma-joined labels, a
+    bare vertex label, or concatenated single characters when every
+    vertex label is one."""
+    if not isinstance(text, str) or not text:
+        raise SheafcalcError("face names are nonempty strings")
+    vertices = complex_._index
+    if "," in text:
+        parts = tuple(text.split(","))
+    elif text in vertices:
+        parts = (text,)
+    elif all(len(v) == 1 for v in vertices):
+        parts = tuple(text)
+    else:
+        parts = (text,)
+    for v in parts:
+        if v not in vertices:
+            raise SheafcalcError(f"unknown vertex {v!r} in face {text!r}")
+    if complex_.has_face(parts):
+        return parts
+    if complex_._face(parts) != parts:
+        raise SheafcalcError(f"face {text!r} is not sorted by the vertex order")
+    raise SheafcalcError(f"unknown face {text!r}")
 
 
 def face_poset(complex_: SimplicialComplex) -> FinitePoset:

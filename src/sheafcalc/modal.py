@@ -39,7 +39,7 @@ __all__ = [
     "aspect_modal",
 ]
 
-ENUMERATION_LIMIT = 16
+ENUMERATION_LIMIT = 16  # 2^16 subgraphs, the most a 16-vertex edgeless graph has
 
 
 class DirectedMultigraph:
@@ -267,17 +267,19 @@ def reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgraph:
 
 
 def all_subgraphs(g: DirectedMultigraph):
-    """Every closed subgraph, for exhaustive lattice sweeps."""
-    if len(g.vertices) > ENUMERATION_LIMIT or len(g.edges) > ENUMERATION_LIMIT:
-        raise SheafcalcError(
-            f"subgraph enumeration capped at {ENUMERATION_LIMIT} "
-            "vertices/edges")
+    """Every closed subgraph, for exhaustive lattice sweeps; refused
+    before the list passes 2^ENUMERATION_LIMIT subgraphs."""
+    cap = 1 << ENUMERATION_LIMIT
     verts = list(g.vertices)
     edges = sorted(g.edges.items())
     out = []
     for vmask in range(1 << len(verts)):
         vs = frozenset(v for i, v in enumerate(verts) if vmask >> i & 1)
         eligible = [e for e, (s, d) in edges if s in vs and d in vs]
+        # each vertex subset still to come adds at least its edgeless subgraph
+        if len(out) + (1 << len(eligible)) + (1 << len(verts)) - vmask - 1 > cap:
+            raise SheafcalcError(
+                f"subgraph enumeration capped at {cap} subgraphs")
         for emask in range(1 << len(eligible)):
             es = frozenset(e for i, e in enumerate(eligible)
                            if emask >> i & 1)

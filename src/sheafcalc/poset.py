@@ -164,6 +164,12 @@ def _monotonicity_witness(source: FinitePoset, target: FinitePoset, mapping):
 
 # ------------------------------------------------------------- downsets
 
+def _open_key(members):
+    """Sets by size, then by sorted members: the order in which downsets
+    and opens are listed."""
+    return len(members), tuple(sorted(members))
+
+
 def set_label(members) -> str:
     return "{" + ",".join(sorted(members)) + "}"
 
@@ -181,7 +187,7 @@ def downset_family(p: FinitePoset):
         if len(found) > POWERSET_LIMIT:
             raise SheafcalcError(
                 f"downset enumeration capped at {POWERSET_LIMIT} downsets")
-    found.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    found.sort(key=_open_key)
     return found
 
 
@@ -226,7 +232,7 @@ class FiniteTopology(Record):
         return frozenset(s) in self.opens
 
     def opens_sorted(self):
-        return sorted(self.opens, key=lambda s: (len(s), tuple(sorted(s))))
+        return sorted(self.opens, key=_open_key)
 
     def minimal_open_containing(self, point) -> frozenset:
         if point not in self.points:
@@ -251,7 +257,7 @@ def validate_topology(points, opens) -> FiniteTopology:
         raise SheafcalcError("empty set is not open")
     if full not in opens:
         raise SheafcalcError("whole space is not open")
-    ordered = sorted(opens, key=lambda s: (len(s), tuple(sorted(s))))
+    ordered = sorted(opens, key=_open_key)
     for u, v in combinations(ordered, 2):
         if u | v not in opens:
             raise SheafcalcError(

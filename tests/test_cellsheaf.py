@@ -6,7 +6,7 @@ import pytest
 
 from sheafcalc.cellsheaf import (
     Assignment, CellularSheaf, SheafMorphism, check_morphism, composite_map,
-    covering_pairs, direct_sum, extend, global_section_space,
+    SectionReport, covering_pairs, direct_sum, extend, global_section_space,
     is_global_section, pullback, validate_sheaf)
 from sheafcalc.cohomology import coboundary
 from sheafcalc.complexes import validate_complex
@@ -195,6 +195,20 @@ def test_section_check_requires_total_assignment():
         is_global_section(s, Assignment({**zero, ("z",): (1,)}))
     with pytest.raises(ValueError, match="dimension mismatch"):
         is_global_section(s, Assignment({**zero, ("a",): (1, 2, 3)}))
+
+
+def test_cosheaf_section_check_compares_below():
+    # a cosheaf maps the ab stalk down to a and b, so a violation is
+    # reported at the smaller face
+    edge = validate_complex([("a", "b")])
+    s = CellularSheaf(edge, {("a",): 1, ("b",): 1, ("a", "b"): 2}, {
+        (("a",), ("a", "b")): RationalMatrix.from_rows([[1, 0]]),
+        (("b",), ("a", "b")): RationalMatrix.from_rows([[0, 1]])}, "cosheaf")
+    a = Assignment({("a",): (1,), ("b",): (5,), ("a", "b"): (1, 2)})
+    assert is_global_section(s, a) == SectionReport(False, (
+        (("b",), ("a", "b"), ("b",), (Fraction(2),), (Fraction(5),)),))
+    fixed = Assignment({("a",): (1,), ("b",): (2,), ("a", "b"): (1, 2)})
+    assert is_global_section(s, fixed) == SectionReport(True)
 
 
 def test_assignment_coerces_and_reports_support():

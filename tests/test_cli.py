@@ -388,6 +388,24 @@ def test_galois_adjoint_reports_missing_join(tmp_path, capsys):
     assert payload["subset"] == ["p", "q"]
 
 
+def test_galois_adjoint_left_direction(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", {
+        "source": CHAIN_P, "target": CHAIN_Q, "right": {"x": "a", "y": "b"}})
+    assert invoke(capsys, "galois", "adjoint", "--connection", path,
+                  "--direction", "left") == (
+        0, '{"adjoint":{"a":"x","b":"y"},"direction":"left"}\n')
+    # the dual of the missing join: two incomparable targets collapsing
+    # to a point leave the candidate image {p, q} without a meet
+    path = write_json(tmp_path, "c.json", {
+        "source": {"elements": ["t"], "leq": []},
+        "target": {"elements": ["p", "q"], "leq": []},
+        "right": {"p": "t", "q": "t"}})
+    assert invoke(capsys, "galois", "adjoint", "--connection", path,
+                  "--direction", "left") == (
+        1, '{"at":"t","bound":null,"image":null,"kind":"no-meet",'
+           '"subset":["p","q"]}\n')
+
+
 # ------------------------------------------------------------ morphology
 
 def _write_morph_inputs(tmp_path):
@@ -499,6 +517,31 @@ def test_presheaf_validate_passes_and_check_finds_gluing_gap(tmp_path, capsys):
         "family": [["p", "m"], ["q", "n"]]}
 
 
+# two sections over pq that agree on both p and q
+LOCALITY_GAP_DOC = {
+    "topology": [["empty"], ["p", "p"], ["q", "q"], ["pq", "p", "q"]],
+    "opens": {"empty": ["*"], "p": ["m"], "q": ["n"], "pq": ["s", "t"]},
+    "restrictions": {
+        "empty<=p": {"m": "*"},
+        "empty<=q": {"n": "*"},
+        "empty<=pq": {"s": "*", "t": "*"},
+        "p<=pq": {"s": "m", "t": "m"},
+        "q<=pq": {"s": "n", "t": "n"},
+    },
+}
+
+
+def test_presheaf_composition_and_locality_witnesses(tmp_path, capsys):
+    path = write_json(tmp_path, "broken.json", BROKEN_COMPOSITE)
+    assert invoke(capsys, "presheaf", "validate", "--presheaf", path) == (
+        1, '{"direct":"b","kind":"composition","opens":["pq","p","empty"],'
+           '"section":"s","stepped":"a"}\n')
+    path = write_json(tmp_path, "loc.json", LOCALITY_GAP_DOC)
+    assert invoke(capsys, "presheaf", "check", "--presheaf", path) == (
+        1, '{"axiom":"locality","cover":["p","q"],"sections":["s","t"],'
+           '"target":"pq"}\n')
+
+
 def test_presheaf_targeted_check(tmp_path, capsys):
     path = write_json(tmp_path, "g.json", GLUING_GAP_DOC)
     code, out = invoke(capsys, "presheaf", "check", "--presheaf", path,
@@ -606,6 +649,18 @@ def test_bayes_cycle_is_a_domain_failure(tmp_path, capsys):
     code, out = invoke(capsys, "bayes", "check", "--model", path)
     assert code == 1
     assert "cycle" in json.loads(out)["error"]
+
+
+def test_bayes_joint_on_a_cycle_is_a_domain_failure(tmp_path, capsys):
+    doc = {"variables": [
+        {"name": "A", "outcomes": ["0", "1"], "parents": ["B"],
+         "cpt": [["1/2", "1/2"], ["1/2", "1/2"]]},
+        {"name": "B", "outcomes": ["0", "1"], "parents": ["A"],
+         "cpt": [["1/2", "1/2"], ["1/2", "1/2"]]},
+    ]}
+    path = write_json(tmp_path, "loop.json", doc)
+    assert invoke(capsys, "bayes", "joint", "--model", path) == (
+        1, '{"error":"cycle in dag"}\n')
 
 
 def test_bayes_variable_names_are_not_face_names(tmp_path, capsys):
@@ -1103,6 +1158,51 @@ def test_same_bytes_under_every_hash_seed(tmp_path):
             runs[-1].append((command, proc.returncode, proc.stdout))
     assert runs[0] == runs[1]
     assert [code for _, code, _ in runs[0]] == [1, 1, 0, 0, 0, 1, 0, 0]
+
+
+# ab = 10 a and b = ab, so a seed of 10^4299 (4,300 digits) puts
+# 4,301 digits at ab and b, one past the interpreter's default cap on
+# converting an int to text
+TEN_TO_ONE_LINE = dict(LINE_SHEAF_DOC, maps={"a->ab": [["10"]], "b->ab": [["1"]]})
+BIG_SEED = """sheaf extend --sheaf line.json --seed '{"a": ["1e4299"]}'"""
+
+
+def test_results_print_exactly_past_the_interpreter_digit_cap(tmp_path, monkeypatch,
+                                                              capsys):
+    before = sys.get_int_max_str_digits()
+    got = invoke_in(tmp_path, monkeypatch, capsys, BIG_SEED,
+                    {"line.json": TEN_TO_ONE_LINE})
+    big = "1" + "0" * 4300
+    assert got == (
+        0, f'{{"a":["{big[:-1]}"],"ab":["{big}"],"b":["{big}"]}}\n')
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_same_bytes_under_every_int_digit_cap(tmp_path):
+    # the interpreter's cap on int-to-text conversion is process-wide
+    # and set by the environment; no output may depend on it
+    for name, doc in (("line.json", TEN_TO_ONE_LINE),
+                      ("running.json", sheaf_doc(running_sheaf())),
+                      ("sprinkler.json", SPRINKLER_DOC)):
+        write_json(tmp_path, name, doc)
+    commands = [BIG_SEED, "sheaf sections --sheaf running.json",
+                "bayes joint --model sprinkler.json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for cap in (None, "0", "100000"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = src
+        if cap is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = cap
+        runs.append([])
+        for command in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sheafcalc.cli", *shlex.split(command)],
+                cwd=tmp_path, env=env, capture_output=True, text=True)
+            runs[-1].append((command, proc.returncode, proc.stdout))
+    assert runs[0] == runs[1] == runs[2]
+    assert [code for _, code, _ in runs[0]] == [0, 0, 0]
 
 
 def test_module_entrypoint_round_trip(tmp_path):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from sheafcalc.cellsheaf import (
-    Assignment, CellularSheaf, composite_map, covering_pairs, extend,
-    global_section_space, validate_sheaf)
+    Assignment, CellularSheaf, composite_map, covering_pairs, direct_sum,
+    extend, global_section_space, validate_sheaf)
 from sheafcalc.cohomology import (
     BayesModel, _brute_marginal, bayes_build, bayes_check, coboundary,
     cochain_complex, cohomology_dims)
@@ -246,6 +246,26 @@ def test_dimensions_ignore_a_stalkwise_change_of_basis():
         assert (global_section_space(rebased).dimension
                 == global_section_space(s).dimension)
     assert moved > len(sheaves) // 2
+
+
+def test_direct_sums_add_cohomology_dimensions():
+    # F + G over one complex: every dimension is the sum of the two
+    rng = random.Random(2019)
+    nontrivial = 0
+    for _ in range(40):
+        base = random_complex(rng)
+        f, g = random_valid_sheaf(rng, base), random_valid_sheaf(rng, base)
+        dims_f, dims_g = cohomology_dims(f), cohomology_dims(g)
+        both = direct_sum(f, g)
+        assert cohomology_dims(both) == tuple(
+            a + b for a, b in zip(dims_f, dims_g))
+        assert (global_section_space(both).dimension
+                == global_section_space(f).dimension
+                + global_section_space(g).dimension)
+        nontrivial += any(dims_f) and any(dims_g)
+    assert nontrivial > 20
+    holed = constant_sheaf(grid_complex(6, holes=[(1, 1), (1, 4), (4, 2)]), 1)
+    assert cohomology_dims(direct_sum(holed, holed)) == (2, 6, 0)
 
 
 def _dense_rank(m):

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.modal import (
     AspectPredicate, DirectedMultigraph, Subgraph, all_subgraphs,
     aspect_modal, aspect_neg, boundary, coheyting_neg, empty_subgraph,
@@ -123,6 +126,25 @@ def test_negation_adjunction_characterizations():
                     meet_join(g, z, y, "meet") == bot)
                 assert subgraph_leq(cy, z) == (
                     meet_join(g, y, z, "join") == top)
+
+
+def test_subgraph_enumeration_caps_what_it_builds():
+    # 2^16 subgraphs, the count of the edgeless 16-vertex graph, pass;
+    # 16 loops on those vertices make 3^16 and are refused without
+    # building up to the cap, and one vertex with 16 loops (2^16 + 1)
+    # is refused too
+    labels = [f"v{i:02d}" for i in range(16)]
+    assert len(all_subgraphs(DirectedMultigraph(labels, []))) == 1 << 16
+    loops = DirectedMultigraph(labels, [(f"e{v}", v, v) for v in labels])
+    start = time.perf_counter()
+    with pytest.raises(SheafcalcError, match="capped at 65536 subgraphs"):
+        all_subgraphs(loops)
+    assert time.perf_counter() - start < 1
+    knot = DirectedMultigraph("a", [(f"e{i:02d}", "a", "a") for i in range(16)])
+    with pytest.raises(SheafcalcError, match="capped at 65536 subgraphs"):
+        all_subgraphs(knot)
+    knot = DirectedMultigraph("a", [(f"e{i:02d}", "a", "a") for i in range(15)])
+    assert len(all_subgraphs(knot)) == (1 << 15) + 1
 
 
 def test_triple_negation_collapse():

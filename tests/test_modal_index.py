@@ -10,8 +10,11 @@ the same order.
 
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc import modal
+from sheafcalc.errors import SheafcalcError
 from sheafcalc.modal import (
     DirectedMultigraph, Subgraph, all_subgraphs, coheyting_neg, full_subgraph,
     heyting_neg, modal_iterate, reach_oracle, validate_subgraph)
@@ -111,3 +114,19 @@ def test_random_multigraphs_agree(case):
     check_subgraph(g, x)
     if len(g.vertices) + len(g.edges) <= 10:
         assert all_subgraphs(g) == slow_all_subgraphs(g)
+
+
+def test_subgraph_cap_refuses_exactly_the_graphs_past_it(monkeypatch):
+    # with the cap lowered to 2^4, all_subgraphs refuses a graph exactly
+    # when the oracle lists more than 16 subgraphs, and lists the rest
+    monkeypatch.setattr(modal, "ENUMERATION_LIMIT", 4)
+    refused = 0
+    for g in multigraphs_up_to():
+        want = slow_all_subgraphs(g)
+        if len(want) > 16:
+            refused += 1
+            with pytest.raises(SheafcalcError, match="capped at 16 subgraphs"):
+                all_subgraphs(g)
+        else:
+            assert all_subgraphs(g) == want
+    assert 0 < refused < 791

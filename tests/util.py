@@ -647,9 +647,7 @@ def tuple_joint(m):
     """The CPT product at each outcome of the full face."""
     from fractions import Fraction
 
-    from sheafcalc.cohomology import _face_of
-
-    full = _face_of(m, m.variables)
+    full = tuple(m.variables)
     joint = []
     for combo in combos(m, full):
         p = Fraction(1)
@@ -664,9 +662,7 @@ def tuple_brute_marginal(m, face, joint):
     """Marginal by direct summation over outcomes, bypassing the matrices."""
     from fractions import Fraction
 
-    from sheafcalc.cohomology import _face_of
-
-    full = _face_of(m, m.variables)
+    full = tuple(m.variables)
     index = index_map(m, face)
     sums = [Fraction(0)] * len(index)
     for j, combo in enumerate(combos(m, full)):
