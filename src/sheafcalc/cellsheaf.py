@@ -19,8 +19,8 @@ from ._record import Record
 from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
-    RationalMatrix, _augmented, _consistent, _particular, _reduce_row,
-    block_assemble, decompose, rational)
+    RationalMatrix, _augmented, _consistent, _kernel, _particular,
+    _reduce_row, _reduced, block_assemble, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -144,6 +144,27 @@ def _then(s: CellularSheaf, first, second) -> RationalMatrix:
     return second @ first if s.variance == "sheaf" else first @ second
 
 
+def _attachment_fault(s: CellularSheaf, sigma, tau):
+    """None when s stores a matrix of the expected shape for the covering
+    attachment sigma < tau, else ``validate_sheaf``'s (kind, witness)."""
+    mat = s.restriction.get((sigma, tau))
+    if mat is None:
+        return "missing-map", (sigma, tau)
+    want = s.expected_shape(sigma, tau)
+    if (mat.rows, mat.cols) != want:
+        return "shape", (sigma, tau, (mat.rows, mat.cols), want)
+    return None
+
+
+def _attachment(s: CellularSheaf, sigma, tau) -> RationalMatrix:
+    """s's matrix for the covering attachment sigma < tau, refused with
+    ``SheafcalcError`` when it is missing or has the wrong shape."""
+    fault = _attachment_fault(s, sigma, tau)
+    if fault is not None:
+        raise SheafcalcError(f"invalid sheaf: {fault[0]} at {fault[1]}")
+    return s.restriction[(sigma, tau)]
+
+
 def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafReport:
     """Dimension check plus every path-independence square.
 
@@ -151,19 +172,13 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
     skipped instead of reported; partially specified sheaves (only a
     chain of maps given) can then still be checked for what they do say.
     """
-    pairs = covering_pairs(s.base)
     usable = set()
-    for sigma, tau in pairs:
-        mat = s.restriction.get((sigma, tau))
-        if mat is None:
-            if require_complete:
-                return SheafReport(False, "missing-map", (sigma, tau))
-            continue
-        want = s.expected_shape(sigma, tau)
-        if (mat.rows, mat.cols) != want:
-            return SheafReport(
-                False, "shape", (sigma, tau, (mat.rows, mat.cols), want))
-        usable.add((sigma, tau))
+    for sigma, tau in covering_pairs(s.base):
+        fault = _attachment_fault(s, sigma, tau)
+        if fault is None:
+            usable.add((sigma, tau))
+        elif require_complete or fault[0] == "shape":
+            return SheafReport(False, *fault)
 
     for tau in s.base.all_faces():
         m = len(tau)
@@ -208,7 +223,7 @@ def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
     current = rho
     for v in s.base._face(set(tau) - set(rho)):
         bigger = s.base._face(current + (v,))
-        out = _then(s, out, s.restriction[(current, bigger)])
+        out = _then(s, out, _attachment(s, current, bigger))
         current = bigger
     return out
 
@@ -236,7 +251,7 @@ def is_global_section(s: CellularSheaf, a: Assignment) -> SectionReport:
     _check_total(s, a, faces)
     violations = []
     for sigma, tau in covering_pairs(s.base):
-        mat = s.restriction[(sigma, tau)]
+        mat = _attachment(s, sigma, tau)
         if s.variance == "sheaf":
             expected = mat.apply(a[sigma])
             got = a[tau]
@@ -429,9 +444,9 @@ def global_section_space(s: CellularSheaf) -> SectionSpace:
     uniquely through the restriction maps.
     """
     _require_valid(s)
-    offsets, _ = _vertex_layout(s)
-    dec = decompose(_coboundary(s, 0))
-    basis = tuple(_spread(s, offsets, vec) for vec in dec.kernel_basis)
+    offsets, total = _vertex_layout(s)
+    kernel = _kernel(_reduced(_coboundary(s, 0)), total)
+    basis = tuple(_spread(s, offsets, vec) for vec in kernel)
     return SectionSpace(len(basis), basis)
 
 
@@ -450,8 +465,8 @@ def direct_sum(f: CellularSheaf, g: CellularSheaf) -> CellularSheaf:
             for face in f.base.all_faces()}
     restriction = {}
     for pair in covering_pairs(f.base):
-        left = f.restriction[pair]
-        right = g.restriction[pair]
+        left = _attachment(f, *pair)
+        right = _attachment(g, *pair)
         restriction[pair] = block_assemble(
             {(0, 0): left, (1, 1): right},
             (left.rows, right.rows), (left.cols, right.cols))
@@ -514,7 +529,7 @@ def check_morphism(m: SheafMorphism) -> MorphismReport:
     """Verify every commuting square and the induced map on sections."""
     failing = []
     for sigma, tau in covering_pairs(m.target.base):
-        lhs = m.target.restriction[(sigma, tau)] @ m.components[sigma]
+        lhs = _attachment(m.target, sigma, tau) @ m.components[sigma]
         rhs = m.components[tau] @ composite_map(
             m.source, m.cell_map[sigma], m.cell_map[tau])
         if lhs != rhs:

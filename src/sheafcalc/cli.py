@@ -204,10 +204,15 @@ def _parse_complex(doc, where):
         raise InputError("faces must be a nonempty array", f"{where}:faces")
     faces = [tuple(_string_list(f, f"{where}:faces[{i}]"))
              for i, f in enumerate(faces_doc)]
-    for i, face in enumerate(faces):
-        # probe one face at a time so the error names its index
-        _refusing(f"{where}:faces[{i}]", validate_complex, [face], vertices=vertices)
-    return validate_complex(faces, vertices=vertices)
+    try:
+        return validate_complex(faces, vertices=vertices)
+    except SheafcalcError:
+        # with distinct vertex labels, a face list is refused exactly when
+        # some face is refused on its own: probe to name the first one
+        for i, face in enumerate(faces):
+            _refusing(f"{where}:faces[{i}]", validate_complex, [face],
+                      vertices=vertices)
+        raise
 
 
 def _parse_matrix(doc, where, default_cols=0):
@@ -618,7 +623,7 @@ def _assignment_json(base, assignment):
     from .complexes import face_name
 
     return {face_name(base, face): assignment[face]
-            for face in base.all_faces() if face in assignment.support}
+            for face in base.all_faces() if face in assignment.vectors}
 
 
 def _cmd_complex_validate(objects, options):

@@ -260,38 +260,36 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
     of the original matrix), the reduced row echelon form and its pivot
     columns, written out from ``_reduced``.  Its row step ``_reduce_row``
     is the one elimination routine of the package: ``solve`` and
-    ``cellsheaf.extend`` use it too, and the Betti numbers read only the
-    rank of ``_reduced``.
+    ``cellsheaf.extend`` use it too, the Betti numbers read only the
+    rank of ``_reduced``, and ``cellsheaf.global_section_space`` only
+    its ``_kernel``.
 
     rank + len(kernel_basis) == cols always.
     """
     rows, cols = m.rows, m.cols
     reduced = _reduced(m)
-
     pivots = sorted(reduced)
-    rref = []
-    free = {c: [] for c in range(cols) if c not in reduced}
-    for pc in pivots:
-        rref.append({pc: _ONE, **reduced[pc]})
-        for c, x in reduced[pc].items():
-            free[c].append((pc, -x))
+    rref = [{pc: _ONE, **reduced[pc]} for pc in pivots]
     rref.extend({} for _ in range(rows - len(pivots)))
-
-    kernel = []
-    for fc, entries in free.items():
-        v = [_ZERO] * cols
-        v[fc] = _ONE
-        for pc, x in entries:
-            v[pc] = x
-        kernel.append(tuple(v))
-
-    image = tuple(m.column(pc) for pc in pivots)
     return MatrixDecomposition(
         rank=len(pivots),
-        kernel_basis=tuple(kernel),
-        image_basis=image,
+        kernel_basis=_kernel(reduced, cols),
+        image_basis=tuple(m.column(pc) for pc in pivots),
         rref=RationalMatrix._from_sparse(rows, cols, tuple(rref)),
         pivots=tuple(pivots))
+
+
+def _kernel(reduced: dict, cols: int) -> tuple:
+    """The kernel basis of ``_reduced``'s result, one vector per free
+    column c in increasing order: 1 at c, and minus each reduced row's
+    entry in column c at that row's pivot."""
+    kernel = {c: [_ZERO] * cols for c in range(cols) if c not in reduced}
+    for c, v in kernel.items():
+        v[c] = _ONE
+    for pc, rest in reduced.items():
+        for c, x in rest.items():
+            kernel[c][pc] = -x
+    return tuple(map(tuple, kernel.values()))
 
 
 def _reduced(m: RationalMatrix) -> dict:

@@ -7,6 +7,7 @@ user.  Everything is rational arithmetic or finite sets, so every
 comparison below is equality, never a tolerance.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -14,6 +15,7 @@ from itertools import combinations
 
 from sheafcalc.cellsheaf import (
     Assignment, extend, global_section_space, validate_sheaf)
+from sheafcalc.cli import _assignment_json, main
 from sheafcalc.cohomology import bayes_build, bayes_check, coboundary, cohomology_dims
 from sheafcalc.complexes import homology_dims, validate_complex
 from sheafcalc.finsheaf import (
@@ -30,9 +32,9 @@ from sheafcalc.poset import all_downsets, set_label, validate_poset, yoneda_chec
 from sheafcalc.rationals import decompose
 
 from util import (
-    constant_sheaf, multigraphs_up_to, presheaf_g, presheaf_h, presheaf_p,
-    random_complex, random_copresheaf, random_poset, running_sheaf,
-    simple_digraph_classes, sprinkler)
+    constant_sheaf, grid_complex, multigraphs_up_to, presheaf_g, presheaf_h,
+    presheaf_p, random_complex, random_copresheaf, random_poset,
+    running_sheaf, simple_digraph_classes, sprinkler)
 
 
 # ----------------------------------------------------- shared corpora
@@ -58,7 +60,7 @@ def grid_images():
     return [grid_image(mask) for mask in range(64)]
 
 
-# -------------------------------------------------------- the 13 gates
+# -------------------------------------------------------- the 15 gates
 
 def test_running_sheaf_validates_and_obstructed_seed_is_exact():
     start = time.perf_counter()
@@ -305,3 +307,25 @@ def test_yoneda_embeds_and_adjoint_synthesis_recovers_erosion():
         expected = {label_of(y): label_of(erode(y, element))
                     for y in grid_images()}
         assert right_adjoint_of(left, lattice, lattice) == expected
+
+
+def test_a_40x40_grid_document_validates_within_budget(tmp_path, capsys):
+    # 9,761 faces and their vertex list, validated once
+    base = grid_complex(40)
+    doc = {"vertices": list(base.vertex_order),
+           "faces": [list(f) for f in base.all_faces()]}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["complex", "validate", "--complex", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out) == doc
+
+
+def test_a_holed_30x30_section_prints_within_budget():
+    holed = grid_complex(30, holes=[(14, 14)])
+    full = Assignment({face: (1,) for face in holed.all_faces()})
+    start = time.perf_counter()
+    printed = _assignment_json(holed, full)
+    assert time.perf_counter() - start < 0.25
+    assert len(printed) == len(holed.faces) == 5518

@@ -15,7 +15,7 @@ from sheafcalc.rationals import RationalMatrix, decompose
 
 from util import (
     RUNNING_STALK_DIMS, composite_spread, constant_sheaf, base_complex,
-    random_complex, random_valid_sheaf, running_sheaf, zero_sheaf)
+    grid_complex, random_complex, random_valid_sheaf, running_sheaf, zero_sheaf)
 
 
 # ------------------------------------------------------ structure checks
@@ -444,6 +444,23 @@ def test_sections_and_extensions_match_the_composite_spread():
     assert triangles  # routes of two attachments were carried
 
 
+def test_section_space_spreads_the_kernel_decompose_finds():
+    # global_section_space reduces the degree-zero coboundary without
+    # decompose's image basis and rref; its basis is still the spread of
+    # decompose's kernel basis, byte for byte
+    from sheafcalc.cellsheaf import _spread, _vertex_layout
+
+    rng = random.Random(19)
+    sheaves = [running_sheaf(), zero_sheaf(base_complex()),
+               constant_sheaf(grid_complex(6, holes=[(1, 1), (4, 2)]), 2)]
+    sheaves += [random_valid_sheaf(rng, random_complex(rng)) for _ in range(150)]
+    for s in sheaves:
+        offsets, _ = _vertex_layout(s)
+        kernel = decompose(coboundary(s, 0)).kernel_basis
+        assert repr(global_section_space(s).basis) == repr(
+            tuple(_spread(s, offsets, vec) for vec in kernel))
+
+
 def _path_or_cycle_case(seed):
     """A 5-vertex path, or a cycle when a coin says so, with stalks of
     dimension 1 or 2, rank <= 1 integer maps and two seeded vertices.
@@ -672,3 +689,78 @@ def test_morphism_structural_asserts():
         wrong = dict(eyes)
         wrong[("a",)] = RationalMatrix.identity(5)
         SheafMorphism(s, s, ident, wrong)
+
+
+# ---------------------------------------------------- incomplete sheaves
+
+CE = (("c",), ("c", "e"))
+MISSING_CE = r"invalid sheaf: missing-map at \(\('c',\), \('c', 'e'\)\)"
+
+
+def _without_ce(s):
+    maps = dict(s.restriction)
+    del maps[CE]
+    return CellularSheaf(s.base, s.stalk_dim, maps)
+
+
+def _identity_morphism(source, target):
+    faces = target.base.all_faces()
+    return SheafMorphism(
+        source, target, {face: face for face in faces},
+        {face: RationalMatrix.identity(target.stalk_dim[face]) for face in faces})
+
+
+def test_section_check_refuses_an_incomplete_sheaf():
+    s = _without_ce(running_sheaf())
+    zero = Assignment({f: (0,) * s.stalk_dim[f] for f in s.base.all_faces()})
+    with pytest.raises(SheafcalcError, match=MISSING_CE):
+        is_global_section(s, zero)
+    maps = {**running_sheaf().restriction, CE: RationalMatrix.identity(3)}
+    with pytest.raises(SheafcalcError,
+                       match=r"invalid sheaf: shape at .*\(3, 3\), \(2, 2\)\)"):
+        is_global_section(CellularSheaf(s.base, s.stalk_dim, maps), zero)
+
+
+def test_composite_map_refuses_only_the_steps_it_walks():
+    s = _without_ce(running_sheaf())
+    with pytest.raises(SheafcalcError, match=MISSING_CE):
+        composite_map(s, ("c",), ("c", "e"))
+    # c < cd < cde adds d before e and never needs c < ce
+    assert composite_map(s, ("c",), ("c", "d", "e")) == composite_map(
+        running_sheaf(), ("c",), ("c", "d", "e"))
+
+
+def test_direct_sum_refuses_missing_and_misshapen_maps():
+    line = constant_sheaf(validate_complex([("a", "b")]), 1)
+    pair = (("a",), ("a", "b"))
+    wide = CellularSheaf(line.base, line.stalk_dim,
+                         {**line.restriction, pair: RationalMatrix.identity(2)})
+    with pytest.raises(SheafcalcError, match=r"invalid sheaf: shape at"):
+        direct_sum(line, wide)
+    bare = CellularSheaf(line.base, line.stalk_dim, {})
+    with pytest.raises(SheafcalcError, match=r"invalid sheaf: missing-map at"):
+        direct_sum(bare, line)
+    with pytest.raises(SheafcalcError, match=r"invalid sheaf: missing-map at"):
+        direct_sum(line, bare)
+
+
+def test_pullback_refuses_a_missing_map_on_its_route():
+    s = _without_ce(running_sheaf())
+    edge = validate_complex([("x", "y")])
+    with pytest.raises(SheafcalcError, match=MISSING_CE):
+        pullback(edge, {("x",): ("c",), ("y",): ("e",),
+                        ("x", "y"): ("c", "e")}, s)
+    # a route that avoids c < ce still pulls back
+    back = pullback(edge, {("x",): ("c",), ("y",): ("d",),
+                           ("x", "y"): ("c", "d")}, s)
+    assert back.restriction[(("x",), ("x", "y"))] == s.restriction[
+        (("c",), ("c", "d"))]
+
+
+def test_check_morphism_refuses_incomplete_sheaves():
+    s = running_sheaf()
+    broken = _without_ce(s)
+    with pytest.raises(SheafcalcError, match=MISSING_CE):
+        check_morphism(_identity_morphism(s, broken))
+    with pytest.raises(SheafcalcError, match=MISSING_CE):
+        check_morphism(_identity_morphism(broken, s))

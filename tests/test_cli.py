@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import re
@@ -9,14 +10,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sheafcalc import cohomology
-from sheafcalc.cli import ACTIONS, main
+from sheafcalc import cohomology, complexes
+from sheafcalc.cli import ACTIONS, InputError, _emit, _parse_complex, main
 from sheafcalc.complexes import face_name
 from sheafcalc.morphology import (
     BinaryImage, StructuringElement, closing, erode, opening)
 
-from util import base_complex, running_sheaf, zero_sheaf
+from util import (
+    base_complex, grid_complex, running_sheaf, slow_parse_complex, zero_sheaf)
 
 
 def invoke(capsys, *argv):
@@ -1061,6 +1064,77 @@ def test_refusals_come_before_the_sheaf_verdict(argv, files, want, tmp_path,
 def test_a_name_given_twice_is_refused(argv, files, want, tmp_path, monkeypatch,
                                        capsys):
     assert invoke_in(tmp_path, monkeypatch, capsys, argv, files) == (2, want)
+
+
+# ------------------------------------------------ one complex validation
+
+LABELS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def complex_docs(draw):
+    """A complex document, with or without its vertex list, whose faces
+    may carry injected defects: an empty face, a repeated vertex, a
+    reserved character, a vertex outside the list, an unsorted face."""
+    listed = draw(st.booleans())
+    order = list(draw(st.permutations(LABELS))) if listed else list(LABELS)
+    faces = draw(st.lists(
+        st.lists(st.sampled_from(order), min_size=1, max_size=3, unique=True)
+        .map(lambda f: sorted(f, key=order.index)), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(faces) - 1))
+        face = list(faces[i]) or [order[0]]  # an earlier defect may empty it
+        defect = draw(st.sampled_from(
+            ("empty", "repeat", "reserved", "unknown", "unsorted")))
+        if defect == "empty":
+            face = []
+        elif defect == "repeat":
+            face.insert(draw(st.integers(0, len(face))), draw(st.sampled_from(face)))
+        elif defect == "reserved":
+            face[draw(st.integers(0, len(face) - 1))] = draw(
+                st.sampled_from(("a,b", "x->y", ",")))
+        elif defect == "unknown":
+            face.insert(draw(st.integers(0, len(face))), "z")
+        else:
+            face = face[::-1] if len(face) > 1 else [order[-1], order[0]]
+        faces[i] = face
+    doc = {"faces": faces}
+    if listed:
+        doc["vertices"] = order
+    return doc
+
+
+def _parsed_bytes(parse, doc):
+    """The complex a parser builds, or the bytes of its refusal."""
+    try:
+        return parse(doc, "complex")
+    except InputError as err:
+        out = io.StringIO()
+        _emit({"error": err.message, "location": err.location}, out)
+        return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(complex_docs())
+def test_complex_refusals_match_the_probe_first_parser(doc):
+    assert _parsed_bytes(_parse_complex, doc) == _parsed_bytes(
+        slow_parse_complex, doc)
+
+
+def test_a_valid_complex_is_validated_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    base = grid_complex(3)
+    validate = complexes.validate_complex
+    monkeypatch.setattr(complexes, "validate_complex", counted)
+    assert _parse_complex(complex_doc(base), "complex") == base
+    assert _parse_complex({"faces": [list(f) for f in base.all_faces()]},
+                          "complex") == base
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------- usage

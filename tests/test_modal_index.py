@@ -8,6 +8,7 @@ and its step count, both reachability routes, and the subgraph list in
 the same order.
 """
 
+import re
 import time
 
 import pytest
@@ -116,17 +117,31 @@ def test_random_multigraphs_agree(case):
         assert all_subgraphs(g) == slow_all_subgraphs(g)
 
 
-def test_subgraph_cap_refuses_exactly_the_graphs_past_it(monkeypatch):
-    # with the cap lowered to 2^4, all_subgraphs refuses a graph exactly
-    # when the oracle lists more than 16 subgraphs, and lists the rest
-    monkeypatch.setattr(modal, "ENUMERATION_LIMIT", 4)
-    refused = 0
-    for g in multigraphs_up_to():
+def _same_refusal_or_list(g):
+    """all_subgraphs refuses g with the oracle's message exactly when the
+    oracle does, and lists the same subgraphs otherwise; True on refusal."""
+    try:
         want = slow_all_subgraphs(g)
-        if len(want) > 16:
-            refused += 1
-            with pytest.raises(SheafcalcError, match="capped at 16 subgraphs"):
-                all_subgraphs(g)
-        else:
-            assert all_subgraphs(g) == want
+    except SheafcalcError as err:
+        with pytest.raises(SheafcalcError, match=f"^{re.escape(str(err))}$"):
+            all_subgraphs(g)
+        return True
+    assert all_subgraphs(g) == want
+    return False
+
+
+def test_subgraph_cap_refuses_exactly_the_graphs_past_it(monkeypatch):
+    # with the cap lowered to 2^4, on every small multigraph
+    monkeypatch.setattr(modal, "ENUMERATION_LIMIT", 4)
+    refused = sum(_same_refusal_or_list(g) for g in multigraphs_up_to())
     assert 0 < refused < 791
+
+
+def test_subgraph_cap_at_its_own_value():
+    # one vertex with k loops has 1 + 2^k subgraphs, the empty one included
+    assert _same_refusal_or_list(DirectedMultigraph(
+        ["a"], [(f"e{i}", "a", "a") for i in range(modal.ENUMERATION_LIMIT)]))
+    assert not _same_refusal_or_list(DirectedMultigraph(
+        ["a"], [(f"e{i}", "a", "a") for i in range(modal.ENUMERATION_LIMIT - 1)]))
+    many = [str(i) for i in range(modal.ENUMERATION_LIMIT + 1)]
+    assert _same_refusal_or_list(DirectedMultigraph(many, []))

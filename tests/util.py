@@ -2,9 +2,9 @@
 
 from itertools import combinations, combinations_with_replacement, permutations
 
+from sheafcalc import modal
 from sheafcalc.errors import SheafcalcError
-from sheafcalc.modal import (
-    ENUMERATION_LIMIT, DirectedMultigraph, ModalTrace, Subgraph)
+from sheafcalc.modal import DirectedMultigraph, ModalTrace, Subgraph
 from sheafcalc.poset import FinitePoset, validate_poset
 
 
@@ -756,17 +756,24 @@ def slow_reach_oracle(g: DirectedMultigraph, x: Subgraph, which: str) -> Subgrap
 
 
 def slow_all_subgraphs(g: DirectedMultigraph):
-    """Every closed subgraph, for exhaustive lattice sweeps."""
-    if len(g.vertices) > ENUMERATION_LIMIT or len(g.edges) > ENUMERATION_LIMIT:
-        raise SheafcalcError(
-            f"subgraph enumeration capped at {ENUMERATION_LIMIT} "
-            "vertices/edges")
+    """Every closed subgraph, for exhaustive lattice sweeps; refused when
+    there are more than 2^ENUMERATION_LIMIT of them, counted before any
+    is built: a vertex subset with k edges inside it has 2^k subgraphs,
+    so more vertices than the limit are past the cap already."""
+    cap = 1 << modal.ENUMERATION_LIMIT
+    refusal = SheafcalcError(f"subgraph enumeration capped at {cap} subgraphs")
     verts = list(g.vertices)
-    out = []
+    if len(verts) > modal.ENUMERATION_LIMIT:
+        raise refusal
+    layers = []
     for vmask in range(1 << len(verts)):
         vs = frozenset(v for i, v in enumerate(verts) if vmask >> i & 1)
-        eligible = [e for e, (s, d) in sorted(g.edges.items())
-                    if s in vs and d in vs]
+        layers.append((vs, [e for e, (s, d) in sorted(g.edges.items())
+                            if s in vs and d in vs]))
+    if sum(1 << len(eligible) for _, eligible in layers) > cap:
+        raise refusal
+    out = []
+    for vs, eligible in layers:
         for emask in range(1 << len(eligible)):
             es = frozenset(e for i, e in enumerate(eligible)
                            if emask >> i & 1)
@@ -960,3 +967,25 @@ def slow_functor_laws(objects, arrow, stalk, maps):
                         return PresheafReport(
                             False, "composition", (x, y, z, s, direct, stepped))
     return PresheafReport(True)
+
+
+def slow_parse_complex(doc, where):
+    """``cli._parse_complex`` as it was: every face probed on its own
+    before the whole list is validated, so each document pays a
+    validation per face plus one for the list."""
+    from sheafcalc.cli import InputError, _as_object, _refusing, _string_list
+    from sheafcalc.complexes import validate_complex
+
+    obj = _as_object(doc, where, keys={"vertices", "faces"}, required=("faces",))
+    vertices = None
+    if "vertices" in obj:
+        vertices = _string_list(obj["vertices"], f"{where}:vertices",
+                                unique="vertex labels")
+    faces_doc = obj["faces"]
+    if not isinstance(faces_doc, list) or not faces_doc:
+        raise InputError("faces must be a nonempty array", f"{where}:faces")
+    faces = [tuple(_string_list(f, f"{where}:faces[{i}]"))
+             for i, f in enumerate(faces_doc)]
+    for i, face in enumerate(faces):
+        _refusing(f"{where}:faces[{i}]", validate_complex, [face], vertices=vertices)
+    return validate_complex(faces, vertices=vertices)
