@@ -231,12 +231,7 @@ def incidence(complex_: SimplicialComplex, b, a) -> int:
             raise SheafcalcError(f"{face} not a face")
     if len(b) != len(a) + 1:
         raise SheafcalcError("incidence needs a dimension gap of one")
-    if not set(a) <= set(b):
-        return 0
-    missing = set(b) - set(a)
-    assert len(missing) == 1
-    n = b.index(missing.pop())
-    return -1 if n % 2 else 1
+    return next((sign for facet, sign in _signed_facets(b) if facet == a), 0)
 
 
 def _signed_facets(face):

@@ -144,9 +144,18 @@ def _functor_laws(objects, arrow, stalk, maps):
 
 
 def restrict(p: FinitePresheaf, u, v, section):
-    """Restrict a section of u to the smaller open v."""
+    """Restrict a section of u to the smaller open v.
+
+    Refuses, in this order, a v not inside u, a u or v that is not
+    open, and a section that is not over u.
+    """
     if not v <= u:
         raise SheafcalcError(f"{sorted(v)} is not inside {sorted(u)}")
+    for w in (u, v):
+        if not p.topology.is_open(w):
+            raise SheafcalcError(f"{sorted(w)} is not open")
+    if section not in p.stalk[u]:
+        raise SheafcalcError(f"{section!r} is not a section over {sorted(u)}")
     return p.restriction[(u, v)][section]
 
 
@@ -168,6 +177,35 @@ def _members(p: FinitePresheaf, cover):
     return members
 
 
+def _families(p: FinitePresheaf, members):
+    """``matching_families`` over members ``_members`` has checked.
+
+    Each member's sections are sorted once, and each pair of members
+    reads its two tables onto their overlap once, before the search.
+    """
+    sections = [_ordered(p.stalk[u]) for u in members]
+    overlaps = [[(j, p.restriction[(u, u & v)], p.restriction[(v, u & v)])
+                 for j, v in enumerate(members[:i])]
+                for i, u in enumerate(members)]
+    cover = tuple(members)
+    choice = []
+
+    def extend(i):
+        if i == len(members):
+            yield MatchingFamily(cover, tuple(zip(members, choice)))
+            return
+        for s in sections[i]:
+            for j, mine, theirs in overlaps[i]:
+                if mine[s] != theirs[choice[j]]:
+                    break
+            else:
+                choice.append(s)
+                yield from extend(i + 1)
+                choice.pop()
+
+    yield from extend(0)
+
+
 def matching_families(p: FinitePresheaf, cover):
     """Yield every matching family over the cover.
 
@@ -175,26 +213,7 @@ def matching_families(p: FinitePresheaf, cover):
     only while it agrees on all pairwise intersections, so consistent
     presheaves prune the product search drastically.
     """
-    members = _members(p, cover)
-
-    def extend(i, partial):
-        if i == len(members):
-            yield MatchingFamily(tuple(members), tuple(partial))
-            return
-        u = members[i]
-        for s in _ordered(p.stalk[u]):
-            good = True
-            for v, t in partial:
-                w = u & v
-                if restrict(p, u, w, s) != restrict(p, v, w, t):
-                    good = False
-                    break
-            if good:
-                partial.append((u, s))
-                yield from extend(i + 1, partial)
-                partial.pop()
-
-    yield from extend(0, [])
+    yield from _families(p, _members(p, cover))
 
 
 def sheaf_check(p: FinitePresheaf, cover, target) -> SheafCondition:
@@ -216,13 +235,13 @@ def sheaf_check(p: FinitePresheaf, cover, target) -> SheafCondition:
         raise SheafcalcError("cover does not union to the target")
     members = _members(p, members)
 
+    to_members = [p.restriction[(target, u)] for u in members]
     table = {}
     for s in _ordered(p.stalk[target]):
-        row = tuple(restrict(p, target, u, s) for u in members)
-        table.setdefault(row, []).append(s)
+        table.setdefault(tuple(to_u[s] for to_u in to_members), []).append(s)
     locality = next((("fail", tuple(same[:2])) for same in table.values()
                      if len(same) > 1), ("pass", None))
-    gluing = next((("fail", family) for family in matching_families(p, members)
+    gluing = next((("fail", family) for family in _families(p, members)
                    if tuple(s for _, s in family.choice) not in table),
                   ("pass", None))
     return SheafCondition(locality, gluing)
@@ -365,11 +384,9 @@ def copresheaf_from_presheaf(p: FinitePresheaf, poset: FinitePoset) -> Copreshea
         rep[x] = values
     action = {}
     for x, y in poset.pairs():
-        table = {}
-        for v, section in rep[x].items():
-            smaller = restrict(p, up[x], up[y], section)
-            table[v] = dict(smaller)[y]
-        action[(x, y)] = table
+        restriction = p.restriction[(up[x], up[y])]
+        action[(x, y)] = {v: dict(restriction[section])[y]
+                          for v, section in rep[x].items()}
     return Copresheaf(poset, stalk, action)
 
 
@@ -419,23 +436,6 @@ def _proper_colorings(vertices, edges, n):
     return out
 
 
-def _connected(vertices, edges) -> bool:
-    vertices = set(vertices)
-    if not vertices:
-        return False
-    seen = {min(vertices)}
-    frontier = [min(vertices)]
-    while frontier:
-        x = frontier.pop()
-        for e in edges:
-            if x in e:
-                for y in e:
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-    return seen == vertices
-
-
 def ncolor(vertices, edges, n: int) -> NColorSheaf:
     """Sheaf of proper n-colorings over connected subgraphs.
 
@@ -454,11 +454,10 @@ def ncolor(vertices, edges, n: int) -> NColorSheaf:
             raise SheafcalcError(f"edge {sorted(e)} has an unknown vertex")
     if n < 1:
         raise SheafcalcError(f"need at least one color, got {n}")
-    if not _connected(vertices, edges if len(vertices) > 1 else []):
-        raise SheafcalcError("graph is not connected")
 
     # every connected subgraph grows from one of its vertices by adding
-    # edges that touch what is already there
+    # edges that touch what is already there, so the whole graph is
+    # reached exactly when it is connected
     subgraphs = {}
     grow = [(frozenset([v]), frozenset()) for v in vertices]
     while grow:
@@ -470,6 +469,9 @@ def ncolor(vertices, edges, n: int) -> NColorSheaf:
         if len(subgraphs) > 24:
             raise SheafcalcError("too many connected subgraphs to enumerate")
         grow += [(vs | e, es | {e}) for e in edges if e & vs and e not in es]
+    top = _subgraph_label(vertices, edges)
+    if top not in subgraphs:
+        raise SheafcalcError("graph is not connected")
 
     labels = sorted(subgraphs)
     pairs = []
@@ -495,8 +497,6 @@ def ncolor(vertices, edges, n: int) -> NColorSheaf:
             for s in stalk[a]}
     functor = Copresheaf(dual, stalk, action)
     presheaf = poset_transfer(functor)
-    top = _subgraph_label(vertices, edges)
-    assert top in subgraphs
     return NColorSheaf(presheaf, poset, subgraphs, top, n)
 
 
@@ -516,6 +516,6 @@ def predict(p: FinitePresheaf, u, v, observed):
     for s in observed:
         if s not in p.stalk[u]:
             raise SheafcalcError(f"{s!r} is not a section over {sorted(u)}")
-    survivors = [s for s in p.stalk[whole]
-                 if restrict(p, whole, u, s) in observed]
-    return frozenset(restrict(p, whole, v, s) for s in survivors)
+    to_u = p.restriction[(whole, u)]
+    to_v = p.restriction[(whole, v)]
+    return frozenset(to_v[s] for s in p.stalk[whole] if to_u[s] in observed)

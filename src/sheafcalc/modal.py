@@ -83,9 +83,6 @@ class DirectedMultigraph:
         edges = tuple((eid, src, dst) for eid, (src, dst) in self.edges.items())
         return DirectedMultigraph, (self.vertices, edges)
 
-    def edge_ids(self):
-        return tuple(sorted(self.edges))
-
     def __repr__(self):
         return (f"DirectedMultigraph({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges)")

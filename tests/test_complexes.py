@@ -143,13 +143,30 @@ def _boundary_from_incidence(c, k):
                           [incidence(c, b, a) for a in rows for b in cols])
 
 
+def _deletion_sign(b, a):
+    """0 unless a is b less one vertex, else -1 to that vertex's
+    position in b."""
+    if not set(a) <= set(b):
+        return 0
+    return (-1) ** b.index((set(b) - set(a)).pop())
+
+
+def _reversed(c):
+    """The same complex with its vertex order reversed."""
+    order = [v for (v,) in c.k_faces(0)][::-1]
+    return validate_complex([f[::-1] for f in c.faces], vertices=order)
+
+
 def test_boundary_matches_incidence_on_random_complexes():
+    # each complex in its own vertex order and in the reversed one
     rng = random.Random(31)
     complexes = [random_complex(rng) for _ in range(60)]
     complexes.append(validate_complex([("a", "b", "c", "d"), ("d", "e")]))
-    for c in complexes:
+    for c in complexes + [_reversed(c) for c in complexes]:
         for k in range(1, c.dimension() + 1):
             assert boundary_matrix(c, k) == _boundary_from_incidence(c, k)
+            assert all(incidence(c, b, a) == _deletion_sign(b, a)
+                       for a in c.k_faces(k - 1) for b in c.k_faces(k))
 
 
 # -------------------------------------------------------------- homology

@@ -27,6 +27,7 @@ from sheafcalc.poset import (
 
 from util import (
     WINDOW,
+    brute_matching_families,
     combination_subgraphs,
     presheaf_g,
     presheaf_h,
@@ -229,6 +230,28 @@ def test_sheaf_checks_agree_with_the_pairwise_oracle():
     assert verdicts == {True, False}
 
 
+def test_matching_families_match_the_brute_product():
+    """The pruned search lists the brute product's families in its
+    order, on every irredundant cover and minimal-open cover of every
+    open, and on covers with a repeated member or a member nested in
+    another.  The corpus has the fixtures, random transfers, and
+    transfers with sections duplicated (locality fails) or removed
+    (gluing fails)."""
+    sizes = set()
+    for p in oracle_corpus():
+        topology = p.topology
+        for target in topology.opens_sorted():
+            minimal = [topology.minimal_open_containing(x) for x in sorted(target)]
+            inside = [u for u in topology.opens_sorted() if u < target]
+            covers = [minimal, minimal + minimal[:1], [target] + inside[-1:],
+                      *irredundant_covers(topology, target)]
+            for cover in covers:
+                got = list(matching_families(p, cover))
+                assert got == list(brute_matching_families(p, cover))
+                sizes.add(min(len(got), 2))
+    assert sizes == {0, 1, 2}
+
+
 def test_cover_member_that_is_not_open_is_refused():
     sierpinski = validate_topology("pq", [(), ("p",), ("p", "q")])
     two = frozenset((0, 1))
@@ -238,6 +261,29 @@ def test_cover_member_that_is_not_open_is_refused():
                         for u in opens for v in opens if v <= u})
     with pytest.raises(SheafcalcError, match=r"cover member \['q'\] is not open"):
         sheaf_check(p, [Q_OPEN, P_OPEN], PQ)
+
+
+def test_restrict_refuses_what_it_cannot_restrict():
+    """Nesting is checked first, then that both sets are open, then
+    that the section lies over the larger open; each refusal is a
+    SheafcalcError, not the table's KeyError."""
+    p = presheaf_p()
+    assert restrict(p, PQ, P_OPEN, 2) == 2
+    with pytest.raises(SheafcalcError, match=r"^\['p', 'q'\] is not inside \['p'\]$"):
+        restrict(p, P_OPEN, PQ, 2)
+    with pytest.raises(SheafcalcError, match=r"^\['y'\] is not inside \['z'\]$"):
+        restrict(p, frozenset("z"), frozenset("y"), "x")
+    with pytest.raises(SheafcalcError, match=r"^\['z'\] is not open$"):
+        restrict(p, frozenset("z"), EMPTY, "x")
+    with pytest.raises(SheafcalcError,
+                       match=r"^'nosuch' is not a section over \['p', 'q'\]$"):
+        restrict(p, PQ, EMPTY, "nosuch")
+    sierpinski = validate_topology("pq", [(), ("p",), ("p", "q")])
+    s = FinitePresheaf(sierpinski, {u: frozenset([0]) for u in sierpinski.opens},
+                       {(u, v): {0: 0} for u in sierpinski.opens
+                        for v in sierpinski.opens if v <= u})
+    with pytest.raises(SheafcalcError, match=r"^\['q'\] is not open$"):
+        restrict(s, PQ, Q_OPEN, 0)
 
 
 class TestIrredundantCovers:
@@ -420,6 +466,15 @@ class TestNColor:
     def test_disconnected_graph_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             ncolor("abcd", [("a", "b"), ("c", "d")], 3)
+
+    def test_connectivity_is_read_off_the_growth(self):
+        # an empty graph never grows; K4 plus an isolated vertex passes
+        # the cap of 24 before the growth could show it disconnected
+        with pytest.raises(SheafcalcError, match="^graph is not connected$"):
+            ncolor("", [], 3)
+        k4 = list(combinations("abcd", 2))
+        with pytest.raises(SheafcalcError, match="too many connected subgraphs"):
+            ncolor("abcde", k4, 3)
 
     def test_loops_rejected(self):
         with pytest.raises(SheafcalcError):

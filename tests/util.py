@@ -1,6 +1,7 @@
 """Shared test helpers: random structure generators with explicit rngs."""
 
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (
+    combinations, combinations_with_replacement, permutations, product)
 
 from sheafcalc import modal
 from sheafcalc.errors import SheafcalcError
@@ -19,10 +20,6 @@ def random_poset(rng, max_elements=6, edge_prob=0.4) -> FinitePoset:
             if rng.random() < edge_prob:
                 pairs.append((labels[i], labels[j]))
     return validate_poset(labels, pairs)
-
-
-def poset_from_edges(labels, edges) -> FinitePoset:
-    return validate_poset(labels, edges)
 
 
 def base_complex():
@@ -527,12 +524,24 @@ def mask_downset_family(p):
     return found
 
 
+def spans_connected(vertices, edges) -> bool:
+    """Grow the vertices reached from the least one by every edge that
+    touches them, level by level, until nothing new is reached."""
+    vertices = set(vertices)
+    if not vertices:
+        return False
+    reached = {min(vertices)}
+    while True:
+        grown = reached.union(*(e for e in edges if e & reached))
+        if grown == reached:
+            return reached == vertices
+        reached = grown
+
+
 def combination_subgraphs(vertices, edges):
     """label -> (vertices, edges) for every connected subgraph: the single
     vertices, then every edge subset that spans a connected graph."""
-    from itertools import combinations
-
-    from sheafcalc.finsheaf import _connected, _subgraph_label
+    from sheafcalc.finsheaf import _subgraph_label
 
     vertices = sorted(set(vertices))
     edges = sorted({frozenset(e) for e in edges}, key=sorted)
@@ -542,7 +551,7 @@ def combination_subgraphs(vertices, edges):
     for r in range(1, len(edges) + 1):
         for combo in combinations(edges, r):
             vs = frozenset().union(*combo)
-            if _connected(vs, combo):
+            if spans_connected(vs, combo):
                 subgraphs[_subgraph_label(vs, combo)] = (vs, frozenset(combo))
     return subgraphs
 
@@ -822,9 +831,29 @@ def simple_digraph_classes(n=4):
 
 # ---------------------------------------------------------- sheaf oracle
 # The sheaf axioms as finsheaf checked them before one restriction table
-# per cover and one cover per open, kept verbatim: locality compares
-# every pair of target sections, gluing rescans every target section for
-# each matching family, and is_sheaf walks every irredundant cover.
+# per cover and one cover per open: locality compares every pair of
+# target sections, gluing rescans every target section for each matching
+# family, and is_sheaf walks every irredundant cover.  The families come
+# from a brute product over the members' sections, not from the pruned
+# search in finsheaf.
+
+def brute_matching_families(p, cover):
+    """Yield every matching family over the cover: the distinct members
+    largest first (ties by sorted points), each choice of one section
+    per member from the product of their sections sorted by repr, kept
+    when every two choices restrict to one section of the overlap."""
+    from sheafcalc.finsheaf import MatchingFamily
+
+    members = sorted(set(cover), key=lambda u: (-len(u), tuple(sorted(u))))
+    for u in members:
+        if not p.topology.is_open(u):
+            raise SheafcalcError(f"cover member {sorted(u)} is not open")
+    for choice in product(*(sorted(p.stalk[u], key=repr) for u in members)):
+        chosen = tuple(zip(members, choice))
+        if all(p.restriction[(u, u & v)][s] == p.restriction[(v, u & v)][t]
+               for (u, s), (v, t) in combinations(chosen, 2)):
+            yield MatchingFamily(tuple(members), chosen)
+
 
 def slow_sheaf_check(p, cover, target):
     """Test locality and gluing for one cover of one open.
@@ -832,8 +861,7 @@ def slow_sheaf_check(p, cover, target):
     The cover must be a family of opens whose union is the target open;
     anything else is a usage error, not a sheaf failure.
     """
-    from sheafcalc.finsheaf import (
-        SheafCondition, _ordered, matching_families, restrict)
+    from sheafcalc.finsheaf import SheafCondition, _ordered, restrict
 
     target = frozenset(target)
     members = [frozenset(u) for u in cover]
@@ -852,7 +880,7 @@ def slow_sheaf_check(p, cover, target):
             break
 
     gluing = ("pass", None)
-    for family in matching_families(p, members):
+    for family in brute_matching_families(p, members):
         glued = [s for s in sections
                  if all(restrict(p, target, u, s) == family.section(u)
                         for u in set(members))]
