@@ -219,6 +219,10 @@ def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
     """
     if not set(rho) <= set(tau):
         raise SheafcalcError(f"{rho} is not a face of {tau}")
+    if not set(tau) <= s.base._index.keys() or not all(
+            s.base.has_face(s.base._face(f)) for f in (rho, tau)):
+        raise SheafcalcError(f"unknown face in {rho} < {tau}")
+    rho = s.base._face(rho)
     out = RationalMatrix.identity(s.stalk_dim[rho])
     current = rho
     for v in s.base._face(set(tau) - set(rho)):

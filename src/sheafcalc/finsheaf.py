@@ -149,6 +149,7 @@ def restrict(p: FinitePresheaf, u, v, section):
     Refuses, in this order, a v not inside u, a u or v that is not
     open, and a section that is not over u.
     """
+    u, v = frozenset(u), frozenset(v)
     if not v <= u:
         raise SheafcalcError(f"{sorted(v)} is not inside {sorted(u)}")
     for w in (u, v):

@@ -327,23 +327,15 @@ def validate_aspect_predicate(pred: AspectPredicate):
 
 def aspect_neg(pred: AspectPredicate, which: str) -> AspectPredicate:
     """Heyting: fails at every sub-aspect; co-Heyting: fails at some
-    super-aspect.  Either way the output is functorial again."""
+    super-aspect.  Either way the output is functorial again.  The first
+    is the carrier minus the union of the truth sets over the down-set,
+    the second the carrier minus their intersection over the up-set."""
     if which not in ("heyting", "coheyting"):
         raise SheafcalcError(f"unknown negation {which!r}")
-    table = dict(pred.truth)
-    p = pred.aspects
-    out = {}
-    for a in p.elements:
-        if which == "heyting":
-            region = p.principal_down(a)
-            out[a] = frozenset(
-                x for x in pred.carrier
-                if all(x not in table[b] for b in region))
-        else:
-            region = p.principal_up(a)
-            out[a] = frozenset(
-                x for x in pred.carrier
-                if any(x not in table[b] for b in region))
+    table, p, carrier = dict(pred.truth), pred.aspects, frozenset(pred.carrier)
+    cone, held = ((p.principal_down, frozenset().union) if which == "heyting"
+                  else (p.principal_up, carrier.intersection))
+    out = {a: carrier - held(*map(table.get, cone(a))) for a in p.elements}
     return AspectPredicate.of(p, pred.carrier, out)
 
 

@@ -1,11 +1,12 @@
 """Mathematical morphology on bounded pixel grids.
 
 Dilation translates the structuring element over every foreground
-pixel and clips to the grid; erosion keeps the pixels whose translated
-element stays inside the foreground, with off-grid sample points
-treated as vacuously satisfied.  Clipping both operations the same way
-is what makes the pair an exact adjunction on the subset lattice of
-the grid: dilate(x, b) <= y  iff  x <= erode(y, b).
+pixel and clips to the grid.  Erosion is the grid minus the clipped
+dilation of the background by the reflected element: it keeps the
+pixels whose on-grid samples all lie in the foreground, so off-grid
+sample points are vacuously satisfied.  That makes the pair an exact
+adjunction on the subset lattice of the grid:
+dilate(x, b) <= y  iff  x <= erode(y, b).
 
 The grayscale variants work on finite 1-d signals.  Dilation samples
 through the reflected window, erosion through the window itself;
@@ -83,28 +84,24 @@ class BinaryImage(Record):
         return self.foreground <= other.foreground
 
 
+def _dilated(pixels, offsets, width, height) -> frozenset:
+    """Every pixel translated by every offset, clipped to the grid."""
+    return frozenset(
+        (x + dx, y + dy) for x, y in pixels for dx, dy in offsets
+        if 0 <= x + dx < width and 0 <= y + dy < height)
+
+
 def dilate(image: BinaryImage, element: StructuringElement) -> BinaryImage:
-    out = set()
-    for px, py in image.foreground:
-        for dx, dy in element.offsets:
-            qx, qy = px + dx, py + dy
-            if 0 <= qx < image.width and 0 <= qy < image.height:
-                out.add((qx, qy))
-    return BinaryImage(image.width, image.height, frozenset(out))
+    return BinaryImage(image.width, image.height, _dilated(
+        image.foreground, element.offsets, image.width, image.height))
 
 
 def erode(image: BinaryImage, element: StructuringElement) -> BinaryImage:
-    out = set()
-    for px in range(image.width):
-        for py in range(image.height):
-            # off-grid samples are vacuous; this is the unique upper
-            # adjoint of the clipped dilation
-            if all((px + dx, py + dy) in image.foreground
-                   for dx, dy in element.offsets
-                   if 0 <= px + dx < image.width
-                   and 0 <= py + dy < image.height):
-                out.add((px, py))
-    return BinaryImage(image.width, image.height, frozenset(out))
+    # a pixel leaves exactly when some on-grid sample is background
+    w, h = image.width, image.height
+    grid = frozenset((x, y) for x in range(w) for y in range(h))
+    return BinaryImage(w, h, grid - _dilated(
+        grid - image.foreground, [(-x, -y) for x, y in element.offsets], w, h))
 
 
 def opening(image: BinaryImage, element: StructuringElement) -> BinaryImage:
@@ -177,22 +174,28 @@ def composite_filter_lattice(image: BinaryImage,
     Exactly four composites beyond the opening and closing themselves
     show up; the absorption laws make anything longer collapse onto one
     of the seven values (identity included), and the six non-identity
-    values sit in a fixed pointwise order.
+    values sit in a fixed pointwise order.  A composite's name lists
+    its filters outermost first.  Each filter runs once per distinct
+    image: the composites, the idempotence test and the closure test all
+    read one table keyed by (filter, image).
     """
-    phi = lambda img: opening(img, element)
-    kappa = lambda img: closing(img, element)
-    composites = {
-        "close_open": lambda v: kappa(phi(v)),
-        "open_close": lambda v: phi(kappa(v)),
-        "open_close_open": lambda v: phi(kappa(phi(v))),
-        "close_open_close": lambda v: kappa(phi(kappa(v))),
-    }
-    values = {"identity": image, "open": phi(image), "close": kappa(image)}
-    values.update((name, f(image)) for name, f in composites.items())
+    ops = {"open": opening, "close": closing}
+    table = {}
+
+    def apply(name, img):
+        for step in reversed(name.split("_")):
+            if (step, img) not in table:
+                table[step, img] = ops[step](img, element)
+            img = table[step, img]
+        return img
+
+    names = ("open", "close", "close_open", "open_close", "open_close_open",
+             "close_open_close")
+    values = {"identity": image, **{name: apply(name, image) for name in names}}
     witness = None
     idempotent = True
-    for name, f in composites.items():
-        if f(values[name]) != values[name]:
+    for name in names[2:]:
+        if apply(name, values[name]) != values[name]:
             idempotent = False
             witness = witness or ("idempotence", name)
     chain_ok = True
@@ -203,8 +206,8 @@ def composite_filter_lattice(image: BinaryImage,
     closed = True
     known = set(values.values())
     for name, img in values.items():
-        for opname, op in (("open", phi), ("close", kappa)):
-            if op(img) not in known:
+        for opname in ops:
+            if apply(opname, img) not in known:
                 closed = False
                 witness = witness or ("escape", opname, name)
     return FilterLattice(values, idempotent, chain_ok, closed, witness)

@@ -1,9 +1,10 @@
 """Finite partial orders with explicit relation storage.
 
 Elements are opaque string labels; every iteration order is
-lexicographic so results are reproducible.  The order relation is kept
-as the full reflexive-transitive closure, which makes ``leq`` a set
-lookup and keeps downset/upset computations trivial.
+lexicographic so results are reproducible.  Each element keeps its
+up-set and its down-set under the reflexive-transitive closure, built
+once from the related pairs, which makes ``leq`` a set lookup and the
+bounds set intersections.
 """
 
 from __future__ import annotations
@@ -39,20 +40,30 @@ class OrderViolation(SheafcalcError):
 
 
 class FinitePoset:
-    __slots__ = ("elements", "_leq")
+    __slots__ = ("elements", "_up", "_down")
 
     def __init__(self, elements, leq_pairs):
         # trusts the caller to hand over distinct labels and a closed
         # relation on them; use validate_poset for raw input
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
-        object.__setattr__(self, "_leq", frozenset(leq_pairs))
+        elements = tuple(sorted(elements))
+        up = {e: set() for e in elements}
+        down = {e: set() for e in elements}
+        for x, y in leq_pairs:
+            if x not in up or y not in up:
+                raise SheafcalcError(f"pair {x!r} <= {y!r} leaves the poset")
+            up[x].add(y)
+            down[y].add(x)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_up", {e: frozenset(s) for e, s in up.items()})
+        object.__setattr__(self, "_down",
+                           {e: frozenset(s) for e, s in down.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through __init__
-        return FinitePoset, (self.elements, self._leq)
+        return FinitePoset, (self.elements, self.pairs())
 
     def __len__(self):
         return len(self.elements)
@@ -63,52 +74,58 @@ class FinitePoset:
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self.elements == other.elements and self._leq == other._leq
+        return self.elements == other.elements and self._up == other._up
 
     def __hash__(self):
-        return hash((self.elements, self._leq))
+        return hash((self.elements, tuple(self._up.values())))
 
     def __repr__(self):
         return f"FinitePoset({len(self.elements)} elements)"
 
     def leq(self, x, y) -> bool:
-        return (x, y) in self._leq
+        return y in self._up.get(x, ())
 
     def pairs(self):
         """All related pairs (x, y) with x <= y, lexicographic order."""
-        return sorted(self._leq)
+        return [(x, y) for x, ys in self._up.items() for y in sorted(ys)]
 
     def principal_down(self, x) -> frozenset:
-        return frozenset(y for y in self.elements if self.leq(y, x))
+        return self._down.get(x, frozenset())
 
     def principal_up(self, x) -> frozenset:
-        return frozenset(y for y in self.elements if self.leq(x, y))
+        return self._up.get(x, frozenset())
 
     def dualize(self) -> "FinitePoset":
-        return FinitePoset(self.elements, ((y, x) for x, y in self._leq))
+        return FinitePoset(self.elements, ((y, x) for x, y in self.pairs()))
 
     # ---------------------------------------------------- bound helpers
 
+    def _bounds(self, subset, cones) -> frozenset:
+        """The elements in the cone of every member of subset, or every
+        element for an empty subset; a label outside the poset has an
+        empty cone."""
+        first, *rest = [cones.get(x, ()) for x in subset] or [cones]
+        return frozenset(first).intersection(*rest)
+
     def upper_bounds(self, subset):
-        subset = list(subset)
-        return [u for u in self.elements
-                if all(self.leq(x, u) for x in subset)]
+        return sorted(self._bounds(subset, self._up))
 
     def lower_bounds(self, subset):
-        subset = list(subset)
-        return [l for l in self.elements
-                if all(self.leq(l, x) for x in subset)]
+        return sorted(self._bounds(subset, self._down))
+
+    @staticmethod
+    def _extreme(bounds, cones):
+        """The bound whose cone holds every bound, or None.  That bound
+        has the largest cone of all; ties go to the least label."""
+        best = min(bounds, key=lambda b: (-len(cones[b]), b), default=None)
+        return best if bounds and bounds <= cones[best] else None
 
     def join(self, subset):
         """Least upper bound, or None if it does not exist."""
-        ubs = self.upper_bounds(subset)
-        least = [u for u in ubs if all(self.leq(u, v) for v in ubs)]
-        return least[0] if least else None
+        return self._extreme(self._bounds(subset, self._up), self._up)
 
     def meet(self, subset):
-        lbs = self.lower_bounds(subset)
-        greatest = [l for l in lbs if all(self.leq(m, l) for m in lbs)]
-        return greatest[0] if greatest else None
+        return self._extreme(self._bounds(subset, self._down), self._down)
 
     def top(self):
         return self.join(())

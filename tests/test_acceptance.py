@@ -329,3 +329,12 @@ def test_a_holed_30x30_section_prints_within_budget():
     printed = _assignment_json(holed, full)
     assert time.perf_counter() - start < 0.25
     assert len(printed) == len(holed.faces) == 5518
+
+
+def test_the_256_element_downset_lattice_is_a_lattice_within_budget():
+    # the Boolean lattice on 8 atoms: 32,640 pairs, each joined and met
+    lattice = all_downsets(validate_poset([f"e{i}" for i in range(8)], []))
+    assert len(lattice) == 256
+    start = time.perf_counter()
+    assert lattice.is_lattice()
+    assert time.perf_counter() - start < 4.0

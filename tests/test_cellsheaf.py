@@ -730,6 +730,19 @@ def test_composite_map_refuses_only_the_steps_it_walks():
         running_sheaf(), ("c",), ("c", "d", "e"))
 
 
+def test_composite_map_refuses_a_face_the_complex_lacks():
+    s = running_sheaf()
+    for rho, tau in ((("a",), ("a", "zz")), (("zz",), ("zz",)),
+                     (("zz",), ("a", "zz")), (("a",), ("a", "e"))):
+        with pytest.raises(SheafcalcError, match=r"^unknown face in "):
+            composite_map(s, rho, tau)
+    # either face may be named in any vertex order
+    assert composite_map(s, ("c",), ("e", "d", "c")) == composite_map(
+        s, ("c",), ("c", "d", "e"))
+    assert composite_map(s, ("d", "c"), ("c", "d", "e")) == composite_map(
+        s, ("c", "d"), ("c", "d", "e"))
+
+
 def test_direct_sum_refuses_missing_and_misshapen_maps():
     line = constant_sheaf(validate_complex([("a", "b")]), 1)
     pair = (("a",), ("a", "b"))

@@ -263,6 +263,16 @@ def test_cover_member_that_is_not_open_is_refused():
         sheaf_check(p, [Q_OPEN, P_OPEN], PQ)
 
 
+def test_restrict_takes_any_iterable_for_either_open():
+    p = presheaf_p()
+    assert restrict(p, {"p", "q"}, frozenset(), 0) == restrict(p, PQ, EMPTY, 0)
+    assert restrict(p, ["p", "q"], ["p"], 2) == restrict(p, PQ, P_OPEN, 2)
+    with pytest.raises(SheafcalcError, match=r"^\['p', 'q'\] is not inside \['p'\]$"):
+        restrict(p, ["p"], {"p", "q"}, 2)
+    with pytest.raises(SheafcalcError, match=r"^\['z'\] is not open$"):
+        restrict(p, {"z"}, [], "x")
+
+
 def test_restrict_refuses_what_it_cannot_restrict():
     """Nesting is checked first, then that both sets are open, then
     that the section lies over the larger open; each refusal is a

@@ -1,6 +1,8 @@
+import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.modal import (
@@ -9,6 +11,8 @@ from sheafcalc.modal import (
     full_subgraph, heyting_neg, meet_join, modal_iterate, reach_oracle,
     subgraph, subgraph_leq, validate_aspect_predicate, validate_subgraph)
 from sheafcalc.poset import validate_poset
+
+from util import pointwise_aspect_modal, pointwise_aspect_neg, random_aspect_predicate
 
 
 def single_edge():
@@ -302,3 +306,13 @@ def test_aspect_modal_sandwich_and_constant_case():
     box = aspect_modal(phi, "box")
     for a in p.elements:
         assert box.region(a) <= phi.region(a) <= dia.region(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_aspect_negations_match_the_pointwise_scan(seed):
+    pred = random_aspect_predicate(random.Random(seed))
+    for which in ("heyting", "coheyting"):
+        assert aspect_neg(pred, which) == pointwise_aspect_neg(pred, which)
+    for which in ("diamond", "box"):
+        assert aspect_modal(pred, which) == pointwise_aspect_modal(pred, which)

@@ -1,13 +1,18 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc import morphology
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.morphology import (
     NEG_INF, POS_INF, BinaryImage, StructuringElement, closing,
     composite_filter_lattice, dilate, erode, flat_filter, opening)
+
+from util import scan_dilate, scan_erode, slow_composite_filter_lattice
 
 
 H_PAIR = StructuringElement.of((0, 0), (1, 0))
@@ -85,6 +90,32 @@ def test_adjunction_exhaustive_on_2x2():
     for el in ELEMENTS:
         for x, y in product(images, images):
             assert dilate(x, el).issubset(y) == x.issubset(erode(y, el))
+            # the pixel scan is an erosion written independently of dilate
+            assert dilate(x, el).issubset(y) == x.issubset(scan_erode(y, el))
+
+
+def random_image(rng):
+    width, height = rng.randint(0, 5), rng.randint(0, 5)
+    return BinaryImage.of(width, height, [
+        (x, y) for x in range(width) for y in range(height)
+        if rng.random() < rng.random()])
+
+
+def random_element(rng):
+    # offsets up to the grid's size, and sometimes far off it
+    reach = rng.choice((1, 3, 6, 40))
+    return StructuringElement(frozenset(
+        (rng.randint(-reach, reach), rng.randint(-reach, reach))
+        for _ in range(rng.randint(1, 4))))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_dilate_and_erode_match_the_pixel_scans(seed):
+    rng = random.Random(seed)
+    image, element = random_image(rng), random_element(rng)
+    assert dilate(image, element) == scan_dilate(image, element)
+    assert erode(image, element) == scan_erode(image, element)
 
 
 def test_off_origin_element_translates():
@@ -162,3 +193,58 @@ def test_composite_lattice_exhaustive_small():
             lat = composite_filter_lattice(img, el)
             assert lat.idempotent and lat.chain_ok and lat.closed, (
                 img, el, lat.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_composite_lattice_matches_the_rebuild_from_scratch(seed):
+    rng = random.Random(seed)
+    image, element = random_image(rng), random_element(rng)
+    lat = composite_filter_lattice(image, element)
+    assert lat == slow_composite_filter_lattice(image, element)
+    assert list(lat.filters) == [
+        "identity", "open", "close", "close_open", "open_close",
+        "open_close_open", "close_open_close"]
+
+
+def shift(dx):
+    def move(img, element):
+        return BinaryImage.of(img.width, img.height, [
+            (x + dx, y) for x, y in img.foreground if 0 <= x + dx < img.width])
+    return move
+
+
+@pytest.mark.parametrize("phi, kappa", [
+    (dilate, erode), (erode, dilate), (shift(1), closing), (opening, shift(-1)),
+    (shift(1), shift(-1))])
+def test_broken_filters_get_the_rebuilds_flags_and_witness(
+        monkeypatch, phi, kappa):
+    # filters that are not openings and closings break the laws, so the
+    # flags and the first witness are compared where they can differ
+    monkeypatch.setattr(morphology, "opening", phi)
+    monkeypatch.setattr(morphology, "closing", kappa)
+    rng = random.Random(7)
+    for _ in range(60):
+        image, element = random_image(rng), random_element(rng)
+        assert composite_filter_lattice(image, element) == (
+            slow_composite_filter_lattice(image, element))
+
+
+def test_each_filter_runs_once_per_distinct_image(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def run(img, element):
+            calls[name, img] += 1
+            return f(img, element)
+        return run
+
+    monkeypatch.setattr(morphology, "opening", counted("open", opening))
+    monkeypatch.setattr(morphology, "closing", counted("close", closing))
+    for img in grid_images(2, 2):
+        for el in ELEMENTS:
+            calls.clear()
+            lat = composite_filter_lattice(img, el)
+            assert max(calls.values()) == 1
+            # closed: every filtered image is one of the seven values
+            assert lat.closed and sum(calls.values()) <= 2 * 7

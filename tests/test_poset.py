@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -10,7 +12,8 @@ from sheafcalc.poset import (
     FinitePoset, OrderViolation, alexandrov, all_downsets, downset_family,
     is_monotone, set_label, validate_poset, validate_topology, yoneda_check)
 
-from util import mask_downset_family, matrix_closure_poset, random_poset
+from util import (
+    ScanPoset, mask_downset_family, matrix_closure_poset, random_poset)
 
 
 def fence():
@@ -70,6 +73,73 @@ def test_principal_sets():
     assert p.principal_down("a") == {"a"}
     assert p.principal_up("b") == {"b", "c", "d"}
     assert p.principal_up("c") == {"c"}
+
+
+def test_unknown_labels_get_empty_answers():
+    # a FinitePoset is a trusted value: a label it does not have is
+    # below, above and bounded by nothing, and is not refused
+    p = fence()
+    assert p.principal_down("zz") == frozenset()
+    assert p.principal_up("zz") == frozenset()
+    assert p.join(["zz"]) is None and p.meet(["zz"]) is None
+    assert p.join(["a", "zz"]) is None
+    assert p.upper_bounds(["zz"]) == [] and p.lower_bounds(["zz"]) == []
+    assert p.leq("zz", "a") is False and p.leq("a", "zz") is False
+    assert p.leq("zz", "zz") is False
+
+
+def random_relation(rng, n):
+    """A random relation on n labels with no cycles of length > 1."""
+    labels = [f"p{i}" for i in range(n)]
+    return labels, [(labels[i], labels[j]) for i in range(n)
+                    for j in range(i + 1, n) if rng.random() < 0.4]
+
+
+def order_answers(p, subsets):
+    """Every order query on p, for each element and each subset."""
+    probes = list(p.elements) + ["zz"]
+    return (
+        p.pairs(), p.top(), p.bottom(), p.is_lattice(), p.dualize().pairs(),
+        downset_family(p), yoneda_check(p),
+        [(p.principal_down(x), p.principal_up(x)) for x in probes],
+        [p.leq(x, y) for x in probes for y in probes],
+        [(p.upper_bounds(s), p.lower_bounds(s), p.join(s), p.meet(s))
+         for s in subsets])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_order_queries_match_the_pair_scan(seed):
+    rng = random.Random(seed)
+    labels, raw = random_relation(rng, rng.randint(0, 7))
+    p = matrix_closure_poset(labels, raw)
+    if rng.random() < 0.5 and len(p) <= 4:
+        # a downset lattice, so that joins and meets exist
+        lattice = all_downsets(p)
+        labels, raw = lattice.elements, lattice.pairs()
+        p = matrix_closure_poset(labels, raw)
+    scan = matrix_closure_poset(labels, raw, ScanPoset)
+    subsets = [rng.sample(p.elements, rng.randint(0, min(3, len(p))))
+               for _ in range(12)]
+    subsets += [s + ["zz"] for s in subsets[:3]]
+    assert order_answers(p, subsets) == order_answers(scan, subsets)
+    assert p.dualize() == validate_poset(labels, [(y, x) for x, y in raw])
+
+
+def test_pairs_must_name_elements():
+    with pytest.raises(SheafcalcError, match=r"^pair 'a' <= 'zz' leaves the poset$"):
+        FinitePoset("ab", [("a", "a"), ("a", "zz")])
+    with pytest.raises(SheafcalcError, match=r"^pair 'zz' <= 'b' leaves the poset$"):
+        FinitePoset("ab", [("zz", "b")])
+
+
+def test_copies_keep_equality_hash_and_order():
+    p = fence()
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and hash(clone) == hash(p)
+        assert clone.pairs() == p.pairs() and repr(clone) == repr(p)
+    assert p != validate_poset("abcd", [("a", "c")])
+    assert p != fence().dualize()
 
 
 def test_dualize_swaps_principals_and_is_involutive():

@@ -476,9 +476,10 @@ def dense_decompose(m):
 # The index-space scans that validate_poset, downset_family and ncolor
 # replaced, kept verbatim (the downset scan without its element cap).
 
-def matrix_closure_poset(elements, pairs):
+def matrix_closure_poset(elements, pairs, poset_class=FinitePoset):
     """Close the relation reflexively and transitively, then check
     antisymmetry.  Raises OrderViolation naming a 2-cycle on failure.
+    The closed pairs are handed to ``poset_class``.
     """
     from sheafcalc.errors import SheafcalcError
     from sheafcalc.poset import OrderViolation
@@ -508,7 +509,7 @@ def matrix_closure_poset(elements, pairs):
                 raise OrderViolation(elements[i], elements[j])
     closed = [(elements[i], elements[j])
               for i in range(n) for j in range(n) if reach[i][j]]
-    return FinitePoset(elements, closed)
+    return poset_class(elements, closed)
 
 
 def mask_downset_family(p):
@@ -522,6 +523,182 @@ def mask_downset_family(p):
             found.append(subset)
     found.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return found
+
+
+# ------------------------------------------------- order and filter oracles
+# FinitePoset as it was when it stored its closure as a set of pairs, the
+# pixel-scan dilation and erosion, the lambda-built filter lattice and the
+# pointwise aspect negation, kept verbatim (the poset without its
+# immutability guard and its dunder methods).
+
+class ScanPoset:
+    """Every principal set, bound, join and meet rescans the elements."""
+
+    def __init__(self, elements, leq_pairs):
+        self.elements = tuple(sorted(elements))
+        self._leq = frozenset(leq_pairs)
+
+    def leq(self, x, y) -> bool:
+        return (x, y) in self._leq
+
+    def pairs(self):
+        """All related pairs (x, y) with x <= y, lexicographic order."""
+        return sorted(self._leq)
+
+    def principal_down(self, x) -> frozenset:
+        return frozenset(y for y in self.elements if self.leq(y, x))
+
+    def principal_up(self, x) -> frozenset:
+        return frozenset(y for y in self.elements if self.leq(x, y))
+
+    def dualize(self) -> "ScanPoset":
+        return ScanPoset(self.elements, ((y, x) for x, y in self._leq))
+
+    def upper_bounds(self, subset):
+        subset = list(subset)
+        return [u for u in self.elements
+                if all(self.leq(x, u) for x in subset)]
+
+    def lower_bounds(self, subset):
+        subset = list(subset)
+        return [l for l in self.elements
+                if all(self.leq(l, x) for x in subset)]
+
+    def join(self, subset):
+        """Least upper bound, or None if it does not exist."""
+        ubs = self.upper_bounds(subset)
+        least = [u for u in ubs if all(self.leq(u, v) for v in ubs)]
+        return least[0] if least else None
+
+    def meet(self, subset):
+        lbs = self.lower_bounds(subset)
+        greatest = [l for l in lbs if all(self.leq(m, l) for m in lbs)]
+        return greatest[0] if greatest else None
+
+    def top(self):
+        return self.join(())
+
+    def bottom(self):
+        return self.meet(())
+
+    def is_lattice(self) -> bool:
+        if self.top() is None or self.bottom() is None:
+            return False
+        for x, y in combinations(self.elements, 2):
+            if self.join((x, y)) is None or self.meet((x, y)) is None:
+                return False
+        return True
+
+
+def scan_dilate(image, element):
+    """Translate every foreground pixel by every offset, dropping the
+    targets off the grid."""
+    from sheafcalc.morphology import BinaryImage
+
+    out = set()
+    for px, py in image.foreground:
+        for dx, dy in element.offsets:
+            qx, qy = px + dx, py + dy
+            if 0 <= qx < image.width and 0 <= qy < image.height:
+                out.add((qx, qy))
+    return BinaryImage(image.width, image.height, frozenset(out))
+
+
+def scan_erode(image, element):
+    """Keep each grid pixel whose on-grid samples all lie in the
+    foreground; off-grid samples are vacuous."""
+    from sheafcalc.morphology import BinaryImage
+
+    out = set()
+    for px in range(image.width):
+        for py in range(image.height):
+            if all((px + dx, py + dy) in image.foreground
+                   for dx, dy in element.offsets
+                   if 0 <= px + dx < image.width
+                   and 0 <= py + dy < image.height):
+                out.add((px, py))
+    return BinaryImage(image.width, image.height, frozenset(out))
+
+
+def slow_composite_filter_lattice(image, element):
+    """Rebuild every composite from scratch, then again for idempotence
+    and for closure.  Reads ``opening`` and ``closing`` off the module
+    at call time."""
+    from sheafcalc import morphology
+    from sheafcalc.morphology import CHAIN, FilterLattice
+
+    phi = lambda img: morphology.opening(img, element)
+    kappa = lambda img: morphology.closing(img, element)
+    composites = {
+        "close_open": lambda v: kappa(phi(v)),
+        "open_close": lambda v: phi(kappa(v)),
+        "open_close_open": lambda v: phi(kappa(phi(v))),
+        "close_open_close": lambda v: kappa(phi(kappa(v))),
+    }
+    values = {"identity": image, "open": phi(image), "close": kappa(image)}
+    values.update((name, f(image)) for name, f in composites.items())
+    witness = None
+    idempotent = True
+    for name, f in composites.items():
+        if f(values[name]) != values[name]:
+            idempotent = False
+            witness = witness or ("idempotence", name)
+    chain_ok = True
+    for lo, hi in CHAIN:
+        if not values[lo].issubset(values[hi]):
+            chain_ok = False
+            witness = witness or ("chain", lo, hi)
+    closed = True
+    known = set(values.values())
+    for name, img in values.items():
+        for opname, op in (("open", phi), ("close", kappa)):
+            if op(img) not in known:
+                closed = False
+                witness = witness or ("escape", opname, name)
+    return FilterLattice(values, idempotent, chain_ok, closed, witness)
+
+
+def random_aspect_predicate(rng, max_aspects=6, carrier="uvwxy"):
+    """A random truth table on a random poset, made functorial by
+    passing truth at each aspect down to all its sub-aspects."""
+    from sheafcalc.modal import AspectPredicate
+
+    p = random_poset(rng, max_elements=max_aspects, edge_prob=rng.random())
+    carrier = carrier[:rng.randint(0, len(carrier))]
+    raw = {a: {x for x in carrier if rng.random() < 0.4} for a in p.elements}
+    truth = {a: set().union(*(raw[b] for b in p.principal_up(a)))
+             for a in p.elements}
+    return AspectPredicate.of(p, carrier, truth)
+
+
+def pointwise_aspect_neg(pred, which):
+    """Test each carrier point against every aspect in the region."""
+    from sheafcalc.modal import AspectPredicate
+
+    if which not in ("heyting", "coheyting"):
+        raise SheafcalcError(f"unknown negation {which!r}")
+    table = dict(pred.truth)
+    p = pred.aspects
+    out = {}
+    for a in p.elements:
+        if which == "heyting":
+            region = p.principal_down(a)
+            out[a] = frozenset(
+                x for x in pred.carrier
+                if all(x not in table[b] for b in region))
+        else:
+            region = p.principal_up(a)
+            out[a] = frozenset(
+                x for x in pred.carrier
+                if any(x not in table[b] for b in region))
+    return AspectPredicate.of(p, pred.carrier, out)
+
+
+def pointwise_aspect_modal(pred, which):
+    """Diamond is co-Heyting after Heyting, box the other way round."""
+    first, second = (("heyting", "coheyting") if which == "diamond"
+                     else ("coheyting", "heyting"))
+    return pointwise_aspect_neg(pointwise_aspect_neg(pred, first), second)
 
 
 def spans_connected(vertices, edges) -> bool:
