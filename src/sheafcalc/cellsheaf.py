@@ -172,12 +172,9 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
     skipped instead of reported; partially specified sheaves (only a
     chain of maps given) can then still be checked for what they do say.
     """
-    usable = set()
     for sigma, tau in covering_pairs(s.base):
         fault = _attachment_fault(s, sigma, tau)
-        if fault is None:
-            usable.add((sigma, tau))
-        elif require_complete or fault[0] == "shape":
+        if fault is not None and (require_complete or fault[0] == "shape"):
             return SheafReport(False, *fault)
 
     for tau in s.base.all_faces():
@@ -191,7 +188,8 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
                 mid_a = tau[:j] + tau[j + 1:]
                 mid_b = tau[:i] + tau[i + 1:]
                 needed = [(rho, mid_a), (mid_a, tau), (rho, mid_b), (mid_b, tau)]
-                if any(p not in usable for p in needed):
+                # each stored map passed the shape check above
+                if any(s.restriction.get(p) is None for p in needed):
                     continue
                 route_a = _then(s, s.restriction[(rho, mid_a)],
                                 s.restriction[(mid_a, tau)])

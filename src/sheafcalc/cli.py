@@ -215,17 +215,24 @@ def _parse_complex(doc, where):
         raise
 
 
-def _parse_matrix(doc, where, default_cols=0):
-    from .rationals import RationalMatrix
-
+def _rational_rows(doc, where, noun):
+    """An array of arrays of rationals; ``noun`` names it in refusals,
+    and entry (i, j) is located at ``where[i][j]``."""
     if not isinstance(doc, list):
-        raise InputError("matrix must be an array of rows", where)
+        raise InputError(f"{noun} must be an array of rows", where)
     rows = []
     for i, rdoc in enumerate(doc):
         if not isinstance(rdoc, list):
-            raise InputError("matrix rows are arrays", f"{where}[{i}]")
+            raise InputError(f"{noun} rows are arrays", f"{where}[{i}]")
         rows.append([_rational_value(x, f"{where}[{i}][{j}]")
                      for j, x in enumerate(rdoc)])
+    return rows
+
+
+def _parse_matrix(doc, where, default_cols=0):
+    from .rationals import RationalMatrix
+
+    rows = _rational_rows(doc, where, "matrix")
     if not rows:
         # a 0-row matrix cannot carry its own width
         return RationalMatrix.zero(0, default_cols)
@@ -504,16 +511,8 @@ def _parse_model(doc, where):
         if len(set(declared)) != len(declared):
             raise InputError("duplicate parents", f"{vwhere}:parents")
         parents[name] = tuple(declared)
-        cpt_doc = vdoc["cpt"]
-        if not isinstance(cpt_doc, list):
-            raise InputError("cpt must be an array of rows", f"{vwhere}:cpt")
-        rows = []
-        for r, rdoc in enumerate(cpt_doc):
-            if not isinstance(rdoc, list):
-                raise InputError("cpt rows are arrays", f"{vwhere}:cpt[{r}]")
-            rows.append(tuple(_rational_value(x, f"{vwhere}:cpt[{r}][{c}]")
-                              for c, x in enumerate(rdoc)))
-        cpt[name] = tuple(rows)
+        rows = _rational_rows(vdoc["cpt"], f"{vwhere}:cpt", "cpt")
+        cpt[name] = tuple(map(tuple, rows))
     return _refusing(f"{where}:variables", BayesModel,
                      tuple(names), outcomes, parents, cpt)
 

@@ -174,6 +174,8 @@ def face_name(complex_: SimplicialComplex, face) -> str:
     """Printable face identifier: concatenated when every vertex label
     is one character, comma-joined otherwise."""
     face = tuple(face)
+    if not complex_.has_face(face):
+        raise SheafcalcError(f"{face} not a face")
     if all(len(v) == 1 for v in complex_.vertex_order):
         return "".join(face)
     return ",".join(face)
@@ -205,13 +207,18 @@ def _parse_face_name(complex_: SimplicialComplex, text) -> tuple:
 
 
 def face_poset(complex_: SimplicialComplex) -> FinitePoset:
-    """Attachment order: a face sits below every face containing it."""
+    """Attachment order: a face sits below every face containing it.
+
+    Each face lists its own subfaces: the complex is downward closed and
+    its faces are sorted, so these are exactly the faces below it, spelled
+    as the complex spells them.
+    """
     faces = complex_.all_faces()
     names = {f: face_name(complex_, f) for f in faces}
     if len(set(names.values())) != len(faces):
         raise SheafcalcError("two faces share a name")
-    pairs = [(names[a], names[b])
-             for a in faces for b in faces if set(a) <= set(b)]
+    pairs = [(names[a], names[b]) for b in faces
+             for k in range(1, len(b) + 1) for a in combinations(b, k)]
     return FinitePoset(names.values(), pairs)
 
 
@@ -260,7 +267,9 @@ def homology_dims(complex_: SimplicialComplex):
     """dim H_k = dim C_k - rank d_k - rank d_{k+1} for k = 0..dim; d_0
     and d_{dim+1} are zero maps."""
     dim = complex_.dimension()
-    ranks = [0] + [len(_reduced(boundary_matrix(complex_, k)))
+    # rank d_k, read off its transpose: one row per k-face, with k + 1
+    # nonzeros each, which reduces faster on grids than d_k's rows
+    ranks = [0] + [len(_reduced(boundary_matrix(complex_, k).transpose()))
                    for k in range(1, dim + 1)] + [0]
     return [len(complex_.k_faces(k)) - ranks[k] - ranks[k + 1]
             for k in range(dim + 1)]

@@ -2,8 +2,9 @@
 
 A connection is a pair of monotone maps F: P -> Q and G: Q -> P with
 F(p) <= q exactly when p <= G(q).  The checker tests that biconditional
-pointwise and additionally the unit/counit laws it implies, so a bug in
-either route shows up as a disagreement.
+for each q at once, as the set of p that F maps below q against the
+down-set of G(q), and additionally the unit/counit laws it implies, so
+a bug in either route shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -53,16 +54,29 @@ class AdjointSynthesisError(SheafcalcError):
             f"mapped to {image!r}")
 
 
+def _below(left: dict, source: FinitePoset, target: FinitePoset) -> dict:
+    """{y: the set of x with F(x) <= y} for each y of the target, read
+    off the up-set of each image F(x)."""
+    below = {y: set() for y in target.elements}
+    for x in source.elements:
+        for y in target.principal_up(left[x]):
+            below[y].add(x)
+    return below
+
+
 def check_connection(c: GaloisConnection) -> ConnectionReport:
     p, q = c.source, c.target
     for side, dom, cod, mapping in (("left", p, q, c.left), ("right", q, p, c.right)):
         bad = _monotonicity_witness(dom, cod, mapping)
         if bad is not None:
             return ConnectionReport(False, f"{side}-not-monotone", bad)
-    for x in p.elements:
-        for y in q.elements:
-            if q.leq(c.left[x], y) != p.leq(x, c.right[y]):
-                return ConnectionReport(False, "adjunction", (x, y))
+    # the adjunction holds at y when the x that F maps below y are G(y)'s
+    # down-set; the witness is the least failing (x, y), x-major
+    below = _below(c.left, p, q)
+    bad = [(min(diff), y) for y in q.elements
+           if (diff := below[y] ^ p.principal_down(c.right[y]))]
+    if bad:
+        return ConnectionReport(False, "adjunction", min(bad))
     for x in p.elements:
         if not p.leq(x, c.right[c.left[x]]):
             return ConnectionReport(False, "unit", (x,))
@@ -82,21 +96,20 @@ def right_adjoint_of(left: dict, source: FinitePoset,
     """
     if not is_monotone(source, target, left):
         raise SheafcalcError("map must be monotone")
+    below = _below(left, source, target)
     right = {}
     for q in target.elements:
-        subset = [x for x in source.elements if target.leq(left[x], q)]
-        j = source.join(subset)
+        j = source.join(below[q])
         if j is None:
-            raise AdjointSynthesisError("no-join", q, subset, None, None)
+            raise AdjointSynthesisError("no-join", q, below[q], None, None)
         if not target.leq(left[j], q):
             # every member maps below q but the join does not: the join
             # escaped, so F is not join-preserving and no adjoint exists
             raise AdjointSynthesisError(
-                "join-not-preserved", q, subset, j, left[j])
+                "join-not-preserved", q, below[q], j, left[j])
         right[q] = j
-    report = check_connection(
-        GaloisConnection(source, target, dict(left), right))
-    assert report.ok, report
+    assert check_connection(
+        GaloisConnection(source, target, dict(left), right)).ok
     return right
 
 

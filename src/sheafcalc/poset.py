@@ -128,10 +128,10 @@ class FinitePoset:
         return self._extreme(self._bounds(subset, self._down), self._down)
 
     def top(self):
-        return self.join(())
+        return self.meet(())
 
     def bottom(self):
-        return self.meet(())
+        return self.join(())
 
     def is_lattice(self) -> bool:
         if self.top() is None or self.bottom() is None:

@@ -17,11 +17,11 @@ from sheafcalc.cellsheaf import (
     Assignment, extend, global_section_space, validate_sheaf)
 from sheafcalc.cli import _assignment_json, main
 from sheafcalc.cohomology import bayes_build, bayes_check, coboundary, cohomology_dims
-from sheafcalc.complexes import homology_dims, validate_complex
+from sheafcalc.complexes import face_poset, homology_dims, validate_complex
 from sheafcalc.finsheaf import (
     copresheaf_from_presheaf, irredundant_covers, is_sheaf, ncolor,
     poset_transfer, sheaf_check, stalk_at)
-from sheafcalc.galois import right_adjoint_of
+from sheafcalc.galois import GaloisConnection, check_connection, right_adjoint_of
 from sheafcalc.modal import (
     all_subgraphs, boundary, coheyting_neg,
     empty_subgraph, full_subgraph, heyting_neg, meet_join, modal_iterate,
@@ -338,3 +338,35 @@ def test_the_256_element_downset_lattice_is_a_lattice_within_budget():
     start = time.perf_counter()
     assert lattice.is_lattice()
     assert time.perf_counter() - start < 4.0
+
+
+def test_the_20x20_face_poset_builds_within_budget():
+    # 2,481 faces, each related to the subfaces it lists
+    grid = grid_complex(20)
+    start = time.perf_counter()
+    poset = face_poset(grid)
+    assert time.perf_counter() - start < 0.5
+    assert len(poset) == len(grid.faces) == 2481
+    assert len(poset.pairs()) == sum(2 ** len(f) - 1 for f in grid.faces)
+
+
+def test_the_1024_element_dilation_erosion_connection_checks_within_budget():
+    # the downset lattice of the 10 pixels of a 5x2 grid, with the
+    # dilation by an L-shaped element and its erosion
+    pixels = [(x, y) for y in range(2) for x in range(5)]
+    name = {p: f"g{p[0]}{p[1]}" for p in pixels}
+    lattice = all_downsets(validate_poset(name.values(), []))
+    assert len(lattice) == 1024
+    element = StructuringElement.of((0, 0), (1, 0), (0, 1))
+    images = [BinaryImage.of(5, 2, [p for i, p in enumerate(pixels) if mask >> i & 1])
+              for mask in range(1024)]
+
+    def label_of(image):
+        return set_label(name[p] for p in image.foreground)
+
+    left = {label_of(x): label_of(dilate(x, element)) for x in images}
+    right = {label_of(y): label_of(erode(y, element)) for y in images}
+    connection = GaloisConnection(lattice, lattice, left, right)
+    start = time.perf_counter()
+    assert check_connection(connection).ok
+    assert time.perf_counter() - start < 0.25

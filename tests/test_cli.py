@@ -945,6 +945,8 @@ REFUSALS = [
      '{"error":"cpt must be an array of rows","location":"model:variables[0]:cpt"}\n'),
     ("cpt-row", BAYES, {"d.json": model({"cpt": [1]})},
      '{"error":"cpt rows are arrays","location":"model:variables[0]:cpt[0]"}\n'),
+    ("cpt-entry", BAYES, {"d.json": model({"cpt": [["1/2", "1/2"], ["1/2", 0.5]]})},
+     '{"error":"floats are inexact, write 0.5 as a quoted rational string","location":"model:variables[0]:cpt[1][1]"}\n'),
     ("cpt-rows", BAYES, {"d.json": model({"cpt": [["1/2", "1/2"]] * 2})},
      '{"error":"CPT for \'A\' needs 1 rows, got 2","location":"model:variables"}\n'),
     ("cpt-width", BAYES, {"d.json": model({"cpt": [["1"]]})},

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,9 @@ from sheafcalc.complexes import (
 from sheafcalc.poset import alexandrov
 from sheafcalc.rationals import RationalMatrix, matmul
 
-from util import base_complex, random_complex, union_find_components
+from util import (
+    base_complex, grid_complex, pair_scan_face_poset, random_complex,
+    union_find_components)
 
 
 # ------------------------------------------------------------ validation
@@ -93,6 +96,28 @@ def test_alexandrov_up_minimal_opens_are_stars():
         name = face_name(c, f)
         star_names = {face_name(c, g) for g in open_star(c, f)}
         assert topo.minimal_open_containing(name) == star_names
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_face_poset_matches_the_pair_scan(seed):
+    c = random_complex(random.Random(seed))
+    assert face_poset(c) == pair_scan_face_poset(c)
+
+
+def test_face_poset_matches_the_pair_scan_on_holed_grids():
+    # multi-character vertex labels, so the names are comma-joined
+    for n, holes in ((1, ()), (2, [(0, 0)]), (3, [(1, 1)]), (4, [(0, 3), (2, 1)])):
+        grid = grid_complex(n, holes=holes)
+        assert face_poset(grid) == pair_scan_face_poset(grid)
+
+
+def test_face_name_refuses_a_face_the_complex_lacks():
+    c = base_complex()
+    assert face_name(c, ("c", "d", "e")) == "cde"
+    for face in (("zz",), ("b", "a"), ("a", "b", "c")):
+        with pytest.raises(SheafcalcError, match=rf"^{re.escape(str(face))} not a face$"):
+            face_name(c, face)
 
 
 # ------------------------------------------------------------- incidence

@@ -1,17 +1,20 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc import galois
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.galois import (
     AdjointSynthesisError, GaloisConnection, cantor_diagonal,
     check_connection, compose_connections, induced_operators,
     left_adjoint_of, right_adjoint_of)
-from sheafcalc.poset import all_downsets, downset_family, set_label, validate_poset
+from sheafcalc.poset import (
+    FinitePoset, all_downsets, downset_family, set_label, validate_poset)
 
-from util import random_poset
+from util import random_poset, scan_check_connection, scan_right_adjoint_of
 
 
 def chain(labels):
@@ -145,6 +148,147 @@ def test_synthesis_succeeds_for_join_preserving_maps(seed):
     # re-deriving the left adjoint from the synthesized right one
     # closes the loop
     assert left_adjoint_of(g, dp, lattice) == f
+
+
+# ---------------------------------------------- against the pair scans
+
+def random_map(rng, dom, cod):
+    return {x: rng.choice(cod.elements) for x in dom.elements}
+
+
+def random_monotone_map(rng, dom, cod):
+    """Along a linear extension, each element goes to a random upper
+    bound of the images below it; None when there is no such bound."""
+    f = {}
+    for x in sorted(dom.elements, key=lambda e: (len(dom.principal_down(e)), e)):
+        above = cod.upper_bounds([f[y] for y in dom.principal_down(x) - {x}])
+        if not above:
+            return None
+        f[x] = rng.choice(above)
+    return f
+
+
+def closure_connection(rng, p):
+    """A random Moore family on D(p), ordered by inclusion: the closure
+    onto it is left adjoint to its inclusion into D(p)."""
+    dp = all_downsets(p)
+    family = {frozenset(p.elements)}
+    for a in downset_family(p):
+        if rng.random() < 0.3:
+            family |= {a & b for b in family} | {a}
+    closed = validate_poset(
+        [set_label(a) for a in family],
+        [(set_label(a), set_label(b)) for a in family for b in family if a <= b])
+    close = {set_label(a): set_label(min((b for b in family if a <= b), key=len))
+             for a in downset_family(p)}
+    include = {y: y for y in closed.elements}
+    return GaloisConnection(dp, closed, close, include)
+
+
+def galois_corpus(rng):
+    """One connection from each family: random maps, random monotone
+    maps, a join-preserving map of downset lattices with its right
+    adjoint, and a closure with its inclusion.  The last two have a leg
+    moved at one point half the time."""
+    p, q = random_poset(rng, max_elements=5), random_poset(rng, max_elements=5)
+    yield GaloisConnection(p, q, random_map(rng, p, q), random_map(rng, q, p))
+    f, g = random_monotone_map(rng, p, q), random_monotone_map(rng, q, p)
+    yield GaloisConnection(p, q, f or random_map(rng, p, q),
+                           g or random_map(rng, q, p))
+    p = random_poset(rng, max_elements=4)
+    dp, lattice = all_downsets(p), all_downsets(random_poset(rng, max_elements=3))
+    f = monotone_join_map(rng, p, lattice)
+    conn = GaloisConnection(dp, lattice, f, scan_right_adjoint_of(f, dp, lattice))
+    for c in (conn, closure_connection(rng, random_poset(rng, max_elements=4))):
+        if rng.random() < 0.5:
+            right = dict(c.right)
+            right[rng.choice(c.target.elements)] = rng.choice(c.source.elements)
+            c = GaloisConnection(c.source, c.target, c.left, right)
+        yield c
+
+
+def outcome(fn, *args):
+    """fn's value by repr, or its refusal with every field."""
+    try:
+        return ("value", repr(fn(*args)))
+    except AdjointSynthesisError as err:
+        return (type(err).__name__, err.kind,
+                repr((err.at, err.subset, err.bound, err.image)), str(err))
+    except SheafcalcError as err:
+        return (type(err).__name__, str(err))
+
+
+def identity_connection(p):
+    ident = {x: x for x in p.elements}
+    return GaloisConnection(p, p, ident, ident)
+
+
+def galois_answers(c):
+    p, q = c.source, c.target
+    return [
+        outcome(check_connection, c),
+        outcome(right_adjoint_of, c.left, p, q),
+        outcome(left_adjoint_of, c.right, p, q),
+        outcome(induced_operators, c),
+        outcome(compose_connections, c, identity_connection(q)),
+        outcome(compose_connections, identity_connection(p), c),
+    ]
+
+
+def scan_galois_answers(c):
+    """galois_answers with the scan bodies patched in, so every caller
+    of check_connection and right_adjoint_of reaches them too."""
+    with mock.patch.object(galois, "check_connection", scan_check_connection), \
+            mock.patch.object(galois, "right_adjoint_of", scan_right_adjoint_of):
+        return galois_answers(c)
+
+
+def test_galois_answers_match_the_pair_scans():
+    rng = random.Random(2222)
+    kinds = set()
+    for _ in range(250):
+        for c in galois_corpus(rng):
+            answers = galois_answers(c)
+            assert answers == scan_galois_answers(c)
+            kinds.add(check_connection(c).kind)
+            kinds.update(a[1] for a in answers[1:3]
+                         if a[0] == "AdjointSynthesisError")
+    # every report kind a validated poset allows, and every kind of
+    # synthesis refusal
+    assert kinds == {None, "left-not-monotone", "right-not-monotone",
+                     "adjunction", "no-join", "join-not-preserved",
+                     "no-meet", "meet-not-preserved"}
+
+
+def test_adjunction_witness_is_the_first_failing_pair_in_scan_order():
+    # (a, y) and (b, x) both fail; the scan meets (a, y) first
+    p, q = validate_poset("ab", []), validate_poset("xy", [])
+    c = GaloisConnection(p, q, {"a": "x", "b": "x"}, {"x": "a", "y": "a"})
+    assert check_connection(c) == scan_check_connection(c)
+    assert check_connection(c).witness == ("a", "y")
+
+
+def test_no_leq_call_per_pair():
+    # the identity on a 30-point antichain: the scans made 900 leq calls
+    # per pass over the pairs; what remains is a constant number per
+    # element, in the monotonicity, unit and counit checks and the join
+    # test
+    n = 30
+    p = validate_poset([f"e{i:02d}" for i in range(n)], [])
+    ident = {x: x for x in p.elements}
+    leq = FinitePoset.leq
+    calls = []
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return leq(self, x, y)
+
+    with mock.patch.object(FinitePoset, "leq", counted):
+        assert check_connection(GaloisConnection(p, p, ident, ident)).ok
+        assert len(calls) == 4 * n
+        calls.clear()
+        assert right_adjoint_of(ident, p, p) == ident
+        assert len(calls) <= 6 * n
 
 
 # ---------------------------------------------------- induced + composed

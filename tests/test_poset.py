@@ -126,6 +126,16 @@ def test_order_queries_match_the_pair_scan(seed):
     assert p.dualize() == validate_poset(labels, [(y, x) for x, y in raw])
 
 
+def test_top_is_the_greatest_element_and_bottom_the_least():
+    chain = validate_poset("abc", [("a", "b"), ("b", "c")])
+    assert (chain.top(), chain.bottom()) == ("c", "a")
+    lattice = all_downsets(validate_poset([f"e{i}" for i in range(8)], []))
+    assert lattice.top() == "{e0,e1,e2,e3,e4,e5,e6,e7}"
+    assert lattice.bottom() == "{}"
+    antichain = validate_poset("ab", [])
+    assert antichain.top() is None and antichain.bottom() is None
+
+
 def test_pairs_must_name_elements():
     with pytest.raises(SheafcalcError, match=r"^pair 'a' <= 'zz' leaves the poset$"):
         FinitePoset("ab", [("a", "a"), ("a", "zz")])

@@ -576,10 +576,10 @@ class ScanPoset:
         return greatest[0] if greatest else None
 
     def top(self):
-        return self.join(())
+        return self.meet(())
 
     def bottom(self):
-        return self.meet(())
+        return self.join(())
 
     def is_lattice(self) -> bool:
         if self.top() is None or self.bottom() is None:
@@ -700,6 +700,70 @@ def pointwise_aspect_modal(pred, which):
                      else ("coheyting", "heyting"))
     return pointwise_aspect_neg(pointwise_aspect_neg(pred, first), second)
 
+
+
+# ------------------------------------------------- Galois and face oracles
+# check_connection and right_adjoint_of as they were when each tested
+# every (x, y) pair with leq, and face_poset's test of every pair of
+# faces, kept verbatim.
+
+def scan_check_connection(c):
+    from sheafcalc.galois import ConnectionReport
+    from sheafcalc.poset import _monotonicity_witness
+
+    p, q = c.source, c.target
+    for side, dom, cod, mapping in (("left", p, q, c.left), ("right", q, p, c.right)):
+        bad = _monotonicity_witness(dom, cod, mapping)
+        if bad is not None:
+            return ConnectionReport(False, f"{side}-not-monotone", bad)
+    for x in p.elements:
+        for y in q.elements:
+            if q.leq(c.left[x], y) != p.leq(x, c.right[y]):
+                return ConnectionReport(False, "adjunction", (x, y))
+    for x in p.elements:
+        if not p.leq(x, c.right[c.left[x]]):
+            return ConnectionReport(False, "unit", (x,))
+    for y in q.elements:
+        if not q.leq(c.left[c.right[y]], y):
+            return ConnectionReport(False, "counit", (y,))
+    return ConnectionReport(True)
+
+
+def scan_right_adjoint_of(left, source, target):
+    """G(q) as the join of every x whose image lies below q, each
+    subset found by testing every x."""
+    from sheafcalc.galois import AdjointSynthesisError, GaloisConnection
+    from sheafcalc.poset import is_monotone
+
+    if not is_monotone(source, target, left):
+        raise SheafcalcError("map must be monotone")
+    right = {}
+    for q in target.elements:
+        subset = [x for x in source.elements if target.leq(left[x], q)]
+        j = source.join(subset)
+        if j is None:
+            raise AdjointSynthesisError("no-join", q, subset, None, None)
+        if not target.leq(left[j], q):
+            raise AdjointSynthesisError(
+                "join-not-preserved", q, subset, j, left[j])
+        right[q] = j
+    report = scan_check_connection(
+        GaloisConnection(source, target, dict(left), right))
+    assert report.ok, report
+    return right
+
+
+def pair_scan_face_poset(complex_):
+    """Attachment order: a face sits below every face containing it."""
+    from sheafcalc.complexes import face_name
+
+    faces = complex_.all_faces()
+    names = {f: face_name(complex_, f) for f in faces}
+    if len(set(names.values())) != len(faces):
+        raise SheafcalcError("two faces share a name")
+    pairs = [(names[a], names[b])
+             for a in faces for b in faces if set(a) <= set(b)]
+    return FinitePoset(names.values(), pairs)
 
 def spans_connected(vertices, edges) -> bool:
     """Grow the vertices reached from the least one by every edge that
