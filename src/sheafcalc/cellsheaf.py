@@ -20,7 +20,7 @@ from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
     RationalMatrix, _augmented, _consistent, _kernel, _particular,
-    _reduce_row, _reduced, block_assemble, rational)
+    _reduce_row, _reduced, _rref, block_assemble, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -447,7 +447,7 @@ def global_section_space(s: CellularSheaf) -> SectionSpace:
     """
     _require_valid(s)
     offsets, total = _vertex_layout(s)
-    kernel = _kernel(_reduced(_coboundary(s, 0)), total)
+    kernel = _kernel(_rref(_reduced(_coboundary(s, 0))), total)
     basis = tuple(_spread(s, offsets, vec) for vec in kernel)
     return SectionSpace(len(basis), basis)
 

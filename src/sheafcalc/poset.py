@@ -96,7 +96,12 @@ class FinitePoset:
         return self._up.get(x, frozenset())
 
     def dualize(self) -> "FinitePoset":
-        return FinitePoset(self.elements, ((y, x) for x, y in self.pairs()))
+        """The opposite order: each element's up-set and down-set swap."""
+        dual = object.__new__(FinitePoset)
+        object.__setattr__(dual, "elements", self.elements)
+        object.__setattr__(dual, "_up", self._down)
+        object.__setattr__(dual, "_down", self._up)
+        return dual
 
     # ---------------------------------------------------- bound helpers
 
@@ -169,14 +174,21 @@ def is_monotone(source: FinitePoset, target: FinitePoset, mapping) -> bool:
 
 
 def _monotonicity_witness(source: FinitePoset, target: FinitePoset, mapping):
-    """The first x <= y in ``source.pairs()`` mapped out of order, or None."""
+    """The first x <= y in ``source.pairs()`` mapped out of order, or None.
+
+    Each x, in element order, needs the images of its up-set inside the
+    up-set of its image: one set inclusion.  Only when it fails is the
+    least y that breaks it looked for."""
     if set(mapping) != set(source.elements):
         raise SheafcalcError("mapping must be total")
     for v in mapping.values():
         if v not in target.elements:
             raise SheafcalcError(f"value {v!r} outside target")
-    return next(((x, y) for x, y in source.pairs()
-                 if not target.leq(mapping[x], mapping[y])), None)
+    for x, ups in source._up.items():
+        above = target._up[mapping[x]]
+        if not {mapping[y] for y in ups} <= above:
+            return x, min(y for y in ups if mapping[y] not in above)
+    return None
 
 
 # ------------------------------------------------------------- downsets

@@ -7,12 +7,18 @@ never has to special-case them.  A matrix stores one {column: nonzero}
 dict per row, never a zero, and ``data`` is a dense view built on each
 read.  Products and elimination work on the nonzeros only, so a
 coboundary costs work in proportion to its nonzeros, not to its area.
+
+Elimination keeps a forward-only row echelon form: a new row is reduced
+by the stored rows whose pivots it meets, and no stored row changes.
+Ranks and consistency verdicts read its pivots; solutions and kernels
+are back-substituted from the last pivot up.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
 from ._record import Record
@@ -256,45 +262,62 @@ class MatrixDecomposition(Record):
 
 
 def decompose(m: RationalMatrix) -> MatrixDecomposition:
-    """Gauss-Jordan over Q: rank, kernel basis, image basis (pivot columns
-    of the original matrix), the reduced row echelon form and its pivot
-    columns, written out from ``_reduced``.  Its row step ``_reduce_row``
-    is the one elimination routine of the package: ``solve`` and
-    ``cellsheaf.extend`` use it too, the Betti numbers read only the
-    rank of ``_reduced``, and ``cellsheaf.global_section_space`` only
-    its ``_kernel``.
+    """Rank, kernel basis, image basis (pivot columns of the original
+    matrix), the reduced row echelon form and its pivot columns over Q.
+    The rows go through ``_reduced``, whose row step ``_reduce_row`` is
+    the one elimination routine of the package: ``solve`` and
+    ``cellsheaf.extend`` use it too, and the Betti numbers read only the
+    rank of ``_reduced``.  ``_rref`` back-eliminates the echelon form
+    once; the rref and, through ``_kernel``, the kernel basis are read
+    off it, as ``cellsheaf.global_section_space`` reads its kernel.
 
     rank + len(kernel_basis) == cols always.
     """
     rows, cols = m.rows, m.cols
-    reduced = _reduced(m)
-    pivots = sorted(reduced)
-    rref = [{pc: _ONE, **reduced[pc]} for pc in pivots]
-    rref.extend({} for _ in range(rows - len(pivots)))
+    rref = _rref(_reduced(m))
+    pivots = sorted(rref)
+    rows_out = [{pc: _ONE, **rref[pc]} for pc in pivots]
+    rows_out.extend({} for _ in range(rows - len(pivots)))
     return MatrixDecomposition(
         rank=len(pivots),
-        kernel_basis=_kernel(reduced, cols),
+        kernel_basis=_kernel(rref, cols),
         image_basis=tuple(m.column(pc) for pc in pivots),
-        rref=RationalMatrix._from_sparse(rows, cols, tuple(rref)),
+        rref=RationalMatrix._from_sparse(rows, cols, tuple(rows_out)),
         pivots=tuple(pivots))
 
 
-def _kernel(reduced: dict, cols: int) -> tuple:
-    """The kernel basis of ``_reduced``'s result, one vector per free
-    column c in increasing order: 1 at c, and minus each reduced row's
-    entry in column c at that row's pivot."""
-    kernel = {c: [_ZERO] * cols for c in range(cols) if c not in reduced}
+def _rref(reduced: dict) -> dict:
+    """The reduced row echelon form of ``_reduced``'s result, in the same
+    layout.  Back elimination, last pivot first: each row has the
+    finished rows of the pivots it meets eliminated from it.  Those rows
+    hold no pivot column, so one pass over the row's own entries clears
+    every pivot but its own."""
+    done = {}
+    for pc in sorted(reduced, reverse=True):
+        r = dict(reduced[pc])
+        for c in [c for c in r if c in done]:
+            _eliminate(r, r.pop(c), done[c])
+        done[pc] = r
+    return done
+
+
+def _kernel(rref: dict, cols: int) -> tuple:
+    """The kernel basis of an rref from ``_rref``, one vector per free
+    column c in increasing order: 1 at c, 0 at the other free columns,
+    and at each pivot minus its row's entry in column c, which is that
+    pivot's back-substituted value."""
+    kernel = {c: [_ZERO] * cols for c in range(cols) if c not in rref}
     for c, v in kernel.items():
         v[c] = _ONE
-    for pc, rest in reduced.items():
+    for pc, rest in rref.items():
         for c, x in rest.items():
             kernel[c][pc] = -x
     return tuple(map(tuple, kernel.values()))
 
 
 def _reduced(m: RationalMatrix) -> dict:
-    """The rref of m's rows as {pivot column: rest of its row}, built
-    row by row with ``_reduce_row``; its length is the rank of m."""
+    """A row echelon form of m's rows as {pivot column: rest of its row},
+    built row by row with ``_reduce_row``; its length is the rank of m."""
     reduced = {}
     for row in m._rows:
         if len(reduced) == m.cols:
@@ -305,23 +328,42 @@ def _reduced(m: RationalMatrix) -> dict:
 
 def _reduce_row(reduced: dict, row):
     """Add one sparse row ({column: nonzero}, left unchanged) to
-    ``reduced``, {pivot column: rest of its rref row}.  The row is
-    reduced against the stored rows; its leftmost remaining nonzero
-    becomes a pivot and is eliminated from them, so they stay the unique
-    rref of the rows added.  Returns the new pivot column, or None."""
+    ``reduced``, {pivot column: rest of its row, pivot scaled to 1}; the
+    rest holds only columns right of its pivot.  The row is reduced by
+    the stored rows whose pivots it meets, lowest pivot first, so a
+    pivot column brought in by one of them is met later; its leftmost
+    remaining nonzero becomes the new pivot.  No stored row changes.
+    Returns the new pivot column, or None.
+
+    The reduced row is the one vector in the row plus the span of the
+    stored rows that is zero at every pivot, so the pivots are those of
+    the rref of the rows added."""
     r = dict(row)
-    for pc in [c for c in r if c in reduced]:
-        _eliminate(r, r.pop(pc), reduced[pc])
+    todo = [c for c in r if c in reduced]
+    heapify(todo)
+    while todo:
+        pc = heappop(todo)
+        f = r.pop(pc, None)
+        if f is None:  # cancelled, or a repeat
+            continue
+        # _eliminate, inlined so that each pivot column the row gains is
+        # queued as it appears
+        for c, x in reduced[pc].items():
+            if c in r:
+                v = r[c] - f * x
+                if v:
+                    r[c] = v
+                else:
+                    del r[c]
+            else:
+                r[c] = -f * x
+                if c in reduced:
+                    heappush(todo, c)
     if not r:
         return None
     p = min(r)
     pv = r.pop(p)
-    r = {c: x / pv for c, x in r.items()}
-    for other in reduced.values():
-        f = other.pop(p, None)
-        if f is not None:
-            _eliminate(other, f, r)
-    reduced[p] = r
+    reduced[p] = {c: x / pv for c, x in r.items()}
     return p
 
 
@@ -351,10 +393,16 @@ def _consistent(reduced: dict, rows, rhs: int) -> bool:
 
 
 def _particular(reduced: dict, rhs: int) -> tuple:
-    """The solution of a consistent reduction with every free variable 0."""
+    """The solution of a consistent reduction of [A | b] with every free
+    variable 0, back-substituted from the last pivot up: x[pc] is b's
+    entry in the row less the rest of the row times x."""
     x = [_ZERO] * rhs
-    for pc, rest in reduced.items():
-        x[pc] = rest.get(rhs, _ZERO)
+    for pc in sorted(reduced, reverse=True):
+        rest = reduced[pc]
+        s = rest.get(rhs, _ZERO) - sum(
+            (a * x[c] for c, a in rest.items() if c != rhs), start=_ZERO)
+        if s:
+            x[pc] = s
     return tuple(x)
 
 

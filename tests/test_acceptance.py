@@ -322,13 +322,42 @@ def test_a_40x40_grid_document_validates_within_budget(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == doc
 
 
+def holed_30x30():
+    return grid_complex(30, holes=[(14, 14)])
+
+
 def test_a_holed_30x30_section_prints_within_budget():
-    holed = grid_complex(30, holes=[(14, 14)])
+    holed = holed_30x30()
     full = Assignment({face: (1,) for face in holed.all_faces()})
     start = time.perf_counter()
     printed = _assignment_json(holed, full)
     assert time.perf_counter() - start < 0.25
     assert len(printed) == len(holed.faces) == 5518
+
+
+def test_holed_30x30_cohomology_within_budget():
+    s = constant_sheaf(holed_30x30())
+    start = time.perf_counter()
+    dims = cohomology_dims(s)
+    assert time.perf_counter() - start < 1.0
+    assert dims == (1, 1, 0)
+
+
+def test_holed_30x30_homology_within_budget():
+    base = holed_30x30()
+    start = time.perf_counter()
+    dims = homology_dims(base)
+    assert time.perf_counter() - start < 1.0
+    assert dims == [1, 1, 0]
+
+
+def test_holed_30x30_section_space_within_budget():
+    s = constant_sheaf(holed_30x30())
+    start = time.perf_counter()
+    space = global_section_space(s)
+    assert time.perf_counter() - start < 1.0
+    assert space.dimension == 1
+    assert set(space.basis[0].vectors.values()) == {(Fraction(1),)}
 
 
 def test_the_256_element_downset_lattice_is_a_lattice_within_budget():

@@ -1,0 +1,173 @@
+"""The elimination against the rref it replaced.
+
+``rationals._reduce_row`` keeps a forward-only echelon form; the oracle
+in ``util`` keeps the reduced row echelon form, eliminating each new
+pivot from every stored row.  Both reduce a new row to the same vector,
+so the pivots, every rank and every consistency verdict agree, and the
+kernel and particular solution, unique for the free columns chosen,
+agree entry for entry.  The digests below were recorded with the rref
+elimination and pin the sheaf answers built on top of it.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from sheafcalc.cellsheaf import Assignment, extend, global_section_space
+from sheafcalc.cohomology import coboundary, cohomology_dims
+from sheafcalc.rationals import (
+    RationalMatrix, _augmented, _kernel, _particular, _reduce_row, _reduced,
+    _rref, decompose, solve)
+
+from util import (
+    diagonal_grid_sheaf, grid_complex, random_sparse_matrix, random_unimodular,
+    rref_decompose, rref_kernel, rref_particular, rref_reduce_row, rref_reduced,
+    rref_solve)
+
+
+# --------------------------------------------------------------- corpora
+
+def sparse_corpus():
+    """Random sparse matrices of every shape up to 12 x 12, many of them
+    rank-deficient, with 0 x n and n x 0 included."""
+    rng = random.Random(23)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        yield random_sparse_matrix(rng, rows, cols,
+                                   density=rng.choice((0.15, 0.3, 0.6)),
+                                   combos=rng.choice((0.0, 0.3, 0.6)))
+
+
+def basis_change_corpus():
+    """Sparse matrices times a random unimodular change of basis on
+    either side: the same rank, denser rows, new fractions."""
+    rng = random.Random(5)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        m = random_sparse_matrix(rng, rows, cols, combos=0.4)
+        left, _ = random_unimodular(rng, rows, steps=rng.randint(1, 8))
+        right, _ = random_unimodular(rng, cols, steps=rng.randint(1, 8))
+        yield left @ m @ right
+
+
+def grid_coboundary_corpus():
+    """Both coboundaries of the Q^2 diagonal sheaf on holed grids, and
+    their transposes."""
+    for seed in range(1, 4):
+        rng = random.Random(seed)
+        n = 3 + seed
+        base = grid_complex(n, holes=[(rng.randrange(n), rng.randrange(n))])
+        sheaf, _ = diagonal_grid_sheaf(rng, base, 2)
+        for k in (0, 1):
+            delta = coboundary(sheaf, k)
+            yield delta
+            yield delta.transpose()
+
+
+def corpus():
+    yield from sparse_corpus()
+    yield from basis_change_corpus()
+    yield from grid_coboundary_corpus()
+
+
+# ------------------------------------------------------ against the rref
+
+def test_reductions_share_pivots_and_kernels_with_the_rref():
+    for m in corpus():
+        got, want = _reduced(m), rref_reduced(m)
+        assert sorted(got) == sorted(want)
+        for pc, rest in got.items():
+            assert all(c > pc for c in rest)  # forward only: nothing left of its pivot
+        rref = _rref(got)
+        assert rref == want
+        assert repr(_kernel(rref, m.cols)) == repr(rref_kernel(want, m.cols))
+        assert repr(decompose(m)) == repr(rref_decompose(m))
+
+
+def test_rows_get_the_pivots_the_rref_gives_them_in_order():
+    # each new row's pivot, or None, row by row: for an augmented row
+    # [A | b] that is the consistency verdict, b's column being the pivot
+    for m in corpus():
+        got, want = {}, {}
+        for row in m._rows:
+            assert _reduce_row(got, row) == rref_reduce_row(want, row)
+
+
+def test_solutions_match_the_rref_solution():
+    rng = random.Random(7)
+    seen = set()
+    for m in corpus():
+        reachable = m.apply([rng.randint(-3, 3) for _ in range(m.cols)])
+        anything = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(m.rows)]
+        for b in (reachable, anything):
+            got, want = solve(m, b), rref_solve(m, b)
+            assert repr(got) == repr(want)
+            seen.add(got is None)
+            got_r, want_r = {}, {}
+            verdicts = [(_reduce_row(got_r, row) != m.cols,
+                         rref_reduce_row(want_r, row) != m.cols)
+                        for row in _augmented(m, b)]
+            assert [g for g, _ in verdicts] == [w for _, w in verdicts]
+            if all(g for g, _ in verdicts):
+                assert repr(_particular(got_r, m.cols)) == repr(
+                    rref_particular(want_r, m.cols))
+    assert seen == {True, False}
+
+
+def test_reduced_rows_hold_only_columns_right_of_their_pivot():
+    # the rref would clear column 1 from the first row; the echelon form
+    # leaves it standing
+    m = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 2, 1]])
+    reduced = _reduced(m)
+    assert reduced == {0: {1: Fraction(1)}, 1: {2: Fraction(1)}}
+    assert decompose(m).rref == RationalMatrix.from_rows(
+        [[1, 0, -1], [0, 1, 1], [0, 0, 0]])
+    assert _rref(reduced) == {0: {2: Fraction(-1)}, 1: {2: Fraction(1)}}
+    assert _kernel(_rref(reduced), 3) == ((Fraction(1), Fraction(-1), Fraction(1)),)
+
+
+# ------------------------------------------- sheaf answers, pinned digests
+
+def grid_answers(seed, dim):
+    """cohomology_dims, global_section_space and extend on a consistent
+    and on a conflicting seed, for the Q^dim diagonal sheaf on a holed
+    6 x 6 grid, as one repr."""
+    rng = random.Random(seed)
+    base = grid_complex(6, holes=[(rng.randrange(6), rng.randrange(6))])
+    sheaf, scale = diagonal_grid_sheaf(rng, base, dim)
+    c = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(dim))
+    other = (c[0] + 1,) + c[1:]
+
+    def value(face, coords):
+        return tuple(a * x for a, x in zip(scale[face], coords))
+
+    vertices = base.k_faces(0)
+    v = rng.choice(vertices)
+    good = Assignment({v: value(v, c)})
+    first, last = vertices[0], vertices[-1]
+    bad = Assignment({first: value(first, c), last: value(last, other)})
+    return repr((cohomology_dims(sheaf), global_section_space(sheaf),
+                 extend(sheaf, good), extend(sheaf, bad)))
+
+
+GRID_DIGESTS = {
+    (1, 1): "1084fadf99fb06f67fc117be4625b74448af3d84dacade0f347b9e51a3b62f52",
+    (1, 2): "39e4194ff76090cdeb5275276cff081c876aa3179c04eb837de27a82996b45bd",
+    (2, 1): "bc222bf7894966367576eb04f630602049c7ff645c27069a3fe1f99d905ec404",
+    (2, 2): "125b0ab73215e84bb9b1510ad4e232e0e11bdee099d30a65d859ed2f93a2753a",
+    (3, 1): "b1736023229696d0061de3a917d989169a1862ee45b2ef677c1555cafe76ef41",
+    (3, 2): "1ee44fe22d461c28dcaba09586bb341ab6cb8088618f3c60dd2b86f94239970e",
+    (4, 1): "d950b44ab0f2fd4a2c3a4bd65a1d7e975855a8e9b3149dcf0ac303b78d25a6b7",
+    (4, 2): "77c66a0097ec27c461ec0ef1e536ad168f8ce21a5b50312e591238a66a3cf4ae",
+    (5, 1): "0b4d5e13555359ce9a4e4118acdf1c54e782d2792d015af44d7e8e1b59d1ca7c",
+    (5, 2): "4f5a64fca9bd928c90289254282bd518cd221bfe31ec6c0ca8caeb028796c6d5",
+}
+
+
+@pytest.mark.parametrize("seed,dim", sorted(GRID_DIGESTS))
+def test_grid_answers_match_the_digests_of_the_rref_elimination(seed, dim):
+    digest = hashlib.sha256(grid_answers(seed, dim).encode()).hexdigest()
+    assert digest == GRID_DIGESTS[seed, dim]

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from sheafcalc.cli import main
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.poset import (
-    FinitePoset, OrderViolation, alexandrov, all_downsets, downset_family,
-    is_monotone, set_label, validate_poset, validate_topology, yoneda_check)
+    FinitePoset, OrderViolation, _monotonicity_witness, alexandrov,
+    all_downsets, downset_family, is_monotone, set_label, validate_poset,
+    validate_topology, yoneda_check)
 
 from util import (
-    ScanPoset, mask_downset_family, matrix_closure_poset, random_poset)
+    ScanPoset, mask_downset_family, matrix_closure_poset,
+    pair_scan_monotonicity_witness, random_poset)
 
 
 def fence():
@@ -159,6 +161,20 @@ def test_dualize_swaps_principals_and_is_involutive():
     assert d.dualize() == p
 
 
+def test_dualize_equals_the_dual_built_from_the_reversed_pairs():
+    rng = random.Random(11)
+    for _ in range(300):
+        p = random_poset(rng, max_elements=9, edge_prob=rng.choice((0.2, 0.4, 0.7)))
+        d = p.dualize()
+        built = FinitePoset(p.elements, [(y, x) for x, y in p.pairs()])
+        assert d == built and hash(d) == hash(built)
+        assert d.pairs() == built.pairs()
+        assert [(d.principal_down(x), d.principal_up(x)) for x in p.elements] == [
+            (built.principal_down(x), built.principal_up(x)) for x in p.elements]
+        assert d.dualize() == p and hash(d.dualize()) == hash(p)
+        assert pickle.loads(pickle.dumps(d)) == built
+
+
 # -------------------------------------------------------------- downsets
 
 def test_fence_has_exactly_eight_downsets():
@@ -269,6 +285,37 @@ def test_is_monotone():
     assert not is_monotone(p, chain, {"a": "b", "b": "a", "c": "a", "d": "b"})
     with pytest.raises(SheafcalcError):
         is_monotone(p, chain, {"a": "a"})  # partial map
+
+
+def test_monotonicity_witness_is_the_first_failing_pair_of_the_scan():
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(600):
+        source = random_poset(rng, max_elements=8, edge_prob=rng.choice((0.2, 0.5)))
+        target = random_poset(rng, max_elements=5, edge_prob=rng.choice((0.3, 0.7)))
+        # monotone by construction (the identity or a constant map) or
+        # random, then perhaps one value moved
+        roll = rng.random()
+        if roll < 0.25:
+            target = source
+            mapping = {x: x for x in source.elements}
+        elif roll < 0.5:
+            mapping = {x: target.elements[0] for x in source.elements}
+        else:
+            mapping = {x: rng.choice(target.elements) for x in source.elements}
+        if rng.random() < 0.3:
+            mapping[rng.choice(source.elements)] = rng.choice(target.elements)
+        got = _monotonicity_witness(source, target, mapping)
+        assert got == pair_scan_monotonicity_witness(source, target, mapping)
+        kinds.add(got is None)
+    assert kinds == {True, False}
+    p, chain = fence(), validate_poset("ab", [("a", "b")])
+    for mapping in ({"a": "a"}, {"a": "a", "b": "a", "c": "zz", "d": "b"}):
+        with pytest.raises(SheafcalcError) as got:
+            _monotonicity_witness(p, chain, mapping)
+        with pytest.raises(SheafcalcError) as want:
+            pair_scan_monotonicity_witness(p, chain, mapping)
+        assert str(got.value) == str(want.value)
 
 
 # -------------------------------------------------------------- topology

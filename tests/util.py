@@ -472,6 +472,153 @@ def dense_decompose(m):
         pivots=tuple(pivots))
 
 
+# --------------------------------------------------------------- rref oracle
+# rationals._reduce_row as it was when it kept the reduced row echelon
+# form, eliminating each new pivot from every stored row, with the
+# kernel, particular solution, decompose and solve read off that form,
+# kept verbatim.
+
+def rref_reduce_row(reduced: dict, row):
+    """Add one sparse row ({column: nonzero}, left unchanged) to
+    ``reduced``, {pivot column: rest of its rref row}.  The row is
+    reduced against the stored rows; its leftmost remaining nonzero
+    becomes a pivot and is eliminated from them, so they stay the unique
+    rref of the rows added.  Returns the new pivot column, or None."""
+    from sheafcalc.rationals import _eliminate
+
+    r = dict(row)
+    for pc in [c for c in r if c in reduced]:
+        _eliminate(r, r.pop(pc), reduced[pc])
+    if not r:
+        return None
+    p = min(r)
+    pv = r.pop(p)
+    r = {c: x / pv for c, x in r.items()}
+    for other in reduced.values():
+        f = other.pop(p, None)
+        if f is not None:
+            _eliminate(other, f, r)
+    reduced[p] = r
+    return p
+
+
+def rref_reduced(m) -> dict:
+    """The rref of m's rows as {pivot column: rest of its row}, built
+    row by row with ``rref_reduce_row``; its length is the rank of m."""
+    reduced = {}
+    for row in m._rows:
+        if len(reduced) == m.cols:
+            break
+        rref_reduce_row(reduced, row)
+    return reduced
+
+
+def rref_kernel(reduced: dict, cols: int) -> tuple:
+    """The kernel basis of ``rref_reduced``'s result, one vector per free
+    column c in increasing order: 1 at c, and minus each reduced row's
+    entry in column c at that row's pivot."""
+    from fractions import Fraction
+
+    kernel = {c: [Fraction(0)] * cols for c in range(cols) if c not in reduced}
+    for c, v in kernel.items():
+        v[c] = Fraction(1)
+    for pc, rest in reduced.items():
+        for c, x in rest.items():
+            kernel[c][pc] = -x
+    return tuple(map(tuple, kernel.values()))
+
+
+def rref_particular(reduced: dict, rhs: int) -> tuple:
+    """The solution of a consistent reduction with every free variable 0."""
+    from fractions import Fraction
+
+    x = [Fraction(0)] * rhs
+    for pc, rest in reduced.items():
+        x[pc] = rest.get(rhs, Fraction(0))
+    return tuple(x)
+
+
+def rref_decompose(m):
+    """Gauss-Jordan over Q: rank, kernel basis, image basis (pivot columns
+    of the original matrix), the reduced row echelon form and its pivot
+    columns, written out from ``rref_reduced``."""
+    from fractions import Fraction
+
+    from sheafcalc.rationals import MatrixDecomposition, RationalMatrix
+
+    rows, cols = m.rows, m.cols
+    reduced = rref_reduced(m)
+    pivots = sorted(reduced)
+    rref = [{pc: Fraction(1), **reduced[pc]} for pc in pivots]
+    rref.extend({} for _ in range(rows - len(pivots)))
+    return MatrixDecomposition(
+        rank=len(pivots),
+        kernel_basis=rref_kernel(reduced, cols),
+        image_basis=tuple(m.column(pc) for pc in pivots),
+        rref=RationalMatrix._from_sparse(rows, cols, tuple(rref)),
+        pivots=tuple(pivots))
+
+
+def rref_solve(a, b):
+    """A particular exact solution of A x = b, or None if inconsistent."""
+    from sheafcalc.rationals import _augmented, rational
+
+    b = tuple(rational(x) for x in b)
+    reduced = {}
+    if not all(rref_reduce_row(reduced, row) != a.cols
+               for row in _augmented(a, b)):
+        return None
+    return rref_particular(reduced, a.cols)
+
+
+def random_sparse_matrix(rng, rows, cols, density=0.3, combos=0.3):
+    """Entries small fractions, each cell nonzero with ``density``; each
+    row after the first is, with probability ``combos``, a combination
+    of up to three earlier rows, so the rank falls short of the shape."""
+    from fractions import Fraction
+
+    from sheafcalc.rationals import RationalMatrix
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 5))
+
+    grid = []
+    for _ in range(rows):
+        if grid and rng.random() < combos:
+            picks = [(rng.randrange(len(grid)), entry())
+                     for _ in range(rng.randint(1, 3))]
+            grid.append([sum((f * grid[i][j] for i, f in picks), start=Fraction(0))
+                         for j in range(cols)])
+        else:
+            grid.append([entry() if rng.random() < density else Fraction(0)
+                         for _ in range(cols)])
+    return RationalMatrix(rows, cols, [x for row in grid for x in row])
+
+
+def diagonal_grid_sheaf(rng, base, dim):
+    """Stalk Q^dim on every face and maps A_tau A_sigma^-1 for a random
+    diagonal A_f per face, so the global sections are exactly f -> A_f c;
+    dim 1 takes A = 1, the constant sheaf Q^1.  Returns the sheaf and
+    each face's diagonal."""
+    from fractions import Fraction
+
+    from sheafcalc.cellsheaf import CellularSheaf, covering_pairs
+    from sheafcalc.rationals import RationalMatrix
+
+    def small():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    scale = {f: tuple(Fraction(1) if dim == 1 else small() for _ in range(dim))
+             for f in base.all_faces()}
+    maps = {}
+    for sigma, tau in covering_pairs(base):
+        entries = [Fraction(0)] * (dim * dim)
+        for k in range(dim):
+            entries[k * dim + k] = scale[tau][k] / scale[sigma][k]
+        maps[(sigma, tau)] = RationalMatrix(dim, dim, entries)
+    return CellularSheaf(base, {f: dim for f in base.all_faces()}, maps), scale
+
+
 # ------------------------------------------------------------- scan oracles
 # The index-space scans that validate_poset, downset_family and ncolor
 # replaced, kept verbatim (the downset scan without its element cap).
@@ -704,7 +851,8 @@ def pointwise_aspect_modal(pred, which):
 
 # ------------------------------------------------- Galois and face oracles
 # check_connection and right_adjoint_of as they were when each tested
-# every (x, y) pair with leq, and face_poset's test of every pair of
+# every (x, y) pair with leq, the monotonicity witness as it was when it
+# tested every related pair, and face_poset's test of every pair of
 # faces, kept verbatim.
 
 def scan_check_connection(c):
@@ -751,6 +899,17 @@ def scan_right_adjoint_of(left, source, target):
         GaloisConnection(source, target, dict(left), right))
     assert report.ok, report
     return right
+
+
+def pair_scan_monotonicity_witness(source, target, mapping):
+    """The first x <= y in ``source.pairs()`` mapped out of order, or None."""
+    if set(mapping) != set(source.elements):
+        raise SheafcalcError("mapping must be total")
+    for v in mapping.values():
+        if v not in target.elements:
+            raise SheafcalcError(f"value {v!r} outside target")
+    return next(((x, y) for x, y in source.pairs()
+                 if not target.leq(mapping[x], mapping[y])), None)
 
 
 def pair_scan_face_poset(complex_):
