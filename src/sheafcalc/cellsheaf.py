@@ -19,8 +19,8 @@ from ._record import Record
 from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
-    RationalMatrix, _augmented, _consistent, _kernel, _particular,
-    _reduce_row, _reduced, _rref, block_assemble, rational)
+    RationalMatrix, _augmented, _consistent, _image, _kernel, _particular,
+    _reduce_row, _reduced, _rref, _stored, block_assemble, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -335,8 +335,10 @@ def _spread(s: CellularSheaf, offsets, vertex_data) -> Assignment:
     image of its facet ``face[:-1]``, which comes earlier in face order.
     That is the route ``composite_map`` takes from the first vertex, so
     each face gets the value of the composite, one matrix-vector product
-    per face and no composite matrix.
+    per face and no composite matrix.  Values are carried as stored
+    entries, and the assignment makes them Fractions.
     """
+    vertex_data = tuple(map(_stored, vertex_data))
     vectors = {}
     for face in s.base.all_faces():
         if len(face) == 1:
@@ -344,7 +346,7 @@ def _spread(s: CellularSheaf, offsets, vertex_data) -> Assignment:
             vectors[face] = vertex_data[at:at + s.stalk_dim[face]]
         else:
             facet = face[:-1]
-            vectors[face] = s.restriction[(facet, face)].apply(vectors[facet])
+            vectors[face] = _image(s.restriction[(facet, face)], vectors[facet])
     return Assignment(vectors)
 
 
@@ -409,7 +411,7 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment,
             if len(n) > len(g):
                 # value above is forced outright
                 block = _augmented(RationalMatrix.identity(dim),
-                                   s.restriction[(g, n)].apply(xg))
+                                   _image(s.restriction[(g, n)], xg))
             else:
                 # value below must map onto the determined value
                 block = _augmented(s.restriction[(n, g)], xg)

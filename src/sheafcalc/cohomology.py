@@ -17,7 +17,7 @@ from .cellsheaf import (
     CellularSheaf, _coboundary, _require_valid, covering_pairs, validate_sheaf)
 from .complexes import SimplicialComplex
 from .errors import SheafcalcError
-from .rationals import RationalMatrix, _reduced, rational
+from .rationals import RationalMatrix, _reduced, _stored, rational
 
 __all__ = [
     "CochainComplex",
@@ -185,7 +185,7 @@ def _marginalize_matrix(m: BayesModel, sub, face) -> RationalMatrix:
     below = _outcome_indices(m, face, sub)
     rows = tuple({} for _ in range(_outcome_count(m, sub)))
     for j, i in enumerate(below):
-        rows[i][j] = Fraction(1)
+        rows[i][j] = 1
     return RationalMatrix._from_sparse(len(rows), len(below), rows)
 
 
@@ -202,7 +202,7 @@ def _cpt_entries(m: BayesModel, face, name) -> list:
 def _conditional_matrix(m: BayesModel, small, big) -> RationalMatrix:
     """Multiplication by the CPT of the one variable big adds to small."""
     (new,) = set(big) - set(small)
-    rows = tuple({i: p} if p else {} for i, p in zip(
+    rows = tuple({i: _stored(p)} if p else {} for i, p in zip(
         _outcome_indices(m, big, small), _cpt_entries(m, big, new)))
     return RationalMatrix._from_sparse(
         len(rows), _outcome_count(m, small), rows)

@@ -259,7 +259,7 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> RationalMatrix:
     for j, b in enumerate(cols):
         for a, sign in _signed_facets(b):
             if a in row_of:
-                sparse[row_of[a]][j] = rational(sign)
+                sparse[row_of[a]][j] = sign
     return RationalMatrix._from_sparse(len(rows), len(cols), sparse)
 
 

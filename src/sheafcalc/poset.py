@@ -182,7 +182,11 @@ def _monotonicity_witness(source: FinitePoset, target: FinitePoset, mapping):
     if set(mapping) != set(source.elements):
         raise SheafcalcError("mapping must be total")
     for v in mapping.values():
-        if v not in target.elements:
+        try:
+            known = v in target._up
+        except TypeError:  # unhashable: scan, so it is refused as outside
+            known = v in target.elements
+        if not known:
             raise SheafcalcError(f"value {v!r} outside target")
     for x, ups in source._up.items():
         above = target._up[mapping[x]]

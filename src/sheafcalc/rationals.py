@@ -8,6 +8,15 @@ dict per row, never a zero, and ``data`` is a dense view built on each
 read.  Products and elimination work on the nonzeros only, so a
 coboundary costs work in proportion to its nonzeros, not to its area.
 
+Stored entries, in a matrix and in the elimination's rows, keep an
+integral value as a plain ``int`` (never a ``bool``) and any other value
+as a ``Fraction`` with denominator > 1, so a +-1 incidence sign or a 0/1
+marginalization costs int arithmetic, not a Fraction and a gcd.  No
+float is ever stored: ``_div`` is the one division on entries, because
+int / int is a float.  Every public view (``data``, ``entry``, ``row``,
+``column``, ``row_lists``, ``apply``, ``decompose``, ``solve``) returns
+Fractions.
+
 Elimination keeps a forward-only row echelon form: a new row is reduced
 by the stored rows whose pivots it meets, and no stored row changes.
 Ranks and consistency verdicts read its pivots; solutions and kernels
@@ -44,6 +53,24 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _stored(x):
+    """An int or Fraction in storage form: an int when integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _public(x) -> Fraction:
+    """A stored entry as the Fraction every public view returns."""
+    return Fraction(x) if type(x) is int else x
+
+
+def _div(x, y):
+    """x / y on stored entries, in storage form; y is nonzero."""
+    if type(x) is int and type(y) is int:
+        q, rem = divmod(x, y)
+        return Fraction(x, y) if rem else q
+    return _stored(x / y)
 
 
 def _fits(text) -> bool:
@@ -93,7 +120,7 @@ class RationalMatrix:
     def __new__(cls, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise SheafcalcError(f"negative shape {rows}x{cols}")
-        data = [rational(x) for x in entries]
+        data = [x if type(x) is int else _stored(rational(x)) for x in entries]
         if len(data) != rows * cols:
             raise SheafcalcError(f"expected {rows * cols} entries, got {len(data)}")
         sparse = tuple([{} for _ in range(rows)])
@@ -105,7 +132,9 @@ class RationalMatrix:
     @classmethod
     def _from_sparse(cls, rows: int, cols: int, sparse: tuple) -> "RationalMatrix":
         """The trusted constructor, unchecked: ``sparse`` is one {column:
-        nonzero Fraction} dict per row, kept as given and never mutated."""
+        nonzero entry} dict per row, each entry in storage form (an int
+        when integral, else a Fraction), kept as given and never
+        mutated."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
@@ -144,7 +173,7 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         if n < 0:
             raise SheafcalcError(f"negative shape {n}x{n}")
-        return cls._from_sparse(n, n, tuple({i: _ONE} for i in range(n)))
+        return cls._from_sparse(n, n, tuple({i: 1} for i in range(n)))
 
     @property
     def data(self) -> tuple:
@@ -154,13 +183,13 @@ class RationalMatrix:
     def _dense(self, r: dict) -> list:
         line = [_ZERO] * self.cols
         for j, x in r.items():
-            line[j] = x
+            line[j] = _public(x)
         return line
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise SheafcalcError(f"no entry ({i}, {j}) in {self.rows}x{self.cols}")
-        return self._rows[i].get(j, _ZERO)
+        return _public(self._rows[i].get(j, _ZERO))
 
     def row(self, i: int) -> tuple:
         if not 0 <= i < self.rows:
@@ -170,7 +199,7 @@ class RationalMatrix:
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.cols:
             raise SheafcalcError(f"no column {j} in {self.rows}x{self.cols}")
-        return tuple(r.get(j, _ZERO) for r in self._rows)
+        return tuple(_public(r.get(j, _ZERO)) for r in self._rows)
 
     def row_lists(self):
         return [self._dense(r) for r in self._rows]
@@ -198,19 +227,21 @@ class RationalMatrix:
             raise SheafcalcError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
         out = tuple(dict(r) for r in self._rows)
         for r, s in zip(out, other._rows):
-            _eliminate(r, -_ONE, s)
+            _eliminate(r, -1, s)
         return RationalMatrix._from_sparse(self.rows, self.cols, out)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return self.scale(-_ONE)
+        return RationalMatrix._from_sparse(self.rows, self.cols, tuple(
+            {j: -x for j, x in r.items()} for r in self._rows))
 
     def scale(self, k) -> "RationalMatrix":
-        k = rational(k)
+        k = _stored(rational(k))
         return RationalMatrix._from_sparse(self.rows, self.cols, tuple(
-            {j: k * x for j, x in r.items()} if k else {} for r in self._rows))
+            {j: _stored(k * x) for j, x in r.items()} if k else {}
+            for r in self._rows))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         return matmul(self, other)
@@ -221,8 +252,7 @@ class RationalMatrix:
         if len(vec) != self.cols:
             raise SheafcalcError(f"vector of length {len(vec)} against "
                                  f"{self.rows}x{self.cols}")
-        return tuple(sum((x * vec[j] for j, x in row.items()), start=_ZERO)
-                     for row in self._rows)
+        return tuple(map(_public, _image(self, vec)))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -232,12 +262,24 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
+def _image(m: RationalMatrix, vec) -> tuple:
+    """m times ``vec``, a vector of stored entries or Fractions, in
+    storage form: ``apply`` without its checks and its Fraction view,
+    for values that stay inside the library."""
+    out = []
+    for row in m._rows:
+        terms = [vec[j] * x for j, x in row.items()]
+        out.append(_stored(sum(terms[1:], terms[0])) if terms else 0)
+    return tuple(out)
+
+
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact product; (m x 0) @ (0 x n) is the m x n zero matrix.
 
     Only products of two nonzero entries are formed: Theta(sum over the
-    nonzeros a_ik of the nonzeros in row k of b) Fraction operations.
-    Entries that cancel to zero are dropped.
+    nonzeros a_ik of the nonzeros in row k of b) operations, int ones
+    where both entries are integral.  Entries that cancel to zero are
+    dropped.
     """
     if a.cols != b.rows:
         raise SheafcalcError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
@@ -249,7 +291,7 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
             for j, y in b_rows[k].items():
                 p = x * y
                 acc[j] = acc[j] + p if j in acc else p
-        out.append({j: v for j, v in acc.items() if v})
+        out.append({j: _stored(v) for j, v in acc.items() if v})
     return RationalMatrix._from_sparse(a.rows, b.cols, tuple(out))
 
 
@@ -276,7 +318,7 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
     rows, cols = m.rows, m.cols
     rref = _rref(_reduced(m))
     pivots = sorted(rref)
-    rows_out = [{pc: _ONE, **rref[pc]} for pc in pivots]
+    rows_out = [{pc: 1, **rref[pc]} for pc in pivots]
     rows_out.extend({} for _ in range(rows - len(pivots)))
     return MatrixDecomposition(
         rank=len(pivots),
@@ -311,7 +353,7 @@ def _kernel(rref: dict, cols: int) -> tuple:
         v[c] = _ONE
     for pc, rest in rref.items():
         for c, x in rest.items():
-            kernel[c][pc] = -x
+            kernel[c][pc] = _public(-x)
     return tuple(map(tuple, kernel.values()))
 
 
@@ -352,37 +394,38 @@ def _reduce_row(reduced: dict, row):
             if c in r:
                 v = r[c] - f * x
                 if v:
-                    r[c] = v
+                    r[c] = _stored(v)
                 else:
                     del r[c]
             else:
-                r[c] = -f * x
+                r[c] = _stored(-f * x)
                 if c in reduced:
                     heappush(todo, c)
     if not r:
         return None
     p = min(r)
     pv = r.pop(p)
-    reduced[p] = {c: x / pv for c, x in r.items()}
+    reduced[p] = {c: _div(x, pv) for c, x in r.items()}
     return p
 
 
 def _eliminate(r: dict, f, tail: dict):
-    """r -= f * tail on sparse rows, dropping entries that cancel."""
+    """r -= f * tail on sparse rows of stored entries, dropping entries
+    that cancel."""
     for c, x in tail.items():
         if c in r:
             v = r[c] - f * x
             if v:
-                r[c] = v
+                r[c] = _stored(v)
             else:
                 del r[c]
         else:
-            r[c] = -f * x
+            r[c] = _stored(-f * x)
 
 
 def _augmented(a: RationalMatrix, b) -> list:
     """Sparse rows of [A | b], copies of A's: b sits in column a.cols."""
-    return [{**row, a.cols: v} if v else dict(row)
+    return [{**row, a.cols: _stored(v)} if v else dict(row)
             for row, v in zip(a._rows, b, strict=True)]
 
 
@@ -396,14 +439,14 @@ def _particular(reduced: dict, rhs: int) -> tuple:
     """The solution of a consistent reduction of [A | b] with every free
     variable 0, back-substituted from the last pivot up: x[pc] is b's
     entry in the row less the rest of the row times x."""
-    x = [_ZERO] * rhs
+    x = [0] * rhs
     for pc in sorted(reduced, reverse=True):
         rest = reduced[pc]
-        s = rest.get(rhs, _ZERO) - sum(
-            (a * x[c] for c, a in rest.items() if c != rhs), start=_ZERO)
+        s = rest.get(rhs, 0) - sum(
+            a * x[c] for c, a in rest.items() if c != rhs)
         if s:
-            x[pc] = s
-    return tuple(x)
+            x[pc] = _stored(s)
+    return tuple(map(_public, x))
 
 
 def solve(a: RationalMatrix, b) -> tuple | None:

@@ -32,7 +32,7 @@ from sheafcalc.poset import all_downsets, set_label, validate_poset, yoneda_chec
 from sheafcalc.rationals import decompose
 
 from util import (
-    constant_sheaf, grid_complex, multigraphs_up_to, presheaf_g, presheaf_h,
+    binary_chain, constant_sheaf, grid_complex, multigraphs_up_to, presheaf_g, presheaf_h,
     presheaf_p, random_complex, random_copresheaf, random_poset,
     running_sheaf, simple_digraph_classes, sprinkler)
 
@@ -358,6 +358,16 @@ def test_holed_30x30_section_space_within_budget():
     assert time.perf_counter() - start < 1.0
     assert space.dimension == 1
     assert set(space.basis[0].vectors.values()) == {(Fraction(1),)}
+
+
+def test_the_9_variable_binary_chain_checks_within_budget():
+    # 511 faces and 2,295 covering pairs of 0/1 marginalization matrices,
+    # whose 9,144 path-independence products are int arithmetic
+    model = binary_chain(9)
+    start = time.perf_counter()
+    report = bayes_check(model)
+    assert time.perf_counter() - start < 1.5
+    assert report.ok
 
 
 def test_the_256_element_downset_lattice_is_a_lattice_within_budget():

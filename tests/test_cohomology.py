@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -532,3 +533,57 @@ def test_deterministic_chain_model():
     a = bayes_build(m)
     assert a.joint == (0, f(1, 2), f(1, 2), 0)
     assert bayes_check(m).ok
+
+
+# --------------------------------------------- Bayes answers, pinned digests
+
+def bayes_answers(m, rng):
+    """The assembly's matrices, in covering order and then along the
+    chain, its joint, and ``bayes_check`` on the CPT joint, on that joint
+    with one entry moved and renormalized, and on a raw vector of small
+    integers, as one repr."""
+    a = bayes_build(m)
+    bumped = list(a.joint)
+    bumped[rng.randrange(len(bumped))] += Fraction(1, 7)
+    total = sum(bumped)
+    bumped = [x / total for x in bumped]
+    raw = [Fraction(rng.randint(0, 5)) for _ in a.joint]
+    maps = [a.cosheaf.restriction[pair] for pair in covering_pairs(a.cosheaf.base)]
+    maps += [a.sheaf.restriction[pair] for pair in zip(a.chain, a.chain[1:])]
+    return repr((maps, a.joint, bayes_check(m), bayes_check(m, joint=bumped),
+                 bayes_check(m, joint=raw)))
+
+
+def bayes_corpus(family, k):
+    """("random", k): the random models of seeds 10k to 10k + 9, six
+    blocks of ten; ("chain", n): the binary chain of n variables."""
+    if family == "chain":
+        yield binary_chain(k), random.Random(k)
+        return
+    for seed in range(10 * k, 10 * k + 10):
+        rng = random.Random(seed)
+        yield random_bayes_model(rng), rng
+
+
+# recorded with every matrix entry stored as a Fraction
+BAYES_DIGESTS = {
+    ("random", 0): "8c16a485d74180159e915ad44f3b8f10a9c7fed1c730c7bc5265672369890f56",
+    ("random", 1): "eb78f5342429f4c058799940d77b17503c7c17c57b863b9bb116e1ab5866aeab",
+    ("random", 2): "d2ef64a22ae2b38f1cce5e334b3e719c5b8f1a28b16d52c55219488d2963fce0",
+    ("random", 3): "85d35686e745ad9321fc89ee6f179491ce56ffcd0653e317e3d677ea27c70b62",
+    ("random", 4): "66a87aeea0509bf2c8726f275056273f0de691a7569f6b0f17141731f2a71c72",
+    ("random", 5): "fef1cc97aad0c56a0aff23c286f9200e8447b66d42c3cddb6b343571a82c96c9",
+    ("chain", 3): "f35b2f28ca20a7a1330dcde1ccc3c1c21b35b5a12ea6e7cbef422435dc3402eb",
+    ("chain", 4): "0538b4cd51463704e6e8276bca83091390ef15d31473705e39e7da70f98164e9",
+    ("chain", 5): "395bb9ee441e2caccb122e99b604f1a05ab77b5fe0abf6f3535ef948fede990f",
+    ("chain", 6): "e4504e9143d27aeb939fb4999d6afed1d0606a665db5a09aeb99a7286a14a73c",
+    ("chain", 7): "51a180d07b2c2d1431b8b34291a4006d62b1931af32d18ca827fc3d0ee91d6dd",
+}
+
+
+@pytest.mark.parametrize("family,k", sorted(BAYES_DIGESTS))
+def test_bayes_answers_match_their_recorded_digests(family, k):
+    digest = hashlib.sha256()
+    for m, rng in bayes_corpus(family, k):
+        digest.update(bayes_answers(m, rng).encode())
+    assert digest.hexdigest() == BAYES_DIGESTS[family, k]

@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -11,12 +12,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafcalc.cellsheaf import Assignment, extend, global_section_space
+from sheafcalc.cohomology import bayes_build, coboundary
+from sheafcalc.complexes import boundary_matrix
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import (
-    DIGIT_LIMIT, RationalMatrix, block_assemble, decompose, matmul, rational,
-    solve)
+    DIGIT_LIMIT, RationalMatrix, _reduced, _rref, block_assemble, decompose,
+    matmul, rational, solve)
 
-from util import dense_decompose, dense_matmul
+from util import (
+    binary_chain, constant_sheaf, dense_decompose, dense_matmul, grid_complex,
+    random_bayes_model, random_complex, random_valid_sheaf)
 
 
 # ---------------------------------------------------------------- oracles
@@ -264,22 +270,67 @@ def test_matmul_equals_dense_oracle(a, data):
     assert repr(got.data) == repr(want.data)
 
 
+def assert_storage_form(entries):
+    """Every stored entry is nonzero, and an int (never a bool) when
+    integral, else a Fraction with denominator > 1; never a float."""
+    for x in entries:
+        assert x != 0
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
 def assert_stored_canonically(m):
-    """No stored row holds a zero, and m is the matrix its dense view
-    builds, hash included."""
+    """No stored row holds a zero or an entry out of storage form, and m
+    is the matrix its dense view builds, hash included."""
     assert len(m._rows) == m.rows
-    assert all(x != 0 and 0 <= j < m.cols for r in m._rows for j, x in r.items())
+    assert all(0 <= j < m.cols for r in m._rows for j in r)
+    assert_storage_form(x for r in m._rows for x in r.values())
     dense = RationalMatrix(m.rows, m.cols, m.data)
     assert m == dense
     assert hash(m) == hash(dense)
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_matrices(), st.data())
+def assert_reductions_stored_canonically(m):
+    """The echelon form and the rref of m's rows hold stored entries."""
+    reduced = _reduced(m)
+    for rows in (reduced, _rref(reduced)):
+        assert_storage_form(x for rest in rows.values() for x in rest.values())
+
+
+integral_entries = st.integers(min_value=-3, max_value=3).map(Fraction)
+
+
+@st.composite
+def mixed_matrices(draw, rows=None, cols=None):
+    """sparse_matrices, or a matrix of small integers, its cells given to
+    the constructor as Fractions, ints, bools or strings."""
+    if draw(st.booleans()):
+        m = draw(sparse_matrices(rows=rows, cols=cols))
+    else:
+        if rows is None:
+            rows = draw(st.integers(min_value=0, max_value=5))
+        if cols is None:
+            cols = draw(st.integers(min_value=0, max_value=5))
+        m = RationalMatrix(rows, cols, draw(st.lists(
+            integral_entries, min_size=rows * cols, max_size=rows * cols)))
+
+    def spelled(x):
+        forms = [x, str(x)]
+        if x.denominator == 1:
+            forms.append(int(x))
+        if x in (0, 1):
+            forms.append(bool(x))
+        return draw(st.sampled_from(forms))
+
+    return RationalMatrix(m.rows, m.cols, [spelled(x) for x in m.data])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.data())
 def test_every_way_of_building_a_matrix_stores_only_nonzeros(m, data):
-    other = data.draw(sparse_matrices(rows=m.rows, cols=m.cols))
-    right = data.draw(sparse_matrices(rows=m.cols))
-    k = data.draw(st.one_of(st.just(Fraction(0)), nonzero_entries))
+    other = data.draw(mixed_matrices(rows=m.rows, cols=m.cols))
+    right = data.draw(mixed_matrices(rows=m.cols))
+    k = data.draw(st.one_of(st.just(Fraction(0)), nonzero_entries,
+                            integral_entries, st.integers(-3, 3)))
     before = (m.data, other.data, right.data)
     # [m | m] @ [right; -right] is zero, every product cancelling
     twice = block_assemble({(0, 0): m, (0, 1): m}, [m.rows], [m.cols, m.cols])
@@ -292,13 +343,71 @@ def test_every_way_of_building_a_matrix_stores_only_nonzeros(m, data):
         RationalMatrix.identity(m.cols),
         m.transpose(),
         m + other, m + (-m), m - other, m - m, -m,
-        m.scale(k), m.scale(0),
+        m.scale(k), m.scale(0), m.scale(-1), m.scale(Fraction(2)),
         m @ right, twice @ both, twice, both,
         decompose(m).rref,
     ]
     for got in built:
         assert_stored_canonically(got)
+    for got in (m, other, m @ right, m.transpose()):
+        assert_reductions_stored_canonically(got)
     assert (m.data, other.data, right.data) == before  # operands untouched
+
+
+def test_library_built_matrices_are_stored_canonically():
+    # boundary matrices, coboundaries, and the Bayes marginalization and
+    # conditional matrices are built through the trusted constructor
+    rng = random.Random(24)
+    matrices = []
+    for _ in range(30):
+        base = random_complex(rng)
+        matrices += [boundary_matrix(base, k) for k in range(1, base.dimension() + 1)]
+        for s in (constant_sheaf(base), random_valid_sheaf(rng, base)):
+            matrices += [coboundary(s, k) for k in range(base.dimension() + 1)]
+    for m in [binary_chain(4)] + [random_bayes_model(rng) for _ in range(20)]:
+        a = bayes_build(m)
+        matrices += list(a.cosheaf.restriction.values())
+        matrices += list(a.sheaf.restriction.values())
+    for m in matrices:
+        assert_stored_canonically(m)
+        assert_reductions_stored_canonically(m)
+
+
+def assert_fractions(values):
+    values = list(values)
+    assert all(type(x) is Fraction for x in values), values
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_matrices(), st.data())
+def test_every_public_view_returns_fractions(m, data):
+    vec = data.draw(st.lists(st.integers(-3, 3), min_size=m.cols, max_size=m.cols))
+    assert_fractions(m.data)
+    assert_fractions(m.entry(i, j) for i in range(m.rows) for j in range(m.cols))
+    assert_fractions(x for i in range(m.rows) for x in m.row(i))
+    assert_fractions(x for j in range(m.cols) for x in m.column(j))
+    assert_fractions(x for row in m.row_lists() for x in row)
+    assert_fractions(m.apply(vec))
+    dec = decompose(m)
+    assert_fractions(x for v in dec.kernel_basis + dec.image_basis for x in v)
+    assert_fractions(dec.rref.data)
+    assert_fractions(solve(m, m.apply(vec)))
+    # a leaked int would print as "1", not "Fraction(1, 1)"
+    assert repr(dec) == repr(dense_decompose(m))
+
+
+def test_sections_and_extensions_hold_fractions():
+    # the constant sheaf stores every map as the int 1, and a seed given
+    # as ints is carried through int arithmetic
+    base = grid_complex(3, holes=[(1, 1)])
+    s = constant_sheaf(base)
+    first, last = base.k_faces(0)[0], base.k_faces(0)[-1]
+    space = global_section_space(s)
+    ok = extend(s, Assignment({first: (2,)}))
+    bad = extend(s, Assignment({first: (1,), last: (2,)}))
+    assert ok.ok and not bad.ok
+    for a in space.basis + (ok.result, bad.propagated):
+        assert_fractions(x for v in a.vectors.values() for x in v)
 
 
 def test_products_that_cancel_store_no_zero():

@@ -475,8 +475,21 @@ def dense_decompose(m):
 # --------------------------------------------------------------- rref oracle
 # rationals._reduce_row as it was when it kept the reduced row echelon
 # form, eliminating each new pivot from every stored row, with the
-# kernel, particular solution, decompose and solve read off that form,
-# kept verbatim.
+# kernel, particular solution, decompose and solve read off that form.
+# The oracle does its own Fraction arithmetic: it reads the library's
+# stored entries, which may be ints, through Fraction, and shares no
+# elimination step with the library.
+
+def rref_eliminate(r: dict, f, tail: dict):
+    """r -= f * tail on sparse rows of Fractions, dropping entries that
+    cancel."""
+    for c, x in tail.items():
+        v = r.get(c, 0) - f * x
+        if v:
+            r[c] = v
+        else:
+            r.pop(c, None)
+
 
 def rref_reduce_row(reduced: dict, row):
     """Add one sparse row ({column: nonzero}, left unchanged) to
@@ -484,11 +497,11 @@ def rref_reduce_row(reduced: dict, row):
     reduced against the stored rows; its leftmost remaining nonzero
     becomes a pivot and is eliminated from them, so they stay the unique
     rref of the rows added.  Returns the new pivot column, or None."""
-    from sheafcalc.rationals import _eliminate
+    from fractions import Fraction
 
-    r = dict(row)
+    r = {c: Fraction(x) for c, x in row.items()}
     for pc in [c for c in r if c in reduced]:
-        _eliminate(r, r.pop(pc), reduced[pc])
+        rref_eliminate(r, r.pop(pc), reduced[pc])
     if not r:
         return None
     p = min(r)
@@ -497,7 +510,7 @@ def rref_reduce_row(reduced: dict, row):
     for other in reduced.values():
         f = other.pop(p, None)
         if f is not None:
-            _eliminate(other, f, r)
+            rref_eliminate(other, f, r)
     reduced[p] = r
     return p
 
@@ -549,24 +562,28 @@ def rref_decompose(m):
     rows, cols = m.rows, m.cols
     reduced = rref_reduced(m)
     pivots = sorted(reduced)
-    rref = [{pc: Fraction(1), **reduced[pc]} for pc in pivots]
-    rref.extend({} for _ in range(rows - len(pivots)))
+    rref = [Fraction(0)] * (rows * cols)
+    for i, pc in enumerate(pivots):
+        rref[i * cols + pc] = Fraction(1)
+        for c, x in reduced[pc].items():
+            rref[i * cols + c] = x
     return MatrixDecomposition(
         rank=len(pivots),
         kernel_basis=rref_kernel(reduced, cols),
         image_basis=tuple(m.column(pc) for pc in pivots),
-        rref=RationalMatrix._from_sparse(rows, cols, tuple(rref)),
+        rref=RationalMatrix(rows, cols, rref),
         pivots=tuple(pivots))
 
 
 def rref_solve(a, b):
     """A particular exact solution of A x = b, or None if inconsistent."""
-    from sheafcalc.rationals import _augmented, rational
+    from sheafcalc.rationals import rational
 
     b = tuple(rational(x) for x in b)
+    augmented = [{c: x for c, x in enumerate(a.row(i) + (b[i],)) if x}
+                 for i in range(a.rows)]
     reduced = {}
-    if not all(rref_reduce_row(reduced, row) != a.cols
-               for row in _augmented(a, b)):
+    if not all(rref_reduce_row(reduced, row) != a.cols for row in augmented):
         return None
     return rref_particular(reduced, a.cols)
 
