@@ -184,8 +184,8 @@ def _monotonicity_witness(source: FinitePoset, target: FinitePoset, mapping):
     for v in mapping.values():
         try:
             known = v in target._up
-        except TypeError:  # unhashable: scan, so it is refused as outside
-            known = v in target.elements
+        except TypeError:  # unhashable: no element is, so it is outside
+            known = False
         if not known:
             raise SheafcalcError(f"value {v!r} outside target")
     for x, ups in source._up.items():

@@ -311,7 +311,7 @@ def test_monotonicity_witness_is_the_first_failing_pair_of_the_scan():
     assert kinds == {True, False}
     p, chain = fence(), validate_poset("ab", [("a", "b")])
     # a partial map, a value outside the target, and an unhashable value,
-    # which the hashed lookup cannot take and the scan refuses
+    # which no element equals, so it too is refused as outside
     for mapping in ({"a": "a"}, {"a": "a", "b": "a", "c": "zz", "d": "b"},
                     {"a": "a", "b": ["a"], "c": "b", "d": "b"}):
         with pytest.raises(SheafcalcError) as got:
