@@ -13,7 +13,20 @@ from operator import attrgetter
 _setattr = object.__setattr__
 
 
-class Record:
+class Immutable:
+    """A value whose attributes are set once, in construction, through
+    ``object.__setattr__``; assigning or deleting one later is refused."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable: "
+                             f"cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Record(Immutable):
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -53,12 +66,6 @@ class Record:
             raise TypeError(f"{name}() missing required arguments: "
                             + ", ".join(map(repr, missing)))
         return [given[f] if f in given else cls._defaults[f] for f in fields]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -240,7 +240,7 @@ def _parse_matrix(doc, where, default_cols=0):
     for i, row in enumerate(rows):
         if len(row) != width:
             raise InputError("ragged matrix", f"{where}[{i}]")
-    return RationalMatrix.from_rows(rows)
+    return RationalMatrix(len(rows), width, [x for row in rows for x in row])
 
 
 def _parse_sheaf(doc, where, base_dir):
@@ -601,21 +601,29 @@ def _sheaf_witness(base, report):
             "faces": [face_name(base, f) for f in report.witness]}
 
 
-def _checked_sheaf(objects, action=None, seed=None):
-    """The sheaf and its parsed seed.  Every refusal comes first: sheaf
-    variance, when ``action`` needs it, then the seed; only then does
-    ``validate_sheaf`` give its verdict."""
+def _validate_sheaf(s):
+    """``validate_sheaf`` on ``s``, its witness raised as a ``Failure``."""
     from .cellsheaf import validate_sheaf
 
-    s = objects["sheaf"]
-    if action is not None and s.variance != "sheaf":
-        raise InputError(f"{action} needs sheaf variance", "sheaf:variance")
-    if seed is not None:
-        seed = _parse_seed(seed, s)
     report = validate_sheaf(s)
     if not report.ok:
         raise Failure(_sheaf_witness(s.base, report))
-    return s, seed
+
+
+def _checked_sheaf(objects, fn, action, seed=None):
+    """The sheaf and ``fn``'s result on it (and on the parsed seed).  Every
+    refusal comes first: sheaf variance, then the seed.  ``fn`` validates
+    the sheaf itself; only when it refuses is the sheaf validated again,
+    to name the witness."""
+    s = objects["sheaf"]
+    if s.variance != "sheaf":
+        raise InputError(f"{action} needs sheaf variance", "sheaf:variance")
+    args = () if seed is None else (_parse_seed(seed, s),)
+    try:
+        return s, fn(s, *args)
+    except SheafcalcError:
+        _validate_sheaf(s)
+        raise
 
 
 def _assignment_json(base, assignment):
@@ -637,7 +645,7 @@ def _cmd_complex_homology(objects, options):
 
 
 def _cmd_sheaf_validate(objects, options):
-    _checked_sheaf(objects)
+    _validate_sheaf(objects["sheaf"])
     return {"ok": True}
 
 
@@ -645,8 +653,7 @@ def _cmd_sheaf_extend(objects, options):
     from .cellsheaf import extend
     from .complexes import face_name
 
-    s, seed = _checked_sheaf(objects, "extend", options["seed"])
-    outcome = extend(s, seed)
+    s, outcome = _checked_sheaf(objects, extend, "extend", options["seed"])
     if outcome.ok:
         return _assignment_json(s.base, outcome.result)
     raise Failure({"obstruction": face_name(s.base, outcome.obstruction),
@@ -656,8 +663,7 @@ def _cmd_sheaf_extend(objects, options):
 def _cmd_sheaf_sections(objects, options):
     from .cellsheaf import global_section_space
 
-    s, _ = _checked_sheaf(objects, "sections")
-    space = global_section_space(s)
+    s, space = _checked_sheaf(objects, global_section_space, "sections")
     return {"dimension": space.dimension,
             "basis": [_assignment_json(s.base, a) for a in space.basis]}
 
@@ -665,8 +671,7 @@ def _cmd_sheaf_sections(objects, options):
 def _cmd_cohomology_dims(objects, options):
     from .cohomology import cohomology_dims
 
-    s, _ = _checked_sheaf(objects, "cohomology")
-    return cohomology_dims(s)
+    return _checked_sheaf(objects, cohomology_dims, "cohomology")[1]
 
 
 def _cmd_poset_validate(objects, options):
@@ -715,18 +720,20 @@ def _cmd_galois_adjoint(objects, options):
     mapping = getattr(c, given)
     if mapping is None:
         raise InputError(f"synthesis needs the {given} map", f"connection:{given}")
-    dom, cod = (c.source, c.target) if given == "left" else (c.target, c.source)
-    bad = _monotonicity_witness(dom, cod, mapping)
-    if bad is not None:
-        raise Failure({"kind": f"{given}-not-monotone", "witness": bad})
+    synthesize = right_adjoint_of if direction == "right" else left_adjoint_of
     try:
-        if direction == "right":
-            adjoint = right_adjoint_of(mapping, c.source, c.target)
-        else:
-            adjoint = left_adjoint_of(mapping, c.source, c.target)
+        adjoint = synthesize(mapping, c.source, c.target)
     except AdjointSynthesisError as err:
         raise Failure({"kind": err.kind, "at": err.at, "subset": err.subset,
                        "bound": err.bound, "image": err.image})
+    except SheafcalcError:
+        # a left adjoint is synthesized over the dual orders: the pair is
+        # named here, in the given map's own order
+        dom, cod = (c.source, c.target) if given == "left" else (c.target, c.source)
+        bad = _monotonicity_witness(dom, cod, mapping)
+        if bad is None:
+            raise
+        raise Failure({"kind": f"{given}-not-monotone", "witness": bad})
     return {"direction": direction, "adjoint": adjoint}
 
 

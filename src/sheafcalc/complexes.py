@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ._record import Record
+from ._record import Immutable, Record
 from .errors import SheafcalcError
 from .poset import FinitePoset
 from .rationals import RationalMatrix, _reduced, rational
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class SimplicialComplex:
+class SimplicialComplex(Immutable):
     """Vertex order plus a downward-closed set of sorted faces.
 
     Trusts its caller to hand over distinct vertex labels and nonempty
@@ -45,9 +45,6 @@ class SimplicialComplex:
         object.__setattr__(self, "_index",
                            {v: i for i, v in enumerate(vertex_order)})
         object.__setattr__(self, "_sorted", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through __init__

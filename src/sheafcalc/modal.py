@@ -13,7 +13,7 @@ over sub- and super-aspects in place of the edge repairs.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Immutable, Record
 from .errors import SheafcalcError
 from .poset import FinitePoset
 
@@ -42,7 +42,7 @@ __all__ = [
 ENUMERATION_LIMIT = 16  # 2^16 subgraphs, the most a 16-vertex edgeless graph has
 
 
-class DirectedMultigraph:
+class DirectedMultigraph(Immutable):
     """Vertices and edges of a directed multigraph.
 
     ``__init__`` also indexes the incidence once: the vertex set, the
@@ -75,9 +75,6 @@ class DirectedMultigraph:
         object.__setattr__(self, "_touching", {
             v: frozenset(es) for v, es in touching.items()})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DirectedMultigraph is immutable")
-
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through __init__
         edges = tuple((eid, src, dst) for eid, (src, dst) in self.edges.items())
@@ -88,7 +85,7 @@ class DirectedMultigraph:
                 f"{len(self.edges)} edges)")
 
 
-class Subgraph:
+class Subgraph(Immutable):
     """Vertex and edge ids of a subgraph.
 
     Trusts its caller, and so does every lattice operation below: build
@@ -102,12 +99,6 @@ class Subgraph:
     def __init__(self, vertices: frozenset, edges: frozenset):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgraph is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Subgraph is immutable")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

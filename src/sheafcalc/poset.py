@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ._record import Record
+from ._record import Immutable, Record
 from .errors import SheafcalcError
 
 __all__ = [
@@ -39,7 +39,7 @@ class OrderViolation(SheafcalcError):
         super().__init__(f"antisymmetry violated: {x} <= {y} and {y} <= {x}")
 
 
-class FinitePoset:
+class FinitePoset(Immutable):
     __slots__ = ("elements", "_up", "_down")
 
     def __init__(self, elements, leq_pairs):
@@ -57,9 +57,6 @@ class FinitePoset:
         object.__setattr__(self, "_up", {e: frozenset(s) for e, s in up.items()})
         object.__setattr__(self, "_down",
                            {e: frozenset(s) for e, s in down.items()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinitePoset is immutable")
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through __init__

@@ -30,7 +30,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
-from ._record import Record
+from ._record import Immutable, Record
 from .errors import SheafcalcError
 
 __all__ = [
@@ -114,7 +114,7 @@ def rational(value) -> Fraction:
     raise TypeError(f"not a rational: {value!r}")
 
 
-class RationalMatrix:
+class RationalMatrix(Immutable):
     __slots__ = ("rows", "cols", "_rows")
 
     def __new__(cls, rows: int, cols: int, entries):
@@ -140,9 +140,6 @@ class RationalMatrix:
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_rows", sparse)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild from the stored sparse rows
@@ -220,7 +217,10 @@ class RationalMatrix:
         return (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        # equal matrices store equal entries, each row's possibly inserted
+        # in another order
+        return hash((self.rows, self.cols,
+                     tuple(tuple(sorted(r.items())) for r in self._rows)))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

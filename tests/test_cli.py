@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheafcalc import cohomology, complexes
+from sheafcalc import cellsheaf, cohomology, complexes, poset
 from sheafcalc.cli import ACTIONS, InputError, _emit, _parse_complex, main
 from sheafcalc.complexes import face_name
 from sheafcalc.morphology import (
@@ -169,6 +169,61 @@ def test_sheaf_validate_witness_kinds(tmp_path, capsys):
     assert code == 1
     assert json.loads(out) == {"kind": "path-independence",
                                "faces": ["e", "ce", "de", "cde"]}
+
+
+def broken_running_docs():
+    """The running sheaf with one defect each: a missing map, a misshapen
+    map and a bent square, keyed by the witness kind."""
+    doc = sheaf_doc(running_sheaf())
+    return {
+        "missing-map": dict(
+            doc, maps={k: v for k, v in doc["maps"].items() if k != "a->ab"}),
+        "shape": dict(doc, maps=dict(doc["maps"], **{"a->ab": [["1", "0"]]})),
+        "path-independence": dict(
+            doc, maps=dict(doc["maps"], **{"ce->cde": [["0", "1"]]})),
+    }
+
+
+WITNESS_BYTES = {
+    "missing-map": '{"attachment":["a","ab"],"kind":"missing-map"}\n',
+    "shape": '{"attachment":["a","ab"],"got":[1,2],"kind":"shape","want":[2,2]}\n',
+    "path-independence":
+        '{"faces":["e","ce","de","cde"],"kind":"path-independence"}\n',
+}
+
+SHEAF_COMMANDS = {
+    "validate": ("sheaf", "validate"),
+    "extend": ("sheaf", "extend", "--seed", '{"e":["1","0","-1"]}'),
+    "sections": ("sheaf", "sections"),
+    "cohomology": ("cohomology", "dims"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESS_BYTES))
+@pytest.mark.parametrize("command", sorted(SHEAF_COMMANDS))
+def test_sheaf_commands_print_the_validation_witness(command, kind, tmp_path,
+                                                     capsys):
+    path = write_json(tmp_path, "d.json", broken_running_docs()[kind])
+    verb, action, *rest = SHEAF_COMMANDS[command]
+    assert invoke(capsys, verb, action, "--sheaf", path, *rest) == (
+        1, WITNESS_BYTES[kind])
+
+
+@pytest.mark.parametrize("command", sorted(SHEAF_COMMANDS))
+def test_an_accepted_sheaf_command_validates_once(command, running_path,
+                                                  monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    validate = cellsheaf.validate_sheaf
+    monkeypatch.setattr(cellsheaf, "validate_sheaf", counted)
+    verb, action, *rest = SHEAF_COMMANDS[command]
+    code, _ = invoke(capsys, verb, action, "--sheaf", running_path, *rest)
+    assert code == (1 if command == "extend" else 0)  # the seed is obstructed
+    assert len(calls) == 1
 
 
 def test_sections_payload(running_path, capsys):
@@ -375,6 +430,45 @@ def test_galois_adjoint_refuses_nonmonotone_map(tmp_path, capsys):
                        "--direction", "left")
     assert (code, out) == (
         1, '{"kind":"right-not-monotone","witness":["x","y"]}\n')
+    # longer chains: the witness is the first x <= y in the given map's
+    # own domain, not in the dual order the library synthesizes over
+    chain3 = {"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]]}
+    chain3q = {"elements": ["x", "y", "z"], "leq": [["x", "y"], ["y", "z"]]}
+    path = write_json(tmp_path, "c.json", {
+        "source": chain3, "target": chain3q,
+        "left": {"a": "y", "b": "y", "c": "x"}})
+    code, out = invoke(capsys, "galois", "adjoint", "--connection", path)
+    assert (code, out) == (
+        1, '{"kind":"left-not-monotone","witness":["a","c"]}\n')
+    path = write_json(tmp_path, "c.json", {
+        "source": chain3, "target": chain3q,
+        "right": {"x": "b", "y": "c", "z": "a"}})
+    code, out = invoke(capsys, "galois", "adjoint", "--connection", path,
+                       "--direction", "left")
+    assert (code, out) == (
+        1, '{"kind":"right-not-monotone","witness":["x","z"]}\n')
+
+
+def test_an_accepted_adjoint_checks_monotonicity_once(tmp_path, monkeypatch,
+                                                      capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return witness(*args, **kwargs)
+
+    witness = poset._monotonicity_witness
+    monkeypatch.setattr(poset, "_monotonicity_witness", counted)
+    for given, direction in (("left", "right"), ("right", "left")):
+        legs = ({"a": "x", "b": "y"} if given == "left"
+                else {"x": "a", "y": "b"})
+        path = write_json(tmp_path, "c.json", {
+            "source": CHAIN_P, "target": CHAIN_Q, given: legs})
+        calls.clear()
+        code, _ = invoke(capsys, "galois", "adjoint", "--connection", path,
+                         "--direction", direction)
+        assert code == 0
+        assert len(calls) == 1
 
 
 def test_galois_adjoint_reports_missing_join(tmp_path, capsys):

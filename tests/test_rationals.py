@@ -434,6 +434,37 @@ def test_copies_and_pickles_rebuild_the_same_matrix(m):
 
 
 @settings(max_examples=100, deadline=None)
+@given(mixed_matrices())
+def test_equal_matrices_hash_equal(m):
+    cells = m.data
+    built = [
+        RationalMatrix(m.rows, m.cols, cells),
+        RationalMatrix(m.rows, m.cols, [x.numerator if x.denominator == 1 else x
+                                        for x in cells]),
+        RationalMatrix(m.rows, m.cols, [str(x) for x in cells]),
+        m + RationalMatrix.zero(m.rows, m.cols),
+        RationalMatrix.zero(m.rows, m.cols) + m,
+        m.transpose().transpose(),
+        m.scale(1),
+        # the same entries, each row's inserted in the opposite order
+        RationalMatrix._from_sparse(m.rows, m.cols, tuple(
+            dict(reversed(r.items())) for r in m._rows)),
+    ]
+    for other in built:
+        assert other == m
+        assert hash(other) == hash(m)
+
+
+def test_hashing_reads_only_the_stored_entries():
+    # the dense view of a 3,000 x 3,000 identity holds 9 million cells;
+    # the stored rows hold 3,000
+    m = RationalMatrix.identity(3000)
+    start = time.perf_counter()
+    hash(m)
+    assert time.perf_counter() - start < 0.5
+
+
+@settings(max_examples=100, deadline=None)
 @given(sparse_matrices(), st.data())
 def test_apply_equals_dense_oracle(m, data):
     column = data.draw(sparse_matrices(rows=m.cols, cols=1))

@@ -3,7 +3,8 @@
 Every ``Record`` class, and the hand-written ``modal.Subgraph``, is
 checked against the frozen dataclass that ``dataclasses.make_dataclass``
 builds from the same class body; every immutable value class survives
-copy, deepcopy and a pickle round trip.  The checks use the standard
+copy, deepcopy and a pickle round trip, and refuses assignment and
+deletion of its attributes.  The checks use the standard
 library only, so they also run on an interpreter without pytest:
 
     PYTHONPATH=src python tests/test_record.py
@@ -84,6 +85,7 @@ def samples():
         element, image, composite_filter_lattice(image, element),
         modal_iterate(graph, x, "diamond"), AspectPredicate.of(chain, ("u",), {}),
         top, decompose(RationalMatrix.identity(1)),
+        RationalMatrix.from_rows([[1, "1/2"]]),
     ]
 
 
@@ -165,6 +167,38 @@ def check_records():
             check_against_twin(sample)
 
 
+def attribute_names(sample):
+    """A record's fields, or every slot of a slotted class."""
+    if isinstance(sample, Record):
+        return list(sample._fields)
+    return [name for cls in type(sample).__mro__
+            for name in getattr(cls, "__slots__", ())]
+
+
+def refusal(fn, *args):
+    try:
+        fn(*args)
+    except AttributeError as err:
+        return str(err)
+    return None
+
+
+def check_immutability():
+    for sample in samples():
+        names = attribute_names(sample)
+        assert names, type(sample)
+        before = [getattr(sample, name) for name in names]
+        for name in names + ["no_such_field"]:
+            for message in (refusal(setattr, sample, name, None),
+                            refusal(delattr, sample, name)):
+                assert message is not None, (type(sample), name)
+                assert type(sample).__name__ in message, message
+                assert "immutable" in message, message
+        after = [getattr(sample, name) for name in names]
+        assert all(x is y for x, y in zip(before, after)), type(sample)
+        assert sample == sample, type(sample)
+
+
 def lattice_results(g):
     """Every lattice operation's answer on every subgraph of g."""
     lattice = all_subgraphs(g)
@@ -197,7 +231,12 @@ def test_immutables_survive_copy_deepcopy_and_pickle():
     check_round_trips()
 
 
+def test_immutables_refuse_assignment_and_deletion():
+    check_immutability()
+
+
 if __name__ == "__main__":
     check_records()
     check_round_trips()
+    check_immutability()
     print("ok")
