@@ -168,16 +168,30 @@ def _attachment(s: CellularSheaf, sigma, tau) -> RationalMatrix:
 def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafReport:
     """Dimension check plus every path-independence square.
 
-    With require_complete=False, attachments without a stored matrix are
-    skipped instead of reported; partially specified sheaves (only a
-    chain of maps given) can then still be checked for what they do say.
+    A complete sheaf or cosheaf gets ``_cochains``'s report: the first
+    missing or misshapen attachment in ``covering_pairs`` order, else
+    the least square whose two routes differ, read off the products of
+    consecutive coboundaries.  With require_complete=False, attachments
+    without a stored matrix are skipped instead of reported, and each
+    square is compared on its own, since a missing map is not a zero
+    map; partially specified sheaves (only a chain of maps given) can
+    then still be checked for what they do say.
     """
+    if require_complete:
+        return _cochains(s)[0]
     for sigma, tau in covering_pairs(s.base):
         fault = _attachment_fault(s, sigma, tau)
-        if fault is not None and (require_complete or fault[0] == "shape"):
+        if fault is not None and fault[0] == "shape":
             return SheafReport(False, *fault)
+    return _square_fault(s, s.base.all_faces()) or SheafReport(True)
 
-    for tau in s.base.all_faces():
+
+def _square_fault(s: CellularSheaf, faces):
+    """The report on the first failing path-independence square with its
+    top in ``faces``, in their order and then by the two deleted
+    positions (i, j); None when all commute.  A square with a missing
+    map is skipped, and every stored map has the expected shape."""
+    for tau in faces:
         m = len(tau)
         if m < 3:
             continue
@@ -188,7 +202,6 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
                 mid_a = tau[:j] + tau[j + 1:]
                 mid_b = tau[:i] + tau[i + 1:]
                 needed = [(rho, mid_a), (mid_a, tau), (rho, mid_b), (mid_b, tau)]
-                # each stored map passed the shape check above
                 if any(s.restriction.get(p) is None for p in needed):
                     continue
                 route_a = _then(s, s.restriction[(rho, mid_a)],
@@ -198,15 +211,93 @@ def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafRepo
                 if route_a != route_b:
                     return SheafReport(
                         False, "path-independence", (rho, mid_a, mid_b, tau))
-    return SheafReport(True)
+    return None
 
 
-def _require_valid(s: CellularSheaf):
+def _layout(s: CellularSheaf, k: int):
+    """Offsets of the k-face stalks laid end to end in face order, and
+    their total: the block layout of degree k."""
+    offsets = {}
+    total = 0
+    for face in s.base.k_faces(k):
+        offsets[face] = total
+        total += s.stalk_dim[face]
+    return offsets, total
+
+
+def _cochain_map(s: CellularSheaf, k: int):
+    """(map, None), the map being delta^k of a sheaf or, of a cosheaf,
+    the boundary from degree k + 1 to k; or (None, (kind, witness)) for
+    the first missing or misshapen attachment between the two degrees,
+    in ``covering_pairs`` order.
+
+    Each stored attachment row is written once into the sparse rows,
+    shifted to its block and negated when the incidence sign is -1.  A
+    sheaf's rows run over the (k+1)-faces and its columns over the
+    k-faces; a cosheaf's blocks sit in the transposed layout.  Degree
+    zero's rows, edge by edge, are the layout ``_vertex_system`` slices.
+    """
+    sheaf = s.variance == "sheaf"
+    upper, n_upper = _layout(s, k + 1)
+    lower, n_lower = _layout(s, k)
+    out = tuple({} for _ in range(n_upper if sheaf else n_lower))
+    for tau in upper:
+        for sigma, sign in _signed_facets(tau):
+            mat = s.restriction.get((sigma, tau))
+            if mat is None or (mat.rows, mat.cols) != s.expected_shape(sigma, tau):
+                return None, _attachment_fault(s, sigma, tau)
+            at, col = (upper[tau], lower[sigma]) if sheaf else (lower[sigma], upper[tau])
+            for r, row in enumerate(mat._rows, start=at):
+                out[r].update((col + c, x if sign == 1 else -x)
+                              for c, x in row.items())
+    cols = n_lower if sheaf else n_upper
+    return RationalMatrix._from_sparse(len(out), cols, out), None
+
+
+def _cochains(s: CellularSheaf):
+    """Validate a complete sheaf or cosheaf and build its chain maps in
+    one pass: (report, maps), maps being ``_cochain_map`` of every
+    degree when the report is ok and None otherwise.
+
+    Every attachment is checked as its map is written, degree by degree,
+    so the first fault is the first in ``covering_pairs`` order, and
+    each comes before any square.  Then path independence: between faces
+    rho < tau two dimensions apart lie exactly two faces, whose routes
+    carry opposite incidence signs, so the (tau, rho) block of
+    delta^(k+1) delta^k is plus or minus the difference of the two
+    routes, and every square commutes exactly when each product of
+    consecutive maps (for a cosheaf, boundaries in reverse order) is
+    zero.  Only when one is not are the squares compared, over the
+    least top face of a nonzero block, to name the witness.
+    """
+    maps = []
+    for k in range(len(s.base._layers()[1])):
+        delta, fault = _cochain_map(s, k)
+        if fault is not None:
+            return SheafReport(False, *fault), None
+        maps.append(delta)
+    for k in range(len(maps) - 2):  # the top map meets no (top+1)-face
+        square = _then(s, maps[k], maps[k + 1])
+        if not square.is_zero():
+            rows = (square if s.variance == "sheaf" else square.transpose())._rows
+            offsets, _ = _layout(s, k + 2)
+            tau = next(f for f, at in offsets.items()
+                       if any(rows[at:at + s.stalk_dim[f]]))
+            return _square_fault(s, (tau,)), None
+    return SheafReport(True), tuple(maps)
+
+
+def _require_valid(s: CellularSheaf) -> tuple:
+    """The coboundaries delta^0 .. delta^top of a valid sheaf, built by
+    the pass that validates it; an invalid sheaf, a cosheaf and a
+    faceless base are refused with ``SheafcalcError``."""
     if s.variance != "sheaf":
         raise SheafcalcError(f"needs sheaf variance, got {s.variance!r}")
-    report = validate_sheaf(s)
+    s.base.dimension()  # a faceless base has no cochains: this raises
+    report, deltas = _cochains(s)
     if not report.ok:
         raise SheafcalcError(f"invalid sheaf: {report.kind} at {report.witness}")
+    return deltas
 
 
 def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
@@ -267,40 +358,7 @@ def is_global_section(s: CellularSheaf, a: Assignment) -> SectionReport:
     return SectionReport(not violations, tuple(violations))
 
 
-def _coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
-    """``cohomology.coboundary`` without its checks, for callers that ran
-    ``_require_valid``.  Degree zero's rows, edge by edge, are the layout
-    ``_vertex_system`` slices; a faceless base raises through ``dimension``."""
-    row_faces = s.base.k_faces(k + 1) if k + 1 <= s.base.dimension() else []
-    col_faces = s.base.k_faces(k)
-    col_of = {sigma: j for j, sigma in enumerate(col_faces)}
-    blocks = {}
-    for i, tau in enumerate(row_faces):
-        for sigma, sign in _signed_facets(tau):
-            if sigma not in col_of:
-                continue
-            mat = s.restriction.get((sigma, tau))
-            if mat is None:
-                raise SheafcalcError(
-                    f"no attachment map {face_name(s.base, sigma)}->"
-                    f"{face_name(s.base, tau)}")
-            blocks[(i, col_of[sigma])] = mat if sign == 1 else -mat
-    return block_assemble(
-        blocks,
-        tuple(s.stalk_dim[tau] for tau in row_faces),
-        tuple(s.stalk_dim[sigma] for sigma in col_faces))
-
-
-def _vertex_layout(s: CellularSheaf):
-    offsets = {}
-    total = 0
-    for v in s.base.k_faces(0):
-        offsets[v] = total
-        total += s.stalk_dim[v]
-    return offsets, total
-
-
-def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total):
+def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total, delta0):
     """The extension problem as sparse rows of [A | b] over concatenated
     vertex stalks, b in column ``total``, grouped by face in face order:
     (face, rows).
@@ -309,13 +367,13 @@ def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total):
     a global section; a seeded face contributes its value written
     through its first vertex.
     """
-    delta0 = _coboundary(s, 0)._rows  # edge blocks in face order; never mutated
+    edge_rows = delta0._rows  # edge blocks in face order; never mutated
     groups = []
     at = 0
     for face in s.base.all_faces():
         rows = []
         if len(face) == 2:
-            rows.extend(delta0[at:at + s.stalk_dim[face]])
+            rows.extend(edge_rows[at:at + s.stalk_dim[face]])
             at += s.stalk_dim[face]
         if face in seed.vectors:
             v0 = (face[0],)
@@ -364,12 +422,12 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     first face whose rows made the global system inconsistent, with the
     same two kinds for its rows alone.
     """
-    _require_valid(s)
+    deltas = _require_valid(s)
     _check_lengths(s, seed)
 
-    offsets, total = _vertex_layout(s)
+    offsets, total = _layout(s, 0)
     reduced = {}
-    for face, rows in _vertex_system(s, seed, offsets, total):
+    for face, rows in _vertex_system(s, seed, offsets, total, deltas[0]):
         if not _consistent(reduced, rows, total):
             return _localize_obstruction(s, seed, face, rows, total)
 
@@ -447,9 +505,9 @@ def global_section_space(s: CellularSheaf) -> SectionSpace:
     Each kernel vector is vertex data; values on higher faces follow
     uniquely through the restriction maps.
     """
-    _require_valid(s)
-    offsets, total = _vertex_layout(s)
-    kernel = _kernel(_rref(_reduced(_coboundary(s, 0))), total)
+    delta0 = _require_valid(s)[0]
+    offsets, total = _layout(s, 0)
+    kernel = _kernel(_rref(_reduced(delta0)), total)
     basis = tuple(_spread(s, offsets, vec) for vec in kernel)
     return SectionSpace(len(basis), basis)
 

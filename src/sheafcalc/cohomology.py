@@ -1,21 +1,22 @@
 """Cochain complexes and cohomology of cellular sheaves; Bayes nets as a
 paired sheaf/cosheaf over the complete simplex on the variables.
 
-Coboundaries are assembled blockwise from signed incidence numbers by
-``cellsheaf``, whose section code slices the same rows, so
-delta-squared vanishing is a mechanical consequence that the constructor
-still verifies outright.  All arithmetic is exact.
+Coboundaries are written blockwise from signed incidence numbers by
+``cellsheaf``, whose section code slices the same rows.  Delta-squared
+vanishing is exactly path independence, so the pass that validates a
+sheaf builds the coboundaries and reads its verdict off their products,
+under ``python -O`` too.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from ._record import Record
 from .cellsheaf import (
-    CellularSheaf, _coboundary, _require_valid, covering_pairs, validate_sheaf)
-from .complexes import SimplicialComplex
+    CellularSheaf, _cochain_map, _require_valid, covering_pairs, validate_sheaf)
+from .complexes import SimplicialComplex, face_name
 from .errors import SheafcalcError
 from .rationals import RationalMatrix, _reduced, _stored, rational
 
@@ -45,23 +46,30 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
 
     The (tau, sigma) block is the incidence sign times the attachment
     map; it is nonzero only for the facets sigma of tau.  The sheaf is
-    not validated: a missing attachment map is named when it is reached.
+    not validated: the first missing or misshapen attachment map between
+    the two degrees is named when it is reached.
     """
     if s.variance != "sheaf":
         raise SheafcalcError(f"needs sheaf variance, got {s.variance!r}")
     if k < 0:
         raise SheafcalcError(f"no coboundary in degree {k}")
-    return _coboundary(s, k)
+    s.base.dimension()  # a faceless base has no cochains: this raises
+    delta, fault = _cochain_map(s, k)
+    if fault is None:
+        return delta
+    kind, witness = fault
+    if kind == "missing-map":
+        raise SheafcalcError(f"no attachment map {face_name(s.base, witness[0])}->"
+                             f"{face_name(s.base, witness[1])}")
+    raise SheafcalcError(f"invalid sheaf: {kind} at {witness}")
 
 
 def cochain_complex(s: CellularSheaf) -> CochainComplex:
-    _require_valid(s)
-    top = s.base.dimension()
-    layout = tuple(tuple(s.base.k_faces(k)) for k in range(top + 1))
+    """The validated sheaf's cochain groups and coboundaries, as the pass
+    that checked delta^(k+1) delta^k = 0 built them."""
+    deltas = _require_valid(s)
+    layout = tuple(tuple(s.base.k_faces(k)) for k in range(len(deltas)))
     dims = tuple(sum(s.stalk_dim[f] for f in layer) for layer in layout)
-    deltas = tuple(_coboundary(s, k) for k in range(top + 1))
-    for k in range(top):
-        assert (deltas[k + 1] @ deltas[k]).is_zero(), f"delta^2 != 0 at {k}"
     return CochainComplex(dims, deltas, layout)
 
 
@@ -245,13 +253,21 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
     return BayesAssembly(cosheaf, sheaf, chain, tuple(joint))
 
 
-def _brute_marginal(m: BayesModel, face, joint) -> tuple:
-    """Marginal by direct summation over outcomes, bypassing the matrices."""
+def _brute_marginals(m: BayesModel, faces, joint) -> dict:
+    """face -> marginal of ``joint`` by direct summation over outcomes,
+    bypassing the matrices.  The joint is written over its common
+    denominator once, the numerators are added as ints, and each sum
+    becomes a canonical Fraction, the value summing Fractions gives."""
+    den = lcm(*(p.denominator for p in joint))
+    nums = [p.numerator * (den // p.denominator) for p in joint]
     full = tuple(m.variables)
-    sums = [Fraction(0)] * _outcome_count(m, face)
-    for i, p in zip(_outcome_indices(m, full, face), joint):
-        sums[i] += p
-    return tuple(sums)
+    out = {}
+    for face in faces:
+        sums = [0] * _outcome_count(m, face)
+        for i, p in zip(_outcome_indices(m, full, face), nums):
+            sums[i] += p
+        out[face] = tuple(Fraction(x, den) for x in sums)
+    return out
 
 
 def _carried_marginals(cosheaf: CellularSheaf, vec) -> dict:
@@ -300,10 +316,10 @@ def bayes_check(m: BayesModel, joint=None) -> BayesReport:
     if not structural.ok:
         violations.append(("cosheaf-path-independence", structural.witness))
 
-    marginal = {}
+    faces = assembly.cosheaf.base.all_faces()
+    marginal = _brute_marginals(m, faces, vec)
     carried = _carried_marginals(assembly.cosheaf, vec)
-    for face in assembly.cosheaf.base.all_faces():
-        marginal[face] = _brute_marginal(m, face, vec)
+    for face in faces:
         if carried[face] != marginal[face]:
             violations.append(("marginalization", face))
 

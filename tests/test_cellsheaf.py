@@ -14,8 +14,9 @@ from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import RationalMatrix, decompose
 
 from util import (
-    RUNNING_STALK_DIMS, composite_spread, constant_sheaf, base_complex,
-    grid_complex, random_complex, random_valid_sheaf, running_sheaf, zero_sheaf)
+    RUNNING_STALK_DIMS, binary_chain, composite_spread, constant_sheaf,
+    base_complex, grid_complex, random_bayes_model, random_complex,
+    random_valid_sheaf, running_sheaf, scan_validate_sheaf, zero_sheaf)
 
 
 # ------------------------------------------------------ structure checks
@@ -117,6 +118,128 @@ def test_cosheaf_validation_is_dual():
         CellularSheaf(s.base, s.stalk_dim, broken, "cosheaf"))
     assert report.kind == "path-independence"
     assert report.witness[3] == ("c", "d", "e")
+
+
+def _dual(s):
+    """The cosheaf of s's transposed maps; valid exactly when s is."""
+    return CellularSheaf(
+        s.base, s.stalk_dim,
+        {pair: mat.transpose() for pair, mat in s.restriction.items()},
+        "cosheaf")
+
+
+def _broken(rng, s, how):
+    """s with one covering attachment perturbed (one entry moved by a
+    small nonzero rational), missing, or misshapen (one row too many);
+    None when s has no attachment that the change can touch."""
+    maps = dict(s.restriction)
+    pairs = [p for p in covering_pairs(s.base) if p in maps and (
+        how != "perturbed" or (maps[p].rows and maps[p].cols))]
+    if not pairs:
+        return None
+    pair = rng.choice(pairs)
+    mat = maps.pop(pair)
+    if how == "perturbed":
+        entries = list(mat.data)
+        entries[rng.randrange(len(entries))] += Fraction(
+            rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+        maps[pair] = RationalMatrix(mat.rows, mat.cols, entries)
+    elif how == "misshapen":
+        maps[pair] = RationalMatrix.zero(mat.rows + 1, mat.cols)
+    return CellularSheaf(s.base, s.stalk_dim, maps, s.variance)
+
+
+def _oracle_corpus(seed):
+    """Valid sheaves and cosheaves on random complexes, some with
+    tetrahedra and 4-simplices so that delta^2 delta^1 and delta^3
+    delta^2 are products too, each whole and with one or two attachments
+    perturbed, missing or misshapen."""
+    rng = random.Random(seed)
+    valid = [running_sheaf(), constant_sheaf(
+        validate_complex([("a", "b", "c", "d", "e"), ("e", "f")]), 2)]
+    for _ in range(60):
+        valid.append(random_valid_sheaf(rng, random_complex(rng)))
+    for _ in range(40):
+        valid.append(random_valid_sheaf(rng, random_complex(
+            rng, max_faces=4, vertex_pool="abcdefg", max_size=5)))
+    valid += [_dual(s) for s in valid[::3]]
+    for s in valid:
+        yield s
+        for how in ("perturbed", "missing", "misshapen"):
+            once = _broken(rng, s, how)
+            if once is not None:
+                yield once
+                twice = _broken(rng, once, rng.choice(("perturbed", how)))
+                if twice is not None:
+                    yield twice
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_validation_reports_equal_the_square_scan(seed):
+    kinds = set()
+    deep = 0
+    for s in _oracle_corpus(seed):
+        for complete in (True, False):
+            got = validate_sheaf(s, require_complete=complete)
+            assert repr(got) == repr(scan_validate_sheaf(s, complete))
+            kinds.add((s.variance, got.kind))
+            # a failing square on a tetrahedron or larger face
+            deep += got.kind == "path-independence" and len(got.witness[3]) > 3
+    # every verdict, on both variances, and squares in degree 1 and up
+    assert kinds >= {(v, k) for v in ("sheaf", "cosheaf") for k in (
+        None, "missing-map", "shape", "path-independence")}
+    assert deep
+
+
+def test_bayes_cosheaf_reports_equal_the_square_scan():
+    from sheafcalc.cohomology import bayes_build
+
+    rng = random.Random(47)
+    models = [binary_chain(4)] + [random_bayes_model(rng) for _ in range(12)]
+    for m in models:
+        cosheaf = bayes_build(m).cosheaf
+        for s in (cosheaf, _broken(rng, cosheaf, "perturbed")):
+            if s is not None:
+                assert repr(validate_sheaf(s)) == repr(scan_validate_sheaf(s))
+
+
+def test_the_least_failing_square_is_named_across_degrees():
+    # one square broken on a tetrahedron and one on an earlier triangle:
+    # the triangle's square is named, as the scan in face order names it
+    s = constant_sheaf(validate_complex([("a", "b", "c", "d")]))
+    maps = dict(s.restriction)
+    maps[(("a", "b", "c"), ("a", "b", "c", "d"))] = RationalMatrix.from_rows([[2]])
+    maps[(("b", "d"), ("b", "c", "d"))] = RationalMatrix.from_rows([[3]])
+    report = validate_sheaf(CellularSheaf(s.base, s.stalk_dim, maps))
+    assert report == scan_validate_sheaf(CellularSheaf(s.base, s.stalk_dim, maps))
+    assert report.witness[3] == ("b", "c", "d")
+    # a pair fault in the top degree comes before every square
+    del maps[(("a", "c", "d"), ("a", "b", "c", "d"))]
+    report = validate_sheaf(CellularSheaf(s.base, s.stalk_dim, maps))
+    assert (report.kind, report.witness) == (
+        "missing-map", (("a", "c", "d"), ("a", "b", "c", "d")))
+
+
+def test_each_library_call_writes_each_coboundary_once(monkeypatch):
+    import sheafcalc.cellsheaf as cellsheaf
+    from sheafcalc.cohomology import cohomology_dims
+
+    written = []
+
+    def counted(s, k):
+        written.append(k)
+        return write(s, k)
+
+    write = cellsheaf._cochain_map
+    monkeypatch.setattr(cellsheaf, "_cochain_map", counted)
+    s = running_sheaf()
+    calls = [lambda: cohomology_dims(s), lambda: global_section_space(s),
+             lambda: extend(s, Assignment({("e",): (1, 0, -1)})),
+             lambda: extend(s, Assignment({("a",): (1, 0)}))]
+    for call in calls:
+        written.clear()
+        call()
+        assert written == [0, 1, 2]
 
 
 def test_composite_map_matches_manual_chain():
@@ -414,14 +537,14 @@ def test_sections_and_extensions_match_the_composite_spread():
     # _spread carries each face's value from its facet; the oracle builds
     # the composite from the first vertex.  Exact arithmetic makes the
     # two byte-identical.
-    from sheafcalc.cellsheaf import _vertex_layout
+    from sheafcalc.cellsheaf import _layout
 
     rng = random.Random(9)
     triangles = 0
     for _ in range(60):
         s = random_valid_sheaf(rng, random_complex(rng))
         faces = s.base.all_faces()
-        offsets, total = _vertex_layout(s)
+        offsets, total = _layout(s, 0)
         kernel = decompose(coboundary(s, 0)).kernel_basis
         space = global_section_space(s)
         assert repr(space.basis) == repr(
@@ -448,14 +571,14 @@ def test_section_space_spreads_the_kernel_decompose_finds():
     # global_section_space reduces the degree-zero coboundary without
     # decompose's image basis and rref; its basis is still the spread of
     # decompose's kernel basis, byte for byte
-    from sheafcalc.cellsheaf import _spread, _vertex_layout
+    from sheafcalc.cellsheaf import _layout, _spread
 
     rng = random.Random(19)
     sheaves = [running_sheaf(), zero_sheaf(base_complex()),
                constant_sheaf(grid_complex(6, holes=[(1, 1), (4, 2)]), 2)]
     sheaves += [random_valid_sheaf(rng, random_complex(rng)) for _ in range(150)]
     for s in sheaves:
-        offsets, _ = _vertex_layout(s)
+        offsets, _ = _layout(s, 0)
         kernel = decompose(coboundary(s, 0)).kernel_basis
         assert repr(global_section_space(s).basis) == repr(
             tuple(_spread(s, offsets, vec) for vec in kernel))

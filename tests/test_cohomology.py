@@ -8,7 +8,7 @@ from sheafcalc.cellsheaf import (
     Assignment, CellularSheaf, composite_map, covering_pairs, direct_sum,
     extend, global_section_space, validate_sheaf)
 from sheafcalc.cohomology import (
-    BayesModel, _brute_marginal, bayes_build, bayes_check, coboundary,
+    BayesModel, _brute_marginals, bayes_build, bayes_check, coboundary,
     cochain_complex, cohomology_dims)
 from sheafcalc.complexes import (
     SimplicialComplex, boundary_matrix, homology_dims, incidence,
@@ -511,9 +511,19 @@ def test_mixed_radix_indices_rebuild_the_outcome_tuple_oracles():
             assert got == want and repr(got) == repr(want)
         assert repr(a.joint) == repr(tuple_joint(m))
         raw = tuple(Fraction(rng.randint(0, 5)) for _ in a.joint)
-        for vec in (a.joint, raw):
-            for face in a.cosheaf.base.all_faces():
-                assert repr(_brute_marginal(m, face, vec)) == repr(
+        # caller-given fractional joints: one entry moved and renormalized,
+        # and unnormalized entries with unrelated denominators
+        bumped = list(a.joint)
+        bumped[rng.randrange(len(bumped))] += Fraction(1, 7)
+        bumped = tuple(x / sum(bumped) for x in bumped)
+        ragged = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                       for _ in a.joint)
+        faces = a.cosheaf.base.all_faces()
+        for vec in (a.joint, raw, bumped, ragged):
+            marginals = _brute_marginals(m, faces, vec)
+            assert list(marginals) == list(faces)
+            for face in faces:
+                assert repr(marginals[face]) == repr(
                     tuple_brute_marginal(m, face, vec)), face
 
 

@@ -112,6 +112,19 @@ def test_face_poset_matches_the_pair_scan_on_holed_grids():
         assert face_poset(grid) == pair_scan_face_poset(grid)
 
 
+def test_grid_labels_widen_past_99_and_keep_their_spelling_below():
+    # two-digit labels stop sorting row-major past n = 99, where the
+    # label widens; below 100 the labels, and every digest of a grid
+    # answer, stay as they were
+    assert grid_complex(2).vertex_order[:4] == ("v0000", "v0001", "v0002", "v0100")
+    assert grid_complex(99).vertex_order[-1] == "v9999"
+    grid = grid_complex(100, holes=[(50, 50)])
+    assert grid.vertex_order[:2] == ("v000000", "v000001")
+    assert grid.vertex_order[-1] == "v100100"
+    assert len(grid.k_faces(0)) == 101 * 101
+    assert len(grid.k_faces(2)) == 2 * 100 * 100 - 2
+
+
 def test_face_name_refuses_a_face_the_complex_lacks():
     c = base_complex()
     assert face_name(c, ("c", "d", "e")) == "cde"

@@ -32,13 +32,14 @@ def base_complex():
          ("c", "d", "e")])
 
 
-def random_complex(rng, max_faces=8, vertex_pool="abcdef"):
-    """Closure-completion of up to max_faces random simplices."""
+def random_complex(rng, max_faces=8, vertex_pool="abcdef", max_size=3):
+    """Closure-completion of up to max_faces random simplices of at most
+    max_size vertices each."""
     from sheafcalc.complexes import validate_complex
     n_seeds = rng.randint(1, max_faces)
     faces = []
     for _ in range(n_seeds):
-        size = rng.randint(1, 3)
+        size = rng.randint(1, max_size)
         face = tuple(sorted(rng.sample(vertex_pool, size)))
         faces.append(face)
     return validate_complex(faces)
@@ -50,8 +51,10 @@ def grid_complex(n, holes=()):
     and diagonal are left out, which adds one loop to the homology."""
     from sheafcalc.complexes import validate_complex
 
+    width = 2 if n < 100 else len(str(n))  # two digits up to n = 99, as ever
+
     def label(i, j):
-        return f"v{i:02d}{j:02d}"  # sorts in row-major order
+        return f"v{i:0{width}d}{j:0{width}d}"  # sorts in row-major order
 
     faces = []
     for i in range(n + 1):
@@ -1008,6 +1011,53 @@ def composite_spread(s, offsets, vertex_data):
         block = vertex_data[offsets[v0]:offsets[v0] + s.stalk_dim[v0]]
         vectors[face] = composite_map(s, v0, face).apply(block)
     return Assignment(vectors)
+
+
+# ------------------------------------------------------ square-scan oracle
+# validate_sheaf as it was before its verdict was read off the products
+# of consecutive coboundaries, kept verbatim but for the two helpers it
+# called, inlined: every attachment in covering order, then every
+# path-independence square compared with two small products.
+
+def scan_validate_sheaf(s, require_complete=True):
+    """Dimension check plus every path-independence square, one square at
+    a time; with require_complete=False a missing map is skipped."""
+    from sheafcalc.cellsheaf import SheafReport, covering_pairs
+
+    def then(first, second):
+        return second @ first if s.variance == "sheaf" else first @ second
+
+    for sigma, tau in covering_pairs(s.base):
+        mat = s.restriction.get((sigma, tau))
+        if mat is None:
+            if require_complete:
+                return SheafReport(False, "missing-map", (sigma, tau))
+            continue
+        want = s.expected_shape(sigma, tau)
+        if (mat.rows, mat.cols) != want:
+            return SheafReport(
+                False, "shape", (sigma, tau, (mat.rows, mat.cols), want))
+
+    for tau in s.base.all_faces():
+        m = len(tau)
+        if m < 3:
+            continue
+        for i in range(m):
+            for j in range(i + 1, m):
+                rho = tuple(v for k, v in enumerate(tau) if k not in (i, j))
+                mid_a = tau[:j] + tau[j + 1:]
+                mid_b = tau[:i] + tau[i + 1:]
+                needed = [(rho, mid_a), (mid_a, tau), (rho, mid_b), (mid_b, tau)]
+                if any(s.restriction.get(p) is None for p in needed):
+                    continue
+                route_a = then(s.restriction[(rho, mid_a)],
+                               s.restriction[(mid_a, tau)])
+                route_b = then(s.restriction[(rho, mid_b)],
+                               s.restriction[(mid_b, tau)])
+                if route_a != route_b:
+                    return SheafReport(
+                        False, "path-independence", (rho, mid_a, mid_b, tau))
+    return SheafReport(True)
 
 
 # ------------------------------------------------------ outcome-tuple oracles
