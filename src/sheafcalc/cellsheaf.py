@@ -27,6 +27,7 @@ __all__ = [
     "Assignment",
     "SheafMorphism",
     "SheafReport",
+    "InvalidSheaf",
     "SectionReport",
     "ExtendResult",
     "SectionSpace",
@@ -109,6 +110,18 @@ class SheafReport(Record):
     witness: tuple | None = None
 
 
+class InvalidSheaf(SheafcalcError):
+    """A sheaf refused by validation; ``report`` is its ``SheafReport``."""
+
+    def __init__(self, kind, witness):
+        self.report = SheafReport(False, kind, witness)
+        super().__init__(f"invalid sheaf: {kind} at {witness}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not from the message
+        return InvalidSheaf, (self.report.kind, self.report.witness)
+
+
 class SectionReport(Record):
     ok: bool
     violations: tuple = ()
@@ -144,53 +157,49 @@ def _then(s: CellularSheaf, first, second) -> RationalMatrix:
     return second @ first if s.variance == "sheaf" else first @ second
 
 
-def _attachment_fault(s: CellularSheaf, sigma, tau):
-    """None when s stores a matrix of the expected shape for the covering
-    attachment sigma < tau, else ``validate_sheaf``'s (kind, witness)."""
-    mat = s.restriction.get((sigma, tau))
-    if mat is None:
-        return "missing-map", (sigma, tau)
-    want = s.expected_shape(sigma, tau)
-    if (mat.rows, mat.cols) != want:
-        return "shape", (sigma, tau, (mat.rows, mat.cols), want)
-    return None
-
-
 def _attachment(s: CellularSheaf, sigma, tau) -> RationalMatrix:
     """s's matrix for the covering attachment sigma < tau, refused with
-    ``SheafcalcError`` when it is missing or has the wrong shape."""
-    fault = _attachment_fault(s, sigma, tau)
-    if fault is not None:
-        raise SheafcalcError(f"invalid sheaf: {fault[0]} at {fault[1]}")
-    return s.restriction[(sigma, tau)]
+    ``InvalidSheaf`` when it is missing or has the wrong shape."""
+    mat = s.restriction.get((sigma, tau))
+    if mat is None:
+        raise InvalidSheaf("missing-map", (sigma, tau))
+    want = s.expected_shape(sigma, tau)
+    if (mat.rows, mat.cols) != want:
+        raise InvalidSheaf("shape", (sigma, tau, (mat.rows, mat.cols), want))
+    return mat
 
 
 def validate_sheaf(s: CellularSheaf, require_complete: bool = True) -> SheafReport:
     """Dimension check plus every path-independence square.
 
-    A complete sheaf or cosheaf gets ``_cochains``'s report: the first
-    missing or misshapen attachment in ``covering_pairs`` order, else
-    the least square whose two routes differ, read off the products of
-    consecutive coboundaries.  With require_complete=False, attachments
-    without a stored matrix are skipped instead of reported, and each
-    square is compared on its own, since a missing map is not a zero
-    map; partially specified sheaves (only a chain of maps given) can
-    then still be checked for what they do say.
+    A complete sheaf or cosheaf gets the report of the ``InvalidSheaf``
+    that ``_cochains`` raises: the first missing or misshapen attachment
+    in ``covering_pairs`` order, else the least square whose two routes
+    differ, read off the products of consecutive coboundaries.  With
+    require_complete=False, attachments without a stored matrix are
+    skipped instead of reported, and each square is compared on its own,
+    since a missing map is not a zero map; partially specified sheaves
+    (only a chain of maps given) can then still be checked for what they
+    do say.
     """
-    if require_complete:
-        return _cochains(s)[0]
-    for sigma, tau in covering_pairs(s.base):
-        fault = _attachment_fault(s, sigma, tau)
-        if fault is not None and fault[0] == "shape":
-            return SheafReport(False, *fault)
-    return _square_fault(s, s.base.all_faces()) or SheafReport(True)
+    try:
+        if require_complete:
+            _cochains(s)
+        else:
+            for pair in covering_pairs(s.base):
+                if s.restriction.get(pair) is not None:
+                    _attachment(s, *pair)
+            _square_fault(s, s.base.all_faces())
+    except InvalidSheaf as err:
+        return err.report
+    return SheafReport(True)
 
 
 def _square_fault(s: CellularSheaf, faces):
-    """The report on the first failing path-independence square with its
-    top in ``faces``, in their order and then by the two deleted
-    positions (i, j); None when all commute.  A square with a missing
-    map is skipped, and every stored map has the expected shape."""
+    """Refuse the first failing path-independence square with its top in
+    ``faces``, in their order and then by the two deleted positions
+    (i, j), with ``InvalidSheaf``.  A square with a missing map is
+    skipped, and every stored map has the expected shape."""
     for tau in faces:
         m = len(tau)
         if m < 3:
@@ -209,9 +218,8 @@ def _square_fault(s: CellularSheaf, faces):
                 route_b = _then(s, s.restriction[(rho, mid_b)],
                                 s.restriction[(mid_b, tau)])
                 if route_a != route_b:
-                    return SheafReport(
-                        False, "path-independence", (rho, mid_a, mid_b, tau))
-    return None
+                    raise InvalidSheaf(
+                        "path-independence", (rho, mid_a, mid_b, tau))
 
 
 def _layout(s: CellularSheaf, k: int):
@@ -225,11 +233,10 @@ def _layout(s: CellularSheaf, k: int):
     return offsets, total
 
 
-def _cochain_map(s: CellularSheaf, k: int):
-    """(map, None), the map being delta^k of a sheaf or, of a cosheaf,
-    the boundary from degree k + 1 to k; or (None, (kind, witness)) for
-    the first missing or misshapen attachment between the two degrees,
-    in ``covering_pairs`` order.
+def _cochain_map(s: CellularSheaf, k: int) -> RationalMatrix:
+    """delta^k of a sheaf or, of a cosheaf, the boundary from degree
+    k + 1 to k; the first missing or misshapen attachment between the
+    two degrees, in ``covering_pairs`` order, raises ``InvalidSheaf``.
 
     Each stored attachment row is written once into the sparse rows,
     shifted to its block and negated when the incidence sign is -1.  A
@@ -245,19 +252,19 @@ def _cochain_map(s: CellularSheaf, k: int):
         for sigma, sign in _signed_facets(tau):
             mat = s.restriction.get((sigma, tau))
             if mat is None or (mat.rows, mat.cols) != s.expected_shape(sigma, tau):
-                return None, _attachment_fault(s, sigma, tau)
+                _attachment(s, sigma, tau)  # names the fault
             at, col = (upper[tau], lower[sigma]) if sheaf else (lower[sigma], upper[tau])
             for r, row in enumerate(mat._rows, start=at):
                 out[r].update((col + c, x if sign == 1 else -x)
                               for c, x in row.items())
     cols = n_lower if sheaf else n_upper
-    return RationalMatrix._from_sparse(len(out), cols, out), None
+    return RationalMatrix._from_sparse(len(out), cols, out)
 
 
-def _cochains(s: CellularSheaf):
+def _cochains(s: CellularSheaf) -> tuple:
     """Validate a complete sheaf or cosheaf and build its chain maps in
-    one pass: (report, maps), maps being ``_cochain_map`` of every
-    degree when the report is ok and None otherwise.
+    one pass: ``_cochain_map`` of every degree, or ``InvalidSheaf``
+    carrying ``validate_sheaf``'s report.
 
     Every attachment is checked as its map is written, degree by degree,
     so the first fault is the first in ``covering_pairs`` order, and
@@ -270,12 +277,7 @@ def _cochains(s: CellularSheaf):
     zero.  Only when one is not are the squares compared, over the
     least top face of a nonzero block, to name the witness.
     """
-    maps = []
-    for k in range(len(s.base._layers()[1])):
-        delta, fault = _cochain_map(s, k)
-        if fault is not None:
-            return SheafReport(False, *fault), None
-        maps.append(delta)
+    maps = tuple(_cochain_map(s, k) for k in range(len(s.base._layers()[1])))
     for k in range(len(maps) - 2):  # the top map meets no (top+1)-face
         square = _then(s, maps[k], maps[k + 1])
         if not square.is_zero():
@@ -283,21 +285,19 @@ def _cochains(s: CellularSheaf):
             offsets, _ = _layout(s, k + 2)
             tau = next(f for f, at in offsets.items()
                        if any(rows[at:at + s.stalk_dim[f]]))
-            return _square_fault(s, (tau,)), None
-    return SheafReport(True), tuple(maps)
+            _square_fault(s, (tau,))  # a nonzero block is a failing square
+    return maps
 
 
 def _require_valid(s: CellularSheaf) -> tuple:
     """The coboundaries delta^0 .. delta^top of a valid sheaf, built by
-    the pass that validates it; an invalid sheaf, a cosheaf and a
-    faceless base are refused with ``SheafcalcError``."""
+    the pass that validates it; an invalid sheaf is refused with
+    ``InvalidSheaf``, a cosheaf and a faceless base with
+    ``SheafcalcError``."""
     if s.variance != "sheaf":
         raise SheafcalcError(f"needs sheaf variance, got {s.variance!r}")
     s.base.dimension()  # a faceless base has no cochains: this raises
-    report, deltas = _cochains(s)
-    if not report.ok:
-        raise SheafcalcError(f"invalid sheaf: {report.kind} at {report.witness}")
-    return deltas
+    return _cochains(s)
 
 
 def composite_map(s: CellularSheaf, rho, tau) -> RationalMatrix:
@@ -330,7 +330,7 @@ def _check_total(s: CellularSheaf, a: Assignment, faces):
 
 def _check_lengths(s: CellularSheaf, a: Assignment):
     for face, vec in a.vectors.items():
-        if not s.base.has_face(face):
+        if face not in s.base.faces:
             raise SheafcalcError(f"unknown face {face}")
         if len(vec) != s.stalk_dim[face]:
             raise SheafcalcError(

@@ -465,13 +465,14 @@ def _parse_presheaf(doc, where):
             if s not in table:
                 raise InputError(f"restriction is partial at {s!r}", kwhere)
         restriction[(u, v)] = table
-    for u in topology.opens:
+    opens = topology.opens_sorted()
+    for u in opens:
         # identity tables may be omitted; a presheaf that breaks the
         # identity law must spell the offending table out
         if (u, u) not in restriction:
             restriction[(u, u)] = {s: s for s in stalk[u]}
-    for u in topology.opens:
-        for v in topology.opens:
+    for u in opens:
+        for v in opens:
             if v <= u and (u, v) not in restriction:
                 raise InputError(
                     f"missing restriction {name_of[v]}<={name_of[u]}",
@@ -601,29 +602,21 @@ def _sheaf_witness(base, report):
             "faces": [face_name(base, f) for f in report.witness]}
 
 
-def _validate_sheaf(s):
-    """``validate_sheaf`` on ``s``, its witness raised as a ``Failure``."""
-    from .cellsheaf import validate_sheaf
-
-    report = validate_sheaf(s)
-    if not report.ok:
-        raise Failure(_sheaf_witness(s.base, report))
-
-
 def _checked_sheaf(objects, fn, action, seed=None):
     """The sheaf and ``fn``'s result on it (and on the parsed seed).  Every
     refusal comes first: sheaf variance, then the seed.  ``fn`` validates
-    the sheaf itself; only when it refuses is the sheaf validated again,
-    to name the witness."""
+    the sheaf itself, and its refusal carries the report whose witness is
+    printed."""
+    from .cellsheaf import InvalidSheaf
+
     s = objects["sheaf"]
     if s.variance != "sheaf":
         raise InputError(f"{action} needs sheaf variance", "sheaf:variance")
     args = () if seed is None else (_parse_seed(seed, s),)
     try:
         return s, fn(s, *args)
-    except SheafcalcError:
-        _validate_sheaf(s)
-        raise
+    except InvalidSheaf as err:
+        raise Failure(_sheaf_witness(s.base, err.report)) from None
 
 
 def _assignment_json(base, assignment):
@@ -645,7 +638,12 @@ def _cmd_complex_homology(objects, options):
 
 
 def _cmd_sheaf_validate(objects, options):
-    _validate_sheaf(objects["sheaf"])
+    from .cellsheaf import validate_sheaf
+
+    s = objects["sheaf"]
+    report = validate_sheaf(s)
+    if not report.ok:
+        raise Failure(_sheaf_witness(s.base, report))
     return {"ok": True}
 
 

@@ -15,7 +15,8 @@ from math import lcm, prod
 
 from ._record import Record
 from .cellsheaf import (
-    CellularSheaf, _cochain_map, _require_valid, covering_pairs, validate_sheaf)
+    CellularSheaf, InvalidSheaf, _cochain_map, _require_valid, covering_pairs,
+    validate_sheaf)
 from .complexes import SimplicialComplex, face_name
 from .errors import SheafcalcError
 from .rationals import RationalMatrix, _reduced, _stored, rational
@@ -54,14 +55,14 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
     if k < 0:
         raise SheafcalcError(f"no coboundary in degree {k}")
     s.base.dimension()  # a faceless base has no cochains: this raises
-    delta, fault = _cochain_map(s, k)
-    if fault is None:
-        return delta
-    kind, witness = fault
-    if kind == "missing-map":
-        raise SheafcalcError(f"no attachment map {face_name(s.base, witness[0])}->"
-                             f"{face_name(s.base, witness[1])}")
-    raise SheafcalcError(f"invalid sheaf: {kind} at {witness}")
+    try:
+        return _cochain_map(s, k)
+    except InvalidSheaf as err:
+        if err.report.kind != "missing-map":
+            raise
+        sigma, tau = err.report.witness
+        raise SheafcalcError(f"no attachment map {face_name(s.base, sigma)}->"
+                             f"{face_name(s.base, tau)}") from None
 
 
 def cochain_complex(s: CellularSheaf) -> CochainComplex:

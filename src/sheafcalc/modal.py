@@ -122,20 +122,24 @@ def subgraph(g: DirectedMultigraph, vertices, edges=()) -> Subgraph:
 
 
 def validate_subgraph(g: DirectedMultigraph, s: Subgraph) -> Subgraph:
-    for v in s.vertices:
-        if v not in g._vertex_set:
-            raise SheafcalcError(f"unknown vertex {v!r}")
-    for e in s.edges:
-        if e not in g.edges:
-            raise SheafcalcError(f"unknown edge {e!r}")
-        # source before target, a loop's vertex once
-        missing = [v for v in dict.fromkeys(g.edges[e])
-                   if v not in s.vertices]
-        if missing:
-            plural = "s" if len(missing) > 1 else ""
-            names = " and ".join(map(repr, missing))
-            raise SheafcalcError(
-                f"edge {e!r} included without endpoint{plural} {names}")
+    """``s``, refused when it leaves ``g`` or holds an edge without its
+    endpoints.  The witness never depends on set order: the least
+    unknown vertex, then edge, by ``repr``, then the first edge in g's
+    edge order."""
+    for noun, items, known in (("vertex", s.vertices, g._vertex_set),
+                               ("edge", s.edges, g._edge_set)):
+        unknown = [x for x in items if x not in known]
+        if unknown:
+            raise SheafcalcError(f"unknown {noun} {min(unknown, key=repr)!r}")
+    for e, ends in g.edges.items():
+        if e in s.edges:
+            # source before target, a loop's vertex once
+            missing = [v for v in dict.fromkeys(ends) if v not in s.vertices]
+            if missing:
+                plural = "s" if len(missing) > 1 else ""
+                names = " and ".join(map(repr, missing))
+                raise SheafcalcError(
+                    f"edge {e!r} included without endpoint{plural} {names}")
     return s
 
 

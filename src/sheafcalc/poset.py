@@ -280,9 +280,12 @@ def validate_topology(points, opens) -> FiniteTopology:
     points = tuple(sorted(set(points)))
     opens = frozenset(frozenset(u) for u in opens)
     full = frozenset(points)
-    for u in opens:
-        if not u <= full:
-            raise SheafcalcError(f"open set {sorted(u)} leaves the space")
+    outside = [u for u in opens if not u <= full]
+    if outside:
+        # by size, then by member reprs: labels outside the space may
+        # not compare with each other
+        u = min(outside, key=lambda u: (len(u), sorted(map(repr, u))))
+        raise SheafcalcError(f"open set {sorted(u)} leaves the space")
     if frozenset() not in opens:
         raise SheafcalcError("empty set is not open")
     if full not in opens:

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from sheafcalc.cellsheaf import (
-    Assignment, CellularSheaf, SheafMorphism, check_morphism, composite_map,
-    SectionReport, covering_pairs, direct_sum, extend, global_section_space,
-    is_global_section, pullback, validate_sheaf)
-from sheafcalc.cohomology import coboundary
+    Assignment, CellularSheaf, InvalidSheaf, SheafMorphism, check_morphism,
+    composite_map, SectionReport, covering_pairs, direct_sum, extend,
+    global_section_space, is_global_section, pullback, validate_sheaf)
+from sheafcalc.cohomology import coboundary, cochain_complex, cohomology_dims
 from sheafcalc.complexes import validate_complex
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import RationalMatrix, decompose
@@ -189,6 +189,37 @@ def test_validation_reports_equal_the_square_scan(seed):
     assert kinds >= {(v, k) for v in ("sheaf", "cosheaf") for k in (
         None, "missing-map", "shape", "path-independence")}
     assert deep
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_a_refused_sheaf_carries_the_validation_report(seed):
+    # every library call that validates a sheaf refuses it with the
+    # report validate_sheaf gives, and with the message it always had
+    calls = (lambda s: extend(s, Assignment({})), global_section_space,
+             cohomology_dims, cochain_complex)
+    kinds = set()
+    for s in _oracle_corpus(seed):
+        report = validate_sheaf(s)
+        if s.variance != "sheaf" or report.ok:
+            continue
+        kinds.add(report.kind)
+        for call in calls:
+            with pytest.raises(InvalidSheaf) as refused:
+                call(s)
+            assert refused.value.report == report
+            assert str(refused.value) == (
+                f"invalid sheaf: {report.kind} at {report.witness}")
+    assert kinds == {"missing-map", "shape", "path-independence"}
+
+
+def test_a_refusal_survives_copy_and_pickle():
+    import copy
+    import pickle
+
+    err = InvalidSheaf("missing-map", (("a",), ("a", "b")))
+    for twin in (copy.copy(err), pickle.loads(pickle.dumps(err))):
+        assert type(twin) is InvalidSheaf
+        assert (twin.report, str(twin)) == (err.report, str(err))
 
 
 def test_bayes_cosheaf_reports_equal_the_square_scan():
@@ -426,6 +457,18 @@ def test_extend_checks_seed_shapes():
         extend(s, Assignment({("e",): (1, 0)}))
     with pytest.raises(ValueError, match="unknown face"):
         extend(s, Assignment({("q",): (1,)}))
+
+
+@pytest.mark.parametrize("key", ["a", "ab", frozenset({"a"})])
+def test_a_key_that_only_spells_a_face_is_an_unknown_face(key):
+    # tuple() makes each key a face of the base, but faces are keyed by
+    # their vertex tuples, and the stalk table has no entry for these
+    s = running_sheaf()
+    zero = {f: (0,) * s.stalk_dim[f] for f in s.base.all_faces()}
+    with pytest.raises(SheafcalcError, match=r"^unknown face "):
+        extend(s, Assignment({key: (0, 0)}))
+    with pytest.raises(SheafcalcError, match=r"^unknown face "):
+        is_global_section(s, Assignment({**zero, key: (0, 0)}))
 
 
 def test_extend_refuses_invalid_or_cosheaf_input():

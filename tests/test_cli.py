@@ -209,11 +209,11 @@ def test_sheaf_commands_print_the_validation_witness(command, kind, tmp_path,
         1, WITNESS_BYTES[kind])
 
 
-@pytest.mark.parametrize("command", sorted(SHEAF_COMMANDS))
-def test_an_accepted_sheaf_command_validates_once(command, running_path,
-                                                  monkeypatch, capsys):
-    # every sheaf check, validate_sheaf's and the library calls', is one
-    # run of the pass that validates and builds the coboundaries
+@pytest.fixture()
+def cochains_calls(monkeypatch):
+    """The arguments of each run of the pass that validates a sheaf and
+    builds its coboundaries: every sheaf check, validate_sheaf's and the
+    library calls', is one run."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -222,10 +222,28 @@ def test_an_accepted_sheaf_command_validates_once(command, running_path,
 
     validate = cellsheaf._cochains
     monkeypatch.setattr(cellsheaf, "_cochains", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", sorted(SHEAF_COMMANDS))
+def test_an_accepted_sheaf_command_validates_once(command, running_path,
+                                                  cochains_calls, capsys):
     verb, action, *rest = SHEAF_COMMANDS[command]
     code, _ = invoke(capsys, verb, action, "--sheaf", running_path, *rest)
     assert code == (1 if command == "extend" else 0)  # the seed is obstructed
-    assert len(calls) == 1
+    assert len(cochains_calls) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESS_BYTES))
+@pytest.mark.parametrize("command", sorted(SHEAF_COMMANDS))
+def test_a_refused_sheaf_command_validates_once(command, kind, tmp_path,
+                                                cochains_calls, capsys):
+    # the library's refusal carries the report the witness is printed from
+    path = write_json(tmp_path, "d.json", broken_running_docs()[kind])
+    verb, action, *rest = SHEAF_COMMANDS[command]
+    assert invoke(capsys, verb, action, "--sheaf", path, *rest) == (
+        1, WITNESS_BYTES[kind])
+    assert len(cochains_calls) == 1
 
 
 def test_sections_payload(running_path, capsys):
@@ -1301,6 +1319,25 @@ HASH_SEED_FILES = {
         "bot": "bot", "l": "l", "r": "r", "top": "top"}},
     "running.json": sheaf_doc(running_sheaf()), "sprinkler.json": SPRINKLER_DOC,
 }
+# every restriction table but the identities left out, and every edge
+# of GRAPH_4 without its endpoints: each refusal names one of several
+HASH_SEED_REFUSAL_FILES = {
+    "loose.json": {"edges": ["e3", "e2", "e1"]},
+    "gaps.json": {
+        "topology": [["pqr", "p", "q", "r"], ["pq", "p", "q"], ["q", "q"],
+                     ["p", "p"], ["empty"]],
+        "opens": {"empty": ["*"], "p": ["m"], "q": ["n"], "pq": ["mn"],
+                  "pqr": ["mno"]},
+        "restrictions": {}},
+}
+HASH_SEED_REFUSALS = {
+    "presheaf validate --presheaf gaps.json":
+        '{"error":"missing restriction empty<=p",'
+        '"location":"presheaf:restrictions"}\n',
+    "modal diamond --graph graph.json --subgraph loose.json":
+        '{"error":"edge \'e1\' included without endpoints \'a\' and \'b\'",'
+        '"location":"subgraph"}\n',
+}
 HASH_SEED_COMMANDS = [
     "presheaf check --presheaf gap.json",
     "presheaf validate --presheaf broken.json",
@@ -1313,23 +1350,32 @@ HASH_SEED_COMMANDS = [
 ]
 
 
+def _run_under_hash_seed(tmp_path, seed, commands):
+    """(command, exit code, stdout) of each command in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+    runs = []
+    for command in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sheafcalc.cli", *shlex.split(command)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        runs.append((command, proc.returncode, proc.stdout))
+    return runs
+
+
 def test_same_bytes_under_every_hash_seed(tmp_path):
     # string hashing orders sets and dicts differently in each process;
     # none of that order may reach stdout or the exit code
-    for name, doc in HASH_SEED_FILES.items():
+    for name, doc in {**HASH_SEED_FILES, **HASH_SEED_REFUSAL_FILES}.items():
         write_json(tmp_path, name, doc)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    runs = []
-    for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
-        runs.append([])
-        for command in HASH_SEED_COMMANDS:
-            proc = subprocess.run(
-                [sys.executable, "-m", "sheafcalc.cli", *shlex.split(command)],
-                cwd=tmp_path, env=env, capture_output=True, text=True)
-            runs[-1].append((command, proc.returncode, proc.stdout))
+    runs = [_run_under_hash_seed(tmp_path, seed, HASH_SEED_COMMANDS)
+            for seed in ("0", "1")]
     assert runs[0] == runs[1]
     assert [code for _, code, _ in runs[0]] == [1, 1, 0, 0, 0, 1, 0, 0]
+    # a refusal that picks its witness from a set is the one most exposed
+    want = [(command, 2, out) for command, out in HASH_SEED_REFUSALS.items()]
+    for seed in "01234567":
+        assert _run_under_hash_seed(tmp_path, seed, HASH_SEED_REFUSALS) == want
 
 
 # ab = 10 a and b = ab, so a seed of 10^4299 (4,300 digits) puts

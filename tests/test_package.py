@@ -32,6 +32,7 @@ def test_every_exported_name_resolves_to_its_module_binding():
 def test_refusals_share_one_exception_family():
     assert issubclass(sheafcalc.SheafcalcError, ValueError)
     assert issubclass(sheafcalc.OrderViolation, sheafcalc.SheafcalcError)
+    assert issubclass(sheafcalc.InvalidSheaf, sheafcalc.SheafcalcError)
     assert issubclass(sheafcalc.AdjointSynthesisError, sheafcalc.SheafcalcError)
 
 

@@ -15,7 +15,7 @@ from sheafcalc.poset import (
 
 from util import (
     ScanPoset, mask_downset_family, matrix_closure_poset,
-    pair_scan_monotonicity_witness, random_poset)
+    pair_scan_monotonicity_witness, random_poset, under_hash_seeds)
 
 
 def fence():
@@ -350,6 +350,16 @@ def test_validate_topology_accepts_and_rejects():
 def test_validate_topology_refuses_opens_outside_the_space():
     with pytest.raises(SheafcalcError, match="leaves the space"):
         validate_topology("ab", [set(), {"a", "z"}, {"a", "b"}])
+
+
+def test_the_least_open_outside_the_space_is_named_under_every_hash_seed():
+    # opens by size, then by sorted members, never in set order
+    assert under_hash_seeds(
+        "from sheafcalc.poset import validate_topology\n"
+        "try:\n"
+        "    validate_topology('ab', [(), 'ab', 'az', 'vw', 'y', 'x', 'b'])\n"
+        "except ValueError as err:\n"
+        "    print(err)\n") == {"open set ['x'] leaves the space\n"}
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,24 @@ from sheafcalc.modal import DirectedMultigraph, ModalTrace, Subgraph
 from sheafcalc.poset import FinitePoset, validate_poset
 
 
+def under_hash_seeds(source, seeds=range(6)) -> set:
+    """The stdouts of ``python -c source`` under each string-hash seed,
+    importing sheafcalc from this checkout; one element when the output
+    does not depend on set order."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for seed in seeds:
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        outs.add(subprocess.run([sys.executable, "-c", source], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+    return outs
+
+
 def random_poset(rng, max_elements=6, edge_prob=0.4) -> FinitePoset:
     """Poset from a random DAG: edges only point from lower to higher
     index, so acyclicity (hence antisymmetry) holds by construction."""
