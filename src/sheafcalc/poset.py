@@ -38,6 +38,10 @@ class OrderViolation(SheafcalcError):
         self.cycle = (x, y)
         super().__init__(f"antisymmetry violated: {x} <= {y} and {y} <= {x}")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not from the message
+        return OrderViolation, self.cycle
+
 
 class FinitePoset(Immutable):
     __slots__ = ("elements", "_up", "_down")
@@ -285,7 +289,11 @@ def validate_topology(points, opens) -> FiniteTopology:
         # by size, then by member reprs: labels outside the space may
         # not compare with each other
         u = min(outside, key=lambda u: (len(u), sorted(map(repr, u))))
-        raise SheafcalcError(f"open set {sorted(u)} leaves the space")
+        try:
+            u = sorted(u)
+        except TypeError:
+            u = sorted(u, key=repr)
+        raise SheafcalcError(f"open set {u} leaves the space")
     if frozenset() not in opens:
         raise SheafcalcError("empty set is not open")
     if full not in opens:

@@ -8,19 +8,24 @@ dict per row, never a zero, and ``data`` is a dense view built on each
 read.  Products and elimination work on the nonzeros only, so a
 coboundary costs work in proportion to its nonzeros, not to its area.
 
-Stored entries, in a matrix and in the elimination's rows, keep an
-integral value as a plain ``int`` (never a ``bool``) and any other value
-as a ``Fraction`` with denominator > 1, so a +-1 incidence sign or a 0/1
-marginalization costs int arithmetic, not a Fraction and a gcd.  No
-float is ever stored: ``_div`` is the one division on entries, because
-int / int is a float.  Every public view (``data``, ``entry``, ``row``,
-``column``, ``row_lists``, ``apply``, ``decompose``, ``solve``) returns
-Fractions.
+Stored matrix entries keep an integral value as a plain ``int`` (never a
+``bool``) and any other value as a ``Fraction`` with denominator > 1, so
+a +-1 incidence sign or a 0/1 marginalization costs int arithmetic, not
+a Fraction and a gcd.  No float is ever stored: ``_div`` is the one
+division on entries, because int / int is a float.  Every public view
+(``data``, ``entry``, ``row``, ``column``, ``row_lists``, ``apply``,
+``decompose``, ``solve``) returns Fractions.
 
-Elimination keeps a forward-only row echelon form: a new row is reduced
-by the stored rows whose pivots it meets, and no stored row changes.
-Ranks and consistency verdicts read its pivots; solutions and kernels
-are back-substituted from the last pivot up.
+Elimination and products are fraction-free.  Elimination keeps a
+forward-only row echelon form of primitive int rows, each with its own
+pivot coefficient: a new row is cleared of its denominators and reduced
+by the stored rows whose pivots it meets, in int arithmetic (Bareiss),
+and no stored row changes.  Ranks and consistency verdicts read its
+pivots.  A product brings each row of the left factor and the rows of
+the right factor it meets to a common denominator and sums int
+products.  Fractions appear only at the end: in ``_rref`` and
+``_particular``, which divide by each pivot once, in ``_kernel``, which
+reads the rref, and in ``matmul``'s one division of each nonzero sum.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from math import gcd, lcm
 
 from ._record import Immutable, Record
 from .errors import SheafcalcError
@@ -277,21 +283,29 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact product; (m x 0) @ (0 x n) is the m x n zero matrix.
 
     Only products of two nonzero entries are formed: Theta(sum over the
-    nonzeros a_ik of the nonzeros in row k of b) operations, int ones
-    where both entries are integral.  Entries that cancel to zero are
-    dropped.
+    nonzeros a_ik of the nonzeros in row k of b) operations, all of them
+    int ones.  A row of a and the rows of b it meets are brought to a
+    common denominator, the int products are summed, and each nonzero
+    sum is divided by that denominator once; sums that cancel to zero
+    are dropped.
     """
     if a.cols != b.rows:
         raise SheafcalcError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    b_rows = b._rows
+    b_rows = [_ints(r) for r in b._rows]
+    integral = all(d == 1 for d, _ in b_rows)
     out = []
     for a_row in a._rows:
+        da, a_row = _ints(a_row)
+        db = 1 if integral else lcm(*[b_rows[k][0] for k in a_row])
         acc = {}
         for k, x in a_row.items():
-            for j, y in b_rows[k].items():
+            d, b_row = b_rows[k]
+            if d != db:
+                x *= db // d
+            for j, y in b_row.items():
                 p = x * y
                 acc[j] = acc[j] + p if j in acc else p
-        out.append({j: _stored(v) for j, v in acc.items() if v})
+        out.append({j: _div(v, da * db) for j, v in acc.items() if v})
     return RationalMatrix._from_sparse(a.rows, b.cols, tuple(out))
 
 
@@ -329,18 +343,30 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
 
 
 def _rref(reduced: dict) -> dict:
-    """The reduced row echelon form of ``_reduced``'s result, in the same
-    layout.  Back elimination, last pivot first: each row has the
-    finished rows of the pivots it meets eliminated from it.  Those rows
-    hold no pivot column, so one pass over the row's own entries clears
-    every pivot but its own."""
+    """The reduced row echelon form of ``_reduced``'s result, as {pivot
+    column: rest of its row, pivot scaled to 1}.  Back elimination in
+    int rows, last pivot first, as ``_reduce_row`` eliminates: each row
+    has the finished rows of the pivots it meets eliminated from it.
+    Those rows hold no pivot column, so one pass over the row's own
+    entries clears every pivot but its own.  Each finished row is then
+    divided by its pivot, the only Fraction arithmetic here."""
     done = {}
     for pc in sorted(reduced, reverse=True):
-        r = dict(reduced[pc])
+        pv, r = reduced[pc]
+        r = dict(r)
         for c in [c for c in r if c in done]:
-            _eliminate(r, r.pop(c), done[c])
-        done[pc] = r
-    return done
+            qv, rest = done[c]
+            f = r.pop(c)
+            if qv != 1:
+                g = gcd(qv, f)
+                a, f = qv // g, f // g
+                pv *= a
+                for k in r:
+                    r[k] *= a
+            _eliminate(r, f, rest)
+        done[pc] = (pv, r) if pv == 1 else _primitive(pv, r)
+    return {pc: r if pv == 1 else {c: _div(x, pv) for c, x in r.items()}
+            for pc, (pv, r) in done.items()}
 
 
 def _kernel(rref: dict, cols: int) -> tuple:
@@ -358,8 +384,9 @@ def _kernel(rref: dict, cols: int) -> tuple:
 
 
 def _reduced(m: RationalMatrix) -> dict:
-    """A row echelon form of m's rows as {pivot column: rest of its row},
-    built row by row with ``_reduce_row``; its length is the rank of m."""
+    """A row echelon form of m's rows as {pivot column: (pivot, rest of
+    its row)}, built row by row with ``_reduce_row``; its length is the
+    rank of m."""
     reduced = {}
     for row in m._rows:
         if len(reduced) == m.cols:
@@ -370,17 +397,22 @@ def _reduced(m: RationalMatrix) -> dict:
 
 def _reduce_row(reduced: dict, row):
     """Add one sparse row ({column: nonzero}, left unchanged) to
-    ``reduced``, {pivot column: rest of its row, pivot scaled to 1}; the
-    rest holds only columns right of its pivot.  The row is reduced by
+    ``reduced``, {pivot column: (pivot, rest of its row)}: a primitive
+    int row, its pivot > 0 and its rest holding only columns right of
+    the pivot.  The row is cleared of its denominators, then reduced by
     the stored rows whose pivots it meets, lowest pivot first, so a
     pivot column brought in by one of them is met later; its leftmost
     remaining nonzero becomes the new pivot.  No stored row changes.
     Returns the new pivot column, or None.
 
-    The reduced row is the one vector in the row plus the span of the
-    stored rows that is zero at every pivot, so the pivots are those of
-    the rref of the rows added."""
-    r = dict(row)
+    Fraction-free (Bareiss): entry f at the pivot of a stored row
+    (pv, rest) is cleared by r <- (pv/g) r - (f/g) rest, g = gcd(pv, f),
+    and the new row is divided by its content.  Scaling a row by a
+    nonzero rational moves neither its pivot nor the span, so the
+    reduced row is a multiple of the one vector in the row plus the span
+    of the stored rows that is zero at every pivot, and the pivots are
+    those of the rref of the rows added."""
+    r = dict(_ints(row)[1])
     todo = [c for c in r if c in reduced]
     heapify(todo)
     while todo:
@@ -388,25 +420,51 @@ def _reduce_row(reduced: dict, row):
         f = r.pop(pc, None)
         if f is None:  # cancelled, or a repeat
             continue
-        # _eliminate, inlined so that each pivot column the row gains is
-        # queued as it appears
-        for c, x in reduced[pc].items():
+        pv, rest = reduced[pc]
+        if pv != 1:
+            g = gcd(pv, f)
+            a, f = pv // g, f // g
+            if a != 1:
+                for c in r:
+                    r[c] *= a
+        # r -= f * rest, inlined so that each pivot column the row gains
+        # is queued as it appears
+        for c, x in rest.items():
             if c in r:
                 v = r[c] - f * x
                 if v:
-                    r[c] = _stored(v)
+                    r[c] = v
                 else:
                     del r[c]
             else:
-                r[c] = _stored(-f * x)
+                r[c] = -f * x
                 if c in reduced:
                     heappush(todo, c)
     if not r:
         return None
     p = min(r)
-    pv = r.pop(p)
-    reduced[p] = {c: _div(x, pv) for c, x in r.items()}
+    reduced[p] = _primitive(r.pop(p), r)
     return p
+
+
+def _primitive(pv: int, r: dict) -> tuple:
+    """(pv, r), a pivot and the rest of its int row, divided by the gcd
+    of all its entries and signed so that pv > 0."""
+    g = gcd(pv, *r.values()) if pv > 0 else -gcd(pv, *r.values())
+    return (pv, r) if g == 1 else (pv // g, {c: x // g for c, x in r.items()})
+
+
+def _ints(row: dict) -> tuple:
+    """(d, d times the row): d the least common denominator of a row of
+    stored entries, so every entry of the second is an int; the row
+    itself when d is 1."""
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
+        return 1, row
+    d = lcm(*[x.denominator for x in row.values()])
+    return d, {c: x.numerator * (d // x.denominator) for c, x in row.items()}
 
 
 def _eliminate(r: dict, f, tail: dict):
@@ -438,14 +496,15 @@ def _consistent(reduced: dict, rows, rhs: int) -> bool:
 def _particular(reduced: dict, rhs: int) -> tuple:
     """The solution of a consistent reduction of [A | b] with every free
     variable 0, back-substituted from the last pivot up: x[pc] is b's
-    entry in the row less the rest of the row times x."""
+    entry in the row less the rest of the row times x, divided by the
+    row's pivot."""
     x = [0] * rhs
     for pc in sorted(reduced, reverse=True):
-        rest = reduced[pc]
+        pv, rest = reduced[pc]
         s = rest.get(rhs, 0) - sum(
             a * x[c] for c, a in rest.items() if c != rhs)
         if s:
-            x[pc] = _stored(s)
+            x[pc] = _div(s, pv)
     return tuple(map(_public, x))
 
 

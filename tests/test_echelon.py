@@ -19,12 +19,12 @@ from sheafcalc.cellsheaf import Assignment, extend, global_section_space
 from sheafcalc.cohomology import coboundary, cohomology_dims
 from sheafcalc.rationals import (
     RationalMatrix, _augmented, _kernel, _particular, _reduce_row, _reduced,
-    _rref, decompose, solve)
+    _rref, decompose, matmul, solve)
 
 from util import (
-    diagonal_grid_sheaf, grid_complex, random_sparse_matrix, random_unimodular,
-    rref_decompose, rref_kernel, rref_particular, rref_reduce_row, rref_reduced,
-    rref_solve)
+    assert_primitive_echelon, dense_matmul, diagonal_grid_sheaf, grid_complex,
+    random_sparse_matrix, random_unimodular, rref_decompose, rref_kernel,
+    rref_particular, rref_reduce_row, rref_reduced, rref_solve)
 
 
 # --------------------------------------------------------------- corpora
@@ -78,8 +78,7 @@ def test_reductions_share_pivots_and_kernels_with_the_rref():
     for m in corpus():
         got, want = _reduced(m), rref_reduced(m)
         assert sorted(got) == sorted(want)
-        for pc, rest in got.items():
-            assert all(c > pc for c in rest)  # forward only: nothing left of its pivot
+        assert_primitive_echelon(got)  # forward only: nothing at or left of its pivot
         rref = _rref(got)
         assert rref == want
         assert repr(_kernel(rref, m.cols)) == repr(rref_kernel(want, m.cols))
@@ -119,14 +118,89 @@ def test_solutions_match_the_rref_solution():
 
 def test_reduced_rows_hold_only_columns_right_of_their_pivot():
     # the rref would clear column 1 from the first row; the echelon form
-    # leaves it standing
+    # leaves it standing, each row a primitive int row with its pivot
     m = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 2, 1]])
     reduced = _reduced(m)
-    assert reduced == {0: {1: Fraction(1)}, 1: {2: Fraction(1)}}
+    assert reduced == {0: (1, {1: 1}), 1: (1, {2: 1})}
     assert decompose(m).rref == RationalMatrix.from_rows(
         [[1, 0, -1], [0, 1, 1], [0, 0, 0]])
     assert _rref(reduced) == {0: {2: Fraction(-1)}, 1: {2: Fraction(1)}}
     assert _kernel(_rref(reduced), 3) == ((Fraction(1), Fraction(-1), Fraction(1)),)
+    # a fractional row is cleared of its denominators, then of its content
+    m = RationalMatrix.from_rows([["1/2", "1/3", "0"], ["0", "2/3", "-4/3"]])
+    reduced = _reduced(m)
+    assert reduced == {0: (3, {1: 2}), 1: (1, {2: -2})}
+    assert _rref(reduced) == {0: {2: Fraction(4, 3)}, 1: {2: Fraction(-2)}}
+
+
+# --------------------------------- fraction-free against Fraction oracles
+
+def large_denominator_corpus():
+    """Sparse matrices whose entries have denominators up to 10**6, many
+    of them rank-deficient, with 0 x n and n x 0 included."""
+    rng = random.Random(29)
+    for _ in range(120):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        yield random_sparse_matrix(rng, rows, cols,
+                                   density=rng.choice((0.2, 0.5)),
+                                   combos=rng.choice((0.0, 0.4)),
+                                   max_denominator=10 ** 6)
+
+
+def test_large_denominators_reduce_and_solve_as_the_rref_does():
+    rng = random.Random(31)
+    for m in large_denominator_corpus():
+        got, want = _reduced(m), rref_reduced(m)
+        assert sorted(got) == sorted(want)
+        assert_primitive_echelon(got)
+        assert _rref(got) == want
+        assert repr(decompose(m)) == repr(rref_decompose(m))
+        reachable = m.apply([Fraction(rng.randint(-9, 9), rng.randint(1, 10 ** 6))
+                             for _ in range(m.cols)])
+        anything = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                    for _ in range(m.rows)]
+        for b in (reachable, anything):
+            assert repr(solve(m, b)) == repr(rref_solve(m, b))
+
+
+def test_products_equal_the_dense_fraction_product():
+    # factors with large denominators or with int entries only, on
+    # either side, and right factors of kernel columns, whose products
+    # cancel to zero
+    rng = random.Random(37)
+    pairs = [(RationalMatrix.zero(3, 0), RationalMatrix.zero(0, 4)),
+             (RationalMatrix.zero(0, 3), RationalMatrix.identity(3)),
+             (RationalMatrix.identity(3), RationalMatrix.zero(3, 0))]
+    for m in large_denominator_corpus():
+        for top in (10 ** 6, 1):
+            pairs.append((m, random_sparse_matrix(
+                rng, m.cols, rng.randint(0, 9), density=0.4, max_denominator=top)))
+            left = random_sparse_matrix(rng, rng.randint(0, 9), m.rows,
+                                        density=0.4, max_denominator=1)
+            pairs.append((left, m if top > 1 else left.transpose()))
+        kernel = decompose(m).kernel_basis
+        if kernel:
+            pairs.append((m, RationalMatrix.from_rows(kernel).transpose()))
+    cancelled = 0
+    for a, b in pairs:
+        got = matmul(a, b)
+        assert repr(got) == repr(dense_matmul(a, b))
+        assert all(x and (type(x) is int or x.denominator > 1)
+                   for row in got._rows for x in row.values())
+        cancelled += bool(a.rows and b.cols and got.is_zero() and not a.is_zero())
+    assert cancelled > 10
+
+
+def test_stored_echelon_integers_stay_small_on_the_holed_grid():
+    # the largest stored bit length, measured on the holed 30 x 30 grid:
+    # 7 for delta^0 and 10 for delta^1 (15 and 12 when the content is
+    # left in); the bounds are those measurements
+    base = grid_complex(30, holes=[(15, 15)])
+    sheaf, _ = diagonal_grid_sheaf(random.Random(1), base, 2)
+    for k, bound in ((0, 7), (1, 10)):
+        reduced = _reduced(coboundary(sheaf, k))
+        assert max(x.bit_length() for pv, rest in reduced.values()
+                   for x in (pv, *rest.values())) <= bound
 
 
 # ------------------------------------------- sheaf answers, pinned digests

@@ -39,6 +39,14 @@ def test_validate_rejects_two_cycle_with_witness():
     assert set(err.value.cycle) == {"a", "b"}
 
 
+def test_an_order_violation_survives_copy_and_pickle():
+    err = OrderViolation("a", "b")
+    for twin in (copy.copy(err), copy.deepcopy(err),
+                 pickle.loads(pickle.dumps(err))):
+        assert type(twin) is OrderViolation
+        assert (twin.cycle, str(twin)) == (("a", "b"), str(err))
+
+
 def test_validate_rejects_longer_cycle():
     with pytest.raises(OrderViolation):
         validate_poset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
@@ -350,6 +358,13 @@ def test_validate_topology_accepts_and_rejects():
 def test_validate_topology_refuses_opens_outside_the_space():
     with pytest.raises(SheafcalcError, match="leaves the space"):
         validate_topology("ab", [set(), {"a", "z"}, {"a", "b"}])
+
+
+def test_an_outside_open_of_labels_that_do_not_compare_is_refused():
+    # its members are listed by repr, as no order sorts "a" beside 1
+    with pytest.raises(SheafcalcError) as err:
+        validate_topology("ab", [(), "ab", ("a", 1)])
+    assert str(err.value) == "open set ['a', 1] leaves the space"
 
 
 def test_the_least_open_outside_the_space_is_named_under_every_hash_seed():

@@ -21,8 +21,9 @@ from sheafcalc.rationals import (
     matmul, rational, solve)
 
 from util import (
-    binary_chain, constant_sheaf, dense_decompose, dense_matmul, grid_complex,
-    random_bayes_model, random_complex, random_valid_sheaf)
+    assert_primitive_echelon, binary_chain, constant_sheaf, dense_decompose,
+    dense_matmul, grid_complex, random_bayes_model, random_complex,
+    random_valid_sheaf)
 
 
 # ---------------------------------------------------------------- oracles
@@ -290,10 +291,11 @@ def assert_stored_canonically(m):
 
 
 def assert_reductions_stored_canonically(m):
-    """The echelon form and the rref of m's rows hold stored entries."""
+    """The echelon form of m's rows holds primitive int rows, and their
+    rref holds stored entries."""
     reduced = _reduced(m)
-    for rows in (reduced, _rref(reduced)):
-        assert_storage_form(x for rest in rows.values() for x in rest.values())
+    assert_primitive_echelon(reduced)
+    assert_storage_form(x for rest in _rref(reduced).values() for x in rest.values())
 
 
 integral_entries = st.integers(min_value=-3, max_value=3).map(Fraction)

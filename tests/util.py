@@ -493,6 +493,20 @@ def dense_decompose(m):
         pivots=tuple(pivots))
 
 
+def assert_primitive_echelon(reduced: dict):
+    """Every stored row of ``rationals._reduced``'s echelon form, {pivot
+    column: (pivot, rest)}, is a primitive int row: the pivot an int > 0,
+    the rest nonzero ints (never bools) in columns right of the pivot
+    only, and the gcd of all of them 1."""
+    from math import gcd
+
+    for pc, (pv, rest) in reduced.items():
+        assert type(pv) is int and pv > 0, (pc, pv)
+        assert all(type(x) is int and x for x in rest.values()), (pc, rest)
+        assert all(c > pc for c in rest), (pc, rest)
+        assert gcd(pv, *rest.values()) == 1, (pc, pv, rest)
+
+
 # --------------------------------------------------------------- rref oracle
 # rationals._reduce_row as it was when it kept the reduced row echelon
 # form, eliminating each new pivot from every stored row, with the
@@ -609,16 +623,19 @@ def rref_solve(a, b):
     return rref_particular(reduced, a.cols)
 
 
-def random_sparse_matrix(rng, rows, cols, density=0.3, combos=0.3):
-    """Entries small fractions, each cell nonzero with ``density``; each
-    row after the first is, with probability ``combos``, a combination
-    of up to three earlier rows, so the rank falls short of the shape."""
+def random_sparse_matrix(rng, rows, cols, density=0.3, combos=0.3,
+                         max_denominator=5):
+    """Entries fractions with denominators up to ``max_denominator`` (small
+    ones by default), each cell nonzero with ``density``; each row after
+    the first is, with probability ``combos``, a combination of up to
+    three earlier rows, so the rank falls short of the shape."""
     from fractions import Fraction
 
     from sheafcalc.rationals import RationalMatrix
 
     def entry():
-        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 5))
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, max(6, max_denominator)),
+                        rng.randint(1, max_denominator))
 
     grid = []
     for _ in range(rows):
