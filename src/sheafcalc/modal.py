@@ -13,7 +13,7 @@ over sub- and super-aspects in place of the edge repairs.
 
 from __future__ import annotations
 
-from ._record import Immutable, Record
+from ._record import Immutable, Record, _setattr
 from .errors import SheafcalcError
 from .poset import FinitePoset
 
@@ -97,8 +97,8 @@ class Subgraph(Immutable):
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: frozenset, edges: frozenset):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+        _setattr(self, "vertices", vertices)
+        _setattr(self, "edges", edges)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -164,33 +164,21 @@ def subgraph_leq(a: Subgraph, b: Subgraph) -> bool:
     return a.vertices <= b.vertices and a.edges <= b.edges
 
 
-def _neg(g: DirectedMultigraph, vertices, edges):
-    """Heyting negation on (vertices, edges): drop y's vertices and
-    every edge touching one of them.  ``edges`` is unused; it keeps the
-    signature of ``_coneg``, so ``modal_iterate`` composes either way."""
-    return (g._vertex_set - vertices,
-            g._edge_set.difference(*map(g._touching.__getitem__, vertices)))
-
-
-def _coneg(g: DirectedMultigraph, vertices, edges):
-    """Co-Heyting negation on (vertices, edges): the complement edges,
-    and every vertex except those of y whose edges all lie in y."""
-    touching = g._touching
-    return (g._vertex_set.difference(
-                [v for v in vertices if touching[v] <= edges]),
-            g._edge_set - edges)
-
-
 def heyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
     """Largest subgraph disjoint from y: the induced subgraph on the
     complementary vertices (edges needing a y-vertex are discarded)."""
-    return Subgraph(*_neg(g, y.vertices, y.edges))
+    return Subgraph(g._vertex_set - y.vertices,
+                    g._edge_set.difference(*map(g._touching.__getitem__,
+                                                y.vertices)))
 
 
 def coheyting_neg(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
     """Smallest subgraph whose join with y restores g: complement edges
     pull in their endpoints, complement vertices come along."""
-    return Subgraph(*_coneg(g, y.vertices, y.edges))
+    touching = g._touching
+    return Subgraph(g._vertex_set.difference(
+                        [v for v in y.vertices if touching[v] <= y.edges]),
+                    g._edge_set - y.edges)
 
 
 def boundary(g: DirectedMultigraph, y: Subgraph) -> Subgraph:
@@ -208,18 +196,34 @@ def modal_iterate(g: DirectedMultigraph, x: Subgraph,
     """Iterate diamond = co-neg after neg (or box = neg after co-neg)
     to its fixpoint.  Diamond ascends and box descends, so the finite
     lattice forces stabilization; equality of consecutive stages is the
-    exact stopping rule."""
+    exact stopping rule.
+
+    Each stage is one step on the incidence index.  For a closed
+    subgraph (V, E), every edge of E having both endpoints in V, let
+    T(V) be the edges touching V; then diamond takes (V, E) to
+    (V with the endpoints of T(V), T(V)), and box takes it to
+    (V - B, E - T(B)), B being the vertices of V that touch an edge
+    outside E.  Both forms hold for closed subgraphs only, which is
+    what ``subgraph`` and ``all_subgraphs`` build."""
     if which not in ("diamond", "box"):
         raise SheafcalcError(f"which must be diamond or box, not {which!r}")
-    first, second = (_neg, _coneg) if which == "diamond" else (_coneg, _neg)
+    touching, ends = g._touching.__getitem__, g.edges.__getitem__
     stages = [x]
-    current = (x.vertices, x.edges)
-    while True:
-        nxt = second(g, *first(g, *current))
-        if nxt == current:
-            break
-        stages.append(Subgraph(*nxt))
-        current = nxt
+    vertices, edges = x.vertices, x.edges
+    if which == "diamond":
+        # E's endpoints lie in V, so the next stage equals this one
+        # exactly when T(V) is E
+        while (reached := frozenset().union(*map(touching, vertices))) != edges:
+            edges = reached
+            vertices = vertices.union(*map(ends, edges))
+            stages.append(Subgraph(vertices, edges))
+    else:
+        # B lies in V, so the next stage equals this one exactly when B
+        # is empty
+        while broken := [v for v in vertices if not touching(v) <= edges]:
+            vertices = vertices.difference(broken)
+            edges = edges.difference(*map(touching, broken))
+            stages.append(Subgraph(vertices, edges))
     return ModalTrace(tuple(stages), stages[-1], len(stages) - 1)
 
 
@@ -272,10 +276,12 @@ def all_subgraphs(g: DirectedMultigraph):
         if len(out) + (1 << len(eligible)) + (1 << len(verts)) - vmask - 1 > cap:
             raise SheafcalcError(
                 f"subgraph enumeration capped at {cap} subgraphs")
-        for emask in range(1 << len(eligible)):
-            es = frozenset(e for i, e in enumerate(eligible)
-                           if emask >> i & 1)
-            out.append(Subgraph(vs, es))
+        # doubling: the sets of eligible[:i], then each with eligible[i]
+        # added, which is the order of the masks over eligible[:i + 1]
+        edge_sets = [frozenset()]
+        for e in eligible:
+            edge_sets += [es | {e} for es in edge_sets]
+        out += [Subgraph(vs, es) for es in edge_sets]
     return out
 
 
@@ -288,6 +294,9 @@ class AspectPredicate(Record):
 
     @classmethod
     def of(cls, aspects, carrier, truth) -> "AspectPredicate":
+        strays = set(truth).difference(aspects.elements)
+        if strays:
+            raise SheafcalcError(f"unknown aspect {min(strays, key=repr)!r}")
         carrier = tuple(sorted(carrier))
         table = tuple(sorted(
             (a, frozenset(truth.get(a, ()))) for a in aspects.elements))
@@ -298,10 +307,13 @@ class AspectPredicate(Record):
         return pred
 
     def holds(self, aspect, x) -> bool:
-        return x in dict(self.truth)[aspect]
+        return x in self.region(aspect)
 
     def region(self, aspect) -> frozenset:
-        return dict(self.truth)[aspect]
+        try:
+            return dict(self.truth)[aspect]
+        except KeyError:
+            raise SheafcalcError(f"unknown aspect {aspect!r}") from None
 
 
 def validate_aspect_predicate(pred: AspectPredicate):

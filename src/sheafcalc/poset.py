@@ -121,10 +121,12 @@ class FinitePoset(Immutable):
 
     @staticmethod
     def _extreme(bounds, cones):
-        """The bound whose cone holds every bound, or None.  That bound
-        has the largest cone of all; ties go to the least label."""
-        best = min(bounds, key=lambda b: (-len(cones[b]), b), default=None)
-        return best if bounds and bounds <= cones[best] else None
+        """The bound whose cone holds every bound, or None.  A bound's
+        cone lies inside the bounds, so that one is the bound whose cone
+        has as many elements as they do; by antisymmetry there is at
+        most one."""
+        size = len(bounds)
+        return next((b for b in bounds if len(cones[b]) == size), None)
 
     def join(self, subset):
         """Least upper bound, or None if it does not exist."""

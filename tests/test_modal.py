@@ -295,6 +295,19 @@ def test_aspect_functoriality_enforced():
     assert validate_aspect_predicate(pred) == (True, None)
 
 
+def test_unknown_aspects_are_refused():
+    phi = honest_only_at_s()
+    with pytest.raises(SheafcalcError, match=r"^unknown aspect 'Z'$"):
+        phi.holds("Z", "abe")
+    with pytest.raises(SheafcalcError, match=r"^unknown aspect 'Z'$"):
+        phi.region("Z")
+    # a truth key that names no aspect is refused, not dropped; the
+    # least by repr is named
+    with pytest.raises(SheafcalcError, match=r"^unknown aspect 'Q'$"):
+        AspectPredicate.of(qua_poset(), ("abe",),
+                           {"S": {"abe"}, "Z": set(), "Q": {"abe"}})
+
+
 def test_aspect_negations_on_honest_fixture():
     phi = honest_only_at_s()
     co = aspect_neg(phi, "coheyting")
