@@ -11,7 +11,7 @@ under ``python -O`` too.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from ._record import Record
 from .cellsheaf import (
@@ -19,7 +19,7 @@ from .cellsheaf import (
     validate_sheaf)
 from .complexes import SimplicialComplex, face_name
 from .errors import SheafcalcError
-from .rationals import RationalMatrix, _reduced, _stored, rational
+from .rationals import RationalMatrix, _ints, _reduced, _stored, rational
 
 __all__ = [
     "CochainComplex",
@@ -257,15 +257,15 @@ def bayes_build(m: BayesModel) -> BayesAssembly:
 def _brute_marginals(m: BayesModel, faces, joint) -> dict:
     """face -> marginal of ``joint`` by direct summation over outcomes,
     bypassing the matrices.  The joint is written over its common
-    denominator once, the numerators are added as ints, and each sum
-    becomes a canonical Fraction, the value summing Fractions gives."""
-    den = lcm(*(p.denominator for p in joint))
-    nums = [p.numerator * (den // p.denominator) for p in joint]
+    denominator once, by ``_ints``, the numerators are added as ints,
+    and each sum becomes a canonical Fraction, the value summing
+    Fractions gives."""
+    den, nums = _ints(dict(enumerate(joint)))
     full = tuple(m.variables)
     out = {}
     for face in faces:
         sums = [0] * _outcome_count(m, face)
-        for i, p in zip(_outcome_indices(m, full, face), nums):
+        for i, p in zip(_outcome_indices(m, full, face), nums.values()):
             sums[i] += p
         out[face] = tuple(Fraction(x, den) for x in sums)
     return out

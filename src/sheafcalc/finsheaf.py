@@ -90,7 +90,7 @@ class MatchingFamily(Record):
         for v, s in self.choice:
             if v == u:
                 return s
-        raise KeyError(sorted(u))
+        raise SheafcalcError(f"{sorted(u)!r} is not in the cover")
 
 
 def _contains(u, v) -> bool:

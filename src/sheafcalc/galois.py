@@ -191,10 +191,11 @@ def cantor_diagonal(f: dict, xs, ys, alpha: dict) -> dict:
     """
     xs = tuple(xs)
     ys = tuple(ys)
-    if set(alpha) != set(ys):
+    targets = set(ys)
+    if set(alpha) != targets:
         raise SheafcalcError("alpha must be total")
     for y in ys:
-        if alpha[y] not in set(ys):
+        if alpha[y] not in targets:
             raise SheafcalcError(f"alpha leaves ys at {y!r}")
         if alpha[y] == y:
             raise SheafcalcError(f"alpha has a fixed point at {y!r}")
@@ -202,7 +203,7 @@ def cantor_diagonal(f: dict, xs, ys, alpha: dict) -> dict:
         for x2 in xs:
             if (x1, x2) not in f:
                 raise SheafcalcError(f"f is partial at {(x1, x2)}")
-            if f[(x1, x2)] not in set(ys):
+            if f[(x1, x2)] not in targets:
                 raise SheafcalcError(f"f leaves ys at {(x1, x2)}")
     g = {x: alpha[f[(x, x)]] for x in xs}
     for x0 in xs:

@@ -20,12 +20,14 @@ Elimination and products are fraction-free.  Elimination keeps a
 forward-only row echelon form of primitive int rows, each with its own
 pivot coefficient: a new row is cleared of its denominators and reduced
 by the stored rows whose pivots it meets, in int arithmetic (Bareiss),
-and no stored row changes.  Ranks and consistency verdicts read its
-pivots.  A product brings each row of the left factor and the rows of
-the right factor it meets to a common denominator and sums int
-products.  Fractions appear only at the end: in ``_rref`` and
-``_particular``, which divide by each pivot once, in ``_kernel``, which
-reads the rref, and in ``matmul``'s one division of each nonzero sum.
+and no stored row changes.  ``_reduce_row`` is the one home of that
+row step: the forward pass and ``_rref``'s back pass both go through
+it.  Ranks and consistency verdicts read its pivots.  A product brings
+each row of the left factor and the rows of the right factor it meets
+to a common denominator and sums int products.  Fractions appear only
+at the end: in ``_rref`` and ``_particular``, which divide by each
+pivot once, in ``_kernel``, which reads the rref, and in ``matmul``'s
+one division of each nonzero sum.
 """
 
 from __future__ import annotations
@@ -233,7 +235,12 @@ class RationalMatrix(Immutable):
             raise SheafcalcError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
         out = tuple(dict(r) for r in self._rows)
         for r, s in zip(out, other._rows):
-            _eliminate(r, -1, s)
+            for c, x in s.items():
+                v = r.get(c, 0) + x
+                if v:
+                    r[c] = _stored(v)
+                else:
+                    del r[c]
         return RationalMatrix._from_sparse(self.rows, self.cols, out)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -324,8 +331,9 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
     the one elimination routine of the package: ``solve`` and
     ``cellsheaf.extend`` use it too, and the Betti numbers read only the
     rank of ``_reduced``.  ``_rref`` back-eliminates the echelon form
-    once; the rref and, through ``_kernel``, the kernel basis are read
-    off it, as ``cellsheaf.global_section_space`` reads its kernel.
+    once, through ``_reduce_row`` as well; the rref and, through
+    ``_kernel``, the kernel basis are read off it, as
+    ``cellsheaf.global_section_space`` reads its kernel.
 
     rank + len(kernel_basis) == cols always.
     """
@@ -344,27 +352,18 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
 
 def _rref(reduced: dict) -> dict:
     """The reduced row echelon form of ``_reduced``'s result, as {pivot
-    column: rest of its row, pivot scaled to 1}.  Back elimination in
-    int rows, last pivot first, as ``_reduce_row`` eliminates: each row
-    has the finished rows of the pivots it meets eliminated from it.
-    Those rows hold no pivot column, so one pass over the row's own
-    entries clears every pivot but its own.  Each finished row is then
+    column: rest of its row, pivot scaled to 1}.  Back elimination,
+    last pivot first: each row, pivot included, goes through
+    ``_reduce_row`` into the finished rows.  A finished row holds only
+    free columns, since every pivot right of its own was cleared from
+    it and nothing left of it is stored, so reducing by the finished
+    rows clears exactly the pivots the row meets, brings in no new one
+    and leaves the row's own pivot leftmost.  Each finished row is then
     divided by its pivot, the only Fraction arithmetic here."""
     done = {}
     for pc in sorted(reduced, reverse=True):
-        pv, r = reduced[pc]
-        r = dict(r)
-        for c in [c for c in r if c in done]:
-            qv, rest = done[c]
-            f = r.pop(c)
-            if qv != 1:
-                g = gcd(qv, f)
-                a, f = qv // g, f // g
-                pv *= a
-                for k in r:
-                    r[k] *= a
-            _eliminate(r, f, rest)
-        done[pc] = (pv, r) if pv == 1 else _primitive(pv, r)
+        pv, rest = reduced[pc]
+        _reduce_row(done, {pc: pv, **rest})
     return {pc: r if pv == 1 else {c: _div(x, pv) for c, x in r.items()}
             for pc, (pv, r) in done.items()}
 
@@ -465,20 +464,6 @@ def _ints(row: dict) -> tuple:
         return 1, row
     d = lcm(*[x.denominator for x in row.values()])
     return d, {c: x.numerator * (d // x.denominator) for c, x in row.items()}
-
-
-def _eliminate(r: dict, f, tail: dict):
-    """r -= f * tail on sparse rows of stored entries, dropping entries
-    that cancel."""
-    for c, x in tail.items():
-        if c in r:
-            v = r[c] - f * x
-            if v:
-                r[c] = _stored(v)
-            else:
-                del r[c]
-        else:
-            r[c] = _stored(-f * x)
 
 
 def _augmented(a: RationalMatrix, b) -> list:

@@ -66,10 +66,24 @@ def grid_coboundary_corpus():
             yield delta.transpose()
 
 
+def wide_corpus():
+    """Random sparse matrices of 1-8 rows and 20-40 columns with
+    denominators up to 10**3: many free columns, so the back pass of
+    ``_rref`` clears many pivots from rows that keep long free tails."""
+    rng = random.Random(41)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(20, 40)
+        yield random_sparse_matrix(rng, rows, cols,
+                                   density=rng.choice((0.1, 0.25, 0.5)),
+                                   combos=rng.choice((0.0, 0.3)),
+                                   max_denominator=10 ** 3)
+
+
 def corpus():
     yield from sparse_corpus()
     yield from basis_change_corpus()
     yield from grid_coboundary_corpus()
+    yield from wide_corpus()
 
 
 # ------------------------------------------------------ against the rref

@@ -263,6 +263,13 @@ def test_cover_member_that_is_not_open_is_refused():
         sheaf_check(p, [Q_OPEN, P_OPEN], PQ)
 
 
+def test_a_matching_family_refuses_an_open_outside_its_cover():
+    family = next(matching_families(presheaf_p(), [P_OPEN, Q_OPEN]))
+    assert family.section(P_OPEN) == dict(family.choice)[P_OPEN]
+    with pytest.raises(SheafcalcError, match=r"^\['p', 'q'\] is not in the cover$"):
+        family.section(PQ)
+
+
 def test_restrict_takes_any_iterable_for_either_open():
     p = presheaf_p()
     assert restrict(p, {"p", "q"}, frozenset(), 0) == restrict(p, PQ, EMPTY, 0)
