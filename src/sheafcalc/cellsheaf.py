@@ -431,10 +431,7 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
         if not _consistent(reduced, rows, total):
             return _localize_obstruction(s, seed, face, rows, total)
 
-    result = _spread(s, offsets, _particular(reduced, total))
-    for face in seed.vectors:
-        assert result[face] == seed[face]
-    return ExtendResult(result=result)
+    return ExtendResult(result=_spread(s, offsets, _particular(reduced, total)))
 
 
 def _localize_obstruction(s: CellularSheaf, seed: Assignment,

@@ -371,22 +371,37 @@ def poset_transfer(f: Copresheaf) -> FinitePresheaf:
     return FinitePresheaf(topology, stalk, restriction)
 
 
+def _value_at(section, x):
+    """The value a section of (point, value) pairs takes at x."""
+    try:
+        return dict(section)[x]
+    except (TypeError, ValueError, KeyError):
+        raise SheafcalcError(
+            f"{section!r} is not a section of (point, value) pairs at {x!r}") from None
+
+
 def copresheaf_from_presheaf(p: FinitePresheaf, poset: FinitePoset) -> Copresheaf:
-    """Invert poset_transfer by reading values off principal opens."""
+    """Invert poset_transfer by reading values off principal opens.
+
+    Refuses, element by element, a principal up-set that is not open,
+    then the first section over it, by ``repr``, that is not a tuple of
+    (point, value) pairs holding the element.
+    """
     up = {x: frozenset(poset.principal_up(x)) for x in poset.elements}
     stalk = {}
     rep = {}
     for x in poset.elements:
+        if not p.topology.is_open(up[x]):
+            raise SheafcalcError(f"{sorted(up[x])} is not open")
         values = {}
-        for section in p.stalk[up[x]]:
-            value = dict(section)[x]
-            values[value] = section
+        for section in _ordered(p.stalk[up[x]]):
+            values[_value_at(section, x)] = section
         stalk[x] = frozenset(values)
         rep[x] = values
     action = {}
     for x, y in poset.pairs():
         restriction = p.restriction[(up[x], up[y])]
-        action[(x, y)] = {v: dict(restriction[section])[y]
+        action[(x, y)] = {v: _value_at(restriction[section], y)
                           for v, section in rep[x].items()}
     return Copresheaf(poset, stalk, action)
 

@@ -67,6 +67,8 @@ def _below(left: dict, source: FinitePoset, target: FinitePoset) -> dict:
 def check_connection(c: GaloisConnection) -> ConnectionReport:
     p, q = c.source, c.target
     for side, dom, cod, mapping in (("left", p, q, c.left), ("right", q, p, c.right)):
+        if mapping is None:
+            raise SheafcalcError(f"connection has no {side} map")
         bad = _monotonicity_witness(dom, cod, mapping)
         if bad is not None:
             return ConnectionReport(False, f"{side}-not-monotone", bad)
@@ -108,8 +110,6 @@ def right_adjoint_of(left: dict, source: FinitePoset,
             raise AdjointSynthesisError(
                 "join-not-preserved", q, below[q], j, left[j])
         right[q] = j
-    assert check_connection(
-        GaloisConnection(source, target, dict(left), right)).ok
     return right
 
 
@@ -138,27 +138,16 @@ class LatticeOperator(Record):
 def induced_operators(c: GaloisConnection) -> dict:
     """The closure G.F on the source and the kernel F.G on the target.
 
-    Also confirms the absorption laws FGF = F and GFG = G pointwise;
-    those identities are what make the two composites idempotent.
+    The absorption laws FGF = F and GFG = G of a connection make the
+    closure extensive and idempotent and the kernel deflationary and
+    idempotent; both are monotone as composites of monotone maps.
     """
     report = check_connection(c)
     if not report.ok:
         raise SheafcalcError(f"not a Galois connection: {report}")
     p, q, f, g = c.source, c.target, c.left, c.right
-    for x in p.elements:
-        assert f[g[f[x]]] == f[x], f"FGF != F at {x!r}"
-    for y in q.elements:
-        assert g[f[g[y]]] == g[y], f"GFG != G at {y!r}"
     closure = {x: g[f[x]] for x in p.elements}
     kernel = {y: f[g[y]] for y in q.elements}
-    for x in p.elements:
-        assert p.leq(x, closure[x])
-        assert closure[closure[x]] == closure[x]
-    for y in q.elements:
-        assert q.leq(kernel[y], y)
-        assert kernel[kernel[y]] == kernel[y]
-    assert is_monotone(p, p, closure)
-    assert is_monotone(q, q, kernel)
     return {
         "closure": LatticeOperator(p, closure, "closure"),
         "kernel": LatticeOperator(q, kernel, "kernel"),
@@ -176,9 +165,7 @@ def compose_connections(inner: GaloisConnection,
             raise SheafcalcError(f"not a Galois connection: {report}")
     left = {x: outer.left[inner.left[x]] for x in inner.source.elements}
     right = {z: inner.right[outer.right[z]] for z in outer.target.elements}
-    composite = GaloisConnection(inner.source, outer.target, left, right)
-    assert check_connection(composite).ok
-    return composite
+    return GaloisConnection(inner.source, outer.target, left, right)
 
 
 def cantor_diagonal(f: dict, xs, ys, alpha: dict) -> dict:
@@ -186,8 +173,7 @@ def cantor_diagonal(f: dict, xs, ys, alpha: dict) -> dict:
 
     ``alpha`` must move every point of ys; with a fixed point the
     construction collapses and a SheafcalcError names the stuck value.
-    The post-condition is checked exhaustively: x = x0 always witnesses
-    that g is not the row at x0.
+    Without one, x = x0 witnesses that g is not the row at x0.
     """
     xs = tuple(xs)
     ys = tuple(ys)
@@ -205,7 +191,4 @@ def cantor_diagonal(f: dict, xs, ys, alpha: dict) -> dict:
                 raise SheafcalcError(f"f is partial at {(x1, x2)}")
             if f[(x1, x2)] not in targets:
                 raise SheafcalcError(f"f leaves ys at {(x1, x2)}")
-    g = {x: alpha[f[(x, x)]] for x in xs}
-    for x0 in xs:
-        assert g[x0] != f[(x0, x0)], "diagonal escape failed"
-    return g
+    return {x: alpha[f[(x, x)]] for x in xs}

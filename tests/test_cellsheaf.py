@@ -568,6 +568,7 @@ def test_extend_agrees_with_section_space_membership():
         if result.ok:
             tried_ok += 1
             assert is_global_section(s, result.result).ok
+            assert all(result.result[v] == vec for v, vec in seed_vec.items())
         else:
             tried_fail += 1
             assert result.obstruction is not None

@@ -88,6 +88,14 @@ def corpus():
 
 # ------------------------------------------------------ against the rref
 
+def test_the_echelon_oracle_refuses_a_row_that_is_not_primitive():
+    # the oracle lives in util, whose asserts hold under python -O only
+    # because conftest registers util for assert rewriting
+    assert_primitive_echelon({0: (1, {2: 3})})
+    with pytest.raises(AssertionError):
+        assert_primitive_echelon({0: (2, {2: 4})})
+
+
 def test_reductions_share_pivots_and_kernels_with_the_rref():
     for m in corpus():
         got, want = _reduced(m), rref_reduced(m)

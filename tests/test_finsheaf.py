@@ -437,6 +437,22 @@ class TestPosetTransfer:
         assert back.stalk == f.stalk
         assert back.action == f.action
 
+    def test_reading_back_over_another_poset_refuses_a_closed_up_set(self):
+        # transferred over a <= b, read back over a <= c: the up-set of a
+        # is {a, c}, which is no open of the transfer's space
+        ab, ac = validate_poset("ab", [("a", "b")]), validate_poset("ac", [("a", "c")])
+        one = {0: 0}
+        f = Copresheaf(ab, {"a": frozenset([0]), "b": frozenset([0])},
+                       {("a", "a"): one, ("b", "b"): one, ("a", "b"): one})
+        with pytest.raises(SheafcalcError, match=r"^\['a', 'c'\] is not open$"):
+            copresheaf_from_presheaf(poset_transfer(f), ac)
+
+    def test_reading_back_refuses_sections_that_are_not_point_value_pairs(self):
+        # presheaf P's sections are bare ints, not (point, value) tuples
+        with pytest.raises(SheafcalcError,
+                           match=r"^-1 is not a section of \(point, value\) pairs at 'p'$"):
+            copresheaf_from_presheaf(presheaf_p(), validate_poset("pq", [("p", "q")]))
+
 
 K3_EDGES = [("a", "b"), ("a", "c"), ("b", "c")]
 

@@ -12,7 +12,8 @@ from sheafcalc.galois import (
     check_connection, compose_connections, induced_operators,
     left_adjoint_of, right_adjoint_of)
 from sheafcalc.poset import (
-    FinitePoset, all_downsets, downset_family, set_label, validate_poset)
+    FinitePoset, all_downsets, downset_family, is_monotone, set_label,
+    validate_poset)
 
 from util import random_poset, scan_check_connection, scan_right_adjoint_of
 
@@ -65,6 +66,20 @@ def test_partial_maps_rejected():
     c = hand_connection()
     with pytest.raises(SheafcalcError):
         check_connection(GaloisConnection(c.source, c.target, {"a": "x"}, c.right))
+
+
+def test_a_connection_with_a_missing_leg_is_refused():
+    # the CLI parses a connection document with either leg left out as
+    # None; every function that checks the connection refuses it by side
+    p = chain("ab")
+    ident = {"a": "a", "b": "b"}
+    for left, right, side in ((ident, None, "right"), (None, ident, "left")):
+        c = GaloisConnection(p, p, left, right)
+        for fn, args in ((check_connection, (c,)), (induced_operators, (c,)),
+                         (compose_connections, (c, identity_connection(p))),
+                         (compose_connections, (identity_connection(p), c))):
+            with pytest.raises(SheafcalcError, match=f"^connection has no {side} map$"):
+                fn(*args)
 
 
 # -------------------------------------------------------------- synthesis
@@ -299,6 +314,49 @@ def test_induced_operators_on_hand_connection():
     assert ops["kernel"].mapping == {"x": "x", "y": "y"}
 
 
+def join_connection(rng, p, r):
+    """A random join-preserving map D(p) -> D(r) with its right adjoint
+    found by the pair scan."""
+    dp, dr = all_downsets(p), all_downsets(r)
+    f = monotone_join_map(rng, p, dr)
+    return GaloisConnection(dp, dr, f, scan_right_adjoint_of(f, dp, dr))
+
+
+def connection_corpus(rng):
+    """The connections of galois_corpus that pass the checker, then a
+    join-preserving map with its adjoint and a closure with its
+    inclusion, which always do."""
+    yield from (c for c in galois_corpus(rng) if check_connection(c).ok)
+    yield join_connection(rng, random_poset(rng, max_elements=4),
+                          random_poset(rng, max_elements=3))
+    yield closure_connection(rng, random_poset(rng, max_elements=4))
+
+
+def test_induced_operators_obey_the_closure_and_kernel_laws():
+    rng = random.Random(3131)
+    seen = 0
+    for _ in range(150):
+        for c in connection_corpus(rng):
+            p, q, f, g = c.source, c.target, c.left, c.right
+            ops = induced_operators(c)
+            closure, kernel = ops["closure"].mapping, ops["kernel"].mapping
+            assert (ops["closure"].poset, ops["kernel"].poset) == (p, q)
+            assert (ops["closure"].kind, ops["kernel"].kind) == ("closure", "kernel")
+            assert all(f[g[f[x]]] == f[x] for x in p.elements)  # FGF = F
+            assert all(g[f[g[y]]] == g[y] for y in q.elements)  # GFG = G
+            assert closure == {x: g[f[x]] for x in p.elements}
+            assert kernel == {y: f[g[y]] for y in q.elements}
+            for x in p.elements:
+                assert p.leq(x, closure[x])
+                assert closure[closure[x]] == closure[x]
+            for y in q.elements:
+                assert q.leq(kernel[y], y)
+                assert kernel[kernel[y]] == kernel[y]
+            assert is_monotone(p, p, closure) and is_monotone(q, q, kernel)
+            seen += 1
+    assert seen > 300
+
+
 def test_induced_operators_require_a_connection():
     c = hand_connection()
     bad = GaloisConnection(c.source, c.target, c.left, {"x": "a", "y": "c"})
@@ -315,6 +373,24 @@ def test_composition_is_a_connection():
     comp = compose_connections(c1, c2)
     assert comp.left == {"a": "u", "b": "u", "c": "u"}
     assert comp.right == {"u": "c"}
+
+
+def test_composites_of_random_connections_are_connections():
+    # D(p) -> D(r) by a join-preserving map, then on from D(r) by another
+    # join-preserving map or by the closure onto a Moore family
+    rng = random.Random(3232)
+    for _ in range(100):
+        p, r, s = (random_poset(rng, max_elements=n) for n in (4, 3, 3))
+        inner = join_connection(rng, p, r)
+        for outer in (join_connection(rng, r, s), closure_connection(rng, r)):
+            comp = compose_connections(inner, outer)
+            assert (comp.source, comp.target) == (inner.source, outer.target)
+            assert comp.left == {x: outer.left[inner.left[x]]
+                                 for x in inner.source.elements}
+            assert comp.right == {z: inner.right[outer.right[z]]
+                                  for z in outer.target.elements}
+            assert check_connection(comp).ok
+            assert scan_check_connection(comp).ok
 
 
 def test_composition_rejects_mismatched_middle():

@@ -352,3 +352,7 @@ def test_aspect_negations_match_the_pointwise_scan(seed):
         assert aspect_neg(pred, which) == pointwise_aspect_neg(pred, which)
     for which in ("diamond", "box"):
         assert aspect_modal(pred, which) == pointwise_aspect_modal(pred, which)
+    # box phi => phi => diamond phi, at every aspect
+    dia, box = aspect_modal(pred, "diamond"), aspect_modal(pred, "box")
+    for a in pred.aspects.elements:
+        assert box.region(a) <= pred.region(a) <= dia.region(a)

@@ -217,3 +217,15 @@ def test_every_module_level_import_is_used():
                     if name not in read | exported:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_the_library_holds_no_assert_and_reads_no_debug_flag():
+    # python -O strips asserts and sets __debug__ to False; with neither
+    # in the library, an optimized run executes the same library code
+    found = []
+    for path in sorted((SRC / "sheafcalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or (isinstance(node, ast.Name) and node.id == "__debug__")]
+    assert found == []
