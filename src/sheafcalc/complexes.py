@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ._record import Immutable, Record
+from ._record import Record, _setattr
 from .errors import SheafcalcError
 from .poset import FinitePoset
 from .rationals import RationalMatrix, _reduced, rational
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class SimplicialComplex(Immutable):
+class SimplicialComplex(Record):
     """Vertex order plus a downward-closed set of sorted faces.
 
     Trusts its caller to hand over distinct vertex labels and nonempty
@@ -36,28 +36,15 @@ class SimplicialComplex(Immutable):
     ``validate_complex``.
     """
 
-    __slots__ = ("vertex_order", "faces", "_index", "_sorted")
+    vertex_order: tuple
+    faces: frozenset
 
-    def __init__(self, vertex_order, faces):
-        vertex_order = tuple(vertex_order)
-        object.__setattr__(self, "vertex_order", vertex_order)
-        object.__setattr__(self, "faces", frozenset(tuple(f) for f in faces))
-        object.__setattr__(self, "_index",
-                           {v: i for i, v in enumerate(vertex_order)})
-        object.__setattr__(self, "_sorted", None)
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through __init__
-        return SimplicialComplex, (self.vertex_order, self.faces)
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return (self.vertex_order, self.faces) == (
-            other.vertex_order, other.faces)
-
-    def __hash__(self):
-        return hash((self.vertex_order, self.faces))
+    def __post_init__(self):
+        vertex_order = tuple(self.vertex_order)
+        _setattr(self, "vertex_order", vertex_order)
+        _setattr(self, "faces", frozenset(tuple(f) for f in self.faces))
+        _setattr(self, "_index", {v: i for i, v in enumerate(vertex_order)})
+        _setattr(self, "_sorted", None)
 
     def __repr__(self):
         return (f"SimplicialComplex({len(self.vertex_order)} vertices, "
@@ -80,8 +67,7 @@ class SimplicialComplex(Immutable):
             by_dim = [[] for _ in range(len(ordered[-1]) if ordered else 0)]
             for f in ordered:
                 by_dim[len(f) - 1].append(f)
-            object.__setattr__(
-                self, "_sorted", (ordered, tuple(map(tuple, by_dim))))
+            _setattr(self, "_sorted", (ordered, tuple(map(tuple, by_dim))))
         return self._sorted
 
     def k_faces(self, k: int) -> tuple:
@@ -101,6 +87,14 @@ class SimplicialComplex(Immutable):
         return tuple(sorted(set(vertices), key=self._index.__getitem__))
 
 
+def _known_face(complex_: SimplicialComplex, face) -> tuple:
+    """``face`` as a tuple, refused unless the complex has it."""
+    face = tuple(face)
+    if not complex_.has_face(face):
+        raise SheafcalcError(f"{face} not a face")
+    return face
+
+
 class Chain(Record):
     dimension: int
     coefficients: tuple        # sorted (face, Rational) pairs
@@ -109,9 +103,7 @@ class Chain(Record):
     def of(cls, complex_: SimplicialComplex, k: int, coefficients):
         items = []
         for face, value in coefficients.items():
-            face = tuple(face)
-            if not complex_.has_face(face):
-                raise SheafcalcError(f"{face} not a face")
+            face = _known_face(complex_, face)
             if len(face) != k + 1:
                 raise SheafcalcError(f"{face} is not {k}-dimensional")
             items.append((face, rational(value)))
@@ -170,9 +162,7 @@ def validate_complex(faces, vertices=None,
 def face_name(complex_: SimplicialComplex, face) -> str:
     """Printable face identifier: concatenated when every vertex label
     is one character, comma-joined otherwise."""
-    face = tuple(face)
-    if not complex_.has_face(face):
-        raise SheafcalcError(f"{face} not a face")
+    face = _known_face(complex_, face)
     if all(len(v) == 1 for v in complex_.vertex_order):
         return "".join(face)
     return ",".join(face)
@@ -220,19 +210,14 @@ def face_poset(complex_: SimplicialComplex) -> FinitePoset:
 
 
 def open_star(complex_: SimplicialComplex, face) -> frozenset:
-    face = tuple(face)
-    if not complex_.has_face(face):
-        raise SheafcalcError(f"{face} not a face")
+    face = _known_face(complex_, face)
     return frozenset(f for f in complex_.faces if set(face) <= set(f))
 
 
 def incidence(complex_: SimplicialComplex, b, a) -> int:
     """[b:a] = 0 unless a arises from b by deleting one vertex, in
     which case the sign alternates with the deleted position."""
-    b, a = tuple(b), tuple(a)
-    for face in (b, a):
-        if not complex_.has_face(face):
-            raise SheafcalcError(f"{face} not a face")
+    b, a = _known_face(complex_, b), _known_face(complex_, a)
     if len(b) != len(a) + 1:
         raise SheafcalcError("incidence needs a dimension gap of one")
     return next((sign for facet, sign in _signed_facets(b) if facet == a), 0)

@@ -54,8 +54,8 @@ class FinitePresheaf(Record):
     restriction: dict
 
     def __post_init__(self):
-        _check_tables(self.topology.opens, _contains, self.stalk,
-                      self.restriction)
+        _check_tables(self.topology.opens_sorted(), _contains, self.stalk,
+                      self.restriction, lambda u: f"{sorted(u)}")
 
 
 class PresheafReport(Record):
@@ -103,22 +103,32 @@ def _arrows(objects, arrow):
     return {x: [y for y in objects if arrow(x, y)] for x in objects}
 
 
-def _check_tables(objects, arrow, stalk, maps):
+def _check_tables(objects, arrow, stalk, maps, spell):
     """A stalk at every object and, for every arrow x -> y, a table
-    sending each section over x to a section over y."""
+    sending each section over x to a section over y; a refusal spells
+    each object it names as ``spell`` does."""
     for x in objects:
         if x not in stalk:
-            raise SheafcalcError(f"no stalk over {x!r}")
+            raise SheafcalcError(f"no stalk over {spell(x)}")
     for x, targets in _arrows(objects, arrow).items():
         for y in targets:
             if (x, y) not in maps:
-                raise SheafcalcError(f"no map from {x!r} to {y!r}")
+                raise SheafcalcError(f"no map from {spell(x)} to {spell(y)}")
             table = maps[(x, y)]
             if set(table) != set(stalk[x]):
-                raise SheafcalcError(f"map {x!r} -> {y!r} has the wrong domain")
+                raise SheafcalcError(
+                    f"map {spell(x)} -> {spell(y)} has the wrong domain")
             for s in stalk[x]:
                 if table[s] not in stalk[y]:
-                    raise SheafcalcError(f"map {x!r} -> {y!r} leaves the stalk")
+                    raise SheafcalcError(
+                        f"map {spell(x)} -> {spell(y)} leaves the stalk")
+
+
+def _require_open(topology: FiniteTopology, w, prefix=""):
+    """Refuse a set of points that is not open, named by its sorted
+    members after ``prefix``."""
+    if not topology.is_open(w):
+        raise SheafcalcError(f"{prefix}{sorted(w)} is not open")
 
 
 def _functor_laws(objects, arrow, stalk, maps):
@@ -153,8 +163,7 @@ def restrict(p: FinitePresheaf, u, v, section):
     if not v <= u:
         raise SheafcalcError(f"{sorted(v)} is not inside {sorted(u)}")
     for w in (u, v):
-        if not p.topology.is_open(w):
-            raise SheafcalcError(f"{sorted(w)} is not open")
+        _require_open(p.topology, w)
     if section not in p.stalk[u]:
         raise SheafcalcError(f"{section!r} is not a section over {sorted(u)}")
     return p.restriction[(u, v)][section]
@@ -173,8 +182,7 @@ def _members(p: FinitePresheaf, cover):
     """The distinct cover members, largest first, each checked open."""
     members = sorted(set(cover), key=lambda u: (-len(u), tuple(sorted(u))))
     for u in members:
-        if not p.topology.is_open(u):
-            raise SheafcalcError(f"cover member {sorted(u)} is not open")
+        _require_open(p.topology, u, "cover member ")
     return members
 
 
@@ -229,8 +237,7 @@ def sheaf_check(p: FinitePresheaf, cover, target) -> SheafCondition:
     """
     target = frozenset(target)
     members = [frozenset(u) for u in cover]
-    if not p.topology.is_open(target):
-        raise SheafcalcError(f"target {sorted(target)} is not open")
+    _require_open(p.topology, target, "target ")
     union = frozenset().union(*members) if members else frozenset()
     if union != target:
         raise SheafcalcError("cover does not union to the target")
@@ -256,8 +263,7 @@ def irredundant_covers(topology: FiniteTopology, target):
     branch where an already chosen member has gone redundant.
     """
     target = frozenset(target)
-    if not topology.is_open(target):
-        raise SheafcalcError(f"target {sorted(target)} is not open")
+    _require_open(topology, target, "target ")
     usable = [u for u in topology.opens_sorted() if u and u <= target]
     points = sorted(target)
     seen = set()
@@ -327,7 +333,7 @@ class Copresheaf(Record):
 
     def __post_init__(self):
         _check_tables(self.poset.elements, self.poset.leq, self.stalk,
-                      self.action)
+                      self.action, repr)
 
 
 def validate_copresheaf(f: Copresheaf) -> PresheafReport:
@@ -385,17 +391,22 @@ def copresheaf_from_presheaf(p: FinitePresheaf, poset: FinitePoset) -> Copreshea
 
     Refuses, element by element, a principal up-set that is not open,
     then the first section over it, by ``repr``, that is not a tuple of
-    (point, value) pairs holding the element.
+    (point, value) pairs holding the element or that takes an earlier
+    section's value there: a transfer's section over a principal up-set
+    is fixed by its value at the least point.
     """
     up = {x: frozenset(poset.principal_up(x)) for x in poset.elements}
     stalk = {}
     rep = {}
     for x in poset.elements:
-        if not p.topology.is_open(up[x]):
-            raise SheafcalcError(f"{sorted(up[x])} is not open")
+        _require_open(p.topology, up[x])
         values = {}
         for section in _ordered(p.stalk[up[x]]):
-            values[_value_at(section, x)] = section
+            v = _value_at(section, x)
+            if v in values:
+                raise SheafcalcError(f"sections {values[v]!r} and {section!r} "
+                                     f"both take {v!r} at {x!r}")
+            values[v] = section
         stalk[x] = frozenset(values)
         rep[x] = values
     action = {}
@@ -527,8 +538,7 @@ def predict(p: FinitePresheaf, u, v, observed):
     whole = frozenset(p.topology.points)
     observed = set(observed)
     for w in (u, v):
-        if not p.topology.is_open(w):
-            raise SheafcalcError(f"{sorted(w)} is not open")
+        _require_open(p.topology, w)
     for s in observed:
         if s not in p.stalk[u]:
             raise SheafcalcError(f"{s!r} is not a section over {sorted(u)}")

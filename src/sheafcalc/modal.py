@@ -324,11 +324,11 @@ def validate_aspect_predicate(pred: AspectPredicate):
             raise SheafcalcError(f"truth table missing aspect {a!r}")
         if not table[a] <= carrier:
             raise SheafcalcError(f"truth at {a!r} leaves the carrier")
-    # truth must be inherited downward to sub-aspects
+    # truth must be inherited downward to sub-aspects; the witness is the
+    # least stray x by repr, whatever order the set yields
     for sub, sup in pred.aspects.pairs():
-        for x in table[sup]:
-            if x not in table[sub]:
-                return False, (x, sup, sub)
+        if strays := table[sup] - table[sub]:
+            return False, (min(strays, key=repr), sup, sub)
     return True, None
 
 
@@ -343,7 +343,8 @@ def aspect_neg(pred: AspectPredicate, which: str) -> AspectPredicate:
     cone, held = ((p.principal_down, frozenset().union) if which == "heyting"
                   else (p.principal_up, carrier.intersection))
     out = {a: carrier - held(*map(table.get, cone(a))) for a in p.elements}
-    return AspectPredicate.of(p, pred.carrier, out)
+    return AspectPredicate(p, tuple(sorted(pred.carrier)),
+                           tuple(sorted(out.items())))
 
 
 def aspect_modal(pred: AspectPredicate, which: str) -> AspectPredicate:

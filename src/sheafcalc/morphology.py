@@ -114,26 +114,26 @@ def closing(image: BinaryImage, element: StructuringElement) -> BinaryImage:
 
 # ------------------------------------------------------------- grayscale
 
-def flat_dilate(signal, window):
-    """out[i] = sup of signal through the reflected window at i."""
-    signal = tuple(signal)
+def _sampled(signal, offsets, pick, empty):
+    """out[i] = pick of the in-range samples signal[i + o], taken in the
+    offsets' order, or ``empty`` when none is in range."""
+    signal, offsets = tuple(signal), tuple(offsets)
     n = len(signal)
     out = []
     for i in range(n):
-        samples = [signal[i - o] for o in window if 0 <= i - o < n]
-        out.append(max(samples) if samples else NEG_INF)
+        samples = [signal[i + o] for o in offsets if 0 <= i + o < n]
+        out.append(pick(samples) if samples else empty)
     return tuple(out)
+
+
+def flat_dilate(signal, window):
+    """out[i] = sup of signal through the reflected window at i."""
+    return _sampled(signal, (-o for o in window), max, NEG_INF)
 
 
 def flat_erode(signal, window):
     """out[i] = inf of signal through the window at i."""
-    signal = tuple(signal)
-    n = len(signal)
-    out = []
-    for i in range(n):
-        samples = [signal[i + o] for o in window if 0 <= i + o < n]
-        out.append(min(samples) if samples else POS_INF)
-    return tuple(out)
+    return _sampled(signal, window, min, POS_INF)
 
 
 def flat_filter(signal, window, which: str):

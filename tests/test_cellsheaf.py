@@ -944,3 +944,27 @@ def test_check_morphism_refuses_incomplete_sheaves():
         check_morphism(_identity_morphism(s, broken))
     with pytest.raises(SheafcalcError, match=MISSING_CE):
         check_morphism(_identity_morphism(broken, s))
+
+
+# ------------------------------------------------------------- refusals
+
+EDGE = validate_complex([("a", "b")])
+EDGE_SHEAF = constant_sheaf(EDGE)
+EDGE_COSHEAF = CellularSheaf(EDGE, EDGE_SHEAF.stalk_dim, {}, "cosheaf")
+
+REFUSALS = {
+    "variance": (lambda: CellularSheaf(EDGE, {}, {}, "other"),
+                 "unknown variance 'other'"),
+    "composite-not-nested": (lambda: composite_map(EDGE_SHEAF, ("a", "b"), ("a",)),
+                             "('a', 'b') is not a face of ('a',)"),
+    "morphism-of-a-cosheaf": (lambda: SheafMorphism(EDGE_COSHEAF, EDGE_SHEAF, {}, {}),
+                              "a sheaf morphism joins two sheaves"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(SheafcalcError) as refused:
+        call()
+    assert str(refused.value) == message

@@ -597,3 +597,22 @@ def test_bayes_answers_match_their_recorded_digests(family, k):
     for m, rng in bayes_corpus(family, k):
         digest.update(bayes_answers(m, rng).encode())
     assert digest.hexdigest() == BAYES_DIGESTS[family, k]
+
+
+# ------------------------------------------------------------- refusals
+
+REFUSALS = {
+    "duplicate-variable": (
+        lambda: BayesModel(("x", "x"), {"x": ("0",)}, {"x": ()}, {"x": ((1,),)}),
+        "duplicate variable"),
+    "no-outcomes": (lambda: BayesModel(("x",), {"x": ()}, {"x": ()}, {"x": ()}),
+                    "no outcomes for x"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(SheafcalcError) as refused:
+        call()
+    assert str(refused.value) == message

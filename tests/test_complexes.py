@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.complexes import (
-    Chain, boundary_matrix, face_name, face_poset, homology_dims,
-    incidence, open_star, validate_complex)
+    Chain, SimplicialComplex, boundary_matrix, face_name, face_poset,
+    homology_dims, incidence, open_star, validate_complex)
 from sheafcalc.poset import alexandrov
 from sheafcalc.rationals import RationalMatrix, matmul
 
@@ -251,3 +251,30 @@ def test_chain_validation_and_vector():
 def rationalize(x):
     from sheafcalc.rationals import rational
     return rational(x)
+
+
+# ------------------------------------------------------------- refusals
+
+EDGE = validate_complex([("a", "b")])
+# trusted construction: "a,b" is a vertex label validate_complex refuses,
+# and it prints like the edge a-b
+CLASHING = SimplicialComplex(
+    ("a", "b", "a,b"), [("a",), ("b",), ("a,b",), ("a", "b")])
+
+REFUSALS = {
+    "shared-name": (lambda: face_poset(CLASHING), "two faces share a name"),
+    "open-star": (lambda: open_star(EDGE, ("z",)), "('z',) not a face"),
+    "incidence-upper": (lambda: incidence(EDGE, ("z", "y"), ("a",)),
+                        "('z', 'y') not a face"),
+    "incidence-lower": (lambda: incidence(EDGE, ("a", "b"), ("z",)),
+                        "('z',) not a face"),
+    "boundary-degree": (lambda: boundary_matrix(EDGE, 2), "no boundary map in degree 2"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(SheafcalcError) as refused:
+        call()
+    assert str(refused.value) == message

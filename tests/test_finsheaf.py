@@ -40,6 +40,7 @@ from util import (
     slow_is_sheaf,
     slow_sheaf_check,
     two_point_space,
+    under_hash_seeds,
 )
 
 EMPTY = frozenset()
@@ -453,6 +454,24 @@ class TestPosetTransfer:
                            match=r"^-1 is not a section of \(point, value\) pairs at 'p'$"):
             copresheaf_from_presheaf(presheaf_p(), validate_poset("pq", [("p", "q")]))
 
+    def test_reading_back_refuses_two_sections_with_one_value_at_the_point(self):
+        # over a <= b, two sections of {a, b} agree at a: no transfer has
+        # them, and reading one of them back would drop the other
+        ab = validate_poset("ab", [("a", "b")])
+        top = alexandrov(ab, "up")
+        first, second = (("a", 0), ("b", 0)), (("a", 0), ("b", 1))
+        stalk = {frozenset(): frozenset([()]),
+                 frozenset("b"): frozenset([(("b", 0),), (("b", 1),)]),
+                 frozenset("ab"): frozenset([second, first])}
+        forget = {(u, v): {s: tuple(pair for pair in s if pair[0] in v)
+                           for s in stalk[u]}
+                  for u in top.opens for v in top.opens if v <= u}
+        with pytest.raises(SheafcalcError) as refused:
+            copresheaf_from_presheaf(FinitePresheaf(top, stalk, forget), ab)
+        assert str(refused.value) == (
+            "sections (('a', 0), ('b', 0)) and (('a', 0), ('b', 1)) "
+            "both take 0 at 'a'")
+
 
 K3_EDGES = [("a", "b"), ("a", "c"), ("b", "c")]
 
@@ -665,33 +684,39 @@ def refusal(check, *args):
 def test_table_checks_match_the_scan_oracles():
     """The functor laws give the oracle's report, and the table check
     its refusal, on the transfer corpus, its functors and the P/G/H
-    fixtures, each as given and with tables broken."""
+    fixtures, each as given and with tables broken.  A copresheaf names
+    an element by its repr, a presheaf an open by its sorted members,
+    scanning the opens small-to-large."""
     def contains(u, v):
         return v <= u
+
+    def members(u):
+        return str(sorted(u))
 
     cases = []
     presheaves = [presheaf_p(), presheaf_g(), presheaf_h()]
     for f, q in transfer_corpus():
-        cases.append((f.poset.elements, f.poset.elements, f.poset.leq,
+        cases.append((f.poset.elements, repr, f.poset.leq,
                       f.stalk, f.action, validate_copresheaf,
                       lambda a, f=f: Copresheaf(f.poset, f.stalk, a)))
         presheaves.append(q)
     for p in presheaves:
-        cases.append((p.topology.opens, p.topology.opens_sorted(), contains,
+        cases.append((p.topology.opens_sorted(), members, contains,
                       p.stalk, p.restriction, validate_presheaf,
                       lambda r, p=p: FinitePresheaf(p.topology, p.stalk, r)))
     rng = random.Random(1717)
     kinds, refused = set(), set()
-    for tabled, scanned, arrow, stalk, maps, validate, build in cases:
+    for objects, spell, arrow, stalk, maps, validate, build in cases:
         for laws in (maps, recomposed(rng, stalk, maps)):
             if laws is not None:
                 got = validate(build(laws))
                 assert repr(got) == repr(
-                    slow_functor_laws(scanned, arrow, stalk, laws))
+                    slow_functor_laws(objects, arrow, stalk, laws))
                 kinds.add(got.kind)
         for broken in untabled(rng, stalk, maps):
             got = refusal(build, broken)
-            assert got == refusal(slow_check_tables, tabled, arrow, stalk, broken)
+            assert got == refusal(
+                slow_check_tables, objects, arrow, stalk, broken, spell)
             refused.add(next(kind for kind in KINDS if kind in got))
     assert kinds == {None, "composition"}
     assert refused == set(KINDS)
@@ -725,3 +750,57 @@ class TestPredict:
         h = presheaf_h()
         with pytest.raises(SheafcalcError):
             predict(h, P_OPEN, Q_OPEN, {99})
+
+
+# ------------------------------------------------------------- refusals
+
+CHAIN_AB = validate_poset("ab", [("a", "b")])
+SIERPINSKI = validate_topology("pq", [(), ("p",), ("p", "q")])
+SIERPINSKI_P = FinitePresheaf(
+    SIERPINSKI, {u: frozenset([0]) for u in SIERPINSKI.opens},
+    {(u, v): {0: 0} for u in SIERPINSKI.opens for v in SIERPINSKI.opens if v <= u})
+
+REFUSALS = {
+    "copresheaf-stalk": (lambda: Copresheaf(CHAIN_AB, {"a": {0}}, {}),
+                         "no stalk over 'b'"),
+    "covers-target": (lambda: next(irredundant_covers(SIERPINSKI, {"q"})),
+                      "target ['q'] is not open"),
+    "transfer-identity": (
+        lambda: poset_transfer(Copresheaf(
+            CHAIN_AB, {"a": {0, 1}, "b": {0}},
+            {("a", "a"): {0: 1, 1: 0}, ("b", "b"): {0: 0}, ("a", "b"): {0: 0, 1: 0}})),
+        "not a copresheaf: identity at ('a', 0, 1)"),
+    "ncolor-vertex": (lambda: ncolor("ab", [("a", "c")], 2),
+                      "edge ['a', 'c'] has an unknown vertex"),
+    "ncolor-colors": (lambda: ncolor("ab", [("a", "b")], 0),
+                      "need at least one color, got 0"),
+    "predict-open": (lambda: predict(SIERPINSKI_P, PQ, Q_OPEN, {0}),
+                     "['q'] is not open"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(SheafcalcError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+PRESHEAF_REFUSALS = """
+from sheafcalc.finsheaf import FinitePresheaf
+from sheafcalc.poset import validate_topology
+top = validate_topology("abc", ["", "a", "b", "ab", "abc"])
+for opens in (top.opens, [frozenset(), frozenset("a")]):
+    try:
+        FinitePresheaf(top, {u: frozenset([0]) for u in opens}, {})
+    except ValueError as err:
+        print(err)
+"""
+
+
+def test_presheaf_refusals_name_the_same_open_under_every_hash_seed():
+    # the opens are walked small-to-large and named by their sorted
+    # members, never in the order a frozenset happens to yield
+    assert under_hash_seeds(PRESHEAF_REFUSALS) == {
+        "no map from [] to []\nno stalk over ['b']\n"}

@@ -88,6 +88,22 @@ def test_refusals_with_several_faults_name_the_same_one_under_every_hash_seed():
         "edge 'e1' included without endpoints 'a' and 'b'\n"}
 
 
+ASPECT_REFUSAL = """
+from sheafcalc.modal import AspectPredicate
+from sheafcalc.poset import validate_poset
+try:
+    AspectPredicate.of(validate_poset(["lo", "hi"], [("lo", "hi")]), "uvwxyz",
+                       {"hi": set("uvwxyz")})
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_an_aspect_refusal_names_the_least_stray_point_under_every_hash_seed():
+    assert under_hash_seeds(ASPECT_REFUSAL) == {
+        "not functorial: ('u', 'hi', 'lo')\n"}
+
+
 def test_meet_join_stay_closed():
     g = two_islands()
     a = subgraph(g, {"a", "b"}, {"ab"})
@@ -356,3 +372,36 @@ def test_aspect_negations_match_the_pointwise_scan(seed):
     dia, box = aspect_modal(pred, "diamond"), aspect_modal(pred, "box")
     for a in pred.aspects.elements:
         assert box.region(a) <= pred.region(a) <= dia.region(a)
+
+
+# ------------------------------------------------------------- refusals
+
+CHAIN_AB = validate_poset("ab", [("a", "b")])
+LOOP = DirectedMultigraph("a", [("e", "a", "a")])
+LOOP_A = subgraph(LOOP, {"a"})
+HALF_TABLE = AspectPredicate(CHAIN_AB, ("u",), (("a", frozenset()),))
+OUTSIDE = AspectPredicate(CHAIN_AB, ("u",), (("a", frozenset("v")), ("b", frozenset())))
+TRUE_AT_A = AspectPredicate.of(CHAIN_AB, "u", {"a": {"u"}})
+
+REFUSALS = {
+    "meet-join": (lambda: meet_join(LOOP, LOOP_A, LOOP_A, "both"),
+                  "which must be meet or join, not 'both'"),
+    "iterate": (lambda: modal_iterate(LOOP, LOOP_A, "star"),
+                "which must be diamond or box, not 'star'"),
+    "oracle": (lambda: reach_oracle(LOOP, LOOP_A, "bfs"), "unknown oracle 'bfs'"),
+    "missing-aspect": (lambda: validate_aspect_predicate(HALF_TABLE),
+                       "truth table missing aspect 'b'"),
+    "outside-carrier": (lambda: validate_aspect_predicate(OUTSIDE),
+                        "truth at 'a' leaves the carrier"),
+    "negation": (lambda: aspect_neg(TRUE_AT_A, "boolean"), "unknown negation 'boolean'"),
+    "aspect-modal": (lambda: aspect_modal(TRUE_AT_A, "star"),
+                     "which must be diamond or box, not 'star'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(SheafcalcError) as refused:
+        call()
+    assert str(refused.value) == message

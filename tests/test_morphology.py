@@ -10,7 +10,8 @@ from sheafcalc import morphology
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.morphology import (
     NEG_INF, POS_INF, BinaryImage, StructuringElement, closing,
-    composite_filter_lattice, dilate, erode, flat_filter, opening)
+    composite_filter_lattice, dilate, erode, flat_dilate, flat_erode, flat_filter,
+    opening)
 
 from util import scan_dilate, scan_erode, slow_composite_filter_lattice
 
@@ -145,6 +146,23 @@ def test_flat_filters_keep_exact_values():
     assert flat_filter(sig, {0, 1}, "dilate") == (Fraction(1, 3), Fraction(1, 2))
 
 
+def test_flat_filters_sample_in_the_window_order():
+    # a tie between equal values of two types goes to the first sample,
+    # taken in the window's own order; a one-shot iterator is read once
+    def types(values):
+        return [type(v) for v in values]
+
+    sig = (1, Fraction(1))
+    for filt in (flat_dilate, flat_erode):
+        for window in ([0, -1, 1], [1, -1, 0]):
+            got, want = filt(sig, iter(window)), filt(sig, window)
+            assert (got, types(got)) == (want, types(want))
+    assert types(flat_dilate(sig, [0, -1])) == [int, Fraction]
+    assert types(flat_dilate(sig, [-1, 0])) == [Fraction, Fraction]
+    assert types(flat_erode(sig, [1, 0])) == [Fraction, Fraction]
+    assert types(flat_erode(sig, [0, 1])) == [int, Fraction]
+
+
 def test_flat_empty_window_sample_gives_units():
     assert flat_filter((1, 2, 3), {5}, "dilate") == (NEG_INF,) * 3
     assert flat_filter((1, 2, 3), {5}, "erode") == (POS_INF,) * 3
@@ -248,3 +266,23 @@ def test_each_filter_runs_once_per_distinct_image(monkeypatch):
             assert max(calls.values()) == 1
             # closed: every filtered image is one of the seven values
             assert lat.closed and sum(calls.values()) <= 2 * 7
+
+
+# ------------------------------------------------------------- refusals
+
+REFUSALS = {
+    "negative-size": (lambda: BinaryImage(-1, 2, frozenset()), "negative size -1x2"),
+    "sizes-differ": (lambda: BinaryImage.of(1, 1, []).issubset(BinaryImage.of(2, 1, [])),
+                     "images differ in size"),
+    "flat-which": (lambda: flat_filter((1,), (0,), "open"),
+                   "which must be dilate or erode, not 'open'"),
+    "flat-window": (lambda: flat_filter((1,), (), "dilate"), "window must be nonempty"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(SheafcalcError) as refused:
+        call()
+    assert str(refused.value) == message

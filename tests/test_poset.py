@@ -392,3 +392,27 @@ def test_poset_is_immutable():
     p = fence()
     with pytest.raises(AttributeError):
         p.elements = ()
+
+
+# ------------------------------------------------------------- refusals
+
+REFUSALS = {
+    "unknown-point": (
+        lambda: validate_topology("p", [(), ("p",)]).minimal_open_containing("z"),
+        "unknown point 'z'"),
+    "whole-space": (lambda: validate_topology("ab", [(), ("a",)]),
+                    "whole space is not open"),
+    "intersection": (
+        lambda: validate_topology("abc", [(), ("a", "b"), ("b", "c"), ("a", "b", "c")]),
+        "not closed under intersection: ['a', 'b'] & ['b', 'c']"),
+    "direction": (lambda: alexandrov(validate_poset("a", []), "left"),
+                  "direction must be up or down, not 'left'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(SheafcalcError) as refused:
+        call()
+    assert str(refused.value) == message

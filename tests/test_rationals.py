@@ -548,3 +548,35 @@ def test_block_assemble_empty_blocks_contribute_shape():
     out = block_assemble({}, row_dims=[0, 2], col_dims=[3, 0])
     assert (out.rows, out.cols) == (2, 3)
     assert out.is_zero()
+
+
+# ------------------------------------------------------------- refusals
+
+ONE = RationalMatrix.identity(1)
+
+REFUSALS = {
+    "negative-shape": (lambda: RationalMatrix(-1, 2, []), "negative shape -1x2"),
+    "entry-count": (lambda: RationalMatrix(1, 2, [1]), "expected 2 entries, got 1"),
+    "ragged": (lambda: RationalMatrix.from_rows([[1], [1, 2]]), "ragged rows"),
+    "width": (lambda: RationalMatrix.from_rows([[1, 2]], cols=3),
+              "rows have width 2, not 3"),
+    "no-rows": (lambda: RationalMatrix.from_rows([]),
+                "0-row matrix needs an explicit width"),
+    "zero-shape": (lambda: RationalMatrix.zero(2, -1), "negative shape 2x-1"),
+    "identity-shape": (lambda: RationalMatrix.identity(-2), "negative shape -2x-2"),
+    "add-shapes": (lambda: ONE + RationalMatrix.zero(1, 2), "1x1 + 1x2"),
+    "apply-length": (lambda: RationalMatrix.identity(2).apply([1]),
+                     "vector of length 1 against 2x2"),
+    "block-dimension": (lambda: block_assemble({}, [-1], [1]),
+                        "negative block dimension"),
+    "block-outside": (lambda: block_assemble({(1, 0): ONE}, [1], [1]),
+                      "block (1,0) lies outside the grid"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(SheafcalcError) as refused:
+        call()
+    assert str(refused.value) == message

@@ -33,7 +33,7 @@ from sheafcalc.poset import validate_poset
 from sheafcalc.rationals import RationalMatrix, decompose
 from util import constant_sheaf, presheaf_p, sprinkler
 
-RECORD_CLASSES = 32
+RECORD_CLASSES = 33
 
 
 def samples():
@@ -90,11 +90,12 @@ def samples():
 
 
 def twin(cls):
-    """The frozen dataclass that the same class body makes."""
+    """The frozen dataclass that the same class body makes, keeping the
+    class's own ``__repr__`` as a dataclass keeps one it is given."""
     if cls is Subgraph:
         return dataclasses.make_dataclass("Subgraph", ["vertices", "edges"], frozen=True)
     body = {k: v for k, v in vars(cls).items()
-            if not k.startswith("_") or k == "__post_init__"}
+            if not k.startswith("_") or k in ("__post_init__", "__repr__")}
     return dataclasses.make_dataclass(
         cls.__name__, list(cls.__annotations__.items()), namespace=body, frozen=True)
 

@@ -1454,23 +1454,25 @@ def slow_compatible_tuples(f, points):
     return out
 
 
-def slow_check_tables(objects, arrow, stalk, maps):
+def slow_check_tables(objects, arrow, stalk, maps, spell):
     """A stalk at every object and, for every arrow x -> y, a table
-    sending each section over x to a section over y."""
+    sending each section over x to a section over y; each object named
+    as ``spell`` spells it."""
     for x in objects:
         if x not in stalk:
-            raise SheafcalcError(f"no stalk over {x!r}")
+            raise SheafcalcError(f"no stalk over {spell(x)}")
     for x in objects:
         for y in objects:
             if arrow(x, y):
+                x_, y_ = spell(x), spell(y)
                 if (x, y) not in maps:
-                    raise SheafcalcError(f"no map from {x!r} to {y!r}")
+                    raise SheafcalcError(f"no map from {x_} to {y_}")
                 table = maps[(x, y)]
                 if set(table) != set(stalk[x]):
-                    raise SheafcalcError(f"map {x!r} -> {y!r} has the wrong domain")
+                    raise SheafcalcError(f"map {x_} -> {y_} has the wrong domain")
                 for s in stalk[x]:
                     if table[s] not in stalk[y]:
-                        raise SheafcalcError(f"map {x!r} -> {y!r} leaves the stalk")
+                        raise SheafcalcError(f"map {x_} -> {y_} leaves the stalk")
 
 
 def slow_functor_laws(objects, arrow, stalk, maps):
