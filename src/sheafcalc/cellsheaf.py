@@ -6,9 +6,10 @@ well defined.  Values are carried one attachment at a time along the
 route a composite takes, so spreading vertex data over the faces costs
 one matrix-vector product per face and builds no composite.  Section
 extension adds its linear constraints face by face to one running row
-reduction, and the obstruction search keeps one per face, so an
-inconsistent seed is pinned to the first face whose constraint system
-dies, the way the worked obstruction example walks it.
+reduction.  The obstruction search keeps one per face still without a
+value and checks a face that has one by evaluating each constraint at
+it, so an inconsistent seed is pinned to the first face whose
+constraint system dies, the way the worked obstruction example walks it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
     RationalMatrix, _augmented, _consistent, _image, _kernel, _particular,
-    _reduce_row, _reduced, _rref, _stored, block_assemble, rational)
+    _reduced, _rref, _stored, block_assemble, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -87,13 +88,19 @@ class CellularSheaf(Record):
 
 
 class Assignment(Record):
-    """Vectors on a subset of faces; partial assignments are allowed."""
+    """Vectors on a subset of faces; partial assignments are allowed.
+    Each vector is a tuple or a list of rationals."""
 
     vectors: dict
 
     def __post_init__(self):
-        clean = {face: tuple(rational(x) for x in vec)
-                 for face, vec in self.vectors.items()}
+        clean = {}
+        for face, vec in self.vectors.items():
+            if not isinstance(vec, (tuple, list)):
+                raise SheafcalcError(
+                    f"vector at {face} is a {type(vec).__name__}, "
+                    f"not a tuple or list")
+            clean[face] = tuple(rational(x) for x in vec)
         object.__setattr__(self, "vectors", clean)
 
     @property
@@ -418,9 +425,11 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
     breadth-first from the seed until some face's exact linear system
     dies, and that face is reported: with kind "no-consistent-value" when
     the newest constraint alone is already unsolvable, "conflicting-values"
-    when only the combination is.  If none dies, the blame goes to the
-    first face whose rows made the global system inconsistent, with the
-    same two kinds for its rows alone.
+    when only the combination is.  A face with a value tests each new
+    constraint by one matrix-vector product at that value; a face
+    without one adds it to its own running reduction.  If none dies, the
+    blame goes to the first face whose rows made the global system
+    inconsistent, with the same two kinds for its rows alone.
     """
     deltas = _require_valid(s)
     _check_lengths(s, seed)
@@ -445,33 +454,37 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment,
     for g in faces:
         neighbors[g].sort(key=face_order.get)
 
-    # Each face keeps a running reduction of its constraints [A | b], b in
-    # column dim: inconsistent once b is a pivot, determined once there
-    # are dim pivots, and then the value is the b column.
+    # A face with a value has exactly one solution, so a new constraint
+    # holds there iff the value satisfies it: one matrix-vector product.
+    # A face without one keeps a running reduction of its constraints
+    # [A | b], b in column dim: inconsistent once b is a pivot,
+    # determined once there are dim pivots, and then the value is the b
+    # column.  An upward constraint to a face whose reduction is still
+    # empty is that face's value.
+    value = {g: tuple(map(_stored, seed[g])) for g in faces if g in seed.vectors}
     reduced = {g: {} for g in faces}
-    value = {}
-    queue = deque()
-    for g in faces:
-        if g in seed.vectors:
-            for row in _augmented(RationalMatrix.identity(len(seed[g])), seed[g]):
-                _reduce_row(reduced[g], row)
-            value[g] = seed[g]
-            queue.append(g)
+    queue = deque(value)
 
     while queue:
         g = queue.popleft()
         xg = value[g]
         for n in neighbors[g]:
-            dim = s.stalk_dim[n]
-            if len(n) > len(g):
-                # value above is forced outright
-                block = _augmented(RationalMatrix.identity(dim),
-                                   _image(s.restriction[(g, n)], xg))
+            up = len(n) > len(g)
+            if n in value:
+                holds = (_image(s.restriction[(g, n)], xg) == value[n] if up
+                         else _image(s.restriction[(n, g)], value[n]) == xg)
+            elif up and not reduced[n]:
+                value[n] = _image(s.restriction[(g, n)], xg)
+                queue.append(n)
+                continue
             else:
-                # value below must map onto the determined value
-                block = _augmented(s.restriction[(n, g)], xg)
-            if not _consistent(reduced[n], block, dim):
-                if not _consistent({}, block, dim):
+                dim = s.stalk_dim[n]
+                holds = _consistent(reduced[n], _constraint(s, g, n, xg), dim)
+                if holds and len(reduced[n]) == dim:
+                    value[n] = tuple(map(_stored, _particular(reduced[n], dim)))
+                    queue.append(n)
+            if not holds:
+                if not _consistent({}, _constraint(s, g, n, xg), s.stalk_dim[n]):
                     kind = "no-consistent-value"
                     detail = (f"constraints at {face_name(s.base, n)} from "
                               f"{face_name(s.base, g)} admit no solution")
@@ -481,9 +494,6 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment,
                 return ExtendResult(
                     obstruction=n, kind=kind, detail=detail,
                     propagated=Assignment(dict(value)))
-            if n not in value and len(reduced[n]) == dim:
-                value[n] = _particular(reduced[n], dim)
-                queue.append(n)
 
     # No face collected an inconsistent system from determined neighbors:
     # blame the face whose rows made the global system inconsistent.
@@ -494,6 +504,16 @@ def _localize_obstruction(s: CellularSheaf, seed: Assignment,
         detail=f"constraints through {face_name(s.base, swept)} close off "
                f"the remaining solutions",
         propagated=Assignment(dict(value)))
+
+
+def _constraint(s: CellularSheaf, g, n, xg) -> list:
+    """Rows of [A | b], b in column dim(n), of the constraint that the
+    value ``xg`` at g puts on its neighbour n: a value above is forced
+    outright, and a value below must map onto ``xg``."""
+    if len(n) > len(g):
+        return _augmented(RationalMatrix.identity(s.stalk_dim[n]),
+                          _image(s.restriction[(g, n)], xg))
+    return _augmented(s.restriction[(n, g)], xg)
 
 
 def global_section_space(s: CellularSheaf) -> SectionSpace:

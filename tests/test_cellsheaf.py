@@ -1,22 +1,24 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sheafcalc.cellsheaf import (
-    Assignment, CellularSheaf, InvalidSheaf, SheafMorphism, check_morphism,
-    composite_map, SectionReport, covering_pairs, direct_sum, extend,
-    global_section_space, is_global_section, pullback, validate_sheaf)
+    Assignment, CellularSheaf, ExtendResult, InvalidSheaf, SheafMorphism,
+    check_morphism, composite_map, SectionReport, covering_pairs, direct_sum,
+    extend, global_section_space, is_global_section, pullback, validate_sheaf)
 from sheafcalc.cohomology import coboundary, cochain_complex, cohomology_dims
 from sheafcalc.complexes import validate_complex
 from sheafcalc.errors import SheafcalcError
-from sheafcalc.rationals import RationalMatrix, decompose
+from sheafcalc.rationals import RationalMatrix, decompose, solve
 
 from util import (
     RUNNING_STALK_DIMS, binary_chain, composite_spread, constant_sheaf,
-    base_complex, grid_complex, random_bayes_model, random_complex,
-    random_valid_sheaf, running_sheaf, scan_validate_sheaf, zero_sheaf)
+    base_complex, eliminating_localize_obstruction, grid_complex,
+    random_bayes_model, random_complex, random_unimodular, random_valid_sheaf,
+    running_sheaf, scan_validate_sheaf, zero_sheaf)
 
 
 # ------------------------------------------------------ structure checks
@@ -371,6 +373,17 @@ def test_assignment_coerces_and_reports_support():
     assert a.support == frozenset({("a",)})
 
 
+def test_assignment_refuses_a_vector_that_is_not_a_tuple_or_list():
+    # a string is not read as its characters, and a bare number is not
+    # a one-entry vector; both are refused as input, not with TypeError
+    for vec, kind in (("12", "str"), (5, "int"), (Fraction(5), "Fraction"),
+                      (None, "NoneType"), (iter([1, 2]), "list_iterator")):
+        with pytest.raises(SheafcalcError) as err:
+            Assignment({("b",): (1,), ("a",): vec})
+        assert str(err.value) == f"vector at ('a',) is a {kind}, not a tuple or list"
+    assert Assignment({("a",): [1, "2"]})[("a",)] == (Fraction(1), Fraction(2))
+
+
 # ------------------------------------------------------------- extension
 
 def test_obstructed_seed_is_pinned_to_vertex_d():
@@ -449,6 +462,83 @@ def test_edge_seed_propagates_downward():
     assert result.ok
     assert result.result[("a",)] == (Fraction(5),)
     assert result.result[("b",)] == (Fraction(5),)
+
+
+def _listed_sheaf(faces, dims, maps):
+    """A sheaf on the complex of ``faces``, stalk dimensions keyed by
+    face and each attachment given as a list of rows."""
+    base = validate_complex(faces)
+    return CellularSheaf(base, dims, {
+        pair: RationalMatrix.from_rows(rows, cols=dims[pair[0]])
+        for pair, rows in maps.items()})
+
+
+def _result(obstruction, kind, detail, propagated):
+    return ExtendResult(obstruction=obstruction, kind=kind, detail=detail,
+                        propagated=Assignment(propagated))
+
+
+def test_edge_seed_alone_is_refused_at_a_vertex_it_cannot_reach():
+    # the edge seed determines a, and b's map is zero, so the one
+    # downward constraint on b already has no solution
+    s = _listed_sheaf([("a", "b")], {("a",): 1, ("b",): 1, ("a", "b"): 1},
+                      {(("a",), ("a", "b")): [[1]], (("b",), ("a", "b")): [[0]]})
+    got = extend(s, Assignment({("a", "b"): (2,)}))
+    assert repr(got) == repr(_result(
+        ("b",), "no-consistent-value", "constraints at b from ab admit no solution",
+        {("a", "b"): (2,), ("a",): (2,)}))
+
+
+def test_zero_stalk_on_the_search_path_takes_the_empty_value():
+    # ab has a zero stalk: a pushes () onto it, b's check there is an
+    # empty comparison, and nothing comes back down from it to b
+    dims = {("a",): 1, ("b",): 1, ("c",): 1, ("a", "b"): 0, ("b", "c"): 1}
+    s = _listed_sheaf([("a", "b"), ("b", "c")], dims, {
+        (("a",), ("a", "b")): [], (("b",), ("a", "b")): [],
+        (("b",), ("b", "c")): [[1]], (("c",), ("b", "c")): [[1]]})
+    got = extend(s, Assignment({("a",): (1,), ("b",): (3,), ("c",): (2,)}))
+    assert repr(got) == repr(_result(
+        ("b", "c"), "conflicting-values", "bc is forced two different ways",
+        {("a",): (1,), ("b",): (3,), ("c",): (2,), ("a", "b"): (),
+         ("b", "c"): (3,)}))
+    got = extend(s, Assignment({("a",): (1,), ("c",): (2,)}))
+    assert repr(got) == repr(ExtendResult(result=Assignment(
+        {("a",): (1,), ("b",): (2,), ("c",): (2,), ("a", "b"): (),
+         ("b", "c"): (2,)})))
+
+
+def test_valued_face_whose_downward_constraint_fails_alone():
+    # ab's seed determines a; then ac's seed asks a's zero map for 2
+    dims = {("a",): 1, ("b",): 1, ("c",): 1, ("a", "b"): 1, ("a", "c"): 1}
+    s = _listed_sheaf([("a", "b"), ("a", "c")], dims, {
+        (("a",), ("a", "b")): [[1]], (("b",), ("a", "b")): [[1]],
+        (("a",), ("a", "c")): [[0]], (("c",), ("a", "c")): [[1]]})
+    got = extend(s, Assignment({("a", "b"): (1,), ("a", "c"): (2,)}))
+    assert repr(got) == repr(_result(
+        ("a",), "no-consistent-value", "constraints at a from ac admit no solution",
+        {("a", "b"): (1,), ("a", "c"): (2,), ("a",): (1,), ("b",): (1,)}))
+
+
+def test_upward_constraint_meets_partial_constraints():
+    # The triangle's seed puts one row of two on each of its edges;
+    # c, determined through cd, then forces ac upward, and the running
+    # reduction there decides against the triangle's row, or with it.
+    dims = {("a",): 1, ("b",): 1, ("c",): 1, ("d",): 1, ("a", "b"): 2,
+            ("a", "c"): 2, ("b", "c"): 2, ("c", "d"): 1, ("a", "b", "c"): 1}
+    maps = {(("c",), ("c", "d")): [[1]], (("d",), ("c", "d")): [[1]]}
+    for edge in (("a", "b"), ("a", "c"), ("b", "c")):
+        maps.update({((v,), edge): [[1], [0]] for v in edge})
+        maps[(edge, ("a", "b", "c"))] = [[1, 0]]
+    s = _listed_sheaf([("a", "b", "c"), ("c", "d")], dims, maps)
+    got = extend(s, Assignment({("a", "b", "c"): (5,), ("d",): (7,)}))
+    assert repr(got) == repr(_result(
+        ("a", "c"), "conflicting-values", "ac is forced two different ways",
+        {("d",): (7,), ("a", "b", "c"): (5,), ("c", "d"): (7,), ("c",): (7,)}))
+    got = extend(s, Assignment({("a", "b", "c"): (5,), ("d",): (5,)}))
+    assert repr(got) == repr(ExtendResult(result=Assignment({
+        **{(v,): (5,) for v in "abcd"},
+        **{e: (5, 0) for e in (("a", "b"), ("a", "c"), ("b", "c"))},
+        ("c", "d"): (5,), ("a", "b", "c"): (5,)})))
 
 
 def test_extend_checks_seed_shapes():
@@ -699,6 +789,185 @@ def test_extend_reproduces_recorded_corpus(case):
     digest = hashlib.sha256(repr(result).encode()).hexdigest()[:16]
     got = (result.ok, result.obstruction, result.kind, result.detail, digest)
     assert got == tuple(expected)
+
+
+# The complexes of the obstruction-search corpus: paths and cycles take
+# any maps, the filled triangle (with a tail edge) maps solved to commute,
+# and the tetrahedron maps that commute by construction.
+SEARCH_SHAPES = {
+    "path": [("a", "b"), ("b", "c"), ("c", "d")],
+    "cycle": [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
+    "long cycle": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")],
+    "triangle": [("a", "b", "c"), ("c", "d")],
+    "tetrahedron": [("a", "b", "c", "d")],
+}
+
+
+def _small_entry(rng):
+    if rng.random() < 0.5:
+        return Fraction(rng.randint(-2, 2))
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))
+
+
+def _random_map(rng, rows, cols, rank_one):
+    """A rows x cols matrix of small integers and fractions, or, when
+    ``rank_one``, the outer product of two such vectors."""
+    if rank_one:
+        u = [_small_entry(rng) for _ in range(rows)]
+        v = [_small_entry(rng) for _ in range(cols)]
+        return RationalMatrix.from_rows([[a * b for b in v] for a in u], cols=cols)
+    return RationalMatrix.from_rows(
+        [[_small_entry(rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def _free_sheaf(rng, base):
+    """Vertex stalks of dimension 0-2, edge stalks of 1-2, and arbitrary
+    maps, some of rank at most one: valid on a graph, where there is no
+    square to commute.  A zero vertex stalk forces its edges to zero, and
+    so each edge's other end into the kernel of its map; the search never
+    starts from an unseeded vertex, so some inconsistent seeds pass it
+    and reach the sweep."""
+    dims = {face: rng.randint(0 if len(face) == 1 else 1, 2)
+            for face in base.all_faces()}
+    return CellularSheaf(base, dims, {
+        (sigma, tau): _random_map(rng, dims[tau], dims[sigma], rng.random() < 0.3)
+        for sigma, tau in covering_pairs(base)})
+
+
+def _solved_sheaf(rng, base):
+    """Random maps on a complex with one triangle t, made to commute: each
+    vertex v of t takes a random map into its first edge e1 of t, and its
+    map into the second, e2, solves F(e2 -> t) X = F(e1 -> t) F(v -> e1),
+    plus a random kernel vector in each column.  Half the sheaves give
+    the edges of t stalks of dimension 2 under a triangle and vertices of
+    dimension 1, so t fixes one coordinate of each edge and leaves the
+    other open; the rest have stalks of dimension 0-2.  A system with no
+    solution draws again."""
+    (top,) = base.k_faces(2)
+    inside = [e for e in base.k_faces(1) if set(e) <= set(top)]
+    while True:
+        thick = rng.random() < 0.5
+        dims = {face: 2 if thick and face in inside else 1 if thick
+                else rng.randint(0, 2) for face in base.all_faces()}
+        maps = {(sigma, tau): _random_map(rng, dims[tau], dims[sigma],
+                                          rng.random() < 0.3)
+                for sigma, tau in covering_pairs(base)
+                if tau == top or tau not in inside}
+        for v in top:
+            e1, e2 = [e for e in inside if v in e]
+            first = _random_map(rng, dims[e1], dims[(v,)], rng.random() < 0.5)
+            want = maps[(e1, top)] @ first
+            onto = maps[(e2, top)]
+            kernel = decompose(onto).kernel_basis
+            cols = [solve(onto, want.column(j)) for j in range(dims[(v,)])]
+            if None in cols:
+                break
+            for j in range(len(cols)):
+                for k in kernel:
+                    c = rng.randint(-1, 1)
+                    cols[j] = [x + c * y for x, y in zip(cols[j], k)]
+            maps[((v,), e1)] = first
+            maps[((v,), e2)] = RationalMatrix(
+                dims[e2], dims[(v,)], [x for row in zip(*cols) for x in row])
+        else:
+            return CellularSheaf(base, dims, maps)
+
+
+def _interval_sheaf(rng, base):
+    """A sheaf of coordinates, each living on an interval of faces
+    {f : low <= f <= high}, conjugated by a random invertible matrix with
+    fractional entries per face.  Attachments keep the coordinates both
+    faces have and drop the rest, so they are often rank-deficient; an
+    interval is convex in the face order, so every square commutes.
+    Stalks have dimension 0-2."""
+    faces = base.all_faces()
+    while True:
+        intervals = []
+        for _ in range(rng.randint(1, 3)):
+            low = set(rng.choice(faces))
+            high = set(rng.choice([f for f in faces if low <= set(f)]))
+            intervals.append({f for f in faces if low <= set(f) <= high})
+        coords = {f: [c for c, on in enumerate(intervals) if f in on] for f in faces}
+        if all(len(c) <= 2 for c in coords.values()):
+            break
+    twist = {}
+    for face, cs in coords.items():
+        forward, backward = random_unimodular(rng, len(cs))
+        q = [Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in cs]
+        twist[face] = (RationalMatrix.from_rows(
+            [[q[i] * x for x in row] for i, row in enumerate(forward.row_lists())],
+            cols=len(cs)), RationalMatrix.from_rows(
+            [[x / q[j] for j, x in enumerate(row)] for row in backward.row_lists()],
+            cols=len(cs)))
+    maps = {}
+    for sigma, tau in covering_pairs(base):
+        keep = RationalMatrix.from_rows(
+            [[int(c == d) for d in coords[sigma]] for c in coords[tau]],
+            cols=len(coords[sigma]))
+        maps[(sigma, tau)] = twist[tau][0] @ keep @ twist[sigma][1]
+    return CellularSheaf(base, {f: len(c) for f, c in coords.items()}, maps)
+
+
+SEARCH_SHEAVES = {"path": _free_sheaf, "cycle": _free_sheaf,
+                  "long cycle": _free_sheaf, "triangle": _solved_sheaf,
+                  "tetrahedron": _interval_sheaf}
+
+
+def _search_case(seed):
+    """A sheaf on one of ``SEARCH_SHAPES`` and seeds on its maximal faces
+    (a third of the time) or on one to three faces of any dimension,
+    valued from a random global section (one value nudged half the time)
+    or at random.  Seeding a triangle and its tail edge sends a value up
+    into an edge the triangle has only partly fixed."""
+    rng = random.Random(seed)
+    shape = rng.choice(sorted(SEARCH_SHAPES))
+    base = validate_complex(SEARCH_SHAPES[shape])
+    s = SEARCH_SHEAVES[shape](rng, base)
+    faces = base.all_faces()
+    if rng.random() < 1 / 3:
+        seeded = [f for f in faces
+                  if not any(set(f) < set(g) for g in base.faces)]
+    else:
+        seeded = rng.sample(faces, rng.randint(1, 3))
+    if rng.random() < 0.5:
+        section = {f: [0] * s.stalk_dim[f] for f in faces}
+        for vec in global_section_space(s).basis:
+            c = rng.randint(-2, 2)
+            section = {f: [x + c * y for x, y in zip(section[f], vec[f])]
+                       for f in faces}
+        values = {f: section[f] for f in seeded}
+        nudged = rng.choice(seeded)
+        if values[nudged] and rng.random() < 0.5:
+            values[nudged] = [values[nudged][0] + 1] + values[nudged][1:]
+    else:
+        values = {f: [_small_entry(rng) for _ in range(s.stalk_dim[f])]
+                  for f in seeded}
+    return s, Assignment(values)
+
+
+def test_obstruction_search_matches_the_eliminating_oracle(monkeypatch):
+    # The search evaluates each constraint at a face's value once it has
+    # one; the oracle adds it to that face's reduction.  Every result,
+    # propagated values included, must be the same to the byte.
+    from sheafcalc import cellsheaf
+
+    outcomes = Counter()
+    for seed in range(2000):
+        s, seed_values = _search_case(seed)
+        got = extend(s, seed_values)
+        with monkeypatch.context() as m:
+            m.setattr(cellsheaf, "_localize_obstruction",
+                      eliminating_localize_obstruction)
+            want = extend(s, seed_values)
+        assert repr(got) == repr(want), seed
+        if got.ok:
+            outcomes["ok"] += 1
+        elif got.detail.startswith("constraints through"):
+            outcomes["sweep"] += 1
+        else:
+            outcomes[got.kind] += 1
+    assert set(outcomes) == {
+        "ok", "conflicting-values", "no-consistent-value", "sweep"}, outcomes
 
 
 # ------------------------------------------------------------ direct sum

@@ -1521,3 +1521,80 @@ def slow_parse_complex(doc, where):
     for i, face in enumerate(faces):
         _refusing(f"{where}:faces[{i}]", validate_complex, [face], vertices=vertices)
     return validate_complex(faces, vertices=vertices)
+
+
+# ------------------------------------------------- obstruction-search oracle
+# cellsheaf._localize_obstruction as it was before a face with a value
+# checked each constraint by evaluating it: every face, seeded and
+# determined ones too, keeps a running reduction of its constraints and
+# adds each new one to it.  Kept verbatim but for its imports.
+
+def eliminating_localize_obstruction(s, seed, swept, swept_rows, total):
+    """The breadth-first obstruction search, one elimination per visit."""
+    from collections import deque
+
+    from sheafcalc.cellsheaf import Assignment, ExtendResult, covering_pairs
+    from sheafcalc.complexes import face_name
+    from sheafcalc.rationals import (
+        RationalMatrix, _augmented, _consistent, _image, _particular,
+        _reduce_row)
+
+    faces = s.base.all_faces()
+    neighbors = {g: [] for g in faces}
+    for sigma, tau in covering_pairs(s.base):
+        neighbors[sigma].append(tau)
+        neighbors[tau].append(sigma)
+    face_order = {g: i for i, g in enumerate(faces)}
+    for g in faces:
+        neighbors[g].sort(key=face_order.get)
+
+    # Each face keeps a running reduction of its constraints [A | b], b in
+    # column dim: inconsistent once b is a pivot, determined once there
+    # are dim pivots, and then the value is the b column.
+    reduced = {g: {} for g in faces}
+    value = {}
+    queue = deque()
+    for g in faces:
+        if g in seed.vectors:
+            for row in _augmented(RationalMatrix.identity(len(seed[g])), seed[g]):
+                _reduce_row(reduced[g], row)
+            value[g] = seed[g]
+            queue.append(g)
+
+    while queue:
+        g = queue.popleft()
+        xg = value[g]
+        for n in neighbors[g]:
+            dim = s.stalk_dim[n]
+            if len(n) > len(g):
+                # value above is forced outright
+                block = _augmented(RationalMatrix.identity(dim),
+                                   _image(s.restriction[(g, n)], xg))
+            else:
+                # value below must map onto the determined value
+                block = _augmented(s.restriction[(n, g)], xg)
+            if not _consistent(reduced[n], block, dim):
+                if not _consistent({}, block, dim):
+                    kind = "no-consistent-value"
+                    detail = (f"constraints at {face_name(s.base, n)} from "
+                              f"{face_name(s.base, g)} admit no solution")
+                else:
+                    kind = "conflicting-values"
+                    detail = f"{face_name(s.base, n)} is forced two different ways"
+                return ExtendResult(
+                    obstruction=n, kind=kind, detail=detail,
+                    propagated=Assignment(dict(value)))
+            if n not in value and len(reduced[n]) == dim:
+                value[n] = _particular(reduced[n], dim)
+                queue.append(n)
+
+    # No face collected an inconsistent system from determined neighbors:
+    # blame the face whose rows made the global system inconsistent.
+    alone_ok = _consistent({}, swept_rows, total)
+    return ExtendResult(
+        obstruction=swept,
+        kind="conflicting-values" if alone_ok else "no-consistent-value",
+        detail=f"constraints through {face_name(s.base, swept)} close off "
+               f"the remaining solutions",
+        propagated=Assignment(dict(value)))
+
