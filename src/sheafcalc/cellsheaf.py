@@ -15,13 +15,14 @@ constraint system dies, the way the worked obstruction example walks it.
 from __future__ import annotations
 
 from collections import deque
+from math import lcm
 
 from ._record import Record
 from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
-    RationalMatrix, _augmented, _consistent, _image, _kernel, _particular,
-    _reduced, _rref, _stored, block_assemble, rational)
+    RationalMatrix, _augmented, _consistent, _image, _int_view, _kernel,
+    _particular, _reduced, _rref, _stored, block_assemble, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -245,27 +246,58 @@ def _cochain_map(s: CellularSheaf, k: int) -> RationalMatrix:
     k + 1 to k; the first missing or misshapen attachment between the
     two degrees, in ``covering_pairs`` order, raises ``InvalidSheaf``.
 
-    Each stored attachment row is written once into the sparse rows,
-    shifted to its block and negated when the incidence sign is -1.  A
-    sheaf's rows run over the (k+1)-faces and its columns over the
-    k-faces; a cosheaf's blocks sit in the transposed layout.  Degree
-    zero's rows, edge by edge, are the layout ``_vertex_system`` slices.
+    The map is written as an int view, from the attachments' int views,
+    and makes no Fraction.  An attachment whose stored entries are all
+    ints is its own int view, every d 1, so it is written as it is read
+    and no view is made for it.  Each attachment row is written once
+    into the sparse rows, shifted to its block and negated, as ints,
+    when the incidence sign is -1.  A row that collects blocks with
+    different denominators is brought to their lcm, the row's least
+    denominator, since each block's is least.  A sheaf's rows run over the
+    (k+1)-faces and its columns over the k-faces; a cosheaf's blocks sit
+    in the transposed layout.  Degree zero's rows, edge by edge, are the
+    layout ``_vertex_system`` slices.
     """
     sheaf = s.variance == "sheaf"
     upper, n_upper = _layout(s, k + 1)
     lower, n_lower = _layout(s, k)
-    out = tuple({} for _ in range(n_upper if sheaf else n_lower))
+    n_rows = n_upper if sheaf else n_lower
+    dens = [1] * n_rows
+    out = tuple({} for _ in range(n_rows))
     for tau in upper:
         for sigma, sign in _signed_facets(tau):
             mat = s.restriction.get((sigma, tau))
             if mat is None or (mat.rows, mat.cols) != s.expected_shape(sigma, tau):
                 _attachment(s, sigma, tau)  # names the fault
             at, col = (upper[tau], lower[sigma]) if sheaf else (lower[sigma], upper[tau])
-            for r, row in enumerate(mat._rows, start=at):
-                out[r].update((col + c, x if sign == 1 else -x)
-                              for c, x in row.items())
+            if mat._int_rows is None:
+                # stored rows of ints are their own int view, each d 1:
+                # written as they are read, and the int view is made
+                # only when a Fraction turns up
+                fraction = False
+                for r, row in enumerate(mat._rows, start=at):
+                    line, f = out[r], sign * dens[r]
+                    for c, x in row.items():
+                        if type(x) is not int:
+                            fraction = True
+                            break
+                        line[col + c] = f * x
+                    if fraction:
+                        break
+                if not fraction:
+                    continue
+            for r, (d, row) in enumerate(zip(*_int_view(mat)), start=at):
+                line, den = out[r], dens[r]
+                if den % d:
+                    dens[r] = lcm(den, d)
+                    up, den = dens[r] // den, dens[r]
+                    for c in line:
+                        line[c] *= up
+                f = sign if d == den else sign * (den // d)
+                for c, x in row.items():
+                    line[col + c] = f * x
     cols = n_lower if sheaf else n_upper
-    return RationalMatrix._from_sparse(len(out), cols, out)
+    return RationalMatrix._from_ints(n_rows, cols, tuple(dens), out)
 
 
 def _cochains(s: CellularSheaf) -> tuple:
@@ -366,15 +398,15 @@ def is_global_section(s: CellularSheaf, a: Assignment) -> SectionReport:
 
 
 def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total, delta0):
-    """The extension problem as sparse rows of [A | b] over concatenated
-    vertex stalks, b in column ``total``, grouped by face in face order:
-    (face, rows).
+    """The extension problem as sparse int rows of [A | b] over
+    concatenated vertex stalks, b in column ``total``, grouped by face in
+    face order: (face, rows).
 
     An edge contributes its degree-zero coboundary rows, which vanish on
     a global section; a seeded face contributes its value written
     through its first vertex.
     """
-    edge_rows = delta0._rows  # edge blocks in face order; never mutated
+    edge_rows = _int_view(delta0)[1]  # edge blocks in face order; never mutated
     groups = []
     at = 0
     for face in s.base.all_faces():

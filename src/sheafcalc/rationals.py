@@ -16,18 +16,30 @@ division on entries, because int / int is a float.  Every public view
 (``data``, ``entry``, ``row``, ``column``, ``row_lists``, ``apply``,
 ``decompose``, ``solve``) returns Fractions.
 
-Elimination and products are fraction-free.  Elimination keeps a
-forward-only row echelon form of primitive int rows, each with its own
-pivot coefficient: a new row is cleared of its denominators and reduced
-by the stored rows whose pivots it meets, in int arithmetic (Bareiss),
-and no stored row changes.  ``_reduce_row`` is the one home of that
-row step: the forward pass and ``_rref``'s back pass both go through
-it.  Ranks and consistency verdicts read its pivots.  A product brings
-each row of the left factor and the rows of the right factor it meets
-to a common denominator and sums int products.  Fractions appear only
-at the end: in ``_rref`` and ``_particular``, which divide by each
-pivot once, in ``_kernel``, which reads the rref, and in ``matmul``'s
-one division of each nonzero sum.
+Each matrix has a second, private form of its rows, the int view: for
+each row its least common denominator d and the row times d, a dict of
+ints.  ``_int_view`` makes it at most once per matrix, on first use; a
+matrix of ints is its own int view, every d 1.  A matrix may also be
+built from its int view alone; its stored rows are then made from it,
+once, only when something reads them: a public view, ``==``, ``hash``,
+``transpose``, the arithmetic operators, ``_image`` or a pickle.
+Neither form ever changes once made, so one may be derived from the
+other at any time.
+
+Elimination and products are fraction-free and read the int view.
+Elimination keeps a forward-only row echelon form of primitive int rows,
+each with its own pivot coefficient: a new int row is reduced by the
+stored rows whose pivots it meets, in int arithmetic (Bareiss), and no
+stored row changes.  ``_reduce_row`` is the one home of that row step:
+the forward pass and ``_rref``'s back pass both go through it.  Ranks
+and consistency verdicts read its pivots.  A product brings each row of
+the left factor and the rows of the right factor it meets to a common
+denominator, sums int products and returns its result as an int view,
+so a coboundary built from int views, and the product that checks
+delta^(k+1) delta^k = 0, make no Fraction.  Fractions appear only at the
+end: in ``_rref`` and ``_particular``, which divide by each pivot once,
+in ``_kernel``, which reads the rref, and where stored rows are made
+from an int view, one division per nonzero.
 """
 
 from __future__ import annotations
@@ -123,7 +135,12 @@ def rational(value) -> Fraction:
 
 
 class RationalMatrix(Immutable):
-    __slots__ = ("rows", "cols", "_rows")
+    # _rows: the stored rows.  _dens and _int_rows: the int view, each
+    # row's d and the row times d, None until _int_view makes them; a row
+    # with d = 1 is its stored row, so an all-int matrix's view adds no
+    # row.  A matrix built from its int view alone makes its stored rows
+    # in __getattr__, on their first read.
+    __slots__ = ("rows", "cols", "_rows", "_dens", "_int_rows")
 
     def __new__(cls, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -147,7 +164,35 @@ class RationalMatrix(Immutable):
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_rows", sparse)
+        object.__setattr__(m, "_dens", None)
+        object.__setattr__(m, "_int_rows", None)
         return m
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, dens: tuple,
+                   int_rows: tuple) -> "RationalMatrix":
+        """The trusted constructor from an int view, unchecked: row i is
+        ``int_rows[i]``, a {column: nonzero int} dict, divided by
+        ``dens[i]`` > 0, the least common denominator of the row it
+        stands for.  Both are kept as given and never mutated; the
+        stored rows are made when first read."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_dens", dens)
+        object.__setattr__(m, "_int_rows", int_rows)
+        return m
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset, which only _rows can be: make
+        # the stored rows from the int view, once
+        if name != "_rows":
+            raise AttributeError(
+                f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        value = tuple(r if d == 1 else {c: _div(x, d) for c, x in r.items()}
+                      for d, r in zip(self._dens, self._int_rows))
+        object.__setattr__(self, name, value)
+        return value
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild from the stored sparse rows
@@ -217,7 +262,7 @@ class RationalMatrix(Immutable):
         return RationalMatrix._from_sparse(self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not any(_int_view(self)[1])
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -278,10 +323,14 @@ class RationalMatrix(Immutable):
 def _image(m: RationalMatrix, vec) -> tuple:
     """m times ``vec``, a vector of stored entries or Fractions, in
     storage form: ``apply`` without its checks and its Fraction view,
-    for values that stay inside the library."""
+    for values that stay inside the library.  A stored 1 takes the
+    vector's entry as it is, with no multiplication; the type test comes
+    first because comparing a Fraction with 1 costs more than the
+    product it would save."""
     out = []
     for row in m._rows:
-        terms = [vec[j] * x for j, x in row.items()]
+        terms = [vec[j] if type(x) is int and x == 1 else vec[j] * x
+                 for j, x in row.items()]
         out.append(_stored(sum(terms[1:], terms[0])) if terms else 0)
     return tuple(out)
 
@@ -291,29 +340,39 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
     Only products of two nonzero entries are formed: Theta(sum over the
     nonzeros a_ik of the nonzeros in row k of b) operations, all of them
-    int ones.  A row of a and the rows of b it meets are brought to a
-    common denominator, the int products are summed, and each nonzero
-    sum is divided by that denominator once; sums that cancel to zero
-    are dropped.
+    int ones.  Both factors are read through their int views: a row of a
+    and the rows of b it meets are brought to a common denominator and
+    the int products are summed; sums that cancel to zero are dropped.
+    The product is returned as an int view, each row divided by the gcd
+    of its denominator and its sums, so its d is least again and the
+    ints of a chain of products stay those of its exact entries.  No
+    Fraction is made until the product's stored rows are read.
     """
     if a.cols != b.rows:
         raise SheafcalcError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    b_rows = [_ints(r) for r in b._rows]
-    integral = all(d == 1 for d, _ in b_rows)
-    out = []
-    for a_row in a._rows:
-        da, a_row = _ints(a_row)
-        db = 1 if integral else lcm(*[b_rows[k][0] for k in a_row])
+    b_dens, b_rows = _int_view(b)
+    integral = max(b_dens, default=1) == 1
+    dens, out = [], []
+    for da, a_row in zip(*_int_view(a)):
+        db = 1 if integral or not a_row else lcm(*[b_dens[k] for k in a_row])
         acc = {}
         for k, x in a_row.items():
-            d, b_row = b_rows[k]
+            d = b_dens[k]
             if d != db:
                 x *= db // d
-            for j, y in b_row.items():
+            for j, y in b_rows[k].items():
                 p = x * y
                 acc[j] = acc[j] + p if j in acc else p
-        out.append({j: _div(v, da * db) for j, v in acc.items() if v})
-    return RationalMatrix._from_sparse(a.rows, b.cols, tuple(out))
+        acc = {j: v for j, v in acc.items() if v}
+        den = da * db if acc else 1
+        if den != 1:
+            g = gcd(den, *acc.values())
+            if g != 1:
+                den //= g
+                acc = {j: v // g for j, v in acc.items()}
+        dens.append(den)
+        out.append(acc)
+    return RationalMatrix._from_ints(a.rows, b.cols, tuple(dens), tuple(out))
 
 
 class MatrixDecomposition(Record):
@@ -387,7 +446,7 @@ def _reduced(m: RationalMatrix) -> dict:
     its row)}, built row by row with ``_reduce_row``; its length is the
     rank of m."""
     reduced = {}
-    for row in m._rows:
+    for row in _int_view(m)[1]:
         if len(reduced) == m.cols:
             break
         _reduce_row(reduced, row)
@@ -395,12 +454,12 @@ def _reduced(m: RationalMatrix) -> dict:
 
 
 def _reduce_row(reduced: dict, row):
-    """Add one sparse row ({column: nonzero}, left unchanged) to
-    ``reduced``, {pivot column: (pivot, rest of its row)}: a primitive
-    int row, its pivot > 0 and its rest holding only columns right of
-    the pivot.  The row is cleared of its denominators, then reduced by
-    the stored rows whose pivots it meets, lowest pivot first, so a
-    pivot column brought in by one of them is met later; its leftmost
+    """Add one sparse int row ({column: nonzero int}, left unchanged),
+    such as a row of an int view, to ``reduced``, {pivot column: (pivot,
+    rest of its row)}: a primitive int row, its pivot > 0 and its rest
+    holding only columns right of the pivot.  The row is reduced by the
+    stored rows whose pivots it meets, lowest pivot first, so a pivot
+    column brought in by one of them is met later; its leftmost
     remaining nonzero becomes the new pivot.  No stored row changes.
     Returns the new pivot column, or None.
 
@@ -411,7 +470,7 @@ def _reduce_row(reduced: dict, row):
     reduced row is a multiple of the one vector in the row plus the span
     of the stored rows that is zero at every pivot, and the pivots are
     those of the rref of the rows added."""
-    r = dict(_ints(row)[1])
+    r = dict(row)
     todo = [c for c in r if c in reduced]
     heapify(todo)
     while todo:
@@ -453,6 +512,31 @@ def _primitive(pv: int, r: dict) -> tuple:
     return (pv, r) if g == 1 else (pv // g, {c: x // g for c, x in r.items()})
 
 
+def _int_view(m: RationalMatrix) -> tuple:
+    """m's int view, (dens, int_rows): row i of m is ``int_rows[i]``, a
+    dict of ints, divided by ``dens[i]``, the row's least common
+    denominator.  Made from the stored rows on first use and kept; when
+    every entry is an int, int_rows is the stored rows themselves."""
+    if m._int_rows is None:
+        rows = m._rows
+        if _integral(rows):
+            dens = (1,) * len(rows)
+        else:
+            dens, rows = zip(*map(_ints, rows))
+        object.__setattr__(m, "_dens", dens)
+        object.__setattr__(m, "_int_rows", rows)
+    return m._dens, m._int_rows
+
+
+def _integral(rows) -> bool:
+    """Whether every entry of these stored rows is an int."""
+    for row in rows:
+        for x in row.values():
+            if type(x) is not int:
+                return False
+    return True
+
+
 def _ints(row: dict) -> tuple:
     """(d, d times the row): d the least common denominator of a row of
     stored entries, so every entry of the second is an int; the row
@@ -467,14 +551,25 @@ def _ints(row: dict) -> tuple:
 
 
 def _augmented(a: RationalMatrix, b) -> list:
-    """Sparse rows of [A | b], copies of A's: b sits in column a.cols."""
-    return [{**row, a.cols: _stored(v)} if v else dict(row)
-            for row, v in zip(a._rows, b, strict=True)]
+    """Int rows of [A | b], b in column a.cols, a vector of stored
+    entries or Fractions: each row of a's int view, with its b entry,
+    over their common denominator.  A row whose b entry is zero is the
+    int view's own, never mutated."""
+    out = []
+    for d, row, v in zip(*_int_view(a), b, strict=True):
+        if v:
+            q = v.denominator
+            g = gcd(d, q)
+            row = {c: x * (q // g) for c, x in row.items()} if q != g else dict(row)
+            row[a.cols] = v.numerator * (d // g)
+        out.append(row)
+    return out
 
 
 def _consistent(reduced: dict, rows, rhs: int) -> bool:
-    """Add rows of [A | b] (b in column ``rhs``) to a reduction; False at
-    the first row whose pivot is b, i.e. A x = b has no solution."""
+    """Add int rows of [A | b] (b in column ``rhs``) to a reduction;
+    False at the first row whose pivot is b, i.e. A x = b has no
+    solution."""
     return all(_reduce_row(reduced, row) != rhs for row in rows)
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from sheafcalc.cellsheaf import (
     Assignment, CellularSheaf, ExtendResult, InvalidSheaf, SheafMorphism,
-    check_morphism, composite_map, SectionReport, covering_pairs, direct_sum,
-    extend, global_section_space, is_global_section, pullback, validate_sheaf)
+    check_morphism, composite_map, SectionReport, SheafReport, covering_pairs,
+    direct_sum, extend, global_section_space, is_global_section, pullback,
+    validate_sheaf)
 from sheafcalc.cohomology import coboundary, cochain_complex, cohomology_dims
 from sheafcalc.complexes import validate_complex
 from sheafcalc.errors import SheafcalcError
@@ -18,7 +19,7 @@ from util import (
     RUNNING_STALK_DIMS, binary_chain, composite_spread, constant_sheaf,
     base_complex, eliminating_localize_obstruction, grid_complex,
     random_bayes_model, random_complex, random_unimodular, random_valid_sheaf,
-    running_sheaf, scan_validate_sheaf, zero_sheaf)
+    running_sheaf, scan_validate_sheaf, stored_rows_made, zero_sheaf)
 
 
 # ------------------------------------------------------ structure checks
@@ -251,6 +252,128 @@ def test_the_least_failing_square_is_named_across_degrees():
     report = validate_sheaf(CellularSheaf(s.base, s.stalk_dim, maps))
     assert (report.kind, report.witness) == (
         "missing-map", (("a", "c", "d"), ("a", "b", "c", "d")))
+
+
+def _rescaled(rng, s):
+    """s conjugated by a random fractional diagonal per face: maps
+    D_tau F D_sigma^-1, valid exactly when s is, with its ranks."""
+    scale = {f: [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                 for _ in range(s.stalk_dim[f])] for f in s.base.all_faces()}
+
+    def diag(face, invert=False):
+        n = s.stalk_dim[face]
+        return RationalMatrix.from_rows(
+            [[(1 / x if invert else x) if i == j else 0 for j, x in enumerate(scale[face])]
+             for i in range(n)], cols=n)
+
+    return CellularSheaf(s.base, s.stalk_dim, {
+        (sigma, tau): diag(tau) @ mat @ diag(sigma, invert=True)
+        for (sigma, tau), mat in s.restriction.items()})
+
+
+def _assembly_corpus(seed):
+    """Sheaves and cosheaves whose coboundaries the int views write:
+    all-int maps (unimodular conjugates of rank-deficient inclusions) and
+    their fractional rescalings, on random complexes, some with
+    tetrahedra and 4-simplices, fractional diagonal grids, the Bayes
+    cosheaf of the 4-variable binary chain, and each one also with one
+    attachment perturbed, so that its products are not zero."""
+    from sheafcalc.cohomology import bayes_build
+    from util import diagonal_grid_sheaf
+
+    rng = random.Random(seed)
+    grid = grid_complex(2, holes=[(0, 1)])
+    sheaves = [running_sheaf(), bayes_build(binary_chain(4)).cosheaf]
+    sheaves += [diagonal_grid_sheaf(rng, grid, dim)[0] for dim in (1, 2, 3)]
+    for _ in range(25):
+        for base in (random_complex(rng), random_complex(
+                rng, max_faces=4, vertex_pool="abcdefg", max_size=5)):
+            whole = random_valid_sheaf(rng, base)
+            sheaves += [whole, _rescaled(rng, whole)]
+    sheaves += [_dual(s) for s in sheaves[::3]]
+    for s in sheaves:
+        yield s
+        bent = _broken(rng, s, "perturbed")
+        if bent is not None:
+            yield bent
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_int_view_coboundaries_and_products_equal_the_storage_oracle(seed):
+    from sheafcalc.cellsheaf import _cochain_map, _then
+    from sheafcalc.rationals import _int_view
+    from util import storage_cochain_map, storage_matmul
+
+    seen = Counter()
+    for s in _assembly_corpus(seed):
+        degrees = range(len(s.base._layers()[1]))
+        got = [_cochain_map(s, k) for k in degrees]
+        want = [storage_cochain_map(s, k) for k in degrees]
+        for g, w in zip(got, want):
+            assert not stored_rows_made(g)  # written without a Fraction
+            assert _int_view(g) == _int_view(w)  # least denominators
+            assert (g, hash(g), repr(g)) == (w, hash(w), repr(w))
+            seen[s.variance, "fractional" if any(
+                d > 1 for d in _int_view(g)[0]) else "int"] += 1
+        for k in range(len(got) - 2):
+            g = _then(s, got[k], got[k + 1])
+            w = (storage_matmul(want[k + 1], want[k]) if s.variance == "sheaf"
+                 else storage_matmul(want[k], want[k + 1]))
+            assert g.is_zero() == w.is_zero()
+            assert not stored_rows_made(g)  # is_zero reads the int view
+            assert _int_view(g) == _int_view(w)
+            assert (g, hash(g), repr(g)) == (w, hash(w), repr(w))
+            seen["products", "zero" if w.is_zero() else "nonzero"] += 1
+    assert set(seen) == {(v, kind) for v in ("sheaf", "cosheaf")
+                         for kind in ("fractional", "int")} | {
+        ("products", "zero"), ("products", "nonzero")}
+
+
+def _failing_squares(s) -> list:
+    """Every path-independence square of s whose two routes differ."""
+    from sheafcalc.cellsheaf import _then
+
+    out = []
+    for tau in s.base.all_faces():
+        for i in range(len(tau) if len(tau) > 2 else 0):
+            for j in range(i + 1, len(tau)):
+                rho = tuple(v for k, v in enumerate(tau) if k not in (i, j))
+                mid_a, mid_b = tau[:j] + tau[j + 1:], tau[:i] + tau[i + 1:]
+                m = s.restriction
+                if (_then(s, m[(rho, mid_a)], m[(mid_a, tau)])
+                        != _then(s, m[(rho, mid_b)], m[(mid_b, tau)])):
+                    out.append((rho, mid_a, mid_b, tau))
+    return out
+
+
+def test_one_failing_square_is_named_as_the_square_scan_names_it():
+    # each sheaf below has exactly one square that does not commute: a
+    # vertex map bent into an edge that lies in one triangle only
+    rng = random.Random(53)
+    checked = Counter()
+    for s in _assembly_corpus(54):
+        if validate_sheaf(s) != SheafReport(True):
+            continue
+        lone = [(v, e) for v, e in covering_pairs(s.base) if len(e) == 2
+                and sum(set(e) <= set(t) for t in s.base.k_faces(2)) == 1
+                and s.restriction[(v, e)].rows and s.restriction[(v, e)].cols]
+        if not lone:
+            continue
+        pair = rng.choice(lone)
+        mat = s.restriction[pair]
+        entries = list(mat.data)
+        entries[rng.randrange(len(entries))] += Fraction(rng.choice((-2, 1, 3)), 2)
+        bent = CellularSheaf(s.base, s.stalk_dim, {
+            **s.restriction, pair: RationalMatrix(mat.rows, mat.cols, entries)},
+            s.variance)
+        if len(_failing_squares(bent)) != 1:
+            continue  # the bend fell in a kernel
+        report = validate_sheaf(bent)
+        assert report == scan_validate_sheaf(bent)
+        assert (report.kind, report.witness) == (
+            "path-independence", _failing_squares(bent)[0])
+        checked[s.variance] += 1
+    assert checked["sheaf"] >= 10 and checked["cosheaf"] >= 3
 
 
 def test_each_library_call_writes_each_coboundary_once(monkeypatch):

@@ -18,8 +18,8 @@ import pytest
 from sheafcalc.cellsheaf import Assignment, extend, global_section_space
 from sheafcalc.cohomology import coboundary, cohomology_dims
 from sheafcalc.rationals import (
-    RationalMatrix, _augmented, _kernel, _particular, _reduce_row, _reduced,
-    _rref, decompose, matmul, solve)
+    RationalMatrix, _augmented, _int_view, _kernel, _particular, _reduce_row,
+    _reduced, _rref, decompose, matmul, solve)
 
 from util import (
     assert_primitive_echelon, dense_matmul, diagonal_grid_sheaf, grid_complex,
@@ -109,11 +109,12 @@ def test_reductions_share_pivots_and_kernels_with_the_rref():
 
 def test_rows_get_the_pivots_the_rref_gives_them_in_order():
     # each new row's pivot, or None, row by row: for an augmented row
-    # [A | b] that is the consistency verdict, b's column being the pivot
+    # [A | b] that is the consistency verdict, b's column being the pivot;
+    # the row step takes the int view's rows, the oracle the stored ones
     for m in corpus():
         got, want = {}, {}
-        for row in m._rows:
-            assert _reduce_row(got, row) == rref_reduce_row(want, row)
+        for ints, row in zip(_int_view(m)[1], m._rows):
+            assert _reduce_row(got, ints) == rref_reduce_row(want, row)
 
 
 def test_solutions_match_the_rref_solution():

@@ -17,13 +17,13 @@ from sheafcalc.cohomology import bayes_build, coboundary
 from sheafcalc.complexes import boundary_matrix
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import (
-    DIGIT_LIMIT, RationalMatrix, _reduced, _rref, block_assemble, decompose,
-    matmul, rational, solve)
+    DIGIT_LIMIT, RationalMatrix, _int_view, _reduced, _rref, block_assemble,
+    decompose, matmul, rational, solve)
 
 from util import (
     assert_primitive_echelon, binary_chain, constant_sheaf, dense_decompose,
     dense_matmul, grid_complex, random_bayes_model, random_complex,
-    random_valid_sheaf)
+    random_valid_sheaf, stored_rows_made)
 
 
 # ---------------------------------------------------------------- oracles
@@ -421,6 +421,81 @@ def test_products_that_cancel_store_no_zero():
     assert prod._rows == ({}, {0: -2})
     assert prod == RationalMatrix.from_rows([[0], [-2]])
     assert matmul(RationalMatrix.from_rows([[1, 1]]), b).is_zero()
+
+
+def _round_trips(m):
+    return copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))
+
+
+# every view a caller can take of a matrix, each asked of a fresh product
+# whose stored rows are not made yet
+MATRIX_VIEWS = {
+    "data": lambda m: m.data,
+    "entry": lambda m: [m.entry(i, j) for i in range(m.rows) for j in range(m.cols)],
+    "row": lambda m: [m.row(i) for i in range(m.rows)],
+    "column": lambda m: [m.column(j) for j in range(m.cols)],
+    "row_lists": lambda m: m.row_lists(),
+    "repr": repr,
+    "eq": lambda m: m,
+    "hash": hash,
+    "transpose": lambda m: (m.transpose(), repr(m.transpose())),
+    "is_zero": lambda m: m.is_zero(),
+    "round trips": lambda m: [(c, hash(c), repr(c)) for c in _round_trips(m)],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_a_product_and_the_checked_constructor_agree_in_every_view(a, data):
+    b = data.draw(sparse_matrices(rows=a.cols))
+    want = RationalMatrix(a.rows, b.cols, dense_matmul(a, b).data)
+    for name, view in MATRIX_VIEWS.items():
+        got = matmul(a, b)
+        assert not stored_rows_made(got)
+        assert view(got) == view(want), name
+    for one, other in [(matmul(a, b), want), (want, matmul(a, b))]:
+        assert one == other and hash(one) == hash(other)
+
+
+def test_a_filled_view_is_as_immutable_as_the_matrix():
+    # a product, whose stored rows are made when first read, and a
+    # checked matrix, whose int view is
+    a = RationalMatrix.from_rows([["1/2", 3], [0, "-2/3"]])
+    for m in (matmul(a, a), a):
+        both = (m.rows, m.cols, m._rows, _int_view(m))  # makes both forms
+        for name in ("rows", "cols", "_rows", "_dens", "_int_rows"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(m, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(m, name)
+        assert (m.rows, m.cols, m._rows, _int_view(m)) == both
+
+
+def test_a_chain_of_five_fractional_products_keeps_least_int_rows():
+    # matmul divides each product row by the gcd of its denominator and
+    # its sums, so a product's int view holds d * row with d the row's
+    # least common denominator, the view the checked constructor's matrix
+    # gets: no int exceeds d times the row's largest entry, however long
+    # the chain.  A map and its inverse, alternated, end at the identity
+    # with the int view of the identity.
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        maps = [RationalMatrix(n, n, [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n * n)])
+            for _ in range(5)]
+        chain = maps[0]
+        for m in maps[1:]:
+            chain = chain @ m
+            stored = RationalMatrix(n, n, chain.data)
+            assert _int_view(chain) == _int_view(stored)
+    twist = RationalMatrix.from_rows([["2/3", 0, "5/7"], [0, "-9/4", 0], [0, 0, "3/11"]])
+    undo = RationalMatrix.from_rows([["3/2", 0, "-55/14"], [0, "-4/9", 0], [0, 0, "11/3"]])
+    chain = twist
+    for m in (undo, twist, undo, twist, undo):
+        chain = chain @ m
+    assert _int_view(chain) == ((1, 1, 1), ({0: 1}, {1: 1}, {2: 1}))
+    assert chain == RationalMatrix.identity(3)
 
 
 @settings(max_examples=100, deadline=None)

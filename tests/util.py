@@ -1598,3 +1598,86 @@ def eliminating_localize_obstruction(s, seed, swept, swept_rows, total):
                f"the remaining solutions",
         propagated=Assignment(dict(value)))
 
+
+
+# ---------------------------------------------------- Fraction-storage oracles
+# cellsheaf._cochain_map and rationals.matmul as they were before both
+# wrote int views: the coboundary is assembled from the stored attachment
+# rows, each entry under a -1 incidence sign negated as a Fraction or an
+# int, and a product clears the denominators of every row of both factors
+# through _ints and divides each nonzero sum back to a stored entry.  Both
+# return matrices built from stored rows.  Kept verbatim but for their
+# names and imports.
+
+def storage_cochain_map(s, k):
+    """delta^k of a sheaf or, of a cosheaf, the boundary from degree
+    k + 1 to k; the first missing or misshapen attachment between the
+    two degrees, in ``covering_pairs`` order, raises ``InvalidSheaf``.
+
+    Each stored attachment row is written once into the sparse rows,
+    shifted to its block and negated when the incidence sign is -1.  A
+    sheaf's rows run over the (k+1)-faces and its columns over the
+    k-faces; a cosheaf's blocks sit in the transposed layout.
+    """
+    from sheafcalc.cellsheaf import _attachment, _layout
+    from sheafcalc.complexes import _signed_facets
+    from sheafcalc.rationals import RationalMatrix
+
+    sheaf = s.variance == "sheaf"
+    upper, n_upper = _layout(s, k + 1)
+    lower, n_lower = _layout(s, k)
+    out = tuple({} for _ in range(n_upper if sheaf else n_lower))
+    for tau in upper:
+        for sigma, sign in _signed_facets(tau):
+            mat = s.restriction.get((sigma, tau))
+            if mat is None or (mat.rows, mat.cols) != s.expected_shape(sigma, tau):
+                _attachment(s, sigma, tau)  # names the fault
+            at, col = (upper[tau], lower[sigma]) if sheaf else (lower[sigma], upper[tau])
+            for r, row in enumerate(mat._rows, start=at):
+                out[r].update((col + c, x if sign == 1 else -x)
+                              for c, x in row.items())
+    cols = n_lower if sheaf else n_upper
+    return RationalMatrix._from_sparse(len(out), cols, out)
+
+
+def storage_matmul(a, b):
+    """Exact product; (m x 0) @ (0 x n) is the m x n zero matrix.
+
+    Only products of two nonzero entries are formed, all of them int
+    ones.  A row of a and the rows of b it meets are brought to a
+    common denominator, the int products are summed, and each nonzero
+    sum is divided by that denominator once; sums that cancel to zero
+    are dropped.
+    """
+    from math import lcm
+
+    from sheafcalc.rationals import RationalMatrix, _div, _ints
+
+    assert a.cols == b.rows, f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+    b_rows = [_ints(r) for r in b._rows]
+    integral = all(d == 1 for d, _ in b_rows)
+    out = []
+    for a_row in a._rows:
+        da, a_row = _ints(a_row)
+        db = 1 if integral else lcm(*[b_rows[k][0] for k in a_row])
+        acc = {}
+        for k, x in a_row.items():
+            d, b_row = b_rows[k]
+            if d != db:
+                x *= db // d
+            for j, y in b_row.items():
+                p = x * y
+                acc[j] = acc[j] + p if j in acc else p
+        out.append({j: _div(v, da * db) for j, v in acc.items() if v})
+    return RationalMatrix._from_sparse(a.rows, b.cols, tuple(out))
+
+
+def stored_rows_made(m) -> bool:
+    """Whether m's stored rows exist yet, read without making them."""
+    from sheafcalc.rationals import RationalMatrix
+
+    try:
+        RationalMatrix._rows.__get__(m)
+    except AttributeError:
+        return False
+    return True
