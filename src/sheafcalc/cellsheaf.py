@@ -21,8 +21,8 @@ from ._record import Record
 from .complexes import SimplicialComplex, _signed_facets, face_name
 from .errors import SheafcalcError
 from .rationals import (
-    RationalMatrix, _augmented, _consistent, _image, _int_view, _kernel,
-    _particular, _reduced, _rref, _stored, block_assemble, rational)
+    RationalMatrix, _augmented, _consistent, _image, _kernel, _particular,
+    _reduced, _rref, _stored, block_assemble, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -241,26 +241,24 @@ def _layout(s: CellularSheaf, k: int):
     return offsets, total
 
 
-def _cochain_map(s: CellularSheaf, k: int) -> RationalMatrix:
+def _cochain_map(s: CellularSheaf, upper_layout, lower_layout) -> RationalMatrix:
     """delta^k of a sheaf or, of a cosheaf, the boundary from degree
-    k + 1 to k; the first missing or misshapen attachment between the
-    two degrees, in ``covering_pairs`` order, raises ``InvalidSheaf``.
+    k + 1 to k, given the ``_layout`` of degrees k + 1 and k; the first
+    missing or misshapen attachment between the two degrees, in
+    ``covering_pairs`` order, raises ``InvalidSheaf``.
 
-    The map is written as an int view, from the attachments' int views,
-    and makes no Fraction.  An attachment whose stored entries are all
-    ints is its own int view, every d 1, so it is written as it is read
-    and no view is made for it.  Each attachment row is written once
-    into the sparse rows, shifted to its block and negated, as ints,
-    when the incidence sign is -1.  A row that collects blocks with
-    different denominators is brought to their lcm, the row's least
-    denominator, since each block's is least.  A sheaf's rows run over the
+    The map is written as int rows, from the attachments' int rows, and
+    makes no Fraction.  Each attachment row is written once into the
+    sparse rows, shifted to its block and negated, as ints, when the
+    incidence sign is -1.  A row that collects blocks with different
+    denominators is brought to their lcm, the row's least denominator,
+    since each block's is least.  A sheaf's rows run over the
     (k+1)-faces and its columns over the k-faces; a cosheaf's blocks sit
     in the transposed layout.  Degree zero's rows, edge by edge, are the
     layout ``_vertex_system`` slices.
     """
     sheaf = s.variance == "sheaf"
-    upper, n_upper = _layout(s, k + 1)
-    lower, n_lower = _layout(s, k)
+    (upper, n_upper), (lower, n_lower) = upper_layout, lower_layout
     n_rows = n_upper if sheaf else n_lower
     dens = [1] * n_rows
     out = tuple({} for _ in range(n_rows))
@@ -270,23 +268,7 @@ def _cochain_map(s: CellularSheaf, k: int) -> RationalMatrix:
             if mat is None or (mat.rows, mat.cols) != s.expected_shape(sigma, tau):
                 _attachment(s, sigma, tau)  # names the fault
             at, col = (upper[tau], lower[sigma]) if sheaf else (lower[sigma], upper[tau])
-            if mat._int_rows is None:
-                # stored rows of ints are their own int view, each d 1:
-                # written as they are read, and the int view is made
-                # only when a Fraction turns up
-                fraction = False
-                for r, row in enumerate(mat._rows, start=at):
-                    line, f = out[r], sign * dens[r]
-                    for c, x in row.items():
-                        if type(x) is not int:
-                            fraction = True
-                            break
-                        line[col + c] = f * x
-                    if fraction:
-                        break
-                if not fraction:
-                    continue
-            for r, (d, row) in enumerate(zip(*_int_view(mat)), start=at):
+            for r, (d, row) in enumerate(zip(mat._dens, mat._int_rows), start=at):
                 line, den = out[r], dens[r]
                 if den % d:
                     dens[r] = lcm(den, d)
@@ -303,7 +285,8 @@ def _cochain_map(s: CellularSheaf, k: int) -> RationalMatrix:
 def _cochains(s: CellularSheaf) -> tuple:
     """Validate a complete sheaf or cosheaf and build its chain maps in
     one pass: ``_cochain_map`` of every degree, or ``InvalidSheaf``
-    carrying ``validate_sheaf``'s report.
+    carrying ``validate_sheaf``'s report.  Each degree's ``_layout`` is
+    built once.
 
     Every attachment is checked as its map is written, degree by degree,
     so the first fault is the first in ``covering_pairs`` order, and
@@ -316,12 +299,14 @@ def _cochains(s: CellularSheaf) -> tuple:
     zero.  Only when one is not are the squares compared, over the
     least top face of a nonzero block, to name the witness.
     """
-    maps = tuple(_cochain_map(s, k) for k in range(len(s.base._layers()[1])))
+    layouts = [_layout(s, k) for k in range(len(s.base._layers()[1]) + 1)]
+    maps = tuple(_cochain_map(s, upper, lower)
+                 for lower, upper in zip(layouts, layouts[1:]))
     for k in range(len(maps) - 2):  # the top map meets no (top+1)-face
         square = _then(s, maps[k], maps[k + 1])
         if not square.is_zero():
-            rows = (square if s.variance == "sheaf" else square.transpose())._rows
-            offsets, _ = _layout(s, k + 2)
+            rows = (square if s.variance == "sheaf" else square.transpose())._int_rows
+            offsets, _ = layouts[k + 2]
             tau = next(f for f, at in offsets.items()
                        if any(rows[at:at + s.stalk_dim[f]]))
             _square_fault(s, (tau,))  # a nonzero block is a failing square
@@ -406,7 +391,7 @@ def _vertex_system(s: CellularSheaf, seed: Assignment, offsets, total, delta0):
     a global section; a seeded face contributes its value written
     through its first vertex.
     """
-    edge_rows = _int_view(delta0)[1]  # edge blocks in face order; never mutated
+    edge_rows = delta0._int_rows  # edge blocks in face order; never mutated
     groups = []
     at = 0
     for face in s.base.all_faces():

@@ -15,11 +15,11 @@ from math import prod
 
 from ._record import Record
 from .cellsheaf import (
-    CellularSheaf, InvalidSheaf, _cochain_map, _require_valid, covering_pairs,
-    validate_sheaf)
+    CellularSheaf, InvalidSheaf, _cochain_map, _layout, _require_valid,
+    covering_pairs, validate_sheaf)
 from .complexes import SimplicialComplex, face_name
 from .errors import SheafcalcError
-from .rationals import RationalMatrix, _ints, _reduced, _stored, rational
+from .rationals import RationalMatrix, _ints, _reduced, _split, _stored, rational
 
 __all__ = [
     "CochainComplex",
@@ -56,7 +56,7 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
         raise SheafcalcError(f"no coboundary in degree {k}")
     s.base.dimension()  # a faceless base has no cochains: this raises
     try:
-        return _cochain_map(s, k)
+        return _cochain_map(s, _layout(s, k + 1), _layout(s, k))
     except InvalidSheaf as err:
         if err.report.kind != "missing-map":
             raise
@@ -195,7 +195,7 @@ def _marginalize_matrix(m: BayesModel, sub, face) -> RationalMatrix:
     rows = tuple({} for _ in range(_outcome_count(m, sub)))
     for j, i in enumerate(below):
         rows[i][j] = 1
-    return RationalMatrix._from_sparse(len(rows), len(below), rows)
+    return RationalMatrix._from_ints(len(rows), len(below), (1,) * len(rows), rows)
 
 
 def _cpt_entries(m: BayesModel, face, name) -> list:
@@ -213,8 +213,8 @@ def _conditional_matrix(m: BayesModel, small, big) -> RationalMatrix:
     (new,) = set(big) - set(small)
     rows = tuple({i: _stored(p)} if p else {} for i, p in zip(
         _outcome_indices(m, big, small), _cpt_entries(m, big, new)))
-    return RationalMatrix._from_sparse(
-        len(rows), _outcome_count(m, small), rows)
+    return RationalMatrix._from_ints(
+        len(rows), _outcome_count(m, small), *_split(map(_ints, rows)))
 
 
 def bayes_build(m: BayesModel) -> BayesAssembly:

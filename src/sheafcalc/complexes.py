@@ -242,7 +242,7 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> RationalMatrix:
         for a, sign in _signed_facets(b):
             if a in row_of:
                 sparse[row_of[a]][j] = sign
-    return RationalMatrix._from_sparse(len(rows), len(cols), sparse)
+    return RationalMatrix._from_ints(len(rows), len(cols), (1,) * len(rows), sparse)
 
 
 def homology_dims(complex_: SimplicialComplex):

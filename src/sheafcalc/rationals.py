@@ -1,45 +1,42 @@
-"""Exact linear algebra over the rationals, stored as sparse rows.
+"""Exact linear algebra over the rationals, stored as sparse int rows.
 
 Scalars are ``fractions.Fraction`` (always canonical: gcd 1, positive
 denominator).  Matrices are immutable, and empty shapes (0 x n, n x 0)
 are first-class citizens so that block assembly and chain-complex code
-never has to special-case them.  A matrix stores one {column: nonzero}
-dict per row, never a zero, and ``data`` is a dense view built on each
-read.  Products and elimination work on the nonzeros only, so a
-coboundary costs work in proportion to its nonzeros, not to its area.
+never has to special-case them.
 
-Stored matrix entries keep an integral value as a plain ``int`` (never a
-``bool``) and any other value as a ``Fraction`` with denominator > 1, so
-a +-1 incidence sign or a 0/1 marginalization costs int arithmetic, not
-a Fraction and a gcd.  No float is ever stored: ``_div`` is the one
-division on entries, because int / int is a float.  Every public view
-(``data``, ``entry``, ``row``, ``column``, ``row_lists``, ``apply``,
-``decompose``, ``solve``) returns Fractions.
+A matrix is stored once, as int rows: for each row its least common
+denominator d (1 for an empty row) and the row times d, a {column:
+nonzero int} dict, so gcd(d, row) = 1 and no zero is stored.  That form
+is canonical, so ``==`` and ``hash`` read it as it is, and nothing
+changes it once made.  ``data`` is a dense view built on each read.
+Products and elimination work on the nonzeros only, so a coboundary
+costs work in proportion to its nonzeros, not to its area, and a +-1
+incidence sign or a 0/1 marginalization costs int arithmetic, not a
+Fraction and a gcd.
 
-Each matrix has a second, private form of its rows, the int view: for
-each row its least common denominator d and the row times d, a dict of
-ints.  ``_int_view`` makes it at most once per matrix, on first use; a
-matrix of ints is its own int view, every d 1.  A matrix may also be
-built from its int view alone; its stored rows are then made from it,
-once, only when something reads them: a public view, ``==``, ``hash``,
-``transpose``, the arithmetic operators, ``_image`` or a pickle.
-Neither form ever changes once made, so one may be derived from the
-other at any time.
+Vectors inside the library, and rows on their way into a matrix, hold
+stored entries: an integral value as a plain ``int`` (never a ``bool``)
+and any other value as a ``Fraction`` with denominator > 1.  No float is
+ever stored: ``_div`` is the one division on entries, because int / int
+is a float.  ``_ints`` turns a row of stored entries into its int row.
+Every public view (``data``, ``entry``, ``row``, ``column``,
+``row_lists``, ``apply``, ``decompose``, ``solve``) divides when it is
+read and returns Fractions.
 
-Elimination and products are fraction-free and read the int view.
-Elimination keeps a forward-only row echelon form of primitive int rows,
-each with its own pivot coefficient: a new int row is reduced by the
-stored rows whose pivots it meets, in int arithmetic (Bareiss), and no
-stored row changes.  ``_reduce_row`` is the one home of that row step:
-the forward pass and ``_rref``'s back pass both go through it.  Ranks
-and consistency verdicts read its pivots.  A product brings each row of
-the left factor and the rows of the right factor it meets to a common
-denominator, sums int products and returns its result as an int view,
-so a coboundary built from int views, and the product that checks
-delta^(k+1) delta^k = 0, make no Fraction.  Fractions appear only at the
+Elimination and products are fraction-free.  Elimination keeps a
+forward-only row echelon form of primitive int rows, each with its own
+pivot coefficient: a new int row is reduced by the stored rows whose
+pivots it meets, in int arithmetic (Bareiss), and no stored row changes.
+``_reduce_row`` is the one home of that row step: the forward pass and
+``_rref``'s back pass both go through it.  Ranks and consistency
+verdicts read its pivots.  A product brings each row of the left factor
+and the rows of the right factor it meets to a common denominator and
+sums int products, so a coboundary, and the product that checks
+delta^(k+1) delta^k = 0, make no Fraction; so does a matrix-vector
+product, but for one division per row.  Fractions appear only at the
 end: in ``_rref`` and ``_particular``, which divide by each pivot once,
-in ``_kernel``, which reads the rref, and where stored rows are made
-from an int view, one division per nonzero.
+in ``_kernel``, which reads the rref, and in the public views.
 """
 
 from __future__ import annotations
@@ -135,12 +132,9 @@ def rational(value) -> Fraction:
 
 
 class RationalMatrix(Immutable):
-    # _rows: the stored rows.  _dens and _int_rows: the int view, each
-    # row's d and the row times d, None until _int_view makes them; a row
-    # with d = 1 is its stored row, so an all-int matrix's view adds no
-    # row.  A matrix built from its int view alone makes its stored rows
-    # in __getattr__, on their first read.
-    __slots__ = ("rows", "cols", "_rows", "_dens", "_int_rows")
+    # Row i is _int_rows[i], a {column: nonzero int} dict, divided by
+    # _dens[i], its least common denominator (1 for an empty row).
+    __slots__ = ("rows", "cols", "_dens", "_int_rows")
 
     def __new__(cls, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -152,30 +146,15 @@ class RationalMatrix(Immutable):
         for k, x in enumerate(data):
             if x:
                 sparse[k // cols][k % cols] = x
-        return cls._from_sparse(rows, cols, sparse)
-
-    @classmethod
-    def _from_sparse(cls, rows: int, cols: int, sparse: tuple) -> "RationalMatrix":
-        """The trusted constructor, unchecked: ``sparse`` is one {column:
-        nonzero entry} dict per row, each entry in storage form (an int
-        when integral, else a Fraction), kept as given and never
-        mutated."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_rows", sparse)
-        object.__setattr__(m, "_dens", None)
-        object.__setattr__(m, "_int_rows", None)
-        return m
+        return cls._from_ints(rows, cols, *_split(map(_ints, sparse)))
 
     @classmethod
     def _from_ints(cls, rows: int, cols: int, dens: tuple,
                    int_rows: tuple) -> "RationalMatrix":
-        """The trusted constructor from an int view, unchecked: row i is
-        ``int_rows[i]``, a {column: nonzero int} dict, divided by
-        ``dens[i]`` > 0, the least common denominator of the row it
-        stands for.  Both are kept as given and never mutated; the
-        stored rows are made when first read."""
+        """The trusted constructor, unchecked: row i is ``int_rows[i]``, a
+        {column: nonzero int} dict, divided by ``dens[i]``, the least
+        common denominator of the row it stands for (1 for an empty
+        row).  Both are kept as given and never mutated."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
@@ -183,20 +162,9 @@ class RationalMatrix(Immutable):
         object.__setattr__(m, "_int_rows", int_rows)
         return m
 
-    def __getattr__(self, name):
-        # reached only when a slot is unset, which only _rows can be: make
-        # the stored rows from the int view, once
-        if name != "_rows":
-            raise AttributeError(
-                f"{type(self).__qualname__!r} object has no attribute {name!r}")
-        value = tuple(r if d == 1 else {c: _div(x, d) for c, x in r.items()}
-                      for d, r in zip(self._dens, self._int_rows))
-        object.__setattr__(self, name, value)
-        return value
-
     def __reduce__(self):
-        # copy, deepcopy and pickle rebuild from the stored sparse rows
-        return type(self)._from_sparse, (self.rows, self.cols, self._rows)
+        # copy, deepcopy and pickle rebuild from the int rows
+        return type(self)._from_ints, (self.rows, self.cols, self._dens, self._int_rows)
 
     @classmethod
     def from_rows(cls, rows_list, cols: int | None = None) -> "RationalMatrix":
@@ -217,96 +185,97 @@ class RationalMatrix(Immutable):
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
         if rows < 0 or cols < 0:
             raise SheafcalcError(f"negative shape {rows}x{cols}")
-        return cls._from_sparse(rows, cols, tuple({} for _ in range(rows)))
+        return cls._from_ints(rows, cols, (1,) * rows, tuple({} for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         if n < 0:
             raise SheafcalcError(f"negative shape {n}x{n}")
-        return cls._from_sparse(n, n, tuple({i: 1} for i in range(n)))
+        return cls._from_ints(n, n, (1,) * n, tuple({i: 1} for i in range(n)))
 
     @property
     def data(self) -> tuple:
         """All entries row by row, zeros included."""
-        return tuple(x for r in self._rows for x in self._dense(r))
+        return tuple(x for line in self.row_lists() for x in line)
 
-    def _dense(self, r: dict) -> list:
+    def _dense(self, d: int, r: dict) -> list:
         line = [_ZERO] * self.cols
         for j, x in r.items():
-            line[j] = _public(x)
+            line[j] = Fraction(x, d)
         return line
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise SheafcalcError(f"no entry ({i}, {j}) in {self.rows}x{self.cols}")
-        return _public(self._rows[i].get(j, _ZERO))
+        return Fraction(self._int_rows[i].get(j, 0), self._dens[i])
 
     def row(self, i: int) -> tuple:
         if not 0 <= i < self.rows:
             raise SheafcalcError(f"no row {i} in {self.rows}x{self.cols}")
-        return tuple(self._dense(self._rows[i]))
+        return tuple(self._dense(self._dens[i], self._int_rows[i]))
 
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.cols:
             raise SheafcalcError(f"no column {j} in {self.rows}x{self.cols}")
-        return tuple(_public(r.get(j, _ZERO)) for r in self._rows)
+        return tuple(Fraction(r.get(j, 0), d) for d, r in zip(self._dens, self._int_rows))
 
     def row_lists(self):
-        return [self._dense(r) for r in self._rows]
+        return [self._dense(d, r) for d, r in zip(self._dens, self._int_rows)]
 
     def transpose(self) -> "RationalMatrix":
         out = tuple({} for _ in range(self.cols))
-        for i, r in enumerate(self._rows):
+        for i, (d, r) in enumerate(zip(self._dens, self._int_rows)):
             for j, x in r.items():
-                out[j][i] = x
-        return RationalMatrix._from_sparse(self.cols, self.rows, out)
+                out[j][i] = x if d == 1 else _div(x, d)
+        return RationalMatrix._from_ints(self.cols, self.rows, *_split(map(_ints, out)))
 
     def is_zero(self) -> bool:
-        return not any(_int_view(self)[1])
+        return not any(self._int_rows)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows)
+        return ((self.rows, self.cols, self._dens, self._int_rows)
+                == (other.rows, other.cols, other._dens, other._int_rows))
 
     def __hash__(self):
-        # equal matrices store equal entries, each row's possibly inserted
-        # in another order
-        return hash((self.rows, self.cols,
-                     tuple(tuple(sorted(r.items())) for r in self._rows)))
+        # equal matrices store equal int rows, each row's possibly
+        # inserted in another order
+        return hash((self.rows, self.cols, self._dens,
+                     tuple(tuple(sorted(r.items())) for r in self._int_rows)))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise SheafcalcError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        out = tuple(dict(r) for r in self._rows)
-        for r, s in zip(out, other._rows):
-            for c, x in s.items():
-                v = r.get(c, 0) + x
-                if v:
-                    r[c] = _stored(v)
-                else:
-                    del r[c]
-        return RationalMatrix._from_sparse(self.rows, self.cols, out)
+        out = []
+        for d, r, e, s in zip(self._dens, self._int_rows, other._dens, other._int_rows):
+            den = lcm(d, e)
+            acc = {c: x * (den // d) for c, x in r.items()}
+            for c, y in s.items():
+                acc[c] = acc.get(c, 0) + y * (den // e)
+            out.append(_least(den, acc))
+        return RationalMatrix._from_ints(self.rows, self.cols, *_split(out))
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._from_sparse(self.rows, self.cols, tuple(
-            {j: -x for j, x in r.items()} for r in self._rows))
+        return RationalMatrix._from_ints(self.rows, self.cols, self._dens, tuple(
+            {j: -x for j, x in r.items()} for r in self._int_rows))
 
     def scale(self, k) -> "RationalMatrix":
-        k = _stored(rational(k))
-        return RationalMatrix._from_sparse(self.rows, self.cols, tuple(
-            {j: _stored(k * x) for j, x in r.items()} if k else {}
-            for r in self._rows))
+        k = rational(k)
+        return RationalMatrix._from_ints(self.rows, self.cols, *_split(
+            _least(d * k.denominator, {j: k.numerator * x for j, x in r.items()})
+            for d, r in zip(self._dens, self._int_rows)))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         return matmul(self, other)
 
     def apply(self, vector) -> tuple:
-        """Matrix times column vector (any iterable of rationals)."""
-        vec = tuple(rational(x) for x in vector)
+        """Matrix times column vector (any iterable of rationals but a
+        string)."""
+        vec = _vector(vector)
         if len(vec) != self.cols:
             raise SheafcalcError(f"vector of length {len(vec)} against "
                                  f"{self.rows}x{self.cols}")
@@ -315,23 +284,35 @@ class RationalMatrix(Immutable):
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"RationalMatrix({self.rows}x{self.cols})"
-        body = "; ".join(
-            " ".join(str(x) for x in self._dense(r)) for r in self._rows)
+        body = "; ".join(" ".join(map(str, line)) for line in self.row_lists())
         return f"RationalMatrix[{body}]"
 
 
+def _vector(values) -> tuple:
+    """A vector argument as stored entries.  A string is refused, not
+    read as its characters."""
+    if isinstance(values, str):
+        raise SheafcalcError(f"vector {values!r} is a string, not an "
+                             f"iterable of rationals")
+    return tuple(x if type(x) is int else _stored(rational(x)) for x in values)
+
+
 def _image(m: RationalMatrix, vec) -> tuple:
-    """m times ``vec``, a vector of stored entries or Fractions, in
-    storage form: ``apply`` without its checks and its Fraction view,
-    for values that stay inside the library.  A stored 1 takes the
-    vector's entry as it is, with no multiplication; the type test comes
-    first because comparing a Fraction with 1 costs more than the
-    product it would save."""
+    """m times ``vec``, a vector of stored entries, in storage form:
+    ``apply`` without its checks and its Fraction view, for values that
+    stay inside the library.  The vector is written over its common
+    denominator once; each row then sums int products and is divided
+    once, by its own denominator times the vector's."""
+    den = lcm(*[x.denominator for x in vec])
+    if den != 1:
+        vec = [x.numerator * (den // x.denominator) for x in vec]
     out = []
-    for row in m._rows:
-        terms = [vec[j] if type(x) is int and x == 1 else vec[j] * x
-                 for j, x in row.items()]
-        out.append(_stored(sum(terms[1:], terms[0])) if terms else 0)
+    for d, row in zip(m._dens, m._int_rows):
+        s = 0
+        for j, x in row.items():
+            s += x * vec[j]
+        d *= den
+        out.append(s if d == 1 else _div(s, d))
     return tuple(out)
 
 
@@ -340,20 +321,19 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
     Only products of two nonzero entries are formed: Theta(sum over the
     nonzeros a_ik of the nonzeros in row k of b) operations, all of them
-    int ones.  Both factors are read through their int views: a row of a
-    and the rows of b it meets are brought to a common denominator and
-    the int products are summed; sums that cancel to zero are dropped.
-    The product is returned as an int view, each row divided by the gcd
-    of its denominator and its sums, so its d is least again and the
-    ints of a chain of products stay those of its exact entries.  No
-    Fraction is made until the product's stored rows are read.
+    int ones.  A row of a and the rows of b it meets are brought to a
+    common denominator and the int products are summed; sums that cancel
+    to zero are dropped.  Each product row is divided by the gcd of its
+    denominator and its sums, so its d is least again and the ints of a
+    chain of products stay those of its exact entries.  No Fraction is
+    made.
     """
     if a.cols != b.rows:
         raise SheafcalcError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    b_dens, b_rows = _int_view(b)
+    b_dens, b_rows = b._dens, b._int_rows
     integral = max(b_dens, default=1) == 1
     dens, out = [], []
-    for da, a_row in zip(*_int_view(a)):
+    for da, a_row in zip(a._dens, a._int_rows):
         db = 1 if integral or not a_row else lcm(*[b_dens[k] for k in a_row])
         acc = {}
         for k, x in a_row.items():
@@ -363,13 +343,7 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
             for j, y in b_rows[k].items():
                 p = x * y
                 acc[j] = acc[j] + p if j in acc else p
-        acc = {j: v for j, v in acc.items() if v}
-        den = da * db if acc else 1
-        if den != 1:
-            g = gcd(den, *acc.values())
-            if g != 1:
-                den //= g
-                acc = {j: v // g for j, v in acc.items()}
+        den, acc = _least(da * db, acc)
         dens.append(den)
         out.append(acc)
     return RationalMatrix._from_ints(a.rows, b.cols, tuple(dens), tuple(out))
@@ -405,7 +379,7 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
         rank=len(pivots),
         kernel_basis=_kernel(rref, cols),
         image_basis=tuple(m.column(pc) for pc in pivots),
-        rref=RationalMatrix._from_sparse(rows, cols, tuple(rows_out)),
+        rref=RationalMatrix._from_ints(rows, cols, *_split(map(_ints, rows_out))),
         pivots=tuple(pivots))
 
 
@@ -446,7 +420,7 @@ def _reduced(m: RationalMatrix) -> dict:
     its row)}, built row by row with ``_reduce_row``; its length is the
     rank of m."""
     reduced = {}
-    for row in _int_view(m)[1]:
+    for row in m._int_rows:
         if len(reduced) == m.cols:
             break
         _reduce_row(reduced, row)
@@ -455,7 +429,7 @@ def _reduced(m: RationalMatrix) -> dict:
 
 def _reduce_row(reduced: dict, row):
     """Add one sparse int row ({column: nonzero int}, left unchanged),
-    such as a row of an int view, to ``reduced``, {pivot column: (pivot,
+    such as a matrix's int row, to ``reduced``, {pivot column: (pivot,
     rest of its row)}: a primitive int row, its pivot > 0 and its rest
     holding only columns right of the pivot.  The row is reduced by the
     stored rows whose pivots it meets, lowest pivot first, so a pivot
@@ -512,29 +486,25 @@ def _primitive(pv: int, r: dict) -> tuple:
     return (pv, r) if g == 1 else (pv // g, {c: x // g for c, x in r.items()})
 
 
-def _int_view(m: RationalMatrix) -> tuple:
-    """m's int view, (dens, int_rows): row i of m is ``int_rows[i]``, a
-    dict of ints, divided by ``dens[i]``, the row's least common
-    denominator.  Made from the stored rows on first use and kept; when
-    every entry is an int, int_rows is the stored rows themselves."""
-    if m._int_rows is None:
-        rows = m._rows
-        if _integral(rows):
-            dens = (1,) * len(rows)
-        else:
-            dens, rows = zip(*map(_ints, rows))
-        object.__setattr__(m, "_dens", dens)
-        object.__setattr__(m, "_int_rows", rows)
-    return m._dens, m._int_rows
+def _least(den: int, row: dict) -> tuple:
+    """(d, row): an int row over ``den`` > 0, its zeros dropped, divided
+    by the gcd of den and its entries, so that d is the least common
+    denominator of the row it stands for (1 for an empty row)."""
+    row = {c: x for c, x in row.items() if x}
+    if not row:
+        return 1, row
+    g = gcd(den, *row.values()) if den != 1 else 1
+    return (den, row) if g == 1 else (den // g, {c: x // g for c, x in row.items()})
 
 
-def _integral(rows) -> bool:
-    """Whether every entry of these stored rows is an int."""
-    for row in rows:
-        for x in row.values():
-            if type(x) is not int:
-                return False
-    return True
+def _split(pairs) -> tuple:
+    """(dens, int_rows), the two stored tuples of a matrix, from its
+    rows as (d, int row) pairs."""
+    dens, rows = [], []
+    for d, r in pairs:
+        dens.append(d)
+        rows.append(r)
+    return tuple(dens), tuple(rows)
 
 
 def _ints(row: dict) -> tuple:
@@ -552,11 +522,11 @@ def _ints(row: dict) -> tuple:
 
 def _augmented(a: RationalMatrix, b) -> list:
     """Int rows of [A | b], b in column a.cols, a vector of stored
-    entries or Fractions: each row of a's int view, with its b entry,
-    over their common denominator.  A row whose b entry is zero is the
-    int view's own, never mutated."""
+    entries or Fractions: each int row of a, with its b entry, over
+    their common denominator.  A row whose b entry is zero is a's own,
+    never mutated."""
     out = []
-    for d, row, v in zip(*_int_view(a), b, strict=True):
+    for d, row, v in zip(a._dens, a._int_rows, b, strict=True):
         if v:
             q = v.denominator
             g = gcd(d, q)
@@ -589,8 +559,9 @@ def _particular(reduced: dict, rhs: int) -> tuple:
 
 
 def solve(a: RationalMatrix, b) -> tuple | None:
-    """A particular exact solution of A x = b, or None if inconsistent."""
-    b = tuple(rational(x) for x in b)
+    """A particular exact solution of A x = b, or None if inconsistent;
+    b is any iterable of rationals but a string."""
+    b = _vector(b)
     if len(b) != a.rows:
         raise SheafcalcError(f"right-hand side of length {len(b)}, not {a.rows}")
     reduced = {}
@@ -621,6 +592,6 @@ def block_assemble(blocks, row_dims, col_dims) -> RationalMatrix:
     out = tuple({} for _ in range(row_off[-1]))
     for (i, j), blk in blocks.items():
         at = col_off[j]
-        for r, row in enumerate(blk._rows, start=row_off[i]):
-            out[r].update((at + c, x) for c, x in row.items())
-    return RationalMatrix._from_sparse(row_off[-1], col_off[-1], out)
+        for r, (d, row) in enumerate(zip(blk._dens, blk._int_rows), start=row_off[i]):
+            out[r].update((at + c, _div(x, d)) for c, x in row.items())
+    return RationalMatrix._from_ints(row_off[-1], col_off[-1], *_split(map(_ints, out)))

@@ -19,7 +19,7 @@ from util import (
     RUNNING_STALK_DIMS, binary_chain, composite_spread, constant_sheaf,
     base_complex, eliminating_localize_obstruction, grid_complex,
     random_bayes_model, random_complex, random_unimodular, random_valid_sheaf,
-    running_sheaf, scan_validate_sheaf, stored_rows_made, zero_sheaf)
+    running_sheaf, scan_validate_sheaf, zero_sheaf)
 
 
 # ------------------------------------------------------ structure checks
@@ -272,7 +272,7 @@ def _rescaled(rng, s):
 
 
 def _assembly_corpus(seed):
-    """Sheaves and cosheaves whose coboundaries the int views write:
+    """Sheaves and cosheaves whose coboundaries are written as int rows:
     all-int maps (unimodular conjugates of rank-deficient inclusions) and
     their fractional rescalings, on random complexes, some with
     tetrahedra and 4-simplices, fractional diagonal grids, the Bayes
@@ -299,29 +299,26 @@ def _assembly_corpus(seed):
 
 
 @pytest.mark.parametrize("seed", [51, 52])
-def test_int_view_coboundaries_and_products_equal_the_storage_oracle(seed):
-    from sheafcalc.cellsheaf import _cochain_map, _then
-    from sheafcalc.rationals import _int_view
+def test_int_row_coboundaries_and_products_equal_the_storage_oracle(seed):
+    from sheafcalc.cellsheaf import _cochain_map, _layout, _then
     from util import storage_cochain_map, storage_matmul
 
     seen = Counter()
     for s in _assembly_corpus(seed):
         degrees = range(len(s.base._layers()[1]))
-        got = [_cochain_map(s, k) for k in degrees]
+        got = [_cochain_map(s, _layout(s, k + 1), _layout(s, k)) for k in degrees]
         want = [storage_cochain_map(s, k) for k in degrees]
         for g, w in zip(got, want):
-            assert not stored_rows_made(g)  # written without a Fraction
-            assert _int_view(g) == _int_view(w)  # least denominators
+            assert (g._dens, g._int_rows) == (w._dens, w._int_rows)  # least denominators
             assert (g, hash(g), repr(g)) == (w, hash(w), repr(w))
             seen[s.variance, "fractional" if any(
-                d > 1 for d in _int_view(g)[0]) else "int"] += 1
+                d > 1 for d in g._dens) else "int"] += 1
         for k in range(len(got) - 2):
             g = _then(s, got[k], got[k + 1])
             w = (storage_matmul(want[k + 1], want[k]) if s.variance == "sheaf"
                  else storage_matmul(want[k], want[k + 1]))
             assert g.is_zero() == w.is_zero()
-            assert not stored_rows_made(g)  # is_zero reads the int view
-            assert _int_view(g) == _int_view(w)
+            assert (g._dens, g._int_rows) == (w._dens, w._int_rows)
             assert (g, hash(g), repr(g)) == (w, hash(w), repr(w))
             seen["products", "zero" if w.is_zero() else "nonzero"] += 1
     assert set(seen) == {(v, kind) for v in ("sheaf", "cosheaf")
@@ -382,9 +379,9 @@ def test_each_library_call_writes_each_coboundary_once(monkeypatch):
 
     written = []
 
-    def counted(s, k):
-        written.append(k)
-        return write(s, k)
+    def counted(s, upper, lower):
+        written.append(tuple(lower[0]))  # the faces of degree k
+        return write(s, upper, lower)
 
     write = cellsheaf._cochain_map
     monkeypatch.setattr(cellsheaf, "_cochain_map", counted)
@@ -395,7 +392,7 @@ def test_each_library_call_writes_each_coboundary_once(monkeypatch):
     for call in calls:
         written.clear()
         call()
-        assert written == [0, 1, 2]
+        assert written == [s.base.k_faces(k) for k in range(3)]
 
 
 def test_composite_map_matches_manual_chain():

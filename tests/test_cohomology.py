@@ -19,9 +19,9 @@ from sheafcalc.rationals import RationalMatrix, block_assemble, decompose
 from util import (
     binary_chain, constant_sheaf, base_complex, dense_decompose, dense_matmul,
     grid_complex, random_bayes_model, random_complex, random_unimodular,
-    random_valid_sheaf, route_matrix, running_sheaf, sprinkler, tuple_brute_marginal,
-    tuple_conditional_matrix, tuple_joint, tuple_marginalize_matrix,
-    union_find_components, zero_sheaf)
+    random_valid_sheaf, route_matrix, running_sheaf, sprinkler, stored_rows,
+    tuple_brute_marginal, tuple_conditional_matrix, tuple_joint,
+    tuple_marginalize_matrix, union_find_components, zero_sheaf)
 
 
 # ----------------------------------------------------------- coboundaries
@@ -413,7 +413,7 @@ def test_conditional_chain_follows_the_dag():
     # one CPT entry per row, and P(w | ~s, ~r) = 0 is left out of the
     # stored rows, so the matrix equals the one its dense entries build
     grow_w = a.sheaf.restriction[(("S", "R"), ("W", "S", "R"))]
-    assert [len(row) for row in grow_w._rows] == [1, 1, 1, 0, 1, 1, 1, 1]
+    assert [len(row) for row in stored_rows(grow_w)] == [1, 1, 1, 0, 1, 1, 1, 1]
     assert grow_w == RationalMatrix(grow_w.rows, grow_w.cols, grow_w.data)
 
 

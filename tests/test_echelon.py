@@ -18,13 +18,13 @@ import pytest
 from sheafcalc.cellsheaf import Assignment, extend, global_section_space
 from sheafcalc.cohomology import coboundary, cohomology_dims
 from sheafcalc.rationals import (
-    RationalMatrix, _augmented, _int_view, _kernel, _particular, _reduce_row,
-    _reduced, _rref, decompose, matmul, solve)
+    RationalMatrix, _augmented, _kernel, _particular, _reduce_row, _reduced,
+    _rref, decompose, matmul, solve)
 
 from util import (
     assert_primitive_echelon, dense_matmul, diagonal_grid_sheaf, grid_complex,
     random_sparse_matrix, random_unimodular, rref_decompose, rref_kernel,
-    rref_particular, rref_reduce_row, rref_reduced, rref_solve)
+    rref_particular, rref_reduce_row, rref_reduced, rref_solve, stored_rows)
 
 
 # --------------------------------------------------------------- corpora
@@ -110,10 +110,10 @@ def test_reductions_share_pivots_and_kernels_with_the_rref():
 def test_rows_get_the_pivots_the_rref_gives_them_in_order():
     # each new row's pivot, or None, row by row: for an augmented row
     # [A | b] that is the consistency verdict, b's column being the pivot;
-    # the row step takes the int view's rows, the oracle the stored ones
+    # the row step takes the int rows, the oracle the stored ones
     for m in corpus():
         got, want = {}, {}
-        for ints, row in zip(_int_view(m)[1], m._rows):
+        for ints, row in zip(m._int_rows, stored_rows(m)):
             assert _reduce_row(got, ints) == rref_reduce_row(want, row)
 
 
@@ -209,7 +209,7 @@ def test_products_equal_the_dense_fraction_product():
         got = matmul(a, b)
         assert repr(got) == repr(dense_matmul(a, b))
         assert all(x and (type(x) is int or x.denominator > 1)
-                   for row in got._rows for x in row.values())
+                   for row in stored_rows(got) for x in row.values())
         cancelled += bool(a.rows and b.cols and got.is_zero() and not a.is_zero())
     assert cancelled > 10
 

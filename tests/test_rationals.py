@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,13 @@ from sheafcalc.cohomology import bayes_build, coboundary
 from sheafcalc.complexes import boundary_matrix
 from sheafcalc.errors import SheafcalcError
 from sheafcalc.rationals import (
-    DIGIT_LIMIT, RationalMatrix, _int_view, _reduced, _rref, block_assemble,
-    decompose, matmul, rational, solve)
+    DIGIT_LIMIT, RationalMatrix, _reduced, _rref, block_assemble, decompose,
+    matmul, rational, solve)
 
 from util import (
     assert_primitive_echelon, binary_chain, constant_sheaf, dense_decompose,
     dense_matmul, grid_complex, random_bayes_model, random_complex,
-    random_valid_sheaf, stored_rows_made)
+    random_valid_sheaf, stored_rows)
 
 
 # ---------------------------------------------------------------- oracles
@@ -279,12 +280,26 @@ def assert_storage_form(entries):
         assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
 
 
+def assert_canonical(m):
+    """m's one stored form is canonical: a (d, int row) pair per row,
+    every column in range, no zero stored, every entry an int (never a
+    bool), each d > 0 the least common denominator of the row it stands
+    for, so gcd(d, row) = 1, and d = 1 for an empty row."""
+    assert len(m._dens) == len(m._int_rows) == m.rows
+    for d, r in zip(m._dens, m._int_rows):
+        assert type(d) is int and d > 0, d
+        assert all(type(c) is int and 0 <= c < m.cols for c in r), r
+        assert all(type(x) is int and x for x in r.values()), r
+        assert gcd(d, *r.values()) == 1, (d, r)
+        assert d == lcm(*[Fraction(x, d).denominator for x in r.values()]), (d, r)
+
+
 def assert_stored_canonically(m):
-    """No stored row holds a zero or an entry out of storage form, and m
-    is the matrix its dense view builds, hash included."""
-    assert len(m._rows) == m.rows
-    assert all(0 <= j < m.cols for r in m._rows for j in r)
-    assert_storage_form(x for r in m._rows for x in r.values())
+    """m is stored canonically, the rows it stands for hold only entries
+    in storage form, and m is the matrix its dense view builds, hash
+    included."""
+    assert_canonical(m)
+    assert_storage_form(x for r in stored_rows(m) for x in r.values())
     dense = RationalMatrix(m.rows, m.cols, m.data)
     assert m == dense
     assert hash(m) == hash(dense)
@@ -418,7 +433,7 @@ def test_products_that_cancel_store_no_zero():
     a = RationalMatrix.from_rows([[1, 1], [0, 2]])
     b = RationalMatrix.from_rows([[1], [-1]])
     prod = matmul(a, b)
-    assert prod._rows == ({}, {0: -2})
+    assert stored_rows(prod) == ({}, {0: -2})
     assert prod == RationalMatrix.from_rows([[0], [-2]])
     assert matmul(RationalMatrix.from_rows([[1, 1]]), b).is_zero()
 
@@ -428,7 +443,6 @@ def _round_trips(m):
 
 
 # every view a caller can take of a matrix, each asked of a fresh product
-# whose stored rows are not made yet
 MATRIX_VIEWS = {
     "data": lambda m: m.data,
     "entry": lambda m: [m.entry(i, j) for i in range(m.rows) for j in range(m.cols)],
@@ -451,33 +465,31 @@ def test_a_product_and_the_checked_constructor_agree_in_every_view(a, data):
     want = RationalMatrix(a.rows, b.cols, dense_matmul(a, b).data)
     for name, view in MATRIX_VIEWS.items():
         got = matmul(a, b)
-        assert not stored_rows_made(got)
         assert view(got) == view(want), name
     for one, other in [(matmul(a, b), want), (want, matmul(a, b))]:
         assert one == other and hash(one) == hash(other)
 
 
-def test_a_filled_view_is_as_immutable_as_the_matrix():
-    # a product, whose stored rows are made when first read, and a
-    # checked matrix, whose int view is
+def test_every_slot_of_a_matrix_is_immutable():
+    # a product and a checked matrix
     a = RationalMatrix.from_rows([["1/2", 3], [0, "-2/3"]])
     for m in (matmul(a, a), a):
-        both = (m.rows, m.cols, m._rows, _int_view(m))  # makes both forms
-        for name in ("rows", "cols", "_rows", "_dens", "_int_rows"):
+        before = (m.rows, m.cols, m._dens, m._int_rows)
+        for name in ("rows", "cols", "_dens", "_int_rows"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(m, name, None)
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(m, name)
-        assert (m.rows, m.cols, m._rows, _int_view(m)) == both
+        assert (m.rows, m.cols, m._dens, m._int_rows) == before
 
 
 def test_a_chain_of_five_fractional_products_keeps_least_int_rows():
     # matmul divides each product row by the gcd of its denominator and
-    # its sums, so a product's int view holds d * row with d the row's
-    # least common denominator, the view the checked constructor's matrix
-    # gets: no int exceeds d times the row's largest entry, however long
-    # the chain.  A map and its inverse, alternated, end at the identity
-    # with the int view of the identity.
+    # its sums, so a product's int rows hold d * row with d the row's
+    # least common denominator, the int rows the checked constructor's
+    # matrix gets: no int exceeds d times the row's largest entry, however
+    # long the chain.  A map and its inverse, alternated, end at the
+    # identity with the int rows of the identity.
     rng = random.Random(61)
     for _ in range(40):
         n = rng.randint(1, 4)
@@ -488,14 +500,71 @@ def test_a_chain_of_five_fractional_products_keeps_least_int_rows():
         for m in maps[1:]:
             chain = chain @ m
             stored = RationalMatrix(n, n, chain.data)
-            assert _int_view(chain) == _int_view(stored)
+            assert (chain._dens, chain._int_rows) == (stored._dens, stored._int_rows)
     twist = RationalMatrix.from_rows([["2/3", 0, "5/7"], [0, "-9/4", 0], [0, 0, "3/11"]])
     undo = RationalMatrix.from_rows([["3/2", 0, "-55/14"], [0, "-4/9", 0], [0, 0, "11/3"]])
     chain = twist
     for m in (undo, twist, undo, twist, undo):
         chain = chain @ m
-    assert _int_view(chain) == ((1, 1, 1), ({0: 1}, {1: 1}, {2: 1}))
+    assert (chain._dens, chain._int_rows) == ((1, 1, 1), ({0: 1}, {1: 1}, {2: 1}))
     assert chain == RationalMatrix.identity(3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.data())
+def test_every_path_leaves_each_matrix_canonical(m, data):
+    # each pair is one matrix built two ways; both must be canonical, and
+    # canonical forms of equal matrices are equal int rows and hashes
+    other = data.draw(mixed_matrices(rows=m.rows, cols=m.cols))
+    k = data.draw(st.one_of(st.just(Fraction(0)), nonzero_entries, st.integers(-3, 3)))
+    b = data.draw(sparse_matrices(rows=m.cols, max_dim=5))
+    c = data.draw(sparse_matrices(rows=b.cols, max_dim=5))
+    zero = RationalMatrix.zero(m.rows, m.cols)
+
+    def dense(x):
+        return RationalMatrix(x.rows, x.cols, x.data)
+
+    def product(*factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = dense_matmul(out, f)
+        return out
+
+    wide = [x + y for x, y in zip(m.row_lists(), other.row_lists())]
+    pairs = [
+        (RationalMatrix(m.rows, m.cols, [str(x) for x in m.data]), m),
+        (RationalMatrix.from_rows(m.row_lists(), cols=m.cols), m),
+        (RationalMatrix.identity(m.rows) @ m, m @ RationalMatrix.identity(m.cols)),
+        (RationalMatrix.identity(m.cols), dense(RationalMatrix.identity(m.cols))),
+        (zero, RationalMatrix(m.rows, m.cols, [0] * (m.rows * m.cols))),
+        (m.transpose(), dense(m.transpose())),
+        (m.transpose().transpose(), m),
+        (m + other, other + m),
+        (m + other, RationalMatrix(m.rows, m.cols, [
+            x + y for x, y in zip(m.data, other.data)])),
+        ((m + other) - other, m),
+        (m - m, zero),
+        (m - other, m + other.scale(-1)),
+        (m.scale(k), RationalMatrix(m.rows, m.cols, [k * x for x in m.data])),
+        (m.scale(0), zero),
+        ((m @ b) @ c, m @ (b @ c)),
+        (m @ b @ c, product(m, b, c)),
+        (m @ b @ c @ c.transpose(), product(m, b, c, c.transpose())),
+        (block_assemble({(0, 0): m, (0, 1): other}, [m.rows], [m.cols, m.cols]),
+         RationalMatrix.from_rows(wide, cols=2 * m.cols)),
+        (block_assemble({(1, 0): m}, [1, m.rows], [m.cols]),
+         RationalMatrix.from_rows([[0] * m.cols] + m.row_lists(), cols=m.cols)),
+        (decompose(m).rref, dense(decompose(dense(m)).rref)),
+        (copy.copy(m), m),
+        (copy.deepcopy(m), m),
+        (pickle.loads(pickle.dumps(m)), m),
+    ]
+    for i, (x, y) in enumerate(pairs):
+        assert_canonical(x)
+        assert_canonical(y)
+        assert (x.rows, x.cols, x._dens, x._int_rows) == (
+            y.rows, y.cols, y._dens, y._int_rows), i
+        assert x == y and hash(x) == hash(y), i
 
 
 @settings(max_examples=100, deadline=None)
@@ -524,8 +593,8 @@ def test_equal_matrices_hash_equal(m):
         m.transpose().transpose(),
         m.scale(1),
         # the same entries, each row's inserted in the opposite order
-        RationalMatrix._from_sparse(m.rows, m.cols, tuple(
-            dict(reversed(r.items())) for r in m._rows)),
+        RationalMatrix._from_ints(m.rows, m.cols, m._dens, tuple(
+            dict(reversed(r.items())) for r in m._int_rows)),
     ]
     for other in built:
         assert other == m
@@ -558,6 +627,16 @@ def test_solve_consistent_and_not():
     x = solve(a, [1, 2])
     assert a.apply(x) == (Fraction(1), Fraction(2))
     assert solve(a, [1, 3]) is None
+
+
+def test_apply_and_solve_take_any_iterable_but_a_string():
+    # a string is refused (see REFUSALS); the rationals a string spells
+    # are taken in any other iterable
+    a = RationalMatrix.from_rows([[1, 0], [0, 2]])
+    for vec in ([1, 2], (1, "2"), iter([1, 2]), range(1, 3), map(int, "12")):
+        assert a.apply(vec) == (Fraction(1), Fraction(4))
+    for b in ([1, 4], (1, "4"), iter([1, 4]), map(int, "14")):
+        assert solve(a, b) == (Fraction(1), Fraction(2))
 
 
 def test_solve_single_variable_overdetermined():
@@ -642,6 +721,11 @@ REFUSALS = {
     "add-shapes": (lambda: ONE + RationalMatrix.zero(1, 2), "1x1 + 1x2"),
     "apply-length": (lambda: RationalMatrix.identity(2).apply([1]),
                      "vector of length 1 against 2x2"),
+    # a string is not read as its digit characters
+    "apply-string": (lambda: RationalMatrix.identity(2).apply("12"),
+                     "vector '12' is a string, not an iterable of rationals"),
+    "solve-string": (lambda: solve(RationalMatrix.identity(2), "34"),
+                     "vector '34' is a string, not an iterable of rationals"),
     "block-dimension": (lambda: block_assemble({}, [-1], [1]),
                         "negative block dimension"),
     "block-outside": (lambda: block_assemble({(1, 0): ONE}, [1], [1]),

@@ -554,7 +554,7 @@ def rref_reduced(m) -> dict:
     """The rref of m's rows as {pivot column: rest of its row}, built
     row by row with ``rref_reduce_row``; its length is the rank of m."""
     reduced = {}
-    for row in m._rows:
+    for row in stored_rows(m):
         if len(reduced) == m.cols:
             break
         rref_reduce_row(reduced, row)
@@ -1128,19 +1128,19 @@ def tuple_marginalize_matrix(m, sub, face):
     """0/1 summation matrix collapsing the face's distribution onto sub."""
     from fractions import Fraction
 
-    from sheafcalc.rationals import RationalMatrix
+    from sheafcalc.rationals import RationalMatrix, _ints, _split
 
     sub_index = index_map(m, sub)
     cols = combos(m, face)
     rows = tuple({} for _ in sub_index)
     for j, combo in enumerate(cols):
         rows[sub_index[restrict_combo(face, sub, combo)]][j] = Fraction(1)
-    return RationalMatrix._from_sparse(len(rows), len(cols), rows)
+    return RationalMatrix._from_ints(len(rows), len(cols), *_split(map(_ints, rows)))
 
 
 def tuple_conditional_matrix(m, small, big):
     """Multiplication by the CPT of the one variable big adds to small."""
-    from sheafcalc.rationals import RationalMatrix
+    from sheafcalc.rationals import RationalMatrix, _ints, _split
 
     (new,) = set(big) - set(small)
     small_index = index_map(m, small)
@@ -1151,7 +1151,8 @@ def tuple_conditional_matrix(m, small, big):
         parent_combo = restrict_combo(big, m.parents[new], combo)
         p = cpt_value(m, new, own, parent_combo)
         rows.append({small_index[below]: p} if p else {})
-    return RationalMatrix._from_sparse(len(rows), len(small_index), tuple(rows))
+    return RationalMatrix._from_ints(
+        len(rows), len(small_index), *_split(map(_ints, rows)))
 
 
 def tuple_joint(m):
@@ -1602,12 +1603,14 @@ def eliminating_localize_obstruction(s, seed, swept, swept_rows, total):
 
 # ---------------------------------------------------- Fraction-storage oracles
 # cellsheaf._cochain_map and rationals.matmul as they were before both
-# wrote int views: the coboundary is assembled from the stored attachment
+# wrote int rows: the coboundary is assembled from the stored attachment
 # rows, each entry under a -1 incidence sign negated as a Fraction or an
 # int, and a product clears the denominators of every row of both factors
 # through _ints and divides each nonzero sum back to a stored entry.  Both
 # return matrices built from stored rows.  Kept verbatim but for their
-# names and imports.
+# names and imports, and for their reads and writes of the matrix form:
+# they read stored rows through stored_rows and write theirs through
+# _ints, the one stored form being int rows.
 
 def storage_cochain_map(s, k):
     """delta^k of a sheaf or, of a cosheaf, the boundary from degree
@@ -1621,7 +1624,7 @@ def storage_cochain_map(s, k):
     """
     from sheafcalc.cellsheaf import _attachment, _layout
     from sheafcalc.complexes import _signed_facets
-    from sheafcalc.rationals import RationalMatrix
+    from sheafcalc.rationals import RationalMatrix, _ints, _split
 
     sheaf = s.variance == "sheaf"
     upper, n_upper = _layout(s, k + 1)
@@ -1633,11 +1636,11 @@ def storage_cochain_map(s, k):
             if mat is None or (mat.rows, mat.cols) != s.expected_shape(sigma, tau):
                 _attachment(s, sigma, tau)  # names the fault
             at, col = (upper[tau], lower[sigma]) if sheaf else (lower[sigma], upper[tau])
-            for r, row in enumerate(mat._rows, start=at):
+            for r, row in enumerate(stored_rows(mat), start=at):
                 out[r].update((col + c, x if sign == 1 else -x)
                               for c, x in row.items())
     cols = n_lower if sheaf else n_upper
-    return RationalMatrix._from_sparse(len(out), cols, out)
+    return RationalMatrix._from_ints(len(out), cols, *_split(map(_ints, out)))
 
 
 def storage_matmul(a, b):
@@ -1651,13 +1654,13 @@ def storage_matmul(a, b):
     """
     from math import lcm
 
-    from sheafcalc.rationals import RationalMatrix, _div, _ints
+    from sheafcalc.rationals import RationalMatrix, _div, _ints, _split
 
     assert a.cols == b.rows, f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-    b_rows = [_ints(r) for r in b._rows]
+    b_rows = [_ints(r) for r in stored_rows(b)]
     integral = all(d == 1 for d, _ in b_rows)
     out = []
-    for a_row in a._rows:
+    for a_row in stored_rows(a):
         da, a_row = _ints(a_row)
         db = 1 if integral else lcm(*[b_rows[k][0] for k in a_row])
         acc = {}
@@ -1669,15 +1672,18 @@ def storage_matmul(a, b):
                 p = x * y
                 acc[j] = acc[j] + p if j in acc else p
         out.append({j: _div(v, da * db) for j, v in acc.items() if v})
-    return RationalMatrix._from_sparse(a.rows, b.cols, tuple(out))
+    return RationalMatrix._from_ints(a.rows, b.cols, *_split(map(_ints, out)))
 
 
-def stored_rows_made(m) -> bool:
-    """Whether m's stored rows exist yet, read without making them."""
-    from sheafcalc.rationals import RationalMatrix
+def stored_rows(m) -> tuple:
+    """m's rows as {column: nonzero entry} dicts, each entry in storage
+    form, an int when integral and else a Fraction: the rows m's int
+    rows stand for, divided out here without the library."""
+    from fractions import Fraction
 
-    try:
-        RationalMatrix._rows.__get__(m)
-    except AttributeError:
-        return False
-    return True
+    def entry(x, d):
+        q = Fraction(x, d)
+        return q.numerator if q.denominator == 1 else q
+
+    return tuple({c: entry(x, d) for c, x in r.items()}
+                 for d, r in zip(m._dens, m._int_rows))
