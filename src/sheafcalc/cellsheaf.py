@@ -18,11 +18,11 @@ from collections import deque
 from math import lcm
 
 from ._record import Record
-from .complexes import SimplicialComplex, _signed_facets, face_name
+from .complexes import SimplicialComplex, face_name
 from .errors import SheafcalcError
 from .rationals import (
-    RationalMatrix, _augmented, _consistent, _image, _kernel, _particular,
-    _reduced, _rref, _stored, block_assemble, rational)
+    RationalMatrix, _augmented, _cleared, _consistent, _image, _kernel,
+    _particular, _rref, _stored, block_assemble, rational)
 
 __all__ = [
     "CellularSheaf",
@@ -48,13 +48,8 @@ __all__ = [
 
 def covering_pairs(base: SimplicialComplex):
     """Attachment pairs (facet, face) with dimension gap one, in face order."""
-    out = []
-    for tau in base.all_faces():
-        if len(tau) == 1:
-            continue
-        for sigma, _ in _signed_facets(tau):
-            out.append((sigma, tau))
-    return out
+    return [pair for layer in base._incidence() for _, facets in layer
+            for _, _, pair in facets]
 
 
 class CellularSheaf(Record):
@@ -241,11 +236,12 @@ def _layout(s: CellularSheaf, k: int):
     return offsets, total
 
 
-def _cochain_map(s: CellularSheaf, upper_layout, lower_layout) -> RationalMatrix:
+def _cochain_map(s: CellularSheaf, k: int, upper_layout, lower_layout) -> RationalMatrix:
     """delta^k of a sheaf or, of a cosheaf, the boundary from degree
     k + 1 to k, given the ``_layout`` of degrees k + 1 and k; the first
     missing or misshapen attachment between the two degrees, in
-    ``covering_pairs`` order, raises ``InvalidSheaf``.
+    ``covering_pairs`` order, raises ``InvalidSheaf``.  The attachments
+    are read off the base's incidence index, the shapes off the stalks.
 
     The map is written as int rows, from the attachments' int rows, and
     makes no Fraction.  Each attachment row is written once into the
@@ -258,14 +254,18 @@ def _cochain_map(s: CellularSheaf, upper_layout, lower_layout) -> RationalMatrix
     layout ``_vertex_system`` slices.
     """
     sheaf = s.variance == "sheaf"
+    restriction, dim = s.restriction, s.stalk_dim
     (upper, n_upper), (lower, n_lower) = upper_layout, lower_layout
     n_rows = n_upper if sheaf else n_lower
     dens = [1] * n_rows
     out = tuple({} for _ in range(n_rows))
-    for tau in upper:
-        for sigma, sign in _signed_facets(tau):
-            mat = s.restriction.get((sigma, tau))
-            if mat is None or (mat.rows, mat.cols) != s.expected_shape(sigma, tau):
+    cover = s.base._incidence()
+    for tau, facets in (cover[k + 1] if k + 1 < len(cover) else ()):
+        d_tau = dim[tau]
+        for sigma, sign, pair in facets:
+            mat = restriction.get(pair)
+            if mat is None or (mat.rows, mat.cols) != (
+                    (d_tau, dim[sigma]) if sheaf else (dim[sigma], d_tau)):
                 _attachment(s, sigma, tau)  # names the fault
             at, col = (upper[tau], lower[sigma]) if sheaf else (lower[sigma], upper[tau])
             for r, (d, row) in enumerate(zip(mat._dens, mat._int_rows), start=at):
@@ -300,8 +300,8 @@ def _cochains(s: CellularSheaf) -> tuple:
     least top face of a nonzero block, to name the witness.
     """
     layouts = [_layout(s, k) for k in range(len(s.base._layers()[1]) + 1)]
-    maps = tuple(_cochain_map(s, upper, lower)
-                 for lower, upper in zip(layouts, layouts[1:]))
+    maps = tuple(_cochain_map(s, k, upper, lower)
+                 for k, (lower, upper) in enumerate(zip(layouts, layouts[1:])))
     for k in range(len(maps) - 2):  # the top map meets no (top+1)-face
         square = _then(s, maps[k], maps[k + 1])
         if not square.is_zero():
@@ -463,13 +463,7 @@ def extend(s: CellularSheaf, seed: Assignment) -> ExtendResult:
 def _localize_obstruction(s: CellularSheaf, seed: Assignment,
                           swept, swept_rows, total) -> ExtendResult:
     faces = s.base.all_faces()
-    neighbors = {g: [] for g in faces}
-    for sigma, tau in covering_pairs(s.base):
-        neighbors[sigma].append(tau)
-        neighbors[tau].append(sigma)
-    face_order = {g: i for i, g in enumerate(faces)}
-    for g in faces:
-        neighbors[g].sort(key=face_order.get)
+    neighbors = s.base._neighbours()
 
     # A face with a value has exactly one solution, so a new constraint
     # holds there iff the value satisfies it: one matrix-vector product.
@@ -539,9 +533,9 @@ def global_section_space(s: CellularSheaf) -> SectionSpace:
     Each kernel vector is vertex data; values on higher faces follow
     uniquely through the restriction maps.
     """
-    delta0 = _require_valid(s)[0]
+    reduced = _cleared(_require_valid(s))[0]  # delta^0, cleared by delta^1
     offsets, total = _layout(s, 0)
-    kernel = _kernel(_rref(_reduced(delta0)), total)
+    kernel = _kernel(_rref(reduced), total)
     basis = tuple(_spread(s, offsets, vec) for vec in kernel)
     return SectionSpace(len(basis), basis)
 

@@ -19,7 +19,7 @@ from .cellsheaf import (
     covering_pairs, validate_sheaf)
 from .complexes import SimplicialComplex, face_name
 from .errors import SheafcalcError
-from .rationals import RationalMatrix, _ints, _reduced, _split, _stored, rational
+from .rationals import RationalMatrix, _cleared, _ints, _split, _stored, rational
 
 __all__ = [
     "CochainComplex",
@@ -56,7 +56,7 @@ def coboundary(s: CellularSheaf, k: int) -> RationalMatrix:
         raise SheafcalcError(f"no coboundary in degree {k}")
     s.base.dimension()  # a faceless base has no cochains: this raises
     try:
-        return _cochain_map(s, _layout(s, k + 1), _layout(s, k))
+        return _cochain_map(s, k, _layout(s, k + 1), _layout(s, k))
     except InvalidSheaf as err:
         if err.report.kind != "missing-map":
             raise
@@ -78,7 +78,7 @@ def cohomology_dims(s: CellularSheaf) -> tuple:
     """dim H^k = dim C^k - rank delta^k - rank delta^(k-1), degree by
     degree, with delta^(-1) zero."""
     cc = cochain_complex(s)
-    ranks = [0] + [len(_reduced(delta)) for delta in cc.deltas]
+    ranks = [0] + [len(r) for r in _cleared(cc.deltas)]
     return tuple(n - ranks[k + 1] - ranks[k] for k, n in enumerate(cc.dims))
 
 

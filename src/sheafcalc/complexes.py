@@ -13,7 +13,7 @@ from itertools import combinations
 from ._record import Record, _setattr
 from .errors import SheafcalcError
 from .poset import FinitePoset
-from .rationals import RationalMatrix, _reduced, rational
+from .rationals import RationalMatrix, _cleared, rational
 
 __all__ = [
     "SimplicialComplex",
@@ -45,6 +45,8 @@ class SimplicialComplex(Record):
         _setattr(self, "faces", frozenset(tuple(f) for f in self.faces))
         _setattr(self, "_index", {v: i for i, v in enumerate(vertex_order)})
         _setattr(self, "_sorted", None)
+        _setattr(self, "_cover", None)
+        _setattr(self, "_near", None)
 
     def __repr__(self):
         return (f"SimplicialComplex({len(self.vertex_order)} vertices, "
@@ -69,6 +71,34 @@ class SimplicialComplex(Record):
                 by_dim[len(f) - 1].append(f)
             _setattr(self, "_sorted", (ordered, tuple(map(tuple, by_dim))))
         return self._sorted
+
+    def _incidence(self) -> tuple:
+        """The covering attachments, indexed once: per dimension k, one
+        (tau, facets) per k-face tau in the fixed order, ``facets`` holding
+        (sigma, [tau:sigma], (sigma, tau)) for each facet sigma in
+        ``_signed_facets`` order (none for a vertex)."""
+        if self._cover is None:
+            _setattr(self, "_cover", tuple(
+                tuple((tau, tuple((sigma, sign, (sigma, tau))
+                                  for sigma, sign in _signed_facets(tau)) if k else ())
+                      for tau in layer)
+                for k, layer in enumerate(self._layers()[1])))
+        return self._cover
+
+    def _neighbours(self) -> dict:
+        """Each face's facets and cofaces, as one tuple in face order."""
+        if self._near is None:
+            faces = self.all_faces()
+            position = {f: i for i, f in enumerate(faces)}
+            near = {f: [] for f in faces}
+            for layer in self._incidence():
+                for tau, facets in layer:
+                    for sigma, _, _ in facets:
+                        near[sigma].append(tau)
+                        near[tau].append(sigma)
+            _setattr(self, "_near", {f: tuple(sorted(n, key=position.__getitem__))
+                                     for f, n in near.items()})
+        return self._near
 
     def k_faces(self, k: int) -> tuple:
         """The k-dimensional faces in the fixed order."""
@@ -234,15 +264,13 @@ def _signed_facets(face):
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> RationalMatrix:
     if not 1 <= k <= complex_.dimension():
         raise SheafcalcError(f"no boundary map in degree {k}")
-    rows = complex_.k_faces(k - 1)
-    cols = complex_.k_faces(k)
-    row_of = {a: i for i, a in enumerate(rows)}
-    sparse = tuple({} for _ in rows)
-    for j, b in enumerate(cols):
-        for a, sign in _signed_facets(b):
-            if a in row_of:
-                sparse[row_of[a]][j] = sign
-    return RationalMatrix._from_ints(len(rows), len(cols), (1,) * len(rows), sparse)
+    row_of = {a: i for i, a in enumerate(complex_.k_faces(k - 1))}
+    cols = complex_._incidence()[k]
+    sparse = tuple({} for _ in row_of)
+    for j, (_, facets) in enumerate(cols):
+        for a, sign, _ in facets:
+            sparse[row_of[a]][j] = sign
+    return RationalMatrix._from_ints(len(row_of), len(cols), (1,) * len(row_of), sparse)
 
 
 def homology_dims(complex_: SimplicialComplex):
@@ -250,8 +278,9 @@ def homology_dims(complex_: SimplicialComplex):
     and d_{dim+1} are zero maps."""
     dim = complex_.dimension()
     # rank d_k, read off its transpose: one row per k-face, with k + 1
-    # nonzeros each, which reduces faster on grids than d_k's rows
-    ranks = [0] + [len(_reduced(boundary_matrix(complex_, k).transpose()))
-                   for k in range(1, dim + 1)] + [0]
+    # nonzeros each, which reduces faster on grids than d_k's rows; the
+    # transposes form a chain, d_(k+1)^T d_k^T = 0, and are cleared
+    transposes = [boundary_matrix(complex_, k).transpose() for k in range(1, dim + 1)]
+    ranks = [0] + [len(r) for r in _cleared(transposes)] + [0]
     return [len(complex_.k_faces(k)) - ranks[k] - ranks[k + 1]
             for k in range(dim + 1)]

@@ -139,7 +139,8 @@ class RationalMatrix(Immutable):
     def __new__(cls, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise SheafcalcError(f"negative shape {rows}x{cols}")
-        data = [x if type(x) is int else _stored(rational(x)) for x in entries]
+        data = [x if type(x) is int else _stored(rational(x))
+                for x in _not_string(entries, "entry list")]
         if len(data) != rows * cols:
             raise SheafcalcError(f"expected {rows * cols} entries, got {len(data)}")
         sparse = tuple([{} for _ in range(rows)])
@@ -168,7 +169,7 @@ class RationalMatrix(Immutable):
 
     @classmethod
     def from_rows(cls, rows_list, cols: int | None = None) -> "RationalMatrix":
-        rows_list = [list(r) for r in rows_list]
+        rows_list = [list(_not_string(r, "row")) for r in rows_list]
         if rows_list:
             width = len(rows_list[0])
             if any(len(r) != width for r in rows_list):
@@ -288,29 +289,43 @@ class RationalMatrix(Immutable):
         return f"RationalMatrix[{body}]"
 
 
-def _vector(values) -> tuple:
-    """A vector argument as stored entries.  A string is refused, not
-    read as its characters."""
+def _not_string(values, what):
+    """``values``, refused when it is a string, which would otherwise be
+    read as its characters; ``what`` names it in the refusal."""
     if isinstance(values, str):
-        raise SheafcalcError(f"vector {values!r} is a string, not an "
+        raise SheafcalcError(f"{what} {values!r} is a string, not an "
                              f"iterable of rationals")
-    return tuple(x if type(x) is int else _stored(rational(x)) for x in values)
+    return values
+
+
+def _vector(values) -> tuple:
+    """A vector argument as stored entries; a string is refused."""
+    return tuple(x if type(x) is int else _stored(rational(x))
+                 for x in _not_string(values, "vector"))
 
 
 def _image(m: RationalMatrix, vec) -> tuple:
     """m times ``vec``, a vector of stored entries, in storage form:
     ``apply`` without its checks and its Fraction view, for values that
-    stay inside the library.  The vector is written over its common
-    denominator once; each row then sums int products and is divided
-    once, by its own denominator times the vector's."""
-    den = lcm(*[x.denominator for x in vec])
-    if den != 1:
-        vec = [x.numerator * (den // x.denominator) for x in vec]
+    stay inside the library.  A row of one int entry takes the vector's
+    value as it is, times that entry.  For the other rows the vector is
+    written over its common denominator once; each row then sums int
+    products and is divided once, by its own denominator times the
+    vector's."""
+    den = None
     out = []
     for d, row in zip(m._dens, m._int_rows):
+        if d == 1 and len(row) == 1:
+            (j, x), = row.items()
+            out.append(vec[j] if x == 1 else _stored(x * vec[j]))
+            continue
+        if den is None:
+            den = lcm(*[x.denominator for x in vec])
+            ints = vec if den == 1 else [
+                x.numerator * (den // x.denominator) for x in vec]
         s = 0
         for j, x in row.items():
-            s += x * vec[j]
+            s += x * ints[j]
         d *= den
         out.append(s if d == 1 else _div(s, d))
     return tuple(out)
@@ -363,10 +378,11 @@ def decompose(m: RationalMatrix) -> MatrixDecomposition:
     The rows go through ``_reduced``, whose row step ``_reduce_row`` is
     the one elimination routine of the package: ``solve`` and
     ``cellsheaf.extend`` use it too, and the Betti numbers read only the
-    rank of ``_reduced``.  ``_rref`` back-eliminates the echelon form
-    once, through ``_reduce_row`` as well; the rref and, through
-    ``_kernel``, the kernel basis are read off it, as
-    ``cellsheaf.global_section_space`` reads its kernel.
+    ranks of ``_cleared``, which runs ``_reduced`` degree by degree.
+    ``_rref`` back-eliminates the echelon form once, through
+    ``_reduce_row`` as well; the rref and, through ``_kernel``, the
+    kernel basis are read off it, as ``cellsheaf.global_section_space``
+    reads its kernel off the cleared delta^0.
 
     rank + len(kernel_basis) == cols always.
     """
@@ -415,16 +431,41 @@ def _kernel(rref: dict, cols: int) -> tuple:
     return tuple(map(tuple, kernel.values()))
 
 
-def _reduced(m: RationalMatrix) -> dict:
+def _reduced(m: RationalMatrix, skip=()) -> dict:
     """A row echelon form of m's rows as {pivot column: (pivot, rest of
     its row)}, built row by row with ``_reduce_row``; its length is the
-    rank of m."""
+    rank of m.  The rows whose indices are in ``skip`` are left out, which
+    ``_cleared`` does only where they are known to depend on the rows
+    after them."""
+    rows = m._int_rows
+    if skip:
+        rows = [row for i, row in enumerate(rows) if i not in skip]
     reduced = {}
-    for row in m._int_rows:
+    for row in rows:
         if len(reduced) == m.cols:
             break
         _reduce_row(reduced, row)
     return reduced
+
+
+def _cleared(maps) -> list:
+    """``_reduced`` of each map of a chain, maps[k + 1] @ maps[k] == 0,
+    reduced from the top degree down, skipping the rows of maps[k] that
+    sit at the pivot columns of maps[k + 1]'s echelon form (clearing, the
+    "twist" of persistent homology).
+
+    An echelon row of maps[k + 1] with pivot column t lies in its row
+    space, so it times maps[k] is zero: row t of maps[k] is a combination
+    of the rows after it.  By induction from the last row back, the rows
+    kept span the row space of maps[k], so the rank and the pivots are
+    unchanged, and so are the rref ``_rref`` reads off and the kernel
+    ``_kernel`` reads off that."""
+    out = [None] * len(maps)
+    pivots = ()
+    for k in reversed(range(len(maps))):
+        out[k] = _reduced(maps[k], pivots)
+        pivots = out[k]
+    return out
 
 
 def _reduce_row(reduced: dict, row):

@@ -306,7 +306,7 @@ def test_int_row_coboundaries_and_products_equal_the_storage_oracle(seed):
     seen = Counter()
     for s in _assembly_corpus(seed):
         degrees = range(len(s.base._layers()[1]))
-        got = [_cochain_map(s, _layout(s, k + 1), _layout(s, k)) for k in degrees]
+        got = [_cochain_map(s, k, _layout(s, k + 1), _layout(s, k)) for k in degrees]
         want = [storage_cochain_map(s, k) for k in degrees]
         for g, w in zip(got, want):
             assert (g._dens, g._int_rows) == (w._dens, w._int_rows)  # least denominators
@@ -379,9 +379,9 @@ def test_each_library_call_writes_each_coboundary_once(monkeypatch):
 
     written = []
 
-    def counted(s, upper, lower):
+    def counted(s, k, upper, lower):
         written.append(tuple(lower[0]))  # the faces of degree k
-        return write(s, upper, lower)
+        return write(s, k, upper, lower)
 
     write = cellsheaf._cochain_map
     monkeypatch.setattr(cellsheaf, "_cochain_map", counted)

@@ -12,8 +12,8 @@ from sheafcalc.poset import alexandrov
 from sheafcalc.rationals import RationalMatrix, matmul
 
 from util import (
-    base_complex, grid_complex, pair_scan_face_poset, random_complex,
-    union_find_components)
+    base_complex, facet_neighbours, facet_pairs, grid_complex,
+    pair_scan_face_poset, random_complex, union_find_components)
 
 
 # ------------------------------------------------------------ validation
@@ -251,6 +251,65 @@ def test_chain_validation_and_vector():
 def rationalize(x):
     from sheafcalc.rationals import rational
     return rational(x)
+
+
+# -------------------------------------------------------- incidence index
+
+def index_corpus():
+    """Random complexes up to 4-simplices, the running base and holed
+    grids."""
+    rng = random.Random(71)
+    yield base_complex()
+    yield grid_complex(4, holes=[(1, 2)])
+    for _ in range(60):
+        yield random_complex(rng)
+    for _ in range(30):
+        yield random_complex(rng, max_faces=4, vertex_pool="abcdefg", max_size=5)
+
+
+def test_the_incidence_index_lists_the_covering_pairs_in_their_order():
+    from sheafcalc.cellsheaf import covering_pairs
+    from sheafcalc.complexes import _signed_facets
+
+    for c in index_corpus():
+        index = c._incidence()
+        assert [[tau for tau, _ in layer] for layer in index] == [
+            list(c.k_faces(k)) for k in range(c.dimension() + 1)]
+        pairs = [pair for layer in index for _, facets in layer
+                 for _, _, pair in facets]
+        assert pairs == facet_pairs(c) == covering_pairs(c)
+        for layer in index:
+            for tau, facets in layer:
+                want = list(_signed_facets(tau)) if len(tau) > 1 else []
+                assert [(sigma, sign) for sigma, sign, _ in facets] == want
+                for sigma, sign, pair in facets:
+                    assert pair == (sigma, tau)
+                    assert incidence(c, tau, sigma) == sign
+        assert c._neighbours() == {
+            f: tuple(near) for f, near in facet_neighbours(c).items()}
+
+
+def test_covering_pairs_is_a_new_list_each_call():
+    from sheafcalc.cellsheaf import covering_pairs
+
+    c = base_complex()
+    pairs = covering_pairs(c)
+    pairs.clear()
+    assert covering_pairs(c) == facet_pairs(c)
+    assert covering_pairs(c) is not covering_pairs(c)
+
+
+def test_a_copied_or_unpickled_complex_rebuilds_its_index():
+    import copy
+    import pickle
+
+    c = grid_complex(3, holes=[(1, 1)])
+    index, near = c._incidence(), c._neighbours()
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c
+        assert twin._incidence() == index and twin._incidence() is not index
+        assert twin._neighbours() == near and twin._neighbours() is not near
+        assert homology_dims(twin) == [1, 1, 0]
 
 
 # ------------------------------------------------------------- refusals

@@ -639,6 +639,17 @@ def test_apply_and_solve_take_any_iterable_but_a_string():
         assert solve(a, b) == (Fraction(1), Fraction(2))
 
 
+def test_matrices_take_entries_and_rows_in_any_iterable_but_a_string():
+    # a string is refused (see REFUSALS); the rationals it spells are
+    # taken as entries of any other iterable
+    want = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    for entries in ([1, 2, 3, 4], ("1", "2", "3", "4"), iter([1, 2, 3, 4]),
+                    range(1, 5), map(int, "1234")):
+        assert RationalMatrix(2, 2, entries) == want
+    for rows in ([(1, 2), ["3", "4"]], iter([range(1, 3), map(int, "34")])):
+        assert RationalMatrix.from_rows(rows) == want
+
+
 def test_solve_single_variable_overdetermined():
     # 3x = 1 and x = 1 cannot hold together
     a = RationalMatrix.from_rows([[3], [1]])
@@ -726,6 +737,10 @@ REFUSALS = {
                      "vector '12' is a string, not an iterable of rationals"),
     "solve-string": (lambda: solve(RationalMatrix.identity(2), "34"),
                      "vector '34' is a string, not an iterable of rationals"),
+    "entries-string": (lambda: RationalMatrix(1, 2, "12"),
+                       "entry list '12' is a string, not an iterable of rationals"),
+    "row-string": (lambda: RationalMatrix.from_rows(["12", "34"]),
+                   "row '12' is a string, not an iterable of rationals"),
     "block-dimension": (lambda: block_assemble({}, [-1], [1]),
                         "negative block dimension"),
     "block-outside": (lambda: block_assemble({(1, 0): ONE}, [1], [1]),

@@ -1048,21 +1048,85 @@ def composite_spread(s, offsets, vertex_data):
     return Assignment(vectors)
 
 
+# ------------------------------------------------------- incidence oracles
+# The covering pairs and the obstruction search's neighbour lists as they
+# were derived on every call before SimplicialComplex indexed them once,
+# kept verbatim but for their names: each face's facets from
+# _signed_facets, and the neighbours collected and sorted per call.
+
+def facet_pairs(base):
+    """Attachment pairs (facet, face) with dimension gap one, in face order."""
+    from sheafcalc.complexes import _signed_facets
+
+    out = []
+    for tau in base.all_faces():
+        if len(tau) == 1:
+            continue
+        for sigma, _ in _signed_facets(tau):
+            out.append((sigma, tau))
+    return out
+
+
+def facet_neighbours(base) -> dict:
+    """Each face's facets and cofaces, sorted in face order."""
+    faces = base.all_faces()
+    neighbors = {g: [] for g in faces}
+    for sigma, tau in facet_pairs(base):
+        neighbors[sigma].append(tau)
+        neighbors[tau].append(sigma)
+    face_order = {g: i for i, g in enumerate(faces)}
+    for g in faces:
+        neighbors[g].sort(key=face_order.get)
+    return neighbors
+
+
+# --------------------------------------------------------- rank over GF(p)
+
+GF_PRIME = 2 ** 61 - 1  # a Mersenne prime
+
+
+def gf_rank(m, p=GF_PRIME) -> int:
+    """The rank over GF(p) of m's int rows, each row of m times its least
+    denominator, by sparse Gaussian elimination mod p that shares no
+    step with the library.  Scaling a row by a nonzero rational keeps the
+    rank over Q, and reducing ints mod p can only lose rank, so this never
+    exceeds m's rank over Q; it equals it unless p divides every maximal
+    nonzero minor."""
+    pivots = {}
+    for row in m._int_rows:
+        r = {c: x % p for c, x in row.items() if x % p}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {j: x * inv % p for j, x in r.items()}
+                break
+            f = r[c]
+            for j, x in pivots[c].items():
+                v = (r.get(j, 0) - f * x) % p
+                if v:
+                    r[j] = v
+                else:
+                    r.pop(j, None)
+    return len(pivots)
+
+
 # ------------------------------------------------------ square-scan oracle
 # validate_sheaf as it was before its verdict was read off the products
 # of consecutive coboundaries, kept verbatim but for the two helpers it
-# called, inlined: every attachment in covering order, then every
-# path-independence square compared with two small products.
+# called, inlined, and for its covering pairs, read through facet_pairs
+# rather than the incidence index: every attachment in covering order,
+# then every path-independence square compared with two small products.
 
 def scan_validate_sheaf(s, require_complete=True):
     """Dimension check plus every path-independence square, one square at
     a time; with require_complete=False a missing map is skipped."""
-    from sheafcalc.cellsheaf import SheafReport, covering_pairs
+    from sheafcalc.cellsheaf import SheafReport
 
     def then(first, second):
         return second @ first if s.variance == "sheaf" else first @ second
 
-    for sigma, tau in covering_pairs(s.base):
+    for sigma, tau in facet_pairs(s.base):
         mat = s.restriction.get((sigma, tau))
         if mat is None:
             if require_complete:
