@@ -1435,42 +1435,32 @@ def test_module_entrypoint_round_trip(tmp_path):
     assert proc.stdout == "[1,0]\n"
 
 
-# ------------------------------------------ the fractional Q^2 notch grid
+# ---------------------------------------------------------- golden cases
 
-NOTCH = Path(__file__).resolve().parent / "data" / "notch.json"
-NOTCH_BENT = NOTCH.with_name("notch-bent.json")
-NOTCH_EXTENDED = (
-    '{"a":["1","-1/2"],"ab":["10/9","-5/7"],"ad":["7/6","-5/6"],'
-    '"b":["6/5","-10/11"],"bc":["11/9","-25/26"],"bcf":["26/21","-1"],'
-    '"be":["5/4","-35/34"],"bef":["34/27","-20/19"],"bf":["19/15","-15/14"],'
-    '"c":["14/11","-25/23"],"cf":["23/18","-11/10"],"d":["50/39","-10/9"],'
-    '"de":["9/7","-65/58"],"deh":["58/45","-35/31"],"dg":["31/24","-25/22"],'
-    '"dgh":["22/17","-8/7"],"dh":["35/27","-85/74"],"e":["74/57","-15/13"],'
-    '"ef":["13/10","-95/82"],"efi":["82/63","-50/43"],"eh":["43/33","-7/6"],'
-    '"ehi":["30/23","-55/47"],"ei":["47/36","-115/98"],"f":["98/75","-20/17"],'
-    '"fi":["17/13","-125/106"],"g":["106/81","-13/11"],"gh":["55/42","-45/38"],'
-    '"h":["38/29","-70/59"],"hi":["59/45","-145/122"],"i":["122/93","-25/21"]}\n')
+# Each directory under tests/data/cli is one pinned call: ``args`` holds
+# one argv word per line, ``code`` the exit code and ``stdout`` the exact
+# bytes.  Every case runs in tests/data and names its inputs by bare file
+# name; CI runs the same cases through the installed console script.
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "cli"
+CASES = sorted(case.name for case in GOLDEN.iterdir())
 
 
-def test_the_notch_grid_answers_byte_for_byte(capsys):
-    # the 2x2 grid with one square left out, triangulated, carrying a
-    # fractional diagonal Q^2 sheaf, A_tau A_sigma^-1 for each face's
-    # diagonal A: (2, 2, 0), two sections pinned by their digest, and
-    # its twin with one map bent on triangle efi refused at a square
-    import hashlib
+def golden_case(name):
+    """(argv, exit code, stdout bytes) of one golden case."""
+    case = GOLDEN / name
+    argv = (case / "args").read_text(encoding="utf-8").splitlines()
+    return argv, int((case / "code").read_text()), (case / "stdout").read_bytes()
 
-    assert invoke(capsys, "cohomology", "dims", "--sheaf", str(NOTCH)) == (
-        0, "[2,2,0]\n")
-    code, out = invoke(capsys, "sheaf", "sections", "--sheaf", str(NOTCH))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e96d553b551c0e819fe877298e897d2cffd351ac06e232d3a7ff138e5d3369a3")
-    assert invoke(capsys, "cohomology", "dims", "--sheaf", str(NOTCH_BENT)) == (
-        1, '{"faces":["f","ef","fi","efi"],"kind":"path-independence"}\n')
-    # extend spreads a one-vertex seed over every face and refuses two
-    # vertex seeds that disagree along the twist
-    assert invoke(capsys, "sheaf", "extend", "--sheaf", str(NOTCH),
-                  "--seed", '{"a": ["1", "-1/2"]}') == (0, NOTCH_EXTENDED)
-    assert invoke(capsys, "sheaf", "extend", "--sheaf", str(NOTCH), "--seed",
-                  '{"a": ["1", "0"], "i": ["1", "0"]}') == (
-        1, '{"kind":"conflicting-values","obstruction":"be"}\n')
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_case_byte_for_byte(name, monkeypatch, capsysbinary):
+    argv, code, stdout = golden_case(name)
+    monkeypatch.chdir(DATA)
+    assert main(argv) == code
+    assert capsysbinary.readouterr().out == stdout
+
+
+def test_every_action_has_a_golden_case():
+    covered = {tuple(golden_case(name)[0][:2]) for name in CASES}
+    assert sorted(set(ACTIONS) - covered) == []
